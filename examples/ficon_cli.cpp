@@ -8,41 +8,7 @@
 // `diff <(ficon_cli --json ...) <(ficon_cli --connect ...)` proves the
 // service path bit-identical to the one-shot path.
 //
-// Usage:
-//   ficon_cli [options]
-//     --circuit NAME|PATH    built-in name (ami33, ...) or .ficon/.blocks
-//                            file (default ami33)
-//     --engine polish|sp     floorplan representation (default polish)
-//     --alpha A --beta B --gamma G   objective weights (default 1 1 0.4)
-//     --model ir|fixed|none  congestion model in the objective (default ir)
-//     --grid PITCH           congestion fine pitch in um (default 30)
-//     --seed N               annealing seed (default 1)
-//     --effort E             SA effort multiplier (default 1.0)
-//     --svg PATH             write placement + IR heat map SVG
-//     --csv PATH             write IR congestion map CSV
-//     --heatmap PATH         write a standalone heat-map SVG of the
-//                            objective model's flow field on the best
-//                            floorplan (requires --model ir|fixed)
-//     --heatmap-features PATH  write the per-cell feature dump for the
-//                            same field (.jsonl extension = JSON Lines,
-//                            anything else = CSV)
-//     --save PATH            write the packed netlist in native format
-//     --trace PATH           enable telemetry and write a JSONL trace
-//                            (also honours the FICON_TRACE env knob)
-//     --quiet                suppress the per-temperature trace
-//   Service mode (docs/SERVICE.md):
-//     --json                 print one canonical JSON result line instead
-//                            of the human summary (no exports)
-//     --op evaluate|anneal   operation (default anneal; needs --json)
-//     --seeds N              anneal seed fan-out (default 1; needs --json)
-//     --expression EXPR      Polish expression for --op evaluate
-//     --connect PATH         send the request to the ficond daemon at the
-//                            Unix socket PATH (implies --json; --circuit
-//                            is only the result-line label — the daemon
-//                            owns the circuit)
-//
-// Exit codes: 0 success, 1 request finished non-ok (--json/--connect),
-// 2 usage error, 3 cannot reach the daemon.
+// `ficon_cli --help` prints the options and exit codes (kUsage below).
 #include <cerrno>
 #include <cmath>
 #include <cstdint>
@@ -65,9 +31,45 @@
 
 namespace {
 
+constexpr const char* kUsage = R"(usage: ficon_cli [options]
+  --circuit NAME|PATH    built-in name (ami33, ...) or .ficon/.blocks
+                         file (default ami33)
+  --engine polish|sp     floorplan representation (default polish)
+  --alpha A --beta B --gamma G   objective weights (default 1 1 0.4)
+  --model ir|fixed|none  congestion model in the objective (default ir)
+  --grid PITCH           congestion fine pitch in um (default 30)
+  --seed N               annealing seed (default 1)
+  --effort E             SA effort multiplier (default 1.0)
+  --svg PATH             write placement + IR heat map SVG
+  --csv PATH             write IR congestion map CSV
+  --heatmap PATH         write a standalone heat-map SVG of the
+                         objective model's flow field on the best
+                         floorplan (requires --model ir|fixed)
+  --heatmap-features PATH  write the per-cell feature dump for the
+                         same field (.jsonl extension = JSON Lines,
+                         anything else = CSV)
+  --save PATH            write the packed netlist in native format
+  --trace PATH           enable telemetry and write a JSONL trace
+                         (also honours the FICON_TRACE env knob)
+  --quiet                suppress the per-temperature trace
+  --help                 print this message and exit
+Service mode (docs/SERVICE.md):
+  --json                 print one canonical JSON result line instead
+                         of the human summary (no exports)
+  --op evaluate|anneal   operation (default anneal; needs --json)
+  --seeds N              anneal seed fan-out (default 1; needs --json)
+  --expression EXPR      Polish expression for --op evaluate
+  --connect PATH         send the request to the ficond daemon at the
+                         Unix socket PATH (implies --json; --circuit
+                         is only the result-line label: the daemon
+                         owns the circuit)
+
+Exit codes: 0 success, 1 request finished non-ok (--json/--connect),
+2 usage error, 3 cannot reach the daemon.
+)";
+
 [[noreturn]] void usage_error(const std::string& message) {
-  std::cerr << "ficon_cli: " << message
-            << " (see header comment for usage)\n";
+  std::cerr << "ficon_cli: " << message << " (see ficon_cli --help)\n";
   std::exit(2);
 }
 
@@ -127,6 +129,10 @@ Cli parse_cli(int argc, char** argv) {
   bool service_knob = false;  // --op/--seeds/--expression seen
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    if (arg == "--help") {
+      std::cout << kUsage;
+      std::exit(0);
+    }
     if (arg == "--quiet") {
       cli.quiet = true;
       continue;
@@ -357,8 +363,15 @@ int main(int argc, char** argv) {
   if (!cli.trace.empty()) ficon::obs::set_trace_enabled(true);
   ficon::obs::set_thread_label("main");
 
-  // --- Run.
-  const ficon::Floorplanner planner(netlist, options);
+  // --- Run. Options the Floorplanner rejects (e.g. an --effort whose move
+  // count overflows) are usage errors.
+  const ficon::Floorplanner planner = [&] {
+    try {
+      return ficon::Floorplanner(netlist, options);
+    } catch (const std::invalid_argument& e) {
+      usage_error(e.what());
+    }
+  }();
   const ficon::FloorplanSolution sol = planner.run(
       cli.quiet ? ficon::Floorplanner::SnapshotFn{}
                 : [](const ficon::TemperatureSnapshot& s) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <ostream>
 
@@ -55,6 +56,11 @@ struct NetOnGrid {
   int ncy() const { return iy2 - iy1; }  ///< covered IR rows
 };
 
+/// Two doubles in one 16-byte vector: the baseline width on x86-64 (SSE2)
+/// and aarch64 (NEON), so no target flags are needed. Same GCC/Clang
+/// vector extension as numeric/kernel.cpp.
+using vd2 = double __attribute__((vector_size(16)));
+
 std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
   h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
   return h;
@@ -87,10 +93,12 @@ std::uint64_t scoring_fingerprint(const IrregularGridParams& p) {
 /// column/row's local fine-lattice span, then computes the net's ncx x ncy
 /// crossing-probability matrix and accumulates it into the block's partial
 /// flow grid. The matrix is a pure function of the signature
-/// (g1, g2, type2, ncx, ncy, spans), so it is memoized in a thread_local
-/// ScoreMemo: during annealing, nets whose modules did not move re-present
-/// identical signatures and skip straight to accumulation. Hit and miss
-/// produce bit-identical matrices, so memoization cannot perturb results.
+/// (g1, g2, type2, ncx, ncy, spans), so the region strategies memoize it
+/// in a thread_local ScoreMemo: during annealing, nets whose modules did
+/// not move re-present identical signatures and skip straight to
+/// accumulation. Hit and miss produce bit-identical matrices, so
+/// memoization cannot perturb results. The banded strategy recomputes
+/// every matrix (see score()).
 ///
 /// Banded exact evaluation (IrEvalStrategy::kBandedExact) works in the
 /// canonical type I frame (source cell (0,0), sink (g1-1,g2-1); type II
@@ -106,6 +114,16 @@ std::uint64_t scoring_fingerprint(const IrregularGridParams& p) {
 /// so the only transcendental call is one exp() per band. Cells covering a
 /// pin are exactly 1 (every route passes a pin cell), which doubles as the
 /// paper's step 3.1.
+///
+/// The recurrences are the annealing hot loop: one band per covered IR
+/// row plus one per covered IR column, each step two IEEE divisions, so
+/// divider throughput bounds it. The bands of one pass share their length
+/// (g1 for top exits, g2 for right exits), so prefix_pair() advances two
+/// of them at once, one per lane of a vd2: a 2-lane division costs about
+/// half as much per lane as a scalar one, while wider ones need target
+/// flags and are barely cheaper per lane (docs/ARCHITECTURE.md). Each
+/// lane runs the scalar operations in the scalar order, all correctly
+/// rounded, so pairing changes speed only, never bits.
 class NetScorer {
  public:
   NetScorer(LogFactorialTable& table, const IrregularGridParams& params,
@@ -210,14 +228,13 @@ class NetScorer {
           local_hi(cell.yhi, on_grid.sy1, params_->grid_h, on_grid.shape.g2);
     }
 
-    // Memoization split, driven by measurement: under the region
-    // strategies a per-cell evaluation costs microseconds, so the matrix
-    // memo pays for its lookup. Under kBandedExact a full recompute costs
-    // a few hundred nanoseconds — cheaper than pulling a ~30-int key plus
-    // matrix through the cache hierarchy — so the banded path always
-    // recomputes (degenerate shapes fall back to fill_regions and stay
-    // memoized). Hits and misses are bit-identical, so the split is
-    // invisible in results.
+    // Memoization split: the region strategies look each matrix up in the
+    // memo first. kBandedExact always recomputes and never looks up
+    // (degenerate shapes fall back to fill_regions and stay memoized), so
+    // a traced 1-thread ami49 anneal makes zero memo lookups, although a
+    // banded recompute there costs about 15 us per scored net at 30 um
+    // (one traced anneal on a Xeon vCPU). Hits and misses are
+    // bit-identical, so the split is invisible in results.
     const bool banded = params_->strategy == IrEvalStrategy::kBandedExact &&
                         !on_grid.shape.degenerate();
     const std::vector<double>* probs = nullptr;
@@ -288,59 +305,44 @@ class NetScorer {
 
     const double log_total = table_->log_choose(g1 + g2 - 2, g2 - 1);
 
-    // --- Top-exit pass: one prefix-sum row per covered IR row.
-    prefix_.resize(static_cast<std::size_t>(g1));
+    // --- Top-exit pass: one prefix-sum row per covered IR row with a cell
+    // above it; the band offset is the row's top fine row.
+    bands_.clear();
     for (int cy = 0; cy < ncy; ++cy) {
       const int top = row_cy2_[static_cast<std::size_t>(cy)];
       if (top >= g2 - 1) continue;  // no cell above: no top exits
-      double term = std::exp(
-          table_->log_choose(g1 - 1 + g2 - 2 - top, g2 - 2 - top) - log_total);
-      double running = 0.0;
-      for (int x = 0; x < g1; ++x) {
-        running += term;
-        prefix_[static_cast<std::size_t>(x)] = running;
-        if (x < g1 - 1) {
-          term *= (static_cast<double>(x + 1 + top) / (x + 1)) *
-                  (static_cast<double>(g1 - 1 - x) /
-                   ((g1 - 1 - x) + (g2 - 2 - top)));
-        }
-      }
-      for (int cx = 0; cx < ncx; ++cx) {
-        const int lx1 = lx1_[static_cast<std::size_t>(cx)];
-        const int lx2 = lx2_[static_cast<std::size_t>(cx)];
-        const double sum = prefix_[static_cast<std::size_t>(lx2)] -
-                           (lx1 > 0 ? prefix_[static_cast<std::size_t>(lx1 - 1)]
-                                    : 0.0);
-        probs_[index(cx, cy, ncx)] += sum;
-      }
+      bands_.push_back(Band{
+          cy, top,
+          std::exp(table_->log_choose(g1 - 1 + g2 - 2 - top, g2 - 2 - top) -
+                   log_total)});
     }
+    run_bands(g1, g2, [&](int row, std::size_t lane) {
+      for (int cx = 0; cx < ncx; ++cx) {
+        probs_[index(cx, row, ncx)] +=
+            band_sum(lane, lx1_[static_cast<std::size_t>(cx)],
+                     lx2_[static_cast<std::size_t>(cx)]);
+      }
+    });
 
-    // --- Right-exit pass: one prefix-sum column per covered IR column.
-    prefix_.resize(static_cast<std::size_t>(std::max(g1, g2)));
+    // --- Right-exit pass: one prefix-sum column per covered IR column with
+    // a cell to its right; the band offset is the column's right fine
+    // column.
+    bands_.clear();
     for (int cx = 0; cx < ncx; ++cx) {
       const int right = lx2_[static_cast<std::size_t>(cx)];
       if (right >= g1 - 1) continue;  // no cell to the right
-      double term = std::exp(
-          table_->log_choose(g1 - 2 - right + g2 - 1, g2 - 1) - log_total);
-      double running = 0.0;
-      for (int y = 0; y < g2; ++y) {
-        running += term;
-        prefix_[static_cast<std::size_t>(y)] = running;
-        if (y < g2 - 1) {
-          term *= (static_cast<double>(right + 1 + y) / (y + 1)) *
-                  (static_cast<double>(g2 - 1 - y) /
-                   ((g1 - 2 - right) + (g2 - 1 - y)));
-        }
-      }
-      for (int cy = 0; cy < ncy; ++cy) {
-        const int cy1 = row_cy1_[static_cast<std::size_t>(cy)];
-        const int cy2 = row_cy2_[static_cast<std::size_t>(cy)];
-        const double sum = prefix_[static_cast<std::size_t>(cy2)] -
-                           (cy1 > 0 ? prefix_[static_cast<std::size_t>(cy1 - 1)]
-                                    : 0.0);
-        probs_[index(cx, cy, ncx)] += sum;
-      }
+      bands_.push_back(Band{
+          cx, right,
+          std::exp(table_->log_choose(g1 - 2 - right + g2 - 1, g2 - 1) -
+                   log_total)});
     }
+    run_bands(g2, g1, [&](int column, std::size_t lane) {
+      for (int cy = 0; cy < ncy; ++cy) {
+        probs_[index(column, cy, ncx)] +=
+            band_sum(lane, row_cy1_[static_cast<std::size_t>(cy)],
+                     row_cy2_[static_cast<std::size_t>(cy)]);
+      }
+    });
 
     // --- Pin override + clamp.
     for (int cy = 0; cy < ncy; ++cy) {
@@ -356,6 +358,72 @@ class NetScorer {
         p = std::clamp(p, 0.0, 1.0);
       }
     }
+  }
+
+  /// One band of a banded pass: the covered IR row (top pass) or column
+  /// (right pass) it serves, its fine-lattice offset k, and its first exit
+  /// term.
+  struct Band {
+    int cell;
+    int k;
+    double start;
+  };
+
+  /// Runs the bands_ of one pass through prefix_pair() two at a time and
+  /// hands each band's lane to accumulate(cell, lane). An odd count copies
+  /// the last band into the spare lane, whose output is dropped.
+  template <typename Accumulate>
+  void run_bands(int n, int m, Accumulate&& accumulate) {
+    const std::size_t count = bands_.size();
+    if (count % 2 != 0) bands_.push_back(bands_.back());
+    for (std::size_t j = 0; j < count; j += 2) {
+      prefix_pair(n, m, bands_[j], bands_[j + 1]);
+      accumulate(bands_[j].cell, std::size_t{0});
+      if (j + 1 < count) accumulate(bands_[j + 1].cell, std::size_t{1});
+    }
+  }
+
+  /// Exit-term prefix sums of two bands of length n, one per lane, into
+  /// prefix_ (lane-interleaved: prefix_[2 * i + lane]). m is the lattice
+  /// size across the bands: n = g1, m = g2 in the top-exit pass and
+  /// n = g2, m = g1 in the right-exit pass. Per lane this is the
+  /// recurrence of the class comment,
+  ///   term(i+1) = term(i) * ((i+1+k)/(i+1) * ((n-1-i)/((n-1-i)+(m-2-k)))),
+  /// with the same correctly rounded operations in the same order as a
+  /// one-band loop, so neither lane's sums depend on the other band.
+  void prefix_pair(int n, int m, const Band& lo, const Band& hi) {
+    prefix_.resize(2 * static_cast<std::size_t>(n));
+    vd2 term = {lo.start, hi.start};
+    vd2 running = {0.0, 0.0};
+    // The four factors, stepped by 1 from their i = 0 values. They are
+    // integers far below 2^53, so every step is exact and each factor
+    // equals the int expression converted to double.
+    vd2 a = {static_cast<double>(lo.k + 1), static_cast<double>(hi.k + 1)};
+    vd2 b = {1.0, 1.0};
+    vd2 c = {static_cast<double>(n - 1), static_cast<double>(n - 1)};
+    vd2 d = {static_cast<double>((n - 1) + (m - 2 - lo.k)),
+             static_cast<double>((n - 1) + (m - 2 - hi.k))};
+    const vd2 one = {1.0, 1.0};
+    for (int i = 0; i < n - 1; ++i) {
+      running += term;
+      std::memcpy(prefix_.data() + 2 * static_cast<std::size_t>(i), &running,
+                  sizeof running);
+      term *= (a / b) * (c / d);
+      a += one;
+      b += one;
+      c -= one;
+      d -= one;
+    }
+    running += term;
+    std::memcpy(prefix_.data() + 2 * static_cast<std::size_t>(n - 1),
+                &running, sizeof running);
+  }
+
+  /// Sum of one lane's exit terms over the fine span [lo, hi].
+  double band_sum(std::size_t lane, int lo, int hi) const {
+    return prefix_[2 * static_cast<std::size_t>(hi) + lane] -
+           (lo > 0 ? prefix_[2 * static_cast<std::size_t>(lo - 1) + lane]
+                   : 0.0);
   }
 
   /// Per-region probabilities (kTheorem1 / kExactPerRegion, and the
@@ -400,6 +468,7 @@ class NetScorer {
   std::vector<GridRect> regions_;
   std::vector<double> probs_;
   std::vector<double> prefix_;
+  std::vector<Band> bands_;
   std::vector<int> lx1_, lx2_, ly1_, ly2_;
   std::vector<int> row_cy1_, row_cy2_;
   ScoreMemo::Key key_;

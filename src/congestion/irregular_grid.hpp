@@ -38,9 +38,10 @@ enum class IrEvalStrategy {
   /// Exact Formula 3 for ALL IR-grids of a net at once via per-cut-band
   /// prefix sums of the exit terms (multiplicative recurrences, no
   /// binomials in the inner loop). Same results as kExactPerRegion to
-  /// floating-point accuracy but O(g1 + g2) per band instead of per cell —
-  /// the fast path for annealing-embedded use. An engineering improvement
-  /// over the paper; see DESIGN.md ("Key design decisions").
+  /// floating-point accuracy but O(ncy * g1 + ncx * g2) per net, one band
+  /// per covered IR row and column, instead of work per cell — the fast
+  /// path for annealing-embedded use. An engineering improvement over the
+  /// paper; see DESIGN.md ("Key design decisions").
   kBandedExact,
 };
 
@@ -54,8 +55,9 @@ struct IrregularGridParams {
   /// the paper uses "double of the width/length of a grid", i.e. 2.0).
   double merge_factor = 2.0;
   /// Capacity (entries) of the per-thread LRU memo for per-net probability
-  /// matrices (region strategies) and per-shape band start terms (banded
-  /// strategy); 0 disables memoization. Hits and misses return
+  /// matrices; 0 disables memoization. Only the region strategies and the
+  /// banded strategy's degenerate-shape fallback use it: the banded scorer
+  /// recomputes every matrix and never looks it up. Hits and misses return
   /// bit-identical values, so this knob trades memory for speed without
   /// ever changing results. 4096 covers the live shape population of
   /// MCNC-scale anneals; larger capacities were measured slower (the

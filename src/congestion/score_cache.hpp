@@ -10,10 +10,10 @@
 //   [g1, g2, type2, ncx, ncy, col spans..., row spans...]  (fine-lattice
 //   integers, unmirrored)
 //
-// to the net's full ncx x ncy probability matrix. The banded-exact scorer
-// additionally stores per-shape band start terms under the length-2 key
-// [g1, g2] — key lengths cannot collide because matrix signatures are
-// always at least 9 ints long. Like the log-factorial tables, instances
+// to the net's full ncx x ncy probability matrix. The region strategies
+// use it; the banded-exact scorer recomputes every matrix and never looks
+// one up (only its degenerate-shape fallback, which scores per region,
+// goes through the memo). Like the log-factorial tables, instances
 // are meant to be `thread_local` inside the evaluation workers: per-thread
 // duplicates are harmless because hit and miss return bit-identical
 // values, which is also why memoized and unmemoized runs (and runs at any

@@ -1,6 +1,7 @@
 #include "core/floorplanner.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "obs/trace.hpp"
 #include "route/two_pin.hpp"
@@ -18,6 +19,19 @@ Floorplanner::Floorplanner(const Netlist& netlist, FloorplanOptions options)
                     options_.objective.gamma >= 0.0,
                 "objective weights must be non-negative");
   FICON_REQUIRE(options_.effort > 0.0, "effort must be positive");
+  // Moves per temperature: 10 * effort * modules by default, else effort
+  // times the caller's count. Range-checked in double, because casting an
+  // out-of-range double to int is undefined behavior.
+  const bool default_moves = options_.anneal.moves_per_temperature <= 0;
+  const double moves =
+      default_moves
+          ? 10.0 * options_.effort *
+                static_cast<double>(netlist.module_count())
+          : options_.effort * options_.anneal.moves_per_temperature;
+  FICON_REQUIRE(moves <= static_cast<double>(std::numeric_limits<int>::max()),
+                "effort too large: moves per temperature must fit in an int");
+  options_.anneal.moves_per_temperature =
+      std::max(default_moves ? 10 : 1, static_cast<int>(moves));
   // The per-net scoring memo is part of the incremental pipeline; turning
   // the pipeline off must also turn the memo off so the baseline path
   // measured by bench_incremental is the genuine PR-1 evaluation.
@@ -27,15 +41,6 @@ Floorplanner::Floorplanner(const Netlist& netlist, FloorplanOptions options)
   model_ = make_congestion_model(options_.objective.model,
                                  options_.objective.irregular,
                                  options_.objective.fixed);
-  if (options_.anneal.moves_per_temperature <= 0) {
-    options_.anneal.moves_per_temperature = std::max(
-        10, static_cast<int>(10.0 * options_.effort *
-                             static_cast<double>(netlist.module_count())));
-  } else {
-    options_.anneal.moves_per_temperature = std::max(
-        1, static_cast<int>(options_.effort *
-                            options_.anneal.moves_per_temperature));
-  }
 
   // Normalization baselines from a short random walk over the active
   // representation (fixed derived seed so the objective itself is

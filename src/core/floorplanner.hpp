@@ -55,7 +55,9 @@ struct FloorplanOptions {
   FloorplanEngine engine = FloorplanEngine::kPolishExpression;
   AnnealOptions anneal{};
   /// Multiplies moves_per_temperature (which itself defaults to
-  /// 10 * module_count when left at 0). FICON_SCALE maps here.
+  /// 10 * module_count when left at 0). FICON_SCALE maps here. Must be
+  /// positive, and the product must fit in an int; the Floorplanner
+  /// constructor throws std::invalid_argument otherwise.
   double effort = 1.0;
   std::uint64_t seed = 1;  ///< root of every RNG stream of the run
   /// Use the incremental evaluation pipeline: cached slicing shape curves

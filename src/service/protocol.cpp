@@ -1,6 +1,7 @@
 #include "service/protocol.hpp"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <istream>
@@ -53,6 +54,17 @@ std::string json_escape(std::string_view s) {
   return out;
 }
 
+// Integer ranges of the wire fields as exact doubles: [0, 2^64) for u64
+// seeds, [-2^63, 2^63) for int64 ids and targets.
+constexpr double kU64End = 18446744073709551616.0;
+constexpr double kI64End = 9223372036854775808.0;
+
+/// True when a JSON number is an integer in [lo, end), i.e. converting it
+/// to the field's integer type is defined. Rejects fractions, inf and NaN.
+bool integral_in(double v, double lo, double end) {
+  return v >= lo && v < end && std::trunc(v) == v;
+}
+
 bool parse_u64_text(const std::string& text, std::uint64_t* out) {
   if (text.empty()) return false;
   errno = 0;
@@ -95,8 +107,11 @@ bool decode_seed_result(const JsonValue& v, SeedResult* out,
       *error = "bad seed string '" + seed->string + "'";
       return false;
     }
-  } else {
+  } else if (integral_in(seed->number, 0.0, kU64End)) {
     out->seed = static_cast<std::uint64_t>(seed->number);
+  } else {
+    *error = "seed result \"seed\" is not a u64";
+    return false;
   }
   const auto number = [&](const char* key, double* dst) {
     const JsonValue* field = v.find(key);
@@ -260,6 +275,10 @@ bool decode_request(const std::string& payload, ProtocolRequest* out,
 
   // Pull "id" first so even a rejected payload has an addressable reply.
   if (const JsonValue* id = doc->find("id"); id != nullptr && id->is_number()) {
+    if (!integral_in(id->number, -kI64End, kI64End)) {
+      *error = "\"id\" must be an integer in [-2^63, 2^63)";
+      return false;
+    }
     out->id = static_cast<std::int64_t>(id->number);
   }
 
@@ -347,10 +366,10 @@ bool decode_request(const std::string& payload, ProtocolRequest* out,
           *error = "bad seed '" + value.string + "'";
           return false;
         }
-      } else if (value.is_number() && value.number >= 0.0) {
+      } else if (value.is_number() && integral_in(value.number, 0.0, kU64End)) {
         request.seed = static_cast<std::uint64_t>(value.number);
       } else {
-        *error = "\"seed\" must be a decimal string or number";
+        *error = "\"seed\" must be a decimal string or an integer in [0, 2^64)";
         return false;
       }
     } else if (key == "seeds") {
@@ -368,6 +387,10 @@ bool decode_request(const std::string& payload, ProtocolRequest* out,
       request.expression = value.string;
     } else if (key == "target") {
       if (!need_number()) return false;
+      if (!integral_in(value.number, -kI64End, kI64End)) {
+        *error = "\"target\" must be an integer in [-2^63, 2^63)";
+        return false;
+      }
       out->target = static_cast<std::int64_t>(value.number);
     } else {
       *error = "unknown key \"" + key + "\"";
@@ -478,6 +501,10 @@ bool decode_reply(const std::string& payload, DecodedReply* out,
     return false;
   }
   if (const JsonValue* id = doc->find("id"); id != nullptr && id->is_number()) {
+    if (!integral_in(id->number, -kI64End, kI64End)) {
+      *error = "reply \"id\" is not an int64";
+      return false;
+    }
     out->id = static_cast<std::int64_t>(id->number);
   }
   const JsonValue* status = doc->find("status");
@@ -504,17 +531,21 @@ bool decode_reply(const std::string& payload, DecodedReply* out,
   if (const JsonValue* stats = doc->find("stats");
       stats != nullptr && stats->is_object()) {
     const auto counter = [&](const char* key, long long* dst) {
-      if (const JsonValue* v = stats->find(key);
-          v != nullptr && v->is_number()) {
-        *dst = static_cast<long long>(v->number);
-      }
+      const JsonValue* v = stats->find(key);
+      if (v == nullptr || !v->is_number()) return true;
+      if (!integral_in(v->number, -kI64End, kI64End)) return false;
+      *dst = static_cast<long long>(v->number);
+      return true;
     };
-    counter("submitted", &out->stats.submitted);
-    counter("accepted", &out->stats.accepted);
-    counter("rejected", &out->stats.rejected);
-    counter("completed", &out->stats.completed);
-    counter("cancelled", &out->stats.cancelled);
-    counter("failed", &out->stats.failed);
+    if (!counter("submitted", &out->stats.submitted) ||
+        !counter("accepted", &out->stats.accepted) ||
+        !counter("rejected", &out->stats.rejected) ||
+        !counter("completed", &out->stats.completed) ||
+        !counter("cancelled", &out->stats.cancelled) ||
+        !counter("failed", &out->stats.failed)) {
+      *error = "stats counter is not an int64";
+      return false;
+    }
   }
   return true;
 }

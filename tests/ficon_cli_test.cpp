@@ -73,6 +73,34 @@ TEST(FiconCliTest, OutOfRangeAndInvalidEnumValuesAreRejected) {
   EXPECT_EQ(run_cli("--op polish --json").exit_code, 2);
 }
 
+TEST(FiconCliTest, HelpPrintsUsageAndExitsZero) {
+  const CliRun run = run_cli("--help");
+  EXPECT_EQ(run.exit_code, 0) << run.output;
+  EXPECT_EQ(run.output.rfind("usage: ficon_cli", 0), 0u) << run.output;
+  for (const char* option : {"--circuit", "--effort", "--heatmap-features",
+                             "--json", "--connect", "--help"}) {
+    EXPECT_NE(run.output.find(option), std::string::npos) << option;
+  }
+  EXPECT_NE(run.output.find("Exit codes"), std::string::npos) << run.output;
+  // --help wins over the options before it; nothing is run.
+  EXPECT_EQ(run_cli("--circuit apte --json --help").output, run.output);
+}
+
+TEST(FiconCliTest, EffortWhoseMoveCountOverflowsIsAnError) {
+  // 10 * effort * modules used to be cast to int unchecked (undefined
+  // behavior); a 1e12 effort then ran 10 moves per temperature.
+  const CliRun human = run_cli("--circuit apte --effort 1e12 --quiet");
+  EXPECT_EQ(human.exit_code, 2) << human.output;
+  EXPECT_NE(human.output.find("effort too large"), std::string::npos)
+      << human.output;
+  const CliRun json = run_cli("--circuit apte --effort 1e12 --json");
+  EXPECT_EQ(json.exit_code, 1) << json.output;
+  EXPECT_NE(json.output.find("\"status\":\"error\""), std::string::npos)
+      << json.output;
+  EXPECT_NE(json.output.find("effort too large"), std::string::npos)
+      << json.output;
+}
+
 TEST(FiconCliTest, ServiceKnobsRequireJsonMode) {
   const CliRun run = run_cli("--circuit apte --op evaluate");
   EXPECT_EQ(run.exit_code, 2);

@@ -1,4 +1,6 @@
 // Routability-driven floorplanner facade: end-to-end behaviour.
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "circuit/mcnc.hpp"
@@ -225,6 +227,25 @@ TEST(Floorplanner, RejectsBadOptions) {
   FloorplanOptions o2;
   o2.effort = 0.0;
   EXPECT_THROW(Floorplanner(netlist, o2), std::invalid_argument);
+  // Moves per temperature that overflow an int: the unchecked cast was
+  // undefined behavior and left a 1e12-effort run at 10 moves per step.
+  for (const double effort :
+       {1e12, 3e7, std::numeric_limits<double>::infinity()}) {
+    FloorplanOptions big;
+    big.effort = effort;
+    EXPECT_THROW(Floorplanner(netlist, big), std::invalid_argument)
+        << "effort " << effort;
+  }
+  FloorplanOptions scaled;
+  scaled.anneal.moves_per_temperature = 1000;
+  scaled.effort = 1e7;
+  EXPECT_THROW(Floorplanner(netlist, scaled), std::invalid_argument);
+  // The largest counts that fit are still accepted, exactly.
+  FloorplanOptions fits;
+  fits.anneal.moves_per_temperature = 1;
+  fits.effort = 2147483647.0;
+  EXPECT_EQ(Floorplanner(netlist, fits).options().anneal.moves_per_temperature,
+            2147483647);
 }
 
 }  // namespace

@@ -1,4 +1,6 @@
 // Irregular-Grid congestion model: end-to-end evaluation semantics.
+#include <bit>
+#include <cstdint>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -10,6 +12,7 @@
 #include "route/two_pin.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ficon {
 namespace {
@@ -141,6 +144,131 @@ TEST(IrregularGrid, BandedMatchesPerRegionExactly) {
       }
     }
   }
+}
+
+/// FNV-1a over the map's shape and the IEEE bit pattern of every IR-cell
+/// flow, row-major: equal hashes mean bit-identical maps.
+std::uint64_t flow_hash(const IrregularCongestionMap& map) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (word >> (8 * byte)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  mix(static_cast<std::uint64_t>(map.nx()));
+  mix(static_cast<std::uint64_t>(map.ny()));
+  for (int iy = 0; iy < map.ny(); ++iy) {
+    for (int ix = 0; ix < map.nx(); ++ix) {
+      mix(std::bit_cast<std::uint64_t>(map.flow(ix, iy)));
+    }
+  }
+  return h;
+}
+
+/// Point nets beyond the top and right of a routing range put cut lines
+/// through it at uneven spacings, so the last net, the measured one,
+/// covers exactly ncx x ncy IR-cells. A type I net runs from lower left to
+/// upper right, a type II net from upper left to lower right. The banded
+/// scorer gives it ncy - 1 top-exit bands (every covered row but the top
+/// one, mirrored for type II) and ncx - 1 right-exit bands.
+std::vector<TwoPinNet> windowed_net(int ncx, int ncy, bool type2) {
+  constexpr double kSpans[] = {90, 150, 120, 170, 110};  // um
+  const double x0 = 100;
+  const double y0 = 130;
+  double x1 = x0;
+  double y1 = y0;
+  for (int i = 0; i < ncx; ++i) x1 += kSpans[i];
+  for (int j = 0; j < ncy; ++j) y1 += kSpans[4 - j];
+  std::vector<TwoPinNet> nets;
+  double x = x0;
+  for (int i = 0; i + 1 < ncx; ++i) {
+    x += kSpans[i];
+    const Point p{x, y1 + 100};
+    nets.push_back(TwoPinNet{p, p, static_cast<int>(nets.size())});
+  }
+  double y = y0;
+  for (int j = 0; j + 1 < ncy; ++j) {
+    y += kSpans[4 - j];
+    const Point p{x1 + 100, y};
+    nets.push_back(TwoPinNet{p, p, static_cast<int>(nets.size())});
+  }
+  nets.push_back(TwoPinNet{Point{x0, type2 ? y1 : y0},
+                           Point{x1, type2 ? y0 : y1},
+                           static_cast<int>(nets.size())});
+  return nets;
+}
+
+TEST(IrregularGrid, BandedFlowsArePinnedBitForBit) {
+  // The banded scorer pairs bands into vector lanes; each lane must give
+  // the bits of the one-band-at-a-time recurrence. The expected hashes
+  // were recorded from that scalar loop.
+  struct Case {
+    int ncx, ncy;
+    bool type2;
+    std::uint64_t expected;
+  };
+  // Top-exit and right-exit band counts are ncy - 1 and ncx - 1.
+  const Case cases[] = {
+      {3, 3, false, 0xcf5787eea06609f4ull},  // 2 + 2: even on both passes
+      {4, 4, false, 0x4258dd828de5a819ull},  // 3 + 3: odd on both passes
+      {5, 2, false, 0x1c2fbc0124b35a47ull},  // 1 top band + spare lane
+      {2, 5, true, 0x9b149bdb08211c76ull},   // type II, 4 top + 1 right
+      {4, 3, true, 0x9c22db45967200e5ull},   // type II, 2 top + 3 right
+      {3, 4, true, 0x49d28eeb0279a2d8ull},   // type II, 3 top + 2 right
+      {1, 4, false, 0xda57a9d36b867fc1ull},  // ncx == 1: no right band
+      {1, 5, true, 0xc24e28dc24a631cbull},   // ncx == 1, type II
+      {4, 1, false, 0x66ce279b0c7b7981ull},  // ncy == 1: no top band
+      {5, 1, true, 0x7e9d001c3bb4aea6ull},   // ncy == 1, type II
+      {1, 1, false, 0x48e411c5cec748daull},  // pin cell only: no band
+  };
+  const IrregularGridModel model(fine_params());
+  for (const Case& c : cases) {
+    const IrregularCongestionMap map =
+        model.evaluate(windowed_net(c.ncx, c.ncy, c.type2), kChip);
+    EXPECT_EQ(flow_hash(map), c.expected)
+        << c.ncx << 'x' << c.ncy << (c.type2 ? " type II" : " type I")
+        << " actual 0x" << std::hex << flow_hash(map);
+  }
+
+  // Random nets of both types, degenerate ones included.
+  Rng rng(58);
+  std::vector<TwoPinNet> nets;
+  for (int i = 0; i < 60; ++i) {
+    Point a{rng.uniform(0, 1000), rng.uniform(0, 1000)};
+    Point b{rng.uniform(0, 1000), rng.uniform(0, 1000)};
+    if (i % 13 == 0) b.x = a.x;
+    nets.push_back(TwoPinNet{a, b, i});
+  }
+  const std::uint64_t random_hash = flow_hash(model.evaluate(nets, kChip));
+  EXPECT_EQ(random_hash, 0xafbbdad6a3fd1d22ull)
+      << "actual 0x" << std::hex << random_hash;
+}
+
+TEST(IrregularGrid, BandedFlowsArePinnedOnAmi49AtEveryThreadCount) {
+  // ami49 at the default 30 um pitch after seeded moves, scored at 1 and 8
+  // threads; hashes recorded from the one-band-at-a-time recurrence.
+  const Netlist netlist = make_mcnc("ami49");
+  const SlicingPacker packer(netlist);
+  Rng rng(61);
+  PolishExpression expr =
+      PolishExpression::initial(static_cast<int>(netlist.module_count()));
+  const IrregularGridModel model;
+  const std::uint64_t expected[] = {
+      0xe006a657ad534839ull, 0xdccb0a9692be8ba0ull, 0xf981b43fb61e8ae4ull};
+  for (const std::uint64_t want : expected) {
+    for (int k = 0; k < 40; ++k) expr.random_move(rng);
+    const SlicingResult packed = packer.pack(expr);
+    const auto nets = decompose_to_two_pin(netlist, packed.placement);
+    for (const int threads : {1, 8}) {
+      ThreadPool::set_global_threads(threads);
+      const std::uint64_t got =
+          flow_hash(model.evaluate(nets, packed.placement.chip));
+      EXPECT_EQ(got, want) << "threads=" << threads << " actual 0x"
+                           << std::hex << got;
+    }
+  }
+  ThreadPool::set_global_threads(ThreadPool::env_threads());
 }
 
 TEST(IrregularGrid, DegenerateNetsHandled) {

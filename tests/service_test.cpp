@@ -351,6 +351,73 @@ TEST(ServiceProtocol, RequestCodecRoundTrips) {
   EXPECT_FALSE(service::decode_request("not json", &decoded, &error));
 }
 
+TEST(ServiceProtocol, IntegerFieldsAcceptOnlyIntegralNumbersInRange) {
+  // Converting an out-of-range or fractional double to an integer type is
+  // undefined behavior; the decoders must reject such numbers first.
+  service::ProtocolRequest decoded;
+  std::string error;
+  ASSERT_TRUE(service::decode_request(R"({"id":-7,"op":"anneal","seed":12})",
+                                      &decoded, &error))
+      << error;
+  EXPECT_EQ(decoded.id, -7);
+  EXPECT_EQ(decoded.request.seed, 12u);
+  ASSERT_TRUE(service::decode_request(
+      R"({"id":1,"op":"cancel","target":-9007199254740992})", &decoded,
+      &error))
+      << error;
+  EXPECT_EQ(decoded.target, -9007199254740992);
+  for (const char* bad : {
+           R"({"id":1,"op":"anneal","seed":1e30})",
+           R"({"id":1,"op":"anneal","seed":18446744073709551616})",
+           R"({"id":1,"op":"anneal","seed":-1})",
+           R"({"id":1,"op":"anneal","seed":2.5})",
+           R"({"id":1,"op":"anneal","seed":1e999})",
+           R"({"id":1,"op":"cancel","target":-1e300})",
+           R"({"id":1,"op":"cancel","target":9223372036854775808})",
+           R"({"id":1,"op":"cancel","target":0.5})",
+           R"({"id":1e30,"op":"ping"})",
+           R"({"id":-1e300,"op":"ping"})",
+       }) {
+    EXPECT_FALSE(service::decode_request(bad, &decoded, &error)) << bad;
+    EXPECT_FALSE(error.empty()) << bad;
+  }
+
+  service::DecodedReply reply;
+  for (const char* bad : {
+           R"({"id":1e30,"status":"ok"})",
+           R"({"id":1,"status":"ok","seeds":[{"seed":-3e300,"area":1,)"
+           R"("wirelength":1,"congestion":0,"cost":1}]})",
+           R"({"id":1,"status":"ok","stats":{"submitted":1e300}})",
+       }) {
+    EXPECT_FALSE(service::decode_reply(bad, &reply, &error)) << bad;
+  }
+  ASSERT_TRUE(service::decode_reply(
+      R"({"id":3,"status":"ok","stats":{"submitted":4,"failed":1}})", &reply,
+      &error))
+      << error;
+  EXPECT_EQ(reply.id, 3);
+  EXPECT_EQ(reply.stats.submitted, 4);
+  EXPECT_EQ(reply.stats.failed, 1);
+}
+
+TEST(ServiceSession, EffortWhoseMoveCountOverflowsIsAnErrorReply) {
+  // 10 * effort * modules must fit in an int; past that the Floorplanner
+  // refuses the request, and both service paths answer with an error.
+  const Request request = anneal_request(1, 1, 1e12);
+  const Reply oneshot = service::run_oneshot(make_mcnc("apte"), request);
+  EXPECT_EQ(oneshot.status, ReplyStatus::kError);
+  EXPECT_NE(oneshot.error.find("effort"), std::string::npos) << oneshot.error;
+
+  SessionOptions options;
+  options.workers = 1;
+  EngineSession session(make_mcnc("apte"), options);
+  const EngineSession::Ticket ticket = session.submit(request);
+  ASSERT_NE(ticket, 0u);
+  const Reply reply = session.wait(ticket);
+  EXPECT_EQ(reply.status, ReplyStatus::kError);
+  EXPECT_NE(reply.error.find("effort"), std::string::npos) << reply.error;
+}
+
 TEST(ServiceProtocol, ReplyCodecRoundTripsBitExactDoubles) {
   Reply reply;
   reply.status = ReplyStatus::kOk;
