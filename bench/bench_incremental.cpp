@@ -1,4 +1,4 @@
-// Incremental evaluation pipeline: speedup and bit-identity (PR 3).
+// Incremental evaluation pipeline: stage speedup and bit-identity.
 //
 // Two views of the same pipeline:
 //
@@ -10,16 +10,10 @@
 //    The re-pack stage is the pipeline's headline: the bench fails unless
 //    it clears 2x moves/sec over full re-packing.
 //
-// 2. End-to-end congestion-driven annealing, incremental on vs off, at
-//    1/2/4/8 threads. The pipeline is documented as a pure speedup: every
-//    cached value is a pure function of its key, so the bench asserts
-//    that final cost, metrics, accepted-move count and best representation
-//    are bit-identical between the two modes at every thread count (and
-//    across thread counts), and exits non-zero on any divergence. The
-//    end-to-end gain here is modest by design — scoring is dominated by
-//    nets whose geometry DID change, which no bit-exact cache can skip
-//    (see docs/ARCHITECTURE.md, "Incremental evaluation pipeline") — so
-//    this section gates correctness, not a speedup factor.
+// 2. End-to-end congestion-driven annealing (Floorplanner::run) at
+//    1/2/4/8 threads. Final cost and best representation must be
+//    bit-identical across thread counts; the bench exits non-zero on any
+//    divergence.
 //
 // Knobs: FICON_INC_CIRCUIT (default ami33), FICON_GAMMA, FICON_SCALE.
 #include <cstdint>
@@ -142,15 +136,14 @@ int main() {
             << "\n\n";
   identical = identical && repack.identical && decomp.identical;
 
-  // --- End-to-end annealing, incremental on vs off, thread sweep. ---
-  FloorplanOptions base = bench::tuned_options(config);
-  base.objective.model = CongestionModelKind::kIrregularGrid;
-  base.objective.gamma = bench::congestion_gamma();
-  base.objective.irregular = bench::paper_ir_params(circuit);
-  base.seed = 1;
+  // --- End-to-end annealing, thread sweep. ---
+  FloorplanOptions options = bench::tuned_options(config);
+  options.objective.model = CongestionModelKind::kIrregularGrid;
+  options.objective.gamma = bench::congestion_gamma();
+  options.objective.irregular = bench::paper_ir_params(circuit);
+  options.seed = 1;
 
-  TextTable table({"threads", "baseline mv/s", "incremental mv/s", "speedup",
-                   "final cost"});
+  TextTable table({"threads", "moves/s", "final cost"});
   double reference_cost = 0.0;
   std::string reference_repr;
 
@@ -164,57 +157,34 @@ int main() {
 
   for (const int threads : thread_counts) {
     ThreadPool::set_global_threads(threads);
+    const FloorplanSolution run = Floorplanner(netlist, options).run();
+    const double mps =
+        static_cast<double>(run.stats.moves_proposed) / run.seconds;
 
-    FloorplanOptions off = base;
-    off.incremental = false;
-    const FloorplanSolution slow = Floorplanner(netlist, off).run();
-
-    FloorplanOptions on = base;
-    on.incremental = true;
-    const FloorplanSolution fast = Floorplanner(netlist, on).run();
-
-    const double slow_mps =
-        static_cast<double>(slow.stats.moves_proposed) / slow.seconds;
-    const double fast_mps =
-        static_cast<double>(fast.stats.moves_proposed) / fast.seconds;
-
-    // Bit-identity between the two modes...
-    if (fast.metrics.cost != slow.metrics.cost ||
-        fast.metrics.area != slow.metrics.area ||
-        fast.metrics.wirelength != slow.metrics.wirelength ||
-        fast.metrics.congestion != slow.metrics.congestion ||
-        fast.representation != slow.representation ||
-        fast.stats.moves_accepted != slow.stats.moves_accepted) {
-      identical = false;
-    }
-    // ...and across thread counts.
     if (threads == thread_counts.front()) {
-      reference_cost = fast.metrics.cost;
-      reference_repr = fast.representation;
-    } else if (fast.metrics.cost != reference_cost ||
-               fast.representation != reference_repr) {
+      reference_cost = run.metrics.cost;
+      reference_repr = run.representation;
+    } else if (run.metrics.cost != reference_cost ||
+               run.representation != reference_repr) {
       identical = false;
     }
 
-    table.add_row({std::to_string(threads), fmt_fixed(slow_mps, 1),
-                   fmt_fixed(fast_mps, 1),
-                   fmt_fixed(fast_mps / slow_mps, 2),
-                   fmt_general(fast.metrics.cost, 12)});
+    table.add_row({std::to_string(threads), fmt_fixed(mps, 1),
+                   fmt_general(run.metrics.cost, 12)});
 
     report.begin_row();
     report.value("threads", static_cast<long long>(threads));
-    report.value("baseline_moves_per_s", slow_mps);
-    report.value("incremental_moves_per_s", fast_mps);
-    report.value("final_cost", fast.metrics.cost);
+    report.value("incremental_moves_per_s", mps);
+    report.value("final_cost", run.metrics.cost);
   }
   ThreadPool::set_global_threads(ThreadPool::env_threads());
 
   table.print(std::cout);
   std::cout << (identical
-                    ? "# bit-identity: incremental == baseline at every "
-                      "thread count\n"
-                    : "# BIT-IDENTITY VIOLATION: incremental and baseline "
-                      "runs diverged\n");
+                    ? "# bit-identity: stages match from-scratch, final "
+                      "cost equal at every thread count\n"
+                    : "# BIT-IDENTITY VIOLATION: stages or thread counts "
+                      "diverged\n");
   const bool pass = identical && repack.speedup() >= 2.0;
   if (repack.speedup() < 2.0) {
     std::cout << "# RE-PACK SPEEDUP BELOW GATE ("

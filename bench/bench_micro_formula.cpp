@@ -6,8 +6,8 @@
 //
 // After the google-benchmark suite, main() runs the batched-kernel
 // throughput harness and writes BENCH_kernel.json ("ficon-bench-v1"):
-// Theorem-1 term evaluations per second for the per-pair scalar API, the
-// batched scalar kernel and the batched SIMD kernel, at batch sizes
+// Theorem-1 term evaluations per second for the scalar libm reference
+// (one region per call) and the batched vector kernel, at batch sizes
 // 1/8/64/512. FICON_KERNEL_REPEATS picks the timing repeats per row
 // (default 30; the best repeat is reported, which is robust to noisy
 // shared machines); the per-row checksum pins the numerical results so
@@ -32,11 +32,10 @@ constexpr int kG = 400;  // 400x400 fine cells: a 12mm net at 30um pitch
 
 /// Theorem-1 knobs for the throughput rows: exact fallbacks disabled so
 /// every region really runs the approximation.
-ApproxOptions forced_theorem1(SimdMode mode) {
+ApproxOptions forced_theorem1() {
   ApproxOptions options;
   options.small_region_threshold = 0;
   options.narrow_range_threshold = 0;
-  options.simd = mode;
   return options;
 }
 
@@ -54,7 +53,7 @@ void BM_Formula3Exact(benchmark::State& state) {
 
 void BM_Theorem1Approx(benchmark::State& state) {
   const int span = static_cast<int>(state.range(0));
-  const ProbabilityEvaluator evaluator(forced_theorem1(SimdMode::kScalar));
+  const ProbabilityEvaluator evaluator(forced_theorem1());
   const int lo = kG / 2 - span / 2;
   const GridRect region{lo, lo, lo + span - 1, lo + span - 1};
   for (auto _ : state) {
@@ -65,7 +64,7 @@ void BM_Theorem1Approx(benchmark::State& state) {
 
 void BM_Theorem1BatchSimd(benchmark::State& state) {
   const int batch = static_cast<int>(state.range(0));
-  ProbabilityEvaluator evaluator(forced_theorem1(SimdMode::kSimd));
+  ProbabilityEvaluator evaluator(forced_theorem1());
   const NetGridShape shape{kG, kG, false};
   std::vector<GridRect> regions;
   for (int i = 0; i < batch; ++i) {
@@ -147,8 +146,10 @@ KernelRow time_impl(const std::vector<GridRect>& regions,
   return row;
 }
 
-/// The BENCH_kernel.json harness: per-pair scalar vs batched scalar vs
-/// batched SIMD throughput over the same region workload.
+/// The BENCH_kernel.json harness: scalar reference vs batched vector
+/// kernel throughput over the same region workload. The regions are
+/// interior and the fallbacks are off, so the reference's raw Theorem 1
+/// is exactly what the kernel's per-region policy evaluates.
 int run_kernel_report() {
   const int repeats = env_int("FICON_KERNEL_REPEATS", 30);
   const NetGridShape shape{kG, kG, false};
@@ -162,19 +163,14 @@ int run_kernel_report() {
   report.meta("g", static_cast<long long>(kG));
   report.meta("simpson_panels", static_cast<long long>(panels));
   report.meta("repeats", static_cast<long long>(repeats));
-  report.meta("simd_compiled",
-              static_cast<long long>(kernel_simd_compiled() ? 1 : 0));
 
   TextTable table({"impl", "batch", "regions/s", "terms/s", "checksum"});
   double pair_terms_at_64 = 0.0;
   double simd_terms_at_64 = 0.0;
 
-  for (const char* impl : {"scalar_pair", "batch_scalar", "batch_simd"}) {
+  for (const char* impl : {"scalar_pair", "batch_simd"}) {
     const bool pair = std::string(impl) == "scalar_pair";
-    const SimdMode mode = std::string(impl) == "batch_simd"
-                              ? SimdMode::kSimd
-                              : SimdMode::kScalar;
-    ProbabilityEvaluator evaluator(forced_theorem1(mode));
+    ProbabilityEvaluator evaluator(forced_theorem1());
     for (const std::size_t batch : {std::size_t{1}, std::size_t{8},
                                     std::size_t{64}, std::size_t{512}}) {
       const std::vector<GridRect> regions = make_regions(batch);
@@ -182,7 +178,8 @@ int run_kernel_report() {
       const KernelRow row = time_impl(regions, out, repeats, [&] {
         if (pair) {
           for (std::size_t i = 0; i < regions.size(); ++i) {
-            out[i] = evaluator.region_probability(shape, regions[i]);
+            out[i] = evaluator.theorem1(kG, kG, regions[i])
+                         .value_or(std::numeric_limits<double>::quiet_NaN());
           }
         } else {
           evaluator.region_probability_batch(shape, regions, out);
@@ -190,9 +187,7 @@ int run_kernel_report() {
       });
       const double terms_per_s = row.regions_per_s * terms_per_region;
       if (batch == 64 && pair) pair_terms_at_64 = terms_per_s;
-      if (batch == 64 && mode == SimdMode::kSimd) {
-        simd_terms_at_64 = terms_per_s;
-      }
+      if (batch == 64 && !pair) simd_terms_at_64 = terms_per_s;
       report.begin_row();
       report.value("impl", std::string(impl));
       report.value("batch", static_cast<long long>(batch));

@@ -20,7 +20,6 @@
 
 #include "congestion/path_prob.hpp"
 #include "geom/rect.hpp"
-#include "numeric/kernel.hpp"
 #include "util/check.hpp"
 
 namespace ficon {
@@ -48,12 +47,6 @@ struct ApproxOptions {
   /// support there (deviations up to ~0.12 on e.g. 6x40 ranges), and the
   /// exact sums are bounded by the thin dimension anyway.
   int narrow_range_threshold = 12;
-  /// Which Theorem 1 implementation evaluates the approximation: the scalar
-  /// libm reference, the batched/vectorized kernel, or (default) whatever
-  /// the FICON_SIMD runtime knob resolves to. Fallback decisions (which
-  /// regions drop to exact Formula 3) are identical in both; approximated
-  /// values agree to the ulp-level bound pinned in prob_property_test.
-  SimdMode simd = SimdMode::kAuto;
 
   /// Explicit construction-time validation: every evaluator that consumes
   /// these options (ApproxRegionProbability, ProbKernel,

@@ -79,11 +79,6 @@ std::uint64_t scoring_fingerprint(const IrregularGridParams& p) {
   h = mix(h, static_cast<std::uint64_t>(p.approx.small_range_threshold));
   h = mix(h, static_cast<std::uint64_t>(p.approx.small_region_threshold));
   h = mix(h, static_cast<std::uint64_t>(p.approx.narrow_range_threshold));
-  // The RESOLVED SIMD mode, not the enum: kAuto hashes like whichever
-  // concrete mode it resolves to, so memoized matrices can never leak
-  // between the scalar and batched-kernel evaluations while equal-result
-  // configurations still share cache entries.
-  h = mix(h, static_cast<std::uint64_t>(kernel_simd_active(p.approx.simd)));
   return h;
 }
 

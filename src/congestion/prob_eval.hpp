@@ -95,7 +95,7 @@ class ProbabilityEvaluator {
     return approx_.theorem1(g1, g2, region);
   }
 
-  /// Batched Theorem 1 (mode per ApproxOptions::simd); NaN where invalid.
+  /// Batched Theorem 1 on the vector kernel; NaN where invalid.
   void theorem1_batch(int g1, int g2, std::span<const GridRect> regions,
                       std::span<double> out) {
     kernel_.theorem1_batch(g1, g2, regions, out);
@@ -136,8 +136,6 @@ class ProbabilityEvaluator {
   /// The batched kernel, for callers that drive it directly
   /// (e.g. for_each_cell_row, the fixed-grid Formula 2 mirror).
   ProbKernel& kernel() { return kernel_; }
-  /// True when this evaluator resolved to the batched/vectorized path.
-  bool simd() const { return kernel_.simd(); }
 
  private:
   LogFactorialTable table_;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "numeric/kernel.hpp"
 #include "obs/trace.hpp"
 #include "util/check.hpp"
 
@@ -20,7 +21,7 @@ double clamp01(double v) { return std::clamp(v, 0.0, 1.0); }
 // marker survives). p, var and the validity predicate are IDENTICAL IEEE
 // expressions to the scalar probe (top_exit_term_approx), bit for bit, so
 // which samples are invalid (and hence which regions fall back to exact
-// Formula 3) never depends on the mode. Only the pdf evaluation differs.
+// Formula 3) matches the reference. Only the pdf evaluation differs.
 // Both the public sampler and the fused Theorem 1 path below go through
 // this one helper so the expressions cannot drift apart.
 void setup_top_exit(int g1, int g2, int y2, std::span<const double> xs,
@@ -70,13 +71,6 @@ void ProbKernel::eval_top_exit_terms(int g1, int g2, int y2,
                                      std::span<double> out) {
   FICON_REQUIRE(xs.size() == out.size(),
                 "eval_top_exit_terms: span size mismatch");
-  if (!simd_) {
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-      const auto v = scalar_.top_exit_term_approx(g1, g2, xs[i], y2);
-      out[i] = v ? *v : kNaN;
-    }
-    return;
-  }
   if (g1 + g2 < 5) {
     std::fill(out.begin(), out.end(), kNaN);
     return;
@@ -93,13 +87,6 @@ void ProbKernel::eval_right_exit_terms(int g1, int g2, int x2,
                                        std::span<double> out) {
   FICON_REQUIRE(ys.size() == out.size(),
                 "eval_right_exit_terms: span size mismatch");
-  if (!simd_) {
-    for (std::size_t i = 0; i < ys.size(); ++i) {
-      const auto v = scalar_.right_exit_term_approx(g1, g2, x2, ys[i]);
-      out[i] = v ? *v : kNaN;
-    }
-    return;
-  }
   if (g1 + g2 < 5) {
     std::fill(out.begin(), out.end(), kNaN);
     return;
@@ -231,9 +218,7 @@ double ProbKernel::region_probability_one(const NetGridShape& s,
     obs::count(obs::Counter::kIrTheorem1ExactFallbacks);
     return exact_.region_probability_exact(s, r);
   }
-  const std::optional<double> approx =
-      simd_ ? theorem1_simd(s.g1, s.g2, canonical)
-            : scalar_.theorem1(s.g1, s.g2, canonical);
+  const std::optional<double> approx = theorem1_simd(s.g1, s.g2, canonical);
   if (approx) return *approx;
   obs::count(obs::Counter::kIrTheorem1ExactFallbacks);
   return exact_.region_probability_exact(s, r);
@@ -267,9 +252,7 @@ void ProbKernel::theorem1_batch(int g1, int g2,
   FICON_REQUIRE(regions.size() == out.size(),
                 "theorem1_batch: span size mismatch");
   for (std::size_t i = 0; i < regions.size(); ++i) {
-    const std::optional<double> v =
-        simd_ ? theorem1_simd(g1, g2, regions[i])
-              : scalar_.theorem1(g1, g2, regions[i]);
+    const std::optional<double> v = theorem1_simd(g1, g2, regions[i]);
     out[i] = v ? *v : kNaN;
   }
 }

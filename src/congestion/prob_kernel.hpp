@@ -20,16 +20,13 @@
 //                                 net row by row via the multiplicative
 //                                 recurrence (what FixedGridModel runs).
 //
-// Two implementations sit behind ApproxOptions::simd (see
-// numeric/kernel.hpp for the dispatch rules):
-//   * scalar — calls the ApproxRegionProbability reference per element;
-//     bit-identical to the historical per-pair path, including obs
-//     counters and fallback decisions;
-//   * simd   — evaluates all Simpson samples of an integral through the
-//     batched exp kernel. Fallback decisions (validity of samples) are
-//     computed with the same IEEE predicates and remain bit-identical;
-//     approximated values agree with the scalar path to the ulp-level
-//     bound asserted in prob_property_test.
+// Every Simpson sample of a region flows through the batched exp kernel
+// (numeric/kernel.hpp). The scalar libm reference is
+// ApproxRegionProbability::theorem1 and its term probes, which the tests
+// and the Figure 8 experiment call directly. Fallback decisions (validity
+// of samples) use the reference's IEEE predicates and are bit-identical
+// to it; approximated values agree with it to the ulp-level bound
+// asserted in prob_property_test.
 //
 // A ProbKernel owns per-call scratch, so it is cheap to keep per
 // block-scorer (as IrregularGridModel does) and safe to use from one
@@ -44,7 +41,6 @@
 #include "congestion/approx.hpp"
 #include "congestion/path_prob.hpp"
 #include "geom/rect.hpp"
-#include "numeric/kernel.hpp"
 
 namespace ficon {
 
@@ -54,11 +50,9 @@ class ProbKernel {
   /// table; the table must outlive the kernel). Throws std::invalid_argument
   /// on invalid options (ApproxOptions::validate()).
   explicit ProbKernel(const PathProbability& exact, ApproxOptions options = {})
-      : exact_(exact), scalar_(exact, options), options_(options),
-        simd_(kernel_simd_active(options.simd)) {}
-
-  /// True when this kernel resolved to the batched/vectorized path.
-  bool simd() const { return simd_; }
+      : exact_(exact), options_(options) {
+    options_.validate();
+  }
 
   /// The paper's full per-region policy for a batch of regions of one net:
   /// out[i] = crossing probability of regions[i] (raw, possibly
@@ -127,8 +121,8 @@ class ProbKernel {
   const PathProbability& exact() const { return exact_; }
 
  private:
-  /// Policy for one region (shared scalar/simd; only the Theorem 1 leaf
-  /// differs between the modes).
+  /// The paper's policy for one region, with theorem1_simd as its
+  /// Theorem 1 leaf.
   double region_probability_one(const NetGridShape& s, const GridRect& region);
 
   /// Theorem 1 for one canonical-frame region on the batched kernel path:
@@ -138,9 +132,7 @@ class ProbKernel {
   std::optional<double> theorem1_simd(int g1, int g2, const GridRect& region);
 
   PathProbability exact_;
-  ApproxRegionProbability scalar_;
   ApproxOptions options_;
-  bool simd_;
   // Scratch reused across calls (one net's samples / rows at a time).
   std::vector<double> xs_, mus_, inv_sigmas_, terms_, row_;
 };

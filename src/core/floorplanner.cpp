@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <type_traits>
 
 #include "obs/trace.hpp"
 #include "route/two_pin.hpp"
@@ -32,12 +33,6 @@ Floorplanner::Floorplanner(const Netlist& netlist, FloorplanOptions options)
                 "effort too large: moves per temperature must fit in an int");
   options_.anneal.moves_per_temperature =
       std::max(default_moves ? 10 : 1, static_cast<int>(moves));
-  // The per-net scoring memo is part of the incremental pipeline; turning
-  // the pipeline off must also turn the memo off so the baseline path
-  // measured by bench_incremental is the genuine PR-1 evaluation.
-  if (!options_.incremental) {
-    options_.objective.irregular.score_cache_capacity = 0;
-  }
   model_ = make_congestion_model(options_.objective.model,
                                  options_.objective.irregular,
                                  options_.objective.fixed);
@@ -55,33 +50,20 @@ Floorplanner::Floorplanner(const Netlist& netlist, FloorplanOptions options)
   const auto sample_placement = [&](const Placement& placement,
                                     double area) {
     area_sum += area;
-    if (options_.incremental) {
-      // Decompose once and share the nets between both terms; total_length
-      // sums the same edges in the same order as mst_wirelength.
-      const std::span<const TwoPinNet> nets =
-          decomposer_.decompose(netlist, placement);
-      wire_sum += total_length(nets);
-      if (want_congestion) cgt_sum += congestion_of(nets, placement.chip);
-    } else {
-      wire_sum += mst_wirelength(netlist, placement);
-      if (want_congestion) {
-        const auto nets = decompose_to_two_pin(netlist, placement);
-        cgt_sum += congestion_of(nets, placement.chip);
-      }
-    }
+    // Decompose once and share the nets between both terms; total_length
+    // sums the same edges in the same order as mst_wirelength.
+    const std::span<const TwoPinNet> nets =
+        decomposer_.decompose(netlist, placement);
+    wire_sum += total_length(nets);
+    if (want_congestion) cgt_sum += congestion_of(nets, placement.chip);
   };
   if (options_.engine == FloorplanEngine::kPolishExpression) {
     PolishExpression expr =
         PolishExpression::initial(static_cast<int>(netlist.module_count()));
     for (int i = 0; i < samples; ++i) {
       expr.random_move(rng);
-      if (options_.incremental) {
-        const SlicingResult& packed = packer_.pack_cached_ref(expr);
-        sample_placement(packed.placement, packed.area);
-      } else {
-        const SlicingResult packed = packer_.pack(expr);
-        sample_placement(packed.placement, packed.area);
-      }
+      const SlicingResult& packed = packer_.pack_cached_ref(expr);
+      sample_placement(packed.placement, packed.area);
     }
   } else {
     SequencePair pair =
@@ -121,50 +103,28 @@ FloorplanMetrics Floorplanner::evaluate_placement(
     const Placement& placement) const {
   FloorplanMetrics m;
   m.area = placement.chip.area();
-  const bool want_congestion =
-      options_.objective.model != CongestionModelKind::kNone &&
-      options_.objective.gamma > 0.0;
-  if (options_.incremental) {
-    // One decomposition feeds both the wirelength and congestion terms
-    // (the baseline path decomposes twice); edge order is identical, so
-    // both terms are bit-identical to the baseline's.
-    const std::span<const TwoPinNet> nets = [&] {
-      const obs::ScopedPhase timer(obs::Phase::kDecompose);
-      return decomposer_.decompose(*netlist_, placement);
-    }();
-    m.wirelength = total_length(nets);
-    if (want_congestion) m.congestion = congestion_of(nets, placement.chip);
-  } else {
-    {
-      const obs::ScopedPhase timer(obs::Phase::kDecompose);
-      m.wirelength = mst_wirelength(*netlist_, placement);
-    }
-    if (want_congestion) {
-      const auto nets = [&] {
-        const obs::ScopedPhase timer(obs::Phase::kDecompose);
-        return decompose_to_two_pin(*netlist_, placement);
-      }();
-      m.congestion = congestion_of(nets, placement.chip);
-    }
+  // One decomposition feeds both the wirelength and congestion terms;
+  // total_length sums the same edges in the same order as mst_wirelength.
+  const std::span<const TwoPinNet> nets = [&] {
+    const obs::ScopedPhase timer(obs::Phase::kDecompose);
+    return decomposer_.decompose(*netlist_, placement);
+  }();
+  m.wirelength = total_length(nets);
+  if (options_.objective.model != CongestionModelKind::kNone &&
+      options_.objective.gamma > 0.0) {
+    m.congestion = congestion_of(nets, placement.chip);
   }
   m.cost = raw_cost(m);
   return m;
 }
 
 FloorplanMetrics Floorplanner::evaluate(const PolishExpression& expr) const {
-  if (options_.incremental) {
-    const SlicingResult* packed = nullptr;
-    {
-      const obs::ScopedPhase timer(obs::Phase::kPack);
-      packed = &packer_.pack_cached_ref(expr);
-    }
-    return evaluate_placement(packed->placement);
-  }
-  const SlicingResult packed = [&] {
+  const SlicingResult* packed = nullptr;
+  {
     const obs::ScopedPhase timer(obs::Phase::kPack);
-    return packer_.pack(expr);
-  }();
-  return evaluate_placement(packed.placement);
+    packed = &packer_.pack_cached_ref(expr);
+  }
+  return evaluate_placement(packed->placement);
 }
 
 FloorplanMetrics Floorplanner::evaluate(const SequencePair& pair) const {
@@ -177,30 +137,31 @@ FloorplanMetrics Floorplanner::evaluate(const SequencePair& pair) const {
 
 FloorplanSolution Floorplanner::run(const SnapshotFn& snapshot) const {
   return options_.engine == FloorplanEngine::kPolishExpression
-             ? run_polish(snapshot)
-             : run_sequence_pair(snapshot);
+             ? run_engine<PolishExpression>(snapshot)
+             : run_engine<SequencePair>(snapshot);
 }
 
-FloorplanSolution Floorplanner::run_polish(const SnapshotFn& snapshot) const {
+template <typename State>
+FloorplanSolution Floorplanner::run_engine(const SnapshotFn& snapshot) const {
   Stopwatch timer;
-  Annealer<PolishExpression> annealer(
-      [this](const PolishExpression& e) { return evaluate(e).cost; },
-      [](const PolishExpression& e, Rng& rng) {
-        PolishExpression next = e;
+  Annealer<State> annealer(
+      [this](const State& s) { return evaluate(s).cost; },
+      [](const State& s, Rng& rng) {
+        State next = s;
         const int kind = next.random_move(rng);
         if (obs::trace_enabled()) obs::note_move_kind(kind);
         return next;
       },
       options_.anneal);
 
-  Annealer<PolishExpression>::SnapshotFn hook;
+  typename Annealer<State>::SnapshotFn hook;
   if (snapshot) {
-    hook = [this, &snapshot](int step, double temperature,
-                             const PolishExpression& state, double) {
+    hook = [this, &snapshot](int step, double temperature, const State& state,
+                             double) {
       TemperatureSnapshot snap;
       snap.step = step;
       snap.temperature = temperature;
-      snap.placement = packer_.pack(state).placement;
+      snap.placement = place(state);
       snap.metrics = evaluate_placement(snap.placement);
       snapshot(snap);
     };
@@ -208,53 +169,14 @@ FloorplanSolution Floorplanner::run_polish(const SnapshotFn& snapshot) const {
 
   Rng rng(options_.seed);
   auto result = annealer.run(
-      PolishExpression::initial(static_cast<int>(netlist_->module_count())),
-      rng, hook);
+      State::initial(static_cast<int>(netlist_->module_count())), rng, hook);
 
   FloorplanSolution solution;
-  solution.expression = result.best;
-  solution.representation = result.best.to_string();
-  solution.placement = packer_.pack(result.best).placement;
-  solution.metrics = evaluate_placement(solution.placement);
-  solution.seconds = timer.seconds();
-  solution.stats = result.stats;
-  return solution;
-}
-
-FloorplanSolution Floorplanner::run_sequence_pair(
-    const SnapshotFn& snapshot) const {
-  Stopwatch timer;
-  Annealer<SequencePair> annealer(
-      [this](const SequencePair& p) { return evaluate(p).cost; },
-      [](const SequencePair& p, Rng& rng) {
-        SequencePair next = p;
-        const int kind = next.random_move(rng);
-        if (obs::trace_enabled()) obs::note_move_kind(kind);
-        return next;
-      },
-      options_.anneal);
-
-  Annealer<SequencePair>::SnapshotFn hook;
-  if (snapshot) {
-    hook = [this, &snapshot](int step, double temperature,
-                             const SequencePair& state, double) {
-      TemperatureSnapshot snap;
-      snap.step = step;
-      snap.temperature = temperature;
-      snap.placement = sp_packer_.pack(state).placement;
-      snap.metrics = evaluate_placement(snap.placement);
-      snapshot(snap);
-    };
+  if constexpr (std::is_same_v<State, PolishExpression>) {
+    solution.expression = result.best;
   }
-
-  Rng rng(options_.seed);
-  auto result = annealer.run(
-      SequencePair::initial(static_cast<int>(netlist_->module_count())), rng,
-      hook);
-
-  FloorplanSolution solution;
   solution.representation = result.best.to_string();
-  solution.placement = sp_packer_.pack(result.best).placement;
+  solution.placement = place(result.best);
   solution.metrics = evaluate_placement(solution.placement);
   solution.seconds = timer.seconds();
   solution.stats = result.stats;

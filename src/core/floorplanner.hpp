@@ -60,14 +60,6 @@ struct FloorplanOptions {
   /// constructor throws std::invalid_argument otherwise.
   double effort = 1.0;
   std::uint64_t seed = 1;  ///< root of every RNG stream of the run
-  /// Use the incremental evaluation pipeline: cached slicing shape curves
-  /// (SlicingPacker::pack_cached), buffer-reusing net decomposition with a
-  /// single decomposition shared by the wirelength and congestion terms
-  /// (TwoPinDecomposer), and the per-net scoring memo (score_cache.hpp).
-  /// Every cached value is a pure function of its key, so solutions are
-  /// bit-identical with this on or off — the switch exists for A/B
-  /// benchmarking (bench_incremental) and debugging, not for correctness.
-  bool incremental = true;
 };
 
 /// Metrics of one packed floorplan under a fixed objective.
@@ -100,6 +92,13 @@ struct TemperatureSnapshot {
 
 /// @brief One simulated-annealing floorplanning engine bound to a netlist
 /// and an objective.
+///
+/// Evaluation runs the incremental pipeline: Polish expressions re-pack
+/// over cached slicing shape curves (SlicingPacker::pack_cached_ref), and
+/// one caching decomposition (TwoPinDecomposer) feeds both the wirelength
+/// and the congestion term. Each cached value is a pure function of its
+/// key, so results equal the from-scratch references (SlicingPacker::pack,
+/// mst_wirelength, decompose_to_two_pin) bit for bit.
 ///
 /// Not internally synchronized — construct one instance per thread (the
 /// seed sweep in exp/experiment.hpp does exactly that). The congestion
@@ -143,8 +142,18 @@ class Floorplanner {
   const CongestionModel* congestion_model() const { return model_.get(); }
 
  private:
-  FloorplanSolution run_polish(const SnapshotFn& snapshot) const;
-  FloorplanSolution run_sequence_pair(const SnapshotFn& snapshot) const;
+  /// The annealing run shared by both engines (State is PolishExpression
+  /// or SequencePair).
+  template <typename State>
+  FloorplanSolution run_engine(const SnapshotFn& snapshot) const;
+  /// From-scratch placement of a state, for snapshots and the final
+  /// solution.
+  Placement place(const PolishExpression& expr) const {
+    return packer_.pack(expr).placement;
+  }
+  Placement place(const SequencePair& pair) const {
+    return sp_packer_.pack(pair).placement;
+  }
   double congestion_of(std::span<const TwoPinNet> nets,
                        const Rect& chip) const;
   double raw_cost(const FloorplanMetrics& m) const;

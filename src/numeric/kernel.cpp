@@ -4,22 +4,13 @@
 #include <cmath>
 #include <cstring>
 #include <numbers>
-#include <string>
 
 #include "numeric/normal.hpp"
 #include "util/check.hpp"
-#include "util/env.hpp"
 
-// The vector path needs the GCC/Clang vector-extension syntax; FICON_SIMD=ON
-// (CMake) defines FICON_KERNEL_SIMD=1. Everything below is arranged so that
-// turning this off changes performance only, never results: the scalar
-// exp_lane() is the exact per-lane algorithm of exp4().
-#if defined(FICON_KERNEL_SIMD) && FICON_KERNEL_SIMD && \
-    (defined(__GNUC__) || defined(__clang__))
-#define FICON_KERNEL_VECTOR 1
-#else
-#define FICON_KERNEL_VECTOR 0
-#endif
+// The vector bodies use the GCC/Clang vector-extension syntax, as does the
+// banded scorer in congestion/irregular_grid.cpp. The scalar exp_lane() is
+// the exact per-lane algorithm of exp2v(), so batch tails match the lanes.
 
 namespace ficon {
 namespace {
@@ -93,8 +84,6 @@ inline V exp_poly(V r) {
   return lo + mid * r4 + top * r8;
 }
 
-#if FICON_KERNEL_VECTOR
-
 // 16-byte lanes: the baseline vector width on every x86-64 (SSE2) and
 // aarch64 (NEON) target, so no -mavx flags or -Wpsabi ABI caveats are
 // needed; the batch loop runs two of these per iteration to keep four
@@ -124,32 +113,7 @@ inline vd2 exp2v(vd2 x) {
   return p * s;
 }
 
-#endif  // FICON_KERNEL_VECTOR
-
 }  // namespace
-
-bool kernel_simd_compiled() { return FICON_KERNEL_VECTOR != 0; }
-
-bool kernel_simd_default() {
-  static const bool enabled = [] {
-    if (!kernel_simd_compiled()) return false;
-    const std::string v = env_string("FICON_SIMD", "1");
-    return !(v == "0" || v == "off" || v == "OFF" || v == "false");
-  }();
-  return enabled;
-}
-
-bool kernel_simd_active(SimdMode mode) {
-  switch (mode) {
-    case SimdMode::kScalar:
-      return false;
-    case SimdMode::kSimd:
-      return true;
-    case SimdMode::kAuto:
-    default:
-      return kernel_simd_default();
-  }
-}
 
 namespace kernel {
 
@@ -173,7 +137,6 @@ double exp_lane(double x) noexcept {
 void exp_batch(std::span<const double> xs, std::span<double> out) {
   FICON_ASSERT(xs.size() == out.size(), "exp_batch: span size mismatch");
   std::size_t i = 0;
-#if FICON_KERNEL_VECTOR
   for (; i + 4 <= xs.size(); i += 4) {
     vd2 a;
     vd2 b;
@@ -190,7 +153,6 @@ void exp_batch(std::span<const double> xs, std::span<double> out) {
     v = exp2v(v);
     std::memcpy(out.data() + i, &v, sizeof v);
   }
-#endif
   for (; i < xs.size(); ++i) out[i] = exp_lane(xs[i]);
 }
 
@@ -202,7 +164,6 @@ void normal_pdf_batch(std::span<const double> xs, std::span<const double> mus,
                "normal_pdf_batch: span size mismatch");
   const double c = scale * std::numbers::inv_sqrtpi / std::numbers::sqrt2;
   std::size_t i = 0;
-#if FICON_KERNEL_VECTOR
   // One fused pass: z, the exp argument, the NaN guard and the final
   // scaling all stay in registers instead of round-tripping through
   // intermediate arrays. Two vd2 chains per iteration keep independent
@@ -239,7 +200,6 @@ void normal_pdf_batch(std::span<const double> xs, std::span<const double> mus,
     const vd2 o0 = bcast(c) * s0 * exp2v(a0);
     std::memcpy(out.data() + i, &o0, sizeof o0);
   }
-#endif
   for (; i < xs.size(); ++i) {
     const double z = (xs[i] - mus[i]) * inv_sigmas[i];
     const double a = -0.5 * z * z;

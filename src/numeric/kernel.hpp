@@ -4,26 +4,21 @@
 // exp() does not vectorize without libmvec. This kernel provides the
 // array-oriented primitives the batched probability API is built on:
 //
-//   * exp_batch()         — e^x over a contiguous array, evaluated with
-//                           portable GCC/Clang vector extensions when the
-//                           library is compiled with FICON_SIMD=ON,
+//   * exp_batch()         — e^x over a contiguous array, evaluated two
+//                           lanes at a time with portable GCC/Clang vector
+//                           extensions,
 //   * normal_pdf_batch()  — the normal density over an array of
 //                           (x, mu, 1/sigma) triples,
 //   * normal_cdf_batch()  — batched CDF counterpart (erfc-based; kept
 //                           scalar inside, provided so callers can stay on
 //                           the array API throughout).
 //
-// Equivalence contract: the vector path and the scalar tail use the SAME
+// Equivalence contract: the vector body and the scalar tail use the SAME
 // exp algorithm (Cody–Waite reduction + degree-13 Taylor + exponent
 // reconstruction), so element i of a batch does not depend on the batch
-// size or on whether vector extensions were compiled in. Relative error
-// vs libm exp() is ~1 ulp; the probability-level equivalence bound against
-// the scalar reference path is asserted in prob_property_test.
-//
-// Dispatch: SimdMode::kAuto resolves through the FICON_SIMD runtime knob
-// (default on when compiled in); kScalar/kSimd force one path. The scalar
-// reference path keeps calling libm via numeric/normal.hpp and is NOT
-// affected by any of this.
+// size. Relative error vs libm exp() is ~1 ulp; the probability-level
+// bound against the scalar libm reference (ApproxRegionProbability, which
+// keeps calling numeric/normal.hpp) is asserted in prob_property_test.
 #pragma once
 
 #include <cstdint>
@@ -31,42 +26,17 @@
 
 namespace ficon {
 
-/// Which implementation a probability evaluator uses for Theorem 1 math.
-enum class SimdMode {
-  /// Follow the FICON_SIMD runtime knob (default: on when the library was
-  /// compiled with vector extensions, off otherwise).
-  kAuto,
-  /// Force the scalar libm reference path (bit-identical to the historical
-  /// per-pair evaluation).
-  kScalar,
-  /// Force the batched kernel path (vectorized when compiled in; the
-  /// lane-exact scalar fallback otherwise — results are identical).
-  kSimd,
-};
-
-/// True when the library was compiled with FICON_SIMD=ON and the compiler
-/// supports the vector extensions (GCC/Clang).
-bool kernel_simd_compiled();
-
-/// Resolved default for SimdMode::kAuto: the FICON_SIMD environment knob
-/// ("0"/"off"/"false" disable; anything else enables), read once, and
-/// forced off when kernel_simd_compiled() is false.
-bool kernel_simd_default();
-
-/// Resolve a mode to "use the batched kernel path?".
-bool kernel_simd_active(SimdMode mode);
-
 namespace kernel {
 
 /// Scalar lane of the kernel exp: identical operation sequence to one lane
-/// of the vector path, used for batch tails and non-SIMD builds.
+/// of the vector path, used for batch tails.
 /// Precondition: x is finite (not NaN/inf); out-of-range x is clamped to
 /// [-708, 708] (exp(-708) ~ 3.3e-308 is still a normal double).
 double exp_lane(double x) noexcept;
 
-/// out[i] = e^xs[i]. Vectorized in chunks of 4 lanes when compiled with
-/// FICON_SIMD=ON; the tail (and non-SIMD builds) uses exp_lane(), so
-/// results never depend on the batch size. Spans must have equal size.
+/// out[i] = e^xs[i]. Vectorized in chunks of 4 lanes; the tail uses
+/// exp_lane(), so results never depend on the batch size. Spans must have
+/// equal size.
 void exp_batch(std::span<const double> xs, std::span<double> out);
 
 /// out[i] = scale * inv_sigmas[i] * std_normal_pdf((xs[i]-mus[i]) *

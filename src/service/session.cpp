@@ -43,7 +43,6 @@ FloorplanOptions to_floorplan_options(const Request& request,
   options.engine = request.engine;
   options.anneal = request.anneal;
   options.effort = request.effort;
-  options.incremental = request.incremental;
   options.seed = shard_seed;
   return options;
 }

@@ -78,7 +78,6 @@ struct Request {
   FloorplanEngine engine = FloorplanEngine::kPolishExpression;
   AnnealOptions anneal{};
   double effort = 1.0;
-  bool incremental = true;
   std::uint64_t seed = 1;
   /// Anneal fan-out: number of independent seeds (sharded one job each).
   /// Values < 1 clamp to 1. Evaluate requests always run one shard.

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "congestion/approx.hpp"
+#include "congestion/prob_kernel.hpp"
 #include "numeric/factorial.hpp"
 
 namespace ficon {
@@ -21,16 +22,20 @@ class ApproxFixture : public ::testing::Test {
 TEST_F(ApproxFixture, OptionsValidationRejectsBadSimpsonPanels) {
   // Simpson's composite rule needs an even panel count of at least 2;
   // anything else must fail loudly at construction, not integrate garbage.
+  // Both Theorem 1 implementations validate on their own.
   for (const int panels : {-4, -1, 0, 1, 3, 15}) {
     ApproxOptions o;
     o.simpson_panels = panels;
     EXPECT_THROW(ApproxRegionProbability(exact_, o), std::invalid_argument)
+        << "panels=" << panels;
+    EXPECT_THROW(ProbKernel(exact_, o), std::invalid_argument)
         << "panels=" << panels;
   }
   for (const int panels : {2, 4, 16, 64}) {
     ApproxOptions o;
     o.simpson_panels = panels;
     EXPECT_NO_THROW(ApproxRegionProbability(exact_, o)) << "panels=" << panels;
+    EXPECT_NO_THROW(ProbKernel(exact_, o)) << "panels=" << panels;
   }
 }
 
@@ -39,16 +44,19 @@ TEST_F(ApproxFixture, OptionsValidationRejectsNegativeThresholds) {
     ApproxOptions o;
     o.small_range_threshold = -1;
     EXPECT_THROW(ApproxRegionProbability(exact_, o), std::invalid_argument);
+    EXPECT_THROW(ProbKernel(exact_, o), std::invalid_argument);
   }
   {
     ApproxOptions o;
     o.small_region_threshold = -3;
     EXPECT_THROW(ApproxRegionProbability(exact_, o), std::invalid_argument);
+    EXPECT_THROW(ProbKernel(exact_, o), std::invalid_argument);
   }
   {
     ApproxOptions o;
     o.narrow_range_threshold = -2;
     EXPECT_THROW(ApproxRegionProbability(exact_, o), std::invalid_argument);
+    EXPECT_THROW(ProbKernel(exact_, o), std::invalid_argument);
   }
   // Zero thresholds are legal: they just disable the exact-fallback bands.
   ApproxOptions zeros;
@@ -56,6 +64,7 @@ TEST_F(ApproxFixture, OptionsValidationRejectsNegativeThresholds) {
   zeros.small_region_threshold = 0;
   zeros.narrow_range_threshold = 0;
   EXPECT_NO_THROW(ApproxRegionProbability(exact_, zeros));
+  EXPECT_NO_THROW(ProbKernel(exact_, zeros));
 }
 
 TEST_F(ApproxFixture, ErrorCellsAreExactlyThePaperList) {

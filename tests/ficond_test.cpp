@@ -237,24 +237,37 @@ TEST(FicondTest, StdioModeServesFramesOnStdout) {
   EXPECT_EQ(service::read_frame(stream, &tail), FrameStatus::kEof);
 }
 
-TEST(FicondTest, StdioModeAnswersBadRequestsWithErrors) {
+TEST(FicondTest, SocketAnswersBadRequestsWithErrors) {
   // An effort whose move count overflows an int fails in the executor; a
   // seed no u64 can hold fails in the decoder. Both get an error reply
-  // addressed to their id, and the daemon keeps serving.
-  const std::string in_path =
-      "/tmp/ficond_test_bad_" + std::to_string(::getpid()) + ".txt";
-  {
-    std::ofstream in(in_path);
-    service::write_frame(in, R"({"id":1,"op":"anneal","effort":1e12})");
-    service::write_frame(in, R"({"id":2,"op":"anneal","seed":1e30})");
-    service::write_frame(in,
-                         service::encode_control(3, ProtocolOp::kShutdown));
-  }
+  // addressed to their id, and the daemon keeps serving. Both replies are
+  // read before shutdown is sent: shutdown answers any request that no
+  // executor has picked up yet with "cancelled".
+  const std::string path = socket_path();
   const std::string cmd = std::string(FICOND_BINARY) +
-                          " --circuit apte --stdio < " + in_path +
-                          " 2>/dev/null";
+                          " --circuit apte --socket " + path + " 2>&1";
   FILE* daemon = popen(cmd.c_str(), "r");
   ASSERT_NE(daemon, nullptr);
+
+  const int fd = connect_with_retry(path);
+  ASSERT_GE(fd, 0) << "could not connect to " << path;
+  ASSERT_TRUE(service::write_frame_fd(
+      fd, R"({"id":1,"op":"anneal","effort":1e12})"));
+  ASSERT_TRUE(
+      service::write_frame_fd(fd, R"({"id":2,"op":"anneal","seed":1e30})"));
+
+  // The anneal reply comes from an executor, so match replies by id.
+  std::map<std::int64_t, DecodedReply> replies;
+  for (int i = 0; i < 2; ++i) {
+    const DecodedReply reply = read_reply(fd);
+    replies[reply.id] = reply;
+  }
+  ASSERT_TRUE(service::write_frame_fd(
+      fd, service::encode_control(3, ProtocolOp::kShutdown)));
+  const DecodedReply shutdown = read_reply(fd);
+  replies[shutdown.id] = shutdown;
+  ::close(fd);
+
   std::string output;
   char buffer[256];
   while (std::fgets(buffer, sizeof(buffer), daemon) != nullptr) {
@@ -263,18 +276,7 @@ TEST(FicondTest, StdioModeAnswersBadRequestsWithErrors) {
   const int status = pclose(daemon);
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 0);
-  std::remove(in_path.c_str());
 
-  // The anneal reply comes from an executor, so match replies by id.
-  std::map<std::int64_t, DecodedReply> replies;
-  std::istringstream stream(output);
-  std::string payload;
-  while (service::read_frame(stream, &payload) == FrameStatus::kOk) {
-    DecodedReply reply;
-    std::string error;
-    ASSERT_TRUE(service::decode_reply(payload, &reply, &error)) << error;
-    replies[reply.id] = reply;
-  }
   ASSERT_EQ(replies.size(), 3u) << output;
   EXPECT_EQ(replies[1].status, "error");
   EXPECT_NE(replies[1].error.find("effort too large"), std::string::npos)

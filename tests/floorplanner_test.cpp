@@ -1,11 +1,14 @@
 // Routability-driven floorplanner facade: end-to-end behaviour.
 #include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "circuit/mcnc.hpp"
+#include "congestion/irregular_grid.hpp"
 #include "core/floorplanner.hpp"
 #include "route/two_pin.hpp"
+#include "util/rng.hpp"
 
 namespace ficon {
 namespace {
@@ -44,28 +47,36 @@ TEST(Floorplanner, DeterministicPerSeed) {
   EXPECT_NE(a.expression.to_string(), c.expression.to_string());
 }
 
-TEST(Floorplanner, IncrementalPipelineIsBitIdenticalToBaseline) {
-  // The whole point of the incremental evaluation pipeline (cached shape
-  // curves, shared decomposition, scoring memo): it is a pure speedup. The
-  // same seed must walk the exact same annealing trajectory with the
-  // pipeline on or off, down to the last bit of every metric.
+TEST(Floorplanner, EvaluateMatchesFromScratchReferencesAlongAWalk) {
+  // The evaluation pipeline (cached re-pack, one caching decomposition
+  // shared by both terms) is a pure speedup. Along a seeded
+  // Polish walk, a warm planner's every metric must equal the from-scratch
+  // references bit for bit, and its normalized cost must equal what a
+  // freshly built planner (cold caches) computes for the same expression.
   const Netlist netlist = make_mcnc("ami33");
-  FloorplanOptions on = fast_options();
-  on.objective.model = CongestionModelKind::kIrregularGrid;
-  on.objective.gamma = 1.0;
-  on.seed = 9;
-  on.incremental = true;
-  FloorplanOptions off = on;
-  off.incremental = false;
-  const FloorplanSolution a = Floorplanner(netlist, on).run();
-  const FloorplanSolution b = Floorplanner(netlist, off).run();
-  EXPECT_EQ(a.expression.to_string(), b.expression.to_string());
-  EXPECT_EQ(a.metrics.area, b.metrics.area);
-  EXPECT_EQ(a.metrics.wirelength, b.metrics.wirelength);
-  EXPECT_EQ(a.metrics.congestion, b.metrics.congestion);
-  EXPECT_EQ(a.metrics.cost, b.metrics.cost);
-  EXPECT_EQ(a.stats.moves_proposed, b.stats.moves_proposed);
-  EXPECT_EQ(a.stats.moves_accepted, b.stats.moves_accepted);
+  FloorplanOptions o = fast_options();
+  o.objective.model = CongestionModelKind::kIrregularGrid;
+  o.objective.gamma = 1.0;
+  o.seed = 9;
+  const Floorplanner warm(netlist, o);
+  const SlicingPacker packer(netlist);
+  const IrregularGridModel model(o.objective.irregular);
+
+  Rng rng(2025);
+  PolishExpression expr =
+      PolishExpression::initial(static_cast<int>(netlist.module_count()));
+  for (int move = 0; move < 60; ++move) {
+    expr.random_move(rng);
+    SCOPED_TRACE("move " + std::to_string(move) + ": " + expr.to_string());
+    const FloorplanMetrics got = warm.evaluate(expr);
+    const Placement placement = packer.pack(expr).placement;
+    EXPECT_EQ(got.area, placement.chip.area());
+    EXPECT_EQ(got.wirelength, mst_wirelength(netlist, placement));
+    EXPECT_EQ(got.congestion,
+              model.cost(decompose_to_two_pin(netlist, placement),
+                         placement.chip));
+    EXPECT_EQ(got.cost, Floorplanner(netlist, o).evaluate(expr).cost);
+  }
 }
 
 TEST(Floorplanner, OptimizationBeatsInitialExpression) {

@@ -1,9 +1,9 @@
 // Randomized property tests on the probability engine — invariants that
 // must hold for ALL regions and range shapes, checked over random draws.
 // Includes the batched-kernel equivalence contract: ProbKernel's
-// contiguous-array surface must agree with the scalar per-pair reference
-// bitwise in kScalar mode and to sub-ulp-of-probability tolerance in kSimd
-// mode, with bit-identical fallback decisions.
+// contiguous-array surface must agree with its own per-pair form bitwise,
+// and with the scalar libm reference (ApproxRegionProbability::theorem1)
+// to sub-ulp-of-probability tolerance with identical invalid samples.
 #include <cmath>
 #include <vector>
 
@@ -218,12 +218,10 @@ TEST_F(ProbProperties, ApproxPolicyBoundedErrorRandomized) {
 }
 
 TEST_F(ProbProperties, BatchMatchesPerPairScalarBitwise) {
-  // kScalar batch calls ARE the historical per-pair path run in a loop:
-  // batching (and scratch reuse across calls) must never change a bit.
-  ApproxOptions o;
-  o.simd = SimdMode::kScalar;
-  ProbKernel kernel(prob_, o);
-  const ApproxRegionProbability scalar(prob_, o);
+  // The per-pair policy is a batch of one over a fresh kernel: batching
+  // (and scratch reuse across calls) must never change a bit.
+  ProbKernel kernel(prob_);
+  const ApproxRegionProbability scalar(prob_);
   for (int trial = 0; trial < 120; ++trial) {
     const NetGridShape s = random_shape();
     std::vector<GridRect> regions;
@@ -249,91 +247,56 @@ TEST_F(ProbProperties, BatchMatchesPerPairScalarBitwise) {
   }
 }
 
-TEST_F(ProbProperties, SimdKernelMatchesScalarWithinUlps) {
-  // The vectorized path replaces only the pdf evaluation (custom exp);
-  // validity predicates are shared IEEE expressions, so which regions drop
-  // to exact fallback is bit-identical — asserted by the tight tolerance
-  // holding even across the fallback boundary (exact values are EQUAL, so
-  // any mode disagreement would show up as an approximation-sized jump).
-  ApproxOptions so;
-  so.simd = SimdMode::kScalar;
-  ApproxOptions vo;
-  vo.simd = SimdMode::kSimd;
-  ProbKernel scalar_kernel(prob_, so);
-  ProbKernel simd_kernel(prob_, vo);
-  EXPECT_FALSE(scalar_kernel.simd());
-  EXPECT_TRUE(simd_kernel.simd());
-  for (int trial = 0; trial < 200; ++trial) {
-    const NetGridShape s{rng_.uniform_int(12, 40), rng_.uniform_int(12, 40),
-                         rng_.chance(0.5)};
-    std::vector<GridRect> regions;
-    for (int i = 0; i < 16; ++i) regions.push_back(random_region(s.g1, s.g2));
-    std::vector<double> a(regions.size()), b(regions.size());
-    scalar_kernel.region_probability_batch(s, regions, a);
-    simd_kernel.region_probability_batch(s, regions, b);
-    for (std::size_t i = 0; i < regions.size(); ++i) {
-      EXPECT_NEAR(a[i], b[i], 1e-12)
-          << "g=(" << s.g1 << ',' << s.g2 << ") t2=" << s.type2 << " region "
-          << regions[i];
-    }
-  }
-}
-
 TEST_F(ProbProperties, BatchTermSamplersMarkExactlyThePaperCellsInvalid) {
   // Section 4.5: the four pin-adjacent cells are the ONLY invalid top-exit
-  // samples on integer abscissae, and both kernel modes must mark exactly
-  // those with NaN (the batch encoding of the scalar probe's nullopt).
+  // samples on integer abscissae, and the kernel must mark exactly those
+  // with NaN (the batch encoding of the scalar probe's nullopt).
   const int g1 = 9, g2 = 7;
-  for (const SimdMode mode : {SimdMode::kScalar, SimdMode::kSimd}) {
-    ApproxOptions o;
-    o.simd = mode;
-    ProbKernel kernel(prob_, o);
-    std::vector<double> xs(static_cast<std::size_t>(g1));
-    for (int x = 0; x < g1; ++x) xs[static_cast<std::size_t>(x)] = x;
-    std::vector<double> out(xs.size());
-    for (int y2 = 0; y2 < g2; ++y2) {
-      kernel.eval_top_exit_terms(g1, g2, y2, xs, out);
-      for (int x = 0; x < g1; ++x) {
-        const bool predicted = (x == 0 && y2 == 0) ||
-                               (x == g1 - 2 && y2 == g2 - 1) ||
-                               (x == g1 - 1 && y2 == g2 - 2) ||
-                               (x == g1 - 1 && y2 == g2 - 1);
-        EXPECT_EQ(std::isnan(out[static_cast<std::size_t>(x)]), predicted)
-            << "mode=" << static_cast<int>(mode) << " x=" << x
-            << " y2=" << y2;
-      }
+  ProbKernel kernel(prob_);
+  std::vector<double> xs(static_cast<std::size_t>(g1));
+  for (int x = 0; x < g1; ++x) xs[static_cast<std::size_t>(x)] = x;
+  std::vector<double> out(xs.size());
+  for (int y2 = 0; y2 < g2; ++y2) {
+    kernel.eval_top_exit_terms(g1, g2, y2, xs, out);
+    for (int x = 0; x < g1; ++x) {
+      const bool predicted = (x == 0 && y2 == 0) ||
+                             (x == g1 - 2 && y2 == g2 - 1) ||
+                             (x == g1 - 1 && y2 == g2 - 2) ||
+                             (x == g1 - 1 && y2 == g2 - 1);
+      EXPECT_EQ(std::isnan(out[static_cast<std::size_t>(x)]), predicted)
+          << "x=" << x << " y2=" << y2;
     }
-    // The right-exit mirror: same four cells under the x/y swap.
-    std::vector<double> ys(static_cast<std::size_t>(g2));
-    for (int y = 0; y < g2; ++y) ys[static_cast<std::size_t>(y)] = y;
-    std::vector<double> rout(ys.size());
-    for (int x2 = 0; x2 < g1; ++x2) {
-      kernel.eval_right_exit_terms(g1, g2, x2, ys, rout);
-      for (int y = 0; y < g2; ++y) {
-        const bool predicted = (x2 == 0 && y == 0) ||
-                               (x2 == g1 - 1 && y == g2 - 2) ||
-                               (x2 == g1 - 2 && y == g2 - 1) ||
-                               (x2 == g1 - 1 && y == g2 - 1);
-        EXPECT_EQ(std::isnan(rout[static_cast<std::size_t>(y)]), predicted)
-            << "mode=" << static_cast<int>(mode) << " x2=" << x2
-            << " y=" << y;
-      }
+  }
+  // The right-exit mirror: same four cells under the x/y swap.
+  std::vector<double> ys(static_cast<std::size_t>(g2));
+  for (int y = 0; y < g2; ++y) ys[static_cast<std::size_t>(y)] = y;
+  std::vector<double> rout(ys.size());
+  for (int x2 = 0; x2 < g1; ++x2) {
+    kernel.eval_right_exit_terms(g1, g2, x2, ys, rout);
+    for (int y = 0; y < g2; ++y) {
+      const bool predicted = (x2 == 0 && y == 0) ||
+                             (x2 == g1 - 1 && y == g2 - 2) ||
+                             (x2 == g1 - 2 && y == g2 - 1) ||
+                             (x2 == g1 - 1 && y == g2 - 1);
+      EXPECT_EQ(std::isnan(rout[static_cast<std::size_t>(y)]), predicted)
+          << "x2=" << x2 << " y=" << y;
     }
   }
 }
 
 TEST_F(ProbProperties, TheoremOneBatchNaNAgreesWithScalarNullopt) {
   // theorem1_batch's NaN marker must coincide exactly with the scalar
-  // reference's nullopt — the fallback decision both modes feed from.
-  ApproxOptions o;
-  o.simd = SimdMode::kSimd;
-  ProbKernel kernel(prob_, o);
+  // reference's nullopt — the fallback decision — and its values must
+  // agree with the reference to 1e-12. The vector kernel replaces only the
+  // pdf evaluation (custom exp); the validity predicates are shared IEEE
+  // expressions.
+  ProbKernel kernel(prob_);
   const ApproxRegionProbability scalar(prob_);
-  for (int trial = 0; trial < 120; ++trial) {
-    const NetGridShape s{rng_.uniform_int(5, 30), rng_.uniform_int(5, 30),
+  for (int trial = 0; trial < 200; ++trial) {
+    const NetGridShape s{rng_.uniform_int(5, 40), rng_.uniform_int(5, 40),
                          false};
     std::vector<GridRect> regions;
-    for (int i = 0; i < 8; ++i) regions.push_back(random_region(s.g1, s.g2));
+    for (int i = 0; i < 16; ++i) regions.push_back(random_region(s.g1, s.g2));
     std::vector<double> out(regions.size());
     kernel.theorem1_batch(s.g1, s.g2, regions, out);
     for (std::size_t i = 0; i < regions.size(); ++i) {
@@ -349,7 +312,7 @@ TEST_F(ProbProperties, TheoremOneBatchNaNAgreesWithScalarNullopt) {
 
 TEST_F(ProbProperties, BatchedSimdEvaluateBitIdenticalAcrossThreadCounts) {
   // End-to-end determinism pin for the batched path: the kTheorem1
-  // strategy on the SIMD kernel must produce bit-identical flow grids at
+  // strategy on the vector kernel must produce bit-identical flow grids at
   // every thread count (same contract as determinism_test, which covers
   // the default strategies).
   Rng rng(77);
@@ -364,7 +327,6 @@ TEST_F(ProbProperties, BatchedSimdEvaluateBitIdenticalAcrossThreadCounts) {
   const Rect chip{0.0, 0.0, 930.0, 730.0};
   IrregularGridParams params;
   params.strategy = IrEvalStrategy::kTheorem1;
-  params.approx.simd = SimdMode::kSimd;
   const IrregularGridModel model(params);
 
   ThreadPool::set_global_threads(1);
