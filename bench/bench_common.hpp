@@ -6,7 +6,7 @@
 //
 // Machine-readable results go through one path: BenchReport emits
 // BENCH_<name>.json files in the "ficon-bench-v1" schema documented in
-// docs/BENCHMARKS.md and checked by tools/bench_lint. FICON_BENCH_OUT
+// docs/BENCHMARKS.md and checked by tools/bench_diff --lint. FICON_BENCH_OUT
 // picks the output directory (default: current directory).
 #pragma once
 
@@ -43,7 +43,7 @@ inline double timed_ms(const std::function<void()>& fn, int repeats,
 /// is unavailable (non-Linux, sandboxed): benches must then OMIT the
 /// metric from their report rather than bake a fake 0.0 MiB into a
 /// baseline that bench_diff would hold future runs against. The key is
-/// on the optional-metric exemption list of bench_lint/bench_diff.
+/// on bench_diff's optional-metric exemption list (compare and --lint).
 inline std::optional<double> peak_rss_mib() {
   std::ifstream status("/proc/self/status");
   std::string line;

@@ -17,7 +17,9 @@ using namespace ficon;
 
 int main() {
   const int g1 = 31, g2 = 21;
-  const ProbabilityEvaluator approx;
+  LogFactorialTable table;
+  const PathProbability exact(table);
+  const ApproxRegionProbability approx(exact);
 
   std::cout << "Figure 8 — approximation precision on a " << g1 << "x" << g2
             << " type I net\n\n";
@@ -71,7 +73,7 @@ int main() {
   // Region-integral ablation: continuity correction on vs off.
   ApproxOptions literal;
   literal.continuity_correction = false;
-  const ProbabilityEvaluator approx_literal(literal);
+  const ApproxRegionProbability approx_literal(exact, literal);
   const NetGridShape shape{g1, g2, false};
   double err_corrected = 0.0, err_literal = 0.0;
   int regions = 0;
@@ -79,7 +81,7 @@ int main() {
     for (int y1 = 2; y1 < 16; y1 += 3) {
       const GridRect r{x1, y1, std::min(x1 + 5, g1 - 2),
                        std::min(y1 + 4, g2 - 2)};
-      const double e = approx.region_probability_exact(shape, r);
+      const double e = exact.region_probability_exact(shape, r);
       const auto c = approx.theorem1(g1, g2, r);
       const auto l = approx_literal.theorem1(g1, g2, r);
       if (!c || !l) continue;

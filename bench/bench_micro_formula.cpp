@@ -4,11 +4,11 @@
 // Sweep the region edge length on a large routing range and watch the
 // exact cost grow linearly while the approximation stays flat.
 //
-// After the google-benchmark suite, main() runs the batched-kernel
-// throughput harness and writes BENCH_kernel.json ("ficon-bench-v1"):
-// Theorem-1 term evaluations per second for the scalar libm reference
-// (one region per call) and the batched vector kernel, at batch sizes
-// 1/8/64/512. FICON_KERNEL_REPEATS picks the timing repeats per row
+// After the google-benchmark suite, main() runs the kernel throughput
+// harness and writes BENCH_kernel.json ("ficon-bench-v1"): Theorem-1 term
+// evaluations per second for the scalar libm reference and the vector
+// kernel's per-region policy, one region per call, at 1/8/64/512 regions
+// per timed pass. FICON_KERNEL_REPEATS picks the timing repeats per row
 // (default 30; the best repeat is reported, which is robust to noisy
 // shared machines); the per-row checksum pins the numerical results so
 // bench_diff catches value drift, not just speed drift.
@@ -41,30 +41,34 @@ ApproxOptions forced_theorem1() {
 
 void BM_Formula3Exact(benchmark::State& state) {
   const int span = static_cast<int>(state.range(0));
-  const ProbabilityEvaluator evaluator;
+  LogFactorialTable table;
+  const PathProbability exact(table);
   const NetGridShape shape{kG, kG, false};
   const int lo = kG / 2 - span / 2;
   const GridRect region{lo, lo, lo + span - 1, lo + span - 1};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(evaluator.region_probability_exact(shape, region));
+    benchmark::DoNotOptimize(exact.region_probability_exact(shape, region));
   }
   state.SetComplexityN(span);
 }
 
 void BM_Theorem1Approx(benchmark::State& state) {
   const int span = static_cast<int>(state.range(0));
-  const ProbabilityEvaluator evaluator(forced_theorem1());
+  LogFactorialTable table;
+  const ApproxRegionProbability approx(PathProbability(table),
+                                       forced_theorem1());
   const int lo = kG / 2 - span / 2;
   const GridRect region{lo, lo, lo + span - 1, lo + span - 1};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(evaluator.theorem1(kG, kG, region));
+    benchmark::DoNotOptimize(approx.theorem1(kG, kG, region));
   }
   state.SetComplexityN(span);
 }
 
 void BM_Theorem1BatchSimd(benchmark::State& state) {
   const int batch = static_cast<int>(state.range(0));
-  ProbabilityEvaluator evaluator(forced_theorem1());
+  LogFactorialTable table;
+  ProbKernel kernel(PathProbability(table), forced_theorem1());
   const NetGridShape shape{kG, kG, false};
   std::vector<GridRect> regions;
   for (int i = 0; i < batch; ++i) {
@@ -73,15 +77,17 @@ void BM_Theorem1BatchSimd(benchmark::State& state) {
   }
   std::vector<double> out(regions.size());
   for (auto _ : state) {
-    evaluator.region_probability_batch(shape, regions, out);
+    for (std::size_t i = 0; i < regions.size(); ++i) {
+      out[i] = kernel.region_probability(shape, regions[i]);
+    }
     benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * batch);
 }
 
 void BM_BinomialTableLookup(benchmark::State& state) {
-  ProbabilityEvaluator evaluator;
-  LogFactorialTable& table = evaluator.table();
+  LogFactorialTable table;
   table.log_factorial(2 * kG);  // pre-grow
   int n = 100;
   for (auto _ : state) {
@@ -130,7 +136,7 @@ template <typename Eval>
 KernelRow time_impl(const std::vector<GridRect>& regions,
                     std::vector<double>& out, int repeats, Eval&& eval) {
   // Equalize the measured work across batch sizes: each timed repeat
-  // evaluates ~512 regions regardless of how many fit in one call.
+  // evaluates ~512 regions regardless of how many one pass holds.
   const int calls = std::max<int>(1, 512 / static_cast<int>(regions.size()));
   eval();  // warmup: log-factorial caches, scratch growth
   double best_ms = std::numeric_limits<double>::infinity();
@@ -146,15 +152,14 @@ KernelRow time_impl(const std::vector<GridRect>& regions,
   return row;
 }
 
-/// The BENCH_kernel.json harness: scalar reference vs batched vector
-/// kernel throughput over the same region workload. The regions are
+/// The BENCH_kernel.json harness: scalar reference vs vector kernel
+/// throughput over the same region workload. The regions are
 /// interior and the fallbacks are off, so the reference's raw Theorem 1
 /// is exactly what the kernel's per-region policy evaluates.
 int run_kernel_report() {
   const int repeats = env_int("FICON_KERNEL_REPEATS", 30);
   const NetGridShape shape{kG, kG, false};
-  const ProbabilityEvaluator probe;  // defaults, for the meta block only
-  const int panels = probe.options().simpson_panels;
+  const int panels = forced_theorem1().simpson_panels;
   // Every forced-Theorem-1 region integrates two exit edges at panels+1
   // Simpson samples each.
   const double terms_per_region = 2.0 * (panels + 1);
@@ -170,7 +175,10 @@ int run_kernel_report() {
 
   for (const char* impl : {"scalar_pair", "batch_simd"}) {
     const bool pair = std::string(impl) == "scalar_pair";
-    ProbabilityEvaluator evaluator(forced_theorem1());
+    LogFactorialTable factorials;
+    const PathProbability exact(factorials);
+    const ApproxRegionProbability scalar(exact, forced_theorem1());
+    ProbKernel kernel(exact, forced_theorem1());
     for (const std::size_t batch : {std::size_t{1}, std::size_t{8},
                                     std::size_t{64}, std::size_t{512}}) {
       const std::vector<GridRect> regions = make_regions(batch);
@@ -178,11 +186,13 @@ int run_kernel_report() {
       const KernelRow row = time_impl(regions, out, repeats, [&] {
         if (pair) {
           for (std::size_t i = 0; i < regions.size(); ++i) {
-            out[i] = evaluator.theorem1(kG, kG, regions[i])
+            out[i] = scalar.theorem1(kG, kG, regions[i])
                          .value_or(std::numeric_limits<double>::quiet_NaN());
           }
         } else {
-          evaluator.region_probability_batch(shape, regions, out);
+          for (std::size_t i = 0; i < regions.size(); ++i) {
+            out[i] = kernel.region_probability(shape, regions[i]);
+          }
         }
       });
       const double terms_per_s = row.regions_per_s * terms_per_region;

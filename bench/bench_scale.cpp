@@ -27,7 +27,7 @@
 // comparable across four decades of circuit size.
 //
 // Results go to stdout (TextTable) and BENCH_scale.json ("ficon-bench-v1",
-// see docs/BENCHMARKS.md; tools/bench_lint validates the structure).
+// see docs/BENCHMARKS.md; tools/bench_diff --lint validates the structure).
 //
 // Knobs: FICON_SCALE_TIERS (comma list of tier tokens — "n<modules>",
 // "ami49x<N>" or a plain module count; default
@@ -170,7 +170,7 @@ int main() {
     report.value("moves_per_s", moves_per_s);
     report.value("stream_wirelength_um", wirelength);
     // Omitted (not null, not 0.0) when the platform cannot report VmHWM;
-    // bench_lint/bench_diff treat the key as optional.
+    // bench_diff (compare and --lint) treats the key as optional.
     if (rss) report.value("peak_rss_mib", *rss);
   }
 

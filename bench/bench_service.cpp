@@ -16,7 +16,7 @@
 //
 // Rows: {mode, op, requests, total_ms, requests_per_s}; meta carries the
 // session/one-shot speedup per op. Results go to stdout (TextTable) and
-// BENCH_service.json ("ficon-bench-v1", tools/bench_lint validates).
+// BENCH_service.json ("ficon-bench-v1", tools/bench_diff --lint validates).
 //
 // Knobs: FICON_SERVICE_REQUESTS (evaluate requests, default 64),
 // FICON_SERVICE_ANNEALS (anneal requests, default 8), FICON_SEED,

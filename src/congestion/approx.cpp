@@ -3,33 +3,13 @@
 #include <algorithm>
 #include <cmath>
 
-#include "congestion/prob_kernel.hpp"
 #include "numeric/normal.hpp"
-#include "util/check.hpp"
+#include "numeric/simpson.hpp"
 
 namespace ficon {
 namespace {
 
 double clamp01(double v) { return std::clamp(v, 0.0, 1.0); }
-
-/// Composite Simpson over [a, b] of an optional-valued integrand; nullopt
-/// if any sample is invalid.
-template <typename F>
-std::optional<double> simpson_optional(F&& f, double a, double b, int panels) {
-  FICON_REQUIRE(panels >= 2 && panels % 2 == 0,
-                "Simpson's rule needs an even panel count >= 2");
-  if (!(a < b)) return 0.0;
-  const double h = (b - a) / panels;
-  double sum = 0.0;
-  for (int i = 0; i <= panels; ++i) {
-    const double x = a + h * i;
-    const auto v = f(x);
-    if (!v) return std::nullopt;
-    const double w = (i == 0 || i == panels) ? 1.0 : (i % 2 == 1 ? 4.0 : 2.0);
-    sum += w * *v;
-  }
-  return sum * h / 3.0;
-}
 
 }  // namespace
 
@@ -92,7 +72,7 @@ std::optional<double> ApproxRegionProbability::theorem1(
     // mass; force the +-1/2 widening there (the unit-width integral around
     // x is exactly the continuity-corrected one-term sum).
     const double dx = region.xlo == region.xhi ? 0.5 : delta;
-    const auto top = simpson_optional(
+    const auto top = simpson(
         [&](double x) { return top_exit_term_approx(g1, g2, x, region.yhi); },
         region.xlo - dx, region.xhi + dx, options_.simpson_panels);
     if (!top) return std::nullopt;
@@ -100,28 +80,13 @@ std::optional<double> ApproxRegionProbability::theorem1(
   }
   if (region.xhi < g1 - 1) {
     const double dy = region.ylo == region.yhi ? 0.5 : delta;
-    const auto right = simpson_optional(
+    const auto right = simpson(
         [&](double y) { return right_exit_term_approx(g1, g2, region.xhi, y); },
         region.ylo - dy, region.yhi + dy, options_.simpson_panels);
     if (!right) return std::nullopt;
     prob += *right;
   }
   return clamp01(prob);
-}
-
-double ApproxRegionProbability::region_probability(
-    const NetGridShape& s, const GridRect& region) const {
-  // Batch-of-one over the kernel: the policy (clamp, pin rule, structural
-  // certainty, exact fallbacks) lives in ProbKernel::region_probability_batch
-  // since the batched-kernel redesign. The kernel is a cheap handle (two
-  // copies of this evaluator's own members plus empty scratch), so
-  // occasional per-pair callers pay no measurable setup; hot callers go
-  // through the batch API directly.
-  ProbKernel kernel(exact_, options_);
-  double out = 0.0;
-  kernel.region_probability_batch(s, std::span<const GridRect>(&region, 1),
-                                  std::span<double>(&out, 1));
-  return out;
 }
 
 }  // namespace ficon

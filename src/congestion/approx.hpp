@@ -50,9 +50,9 @@ struct ApproxOptions {
 
   /// Explicit construction-time validation: every evaluator that consumes
   /// these options (ApproxRegionProbability, ProbKernel,
-  /// IrregularGridModel, ProbabilityEvaluator) calls this and surfaces a
-  /// std::invalid_argument instead of silently misbehaving on odd Simpson
-  /// panel counts or negative thresholds.
+  /// IrregularGridModel) calls this and surfaces a std::invalid_argument
+  /// instead of silently misbehaving on odd Simpson panel counts or
+  /// negative thresholds.
   void validate() const {
     FICON_REQUIRE(simpson_panels >= 2 && simpson_panels % 2 == 0,
                   "ApproxOptions: simpson_panels must be even and >= 2");
@@ -65,14 +65,14 @@ struct ApproxOptions {
   }
 };
 
-/// Theorem 1 evaluator — the scalar reference implementation.
+/// Theorem 1 evaluator — the scalar libm reference that the tests hold
+/// ProbKernel against.
 ///
-/// INTERNAL: outside src/congestion/ and the tests, go through the
-/// ProbabilityEvaluator facade (congestion/prob_eval.hpp) or the batched
-/// ProbKernel (congestion/prob_kernel.hpp); ficon_lint rule F008 enforces
-/// the include boundary. The exposed per-term functions exist so that the
-/// Figure 8 precision experiment (exact-vs-approximated curves) and the
-/// tests can probe the integrand pointwise.
+/// INTERNAL: outside src/congestion/ and the tests, include
+/// congestion/prob_kernel.hpp, which brings this class in; ficon_lint rule
+/// F008 enforces the include boundary. The exposed per-term functions
+/// exist so that the Figure 8 precision experiment (exact-vs-approximated
+/// curves) and the tests can probe the integrand pointwise.
 class ApproxRegionProbability {
  public:
   ApproxRegionProbability(PathProbability exact, ApproxOptions options = {})
@@ -103,19 +103,6 @@ class ApproxRegionProbability {
   /// in the type I frame. Returns nullopt if any Simpson sample hits an
   /// invalid integrand (caller falls back to exact).
   std::optional<double> theorem1(int g1, int g2, const GridRect& region) const;
-
-  /// Full policy of the paper's algorithm (steps 3.1/3.2 + section 4.5):
-  ///   - region covers a pin  -> probability 1,
-  ///   - tiny range           -> exact Formula 3,
-  ///   - otherwise Theorem 1, with exact fallback on invalid samples.
-  /// Handles both net types (type II via the y-mirror) and degenerate
-  /// ranges. Since the batched-kernel redesign this is a thin wrapper over
-  /// ProbKernel::region_probability_batch with a batch of one; the
-  /// IrregularGridModel calls the batch form directly.
-  double region_probability(const NetGridShape& s, const GridRect& region) const;
-
-  const ApproxOptions& options() const { return options_; }
-  const PathProbability& exact() const { return exact_; }
 
  private:
   PathProbability exact_;

@@ -423,34 +423,35 @@ class NetScorer {
 
   /// Per-region probabilities (kTheorem1 / kExactPerRegion, and the
   /// degenerate-shape fallback of kBandedExact): steps 3.1-3.3, one
-  /// batched kernel call for the net's whole ncx x ncy region matrix.
+  /// kernel call per IR-cell of the net's ncx x ncy region matrix.
   void fill_regions(const NetOnGrid& net) {
     const int ncx = net.ncx();
     const int ncy = net.ncy();
+    const bool theorem1 = params_->strategy == IrEvalStrategy::kTheorem1;
     // Regions computed (memo hits skip this function entirely; they show
     // up as score_memo hits instead). The banded strategy's degenerate
     // shapes land here too and count as exact regions.
-    obs::count(params_->strategy == IrEvalStrategy::kTheorem1
-                   ? obs::Counter::kIrRegionsTheorem1
-                   : obs::Counter::kIrRegionsExact,
+    obs::count(theorem1 ? obs::Counter::kIrRegionsTheorem1
+                        : obs::Counter::kIrRegionsExact,
                static_cast<long long>(ncx) * ncy);
-    const std::size_t n =
-        static_cast<std::size_t>(ncx) * static_cast<std::size_t>(ncy);
-    regions_.resize(n);
-    probs_.assign(n, 0.0);
+    probs_.resize(static_cast<std::size_t>(ncx) *
+                  static_cast<std::size_t>(ncy));
+    const PathProbability& exact = kernel_.exact();
     for (int cy = 0; cy < ncy; ++cy) {
       for (int cx = 0; cx < ncx; ++cx) {
-        regions_[index(cx, cy, ncx)] =
-            GridRect{lx1_[static_cast<std::size_t>(cx)],
-                     ly1_[static_cast<std::size_t>(cy)],
-                     lx2_[static_cast<std::size_t>(cx)],
-                     ly2_[static_cast<std::size_t>(cy)]};
+        const GridRect r{lx1_[static_cast<std::size_t>(cx)],
+                         ly1_[static_cast<std::size_t>(cy)],
+                         lx2_[static_cast<std::size_t>(cx)],
+                         ly2_[static_cast<std::size_t>(cy)]};
+        double& p = probs_[index(cx, cy, ncx)];
+        if (theorem1) {
+          p = kernel_.region_probability(net.shape, r);
+        } else {
+          p = exact.region_covers_pin(net.shape, r)
+                  ? 1.0
+                  : exact.region_probability_exact(net.shape, r);
+        }
       }
-    }
-    if (params_->strategy == IrEvalStrategy::kTheorem1) {
-      kernel_.region_probability_batch(net.shape, regions_, probs_);
-    } else {
-      kernel_.region_probability_exact_batch(net.shape, regions_, probs_);
     }
   }
 
@@ -460,7 +461,6 @@ class NetScorer {
   ProbKernel kernel_;
   // Scratch buffers reused across the nets of one evaluation block (each
   // block has its own scorer, so these are never shared between threads).
-  std::vector<GridRect> regions_;
   std::vector<double> probs_;
   std::vector<double> prefix_;
   std::vector<Band> bands_;

@@ -55,7 +55,7 @@ void setup_right_exit(int g1, int g2, int x2, std::span<const double> ys,
 
 // Composite-Simpson weighted sum over n = panels+1 samples, branchless:
 // ends once, odd interior samples times 4, even interior times 2. Any NaN
-// sample poisons the sum — the batched path's nullopt condition.
+// sample poisons the sum — the kernel's nullopt condition.
 double simpson_weighted_sum(const double* t, std::size_t n) {
   double s4 = 0.0;
   double s2 = 0.0;
@@ -98,8 +98,8 @@ void ProbKernel::eval_right_exit_terms(int g1, int g2, int x2,
   kernel::normal_pdf_batch(ys, mus_, inv_sigmas_, coeff, out);
 }
 
-std::optional<double> ProbKernel::theorem1_simd(int g1, int g2,
-                                                const GridRect& region) {
+std::optional<double> ProbKernel::theorem1(int g1, int g2,
+                                           const GridRect& region) {
   const double delta = options_.continuity_correction ? 0.5 : 0.0;
   const int panels = options_.simpson_panels;
   const std::size_t n = static_cast<std::size_t>(panels) + 1;
@@ -184,8 +184,8 @@ std::optional<double> ProbKernel::theorem1_simd(int g1, int g2,
   return clamp01(prob);
 }
 
-double ProbKernel::region_probability_one(const NetGridShape& s,
-                                          const GridRect& region) {
+double ProbKernel::region_probability(const NetGridShape& s,
+                                      const GridRect& region) {
   FICON_REQUIRE(s.g1 >= 1 && s.g2 >= 1, "empty routing range");
   const GridRect r{std::max(region.xlo, 0), std::max(region.ylo, 0),
                    std::min(region.xhi, s.g1 - 1),
@@ -218,43 +218,10 @@ double ProbKernel::region_probability_one(const NetGridShape& s,
     obs::count(obs::Counter::kIrTheorem1ExactFallbacks);
     return exact_.region_probability_exact(s, r);
   }
-  const std::optional<double> approx = theorem1_simd(s.g1, s.g2, canonical);
+  const std::optional<double> approx = theorem1(s.g1, s.g2, canonical);
   if (approx) return *approx;
   obs::count(obs::Counter::kIrTheorem1ExactFallbacks);
   return exact_.region_probability_exact(s, r);
-}
-
-void ProbKernel::region_probability_batch(const NetGridShape& s,
-                                          std::span<const GridRect> regions,
-                                          std::span<double> out) {
-  FICON_REQUIRE(regions.size() == out.size(),
-                "region_probability_batch: span size mismatch");
-  for (std::size_t i = 0; i < regions.size(); ++i) {
-    out[i] = region_probability_one(s, regions[i]);
-  }
-}
-
-void ProbKernel::region_probability_exact_batch(
-    const NetGridShape& s, std::span<const GridRect> regions,
-    std::span<double> out) {
-  FICON_REQUIRE(regions.size() == out.size(),
-                "region_probability_exact_batch: span size mismatch");
-  for (std::size_t i = 0; i < regions.size(); ++i) {
-    out[i] = exact_.region_covers_pin(s, regions[i])
-                 ? 1.0
-                 : exact_.region_probability_exact(s, regions[i]);
-  }
-}
-
-void ProbKernel::theorem1_batch(int g1, int g2,
-                                std::span<const GridRect> regions,
-                                std::span<double> out) {
-  FICON_REQUIRE(regions.size() == out.size(),
-                "theorem1_batch: span size mismatch");
-  for (std::size_t i = 0; i < regions.size(); ++i) {
-    const std::optional<double> v = theorem1_simd(g1, g2, regions[i]);
-    out[i] = v ? *v : kNaN;
-  }
 }
 
 }  // namespace ficon

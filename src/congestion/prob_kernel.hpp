@@ -1,32 +1,28 @@
-// Batched probability kernel: the contiguous-array evaluation surface for
-// the Theorem 1 / Formula 3 hot loops (ROADMAP item 3).
+// ProbKernel: the paper's per-region probability policy as the annealing
+// loop runs it (algorithm steps 3.1-3.3, sections 4.4-4.5), one region per
+// call:
 //
-// The historical API scored one (net, IR-cell) pair per call through
-// scalar std::optional<double> methods. This kernel evaluates one net
-// against MANY cells per call over flat arrays:
-//
-//   region_probability_batch()  — the paper's full per-region policy
-//                                 (pin rule, structural certainty, exact
-//                                 fallbacks, Theorem 1) for a batch of
-//                                 rects; what IrregularGridModel's
-//                                 kTheorem1 strategy runs per net,
-//   region_probability_exact_batch() — the kExactPerRegion mirror,
-//   theorem1_batch()            — raw Theorem 1 (NaN where invalid),
+//   region_probability()   — pin rule, structural certainty, exact
+//                            Formula 3 fallbacks, then Theorem 1; what
+//                            IrregularGridModel's kTheorem1 strategy runs
+//                            for every IR-cell of a net,
+//   theorem1()             — raw Theorem 1 in the type I frame (nullopt
+//                            where a Simpson sample is invalid),
 //   eval_top_exit_terms() /
-//   eval_right_exit_terms()     — Function (1)/(2) integrand samples over
-//                                 an array of abscissae (NaN = the section
-//                                 4.5 invalid cells),
-//   for_each_cell_row()         — the fixed-grid mirror: Formula 2 for one
-//                                 net row by row via the multiplicative
-//                                 recurrence (what FixedGridModel runs).
+//   eval_right_exit_terms() — Function (1)/(2) integrand samples over an
+//                            array of abscissae (NaN = the section 4.5
+//                            invalid cells),
+//   for_each_cell_row()    — the fixed-grid mirror: Formula 2 for one net
+//                            row by row via the multiplicative recurrence
+//                            (what FixedGridModel runs).
 //
-// Every Simpson sample of a region flows through the batched exp kernel
-// (numeric/kernel.hpp). The scalar libm reference is
-// ApproxRegionProbability::theorem1 and its term probes, which the tests
-// and the Figure 8 experiment call directly. Fallback decisions (validity
-// of samples) use the reference's IEEE predicates and are bit-identical
-// to it; approximated values agree with it to the ulp-level bound
-// asserted in prob_property_test.
+// The probability stack is three classes, one job each: PathProbability
+// (exact Formula 3 and the oracles), ApproxRegionProbability (Theorem 1 on
+// libm plus the Figure 8 probes; the test reference), and this kernel.
+// Every Simpson sample of a region flows through the vector exp of
+// numeric/kernel.hpp. Fallback decisions (validity of samples) use the
+// reference's IEEE predicates and are bit-identical to it; approximated
+// values agree with it to the bound asserted in prob_property_test.
 //
 // A ProbKernel owns per-call scratch, so it is cheap to keep per
 // block-scorer (as IrregularGridModel does) and safe to use from one
@@ -54,25 +50,17 @@ class ProbKernel {
     options_.validate();
   }
 
-  /// The paper's full per-region policy for a batch of regions of one net:
-  /// out[i] = crossing probability of regions[i] (raw, possibly
-  /// out-of-range rects are clamped exactly like the per-pair API).
-  /// Requires regions.size() == out.size().
-  void region_probability_batch(const NetGridShape& s,
-                                std::span<const GridRect> regions,
-                                std::span<double> out);
+  /// The paper's full per-region policy for one region of a net: the
+  /// crossing probability of `region` (raw, possibly out-of-range rects
+  /// are clamped to the routing range first).
+  double region_probability(const NetGridShape& s, const GridRect& region);
 
-  /// The kExactPerRegion mirror: out[i] = 1 for pin-covering regions,
-  /// exact Formula 3 otherwise.
-  void region_probability_exact_batch(const NetGridShape& s,
-                                      std::span<const GridRect> regions,
-                                      std::span<double> out);
-
-  /// Raw Theorem 1 in the canonical type I frame for a batch of regions;
-  /// out[i] = NaN where any Simpson sample is invalid (the caller decides
-  /// the fallback). No clamping, no pin rule — callers pass in-range rects.
-  void theorem1_batch(int g1, int g2, std::span<const GridRect> regions,
-                      std::span<double> out);
+  /// Raw Theorem 1 for one region in the canonical type I frame: both
+  /// exit-edge integrals are planned up front and all of the region's
+  /// Simpson samples flow through one setup/sqrt/pdf pipeline; nullopt on
+  /// any invalid sample (the caller decides the fallback). No clamping, no
+  /// pin rule — callers pass in-range rects.
+  std::optional<double> theorem1(int g1, int g2, const GridRect& region);
 
   /// Function (1) samples: out[i] = normal-approximated top-exit term at
   /// x = xs[i] for exit row y2 (type I frame); NaN where the approximation
@@ -117,20 +105,11 @@ class ProbKernel {
     }
   }
 
-  const ApproxOptions& options() const { return options_; }
+  /// The exact engine behind the fallbacks; IrregularGridModel's
+  /// kExactPerRegion strategy scores with it directly.
   const PathProbability& exact() const { return exact_; }
 
  private:
-  /// The paper's policy for one region, with theorem1_simd as its
-  /// Theorem 1 leaf.
-  double region_probability_one(const NetGridShape& s, const GridRect& region);
-
-  /// Theorem 1 for one canonical-frame region on the batched kernel path:
-  /// both exit-edge integrals are planned up front and all of the region's
-  /// Simpson samples flow through one setup/sqrt/pdf pipeline; nullopt on
-  /// any invalid sample.
-  std::optional<double> theorem1_simd(int g1, int g2, const GridRect& region);
-
   PathProbability exact_;
   ApproxOptions options_;
   // Scratch reused across calls (one net's samples / rows at a time).

@@ -34,18 +34,17 @@
 
 // Congestion models: shared flow-field base, the CongestionModel
 // interface + factory, the two concrete models from the paper, and the
-// probability-evaluation surface — the ProbabilityEvaluator facade plus
-// the batched ProbKernel (which transitively expose the exact/approximate
-// engine types). The deep per-pair headers (congestion/path_prob.hpp,
-// congestion/approx.hpp) are internal outside src/congestion/ and the
-// tests; ficon_lint rule F008 enforces the boundary.
+// in-loop probability policy ProbKernel, which transitively exposes the
+// exact PathProbability and the scalar ApproxRegionProbability reference.
+// Their own headers (congestion/path_prob.hpp, congestion/approx.hpp) are
+// internal outside src/congestion/ and the tests; ficon_lint rule F008
+// enforces the boundary.
 #include "congestion/congestion_map.hpp"  // IWYU pragma: export
 #include "congestion/field.hpp"           // IWYU pragma: export
 #include "congestion/fixed_grid.hpp"      // IWYU pragma: export
 #include "congestion/grid_spec.hpp"       // IWYU pragma: export
 #include "congestion/irregular_grid.hpp"  // IWYU pragma: export
 #include "congestion/model.hpp"           // IWYU pragma: export
-#include "congestion/prob_eval.hpp"       // IWYU pragma: export
 #include "congestion/prob_kernel.hpp"     // IWYU pragma: export
 #include "numeric/kernel.hpp"             // IWYU pragma: export
 

@@ -1,16 +1,14 @@
 #include "numeric/kernel.hpp"
 
-#include <algorithm>
-#include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <numbers>
 
-#include "numeric/normal.hpp"
 #include "util/check.hpp"
 
 // The vector bodies use the GCC/Clang vector-extension syntax, as does the
 // banded scorer in congestion/irregular_grid.cpp. The scalar exp_lane() is
-// the exact per-lane algorithm of exp2v(), so batch tails match the lanes.
+// the exact per-lane algorithm of exp2v(), so array tails match the lanes.
 
 namespace ficon {
 namespace {
@@ -86,7 +84,7 @@ inline V exp_poly(V r) {
 
 // 16-byte lanes: the baseline vector width on every x86-64 (SSE2) and
 // aarch64 (NEON) target, so no -mavx flags or -Wpsabi ABI caveats are
-// needed; the batch loop runs two of these per iteration to keep four
+// needed; normal_pdf_batch runs two of these per iteration to keep four
 // independent dependency chains in flight.
 using vd2 = double __attribute__((vector_size(16)));
 using vi2 = std::int64_t __attribute__((vector_size(16)));
@@ -113,10 +111,9 @@ inline vd2 exp2v(vd2 x) {
   return p * s;
 }
 
-}  // namespace
-
-namespace kernel {
-
+/// One lane of exp2v(): the identical operation sequence, used for the
+/// array tails so results never depend on the array size. Precondition: x
+/// is finite; out-of-range x is clamped to [-708, 708].
 double exp_lane(double x) noexcept {
   x = x < kExpLo ? kExpLo : x;
   x = x > kExpHi ? kExpHi : x;
@@ -134,27 +131,9 @@ double exp_lane(double x) noexcept {
   return p * s;
 }
 
-void exp_batch(std::span<const double> xs, std::span<double> out) {
-  FICON_ASSERT(xs.size() == out.size(), "exp_batch: span size mismatch");
-  std::size_t i = 0;
-  for (; i + 4 <= xs.size(); i += 4) {
-    vd2 a;
-    vd2 b;
-    std::memcpy(&a, xs.data() + i, sizeof a);
-    std::memcpy(&b, xs.data() + i + 2, sizeof b);
-    a = exp2v(a);
-    b = exp2v(b);
-    std::memcpy(out.data() + i, &a, sizeof a);
-    std::memcpy(out.data() + i + 2, &b, sizeof b);
-  }
-  for (; i + 2 <= xs.size(); i += 2) {
-    vd2 v;
-    std::memcpy(&v, xs.data() + i, sizeof v);
-    v = exp2v(v);
-    std::memcpy(out.data() + i, &v, sizeof v);
-  }
-  for (; i < xs.size(); ++i) out[i] = exp_lane(xs[i]);
-}
+}  // namespace
+
+namespace kernel {
 
 void normal_pdf_batch(std::span<const double> xs, std::span<const double> mus,
                       std::span<const double> inv_sigmas, double scale,
@@ -207,14 +186,6 @@ void normal_pdf_batch(std::span<const double> xs, std::span<const double> mus,
     // algorithm, so the tail is bit-identical to the vector lanes.
     const double arg = a == a ? a : 0.0;
     out[i] = c * inv_sigmas[i] * exp_lane(arg);
-  }
-}
-
-void normal_cdf_batch(std::span<const double> xs, double mu, double inv_sigma,
-                      std::span<double> out) {
-  FICON_ASSERT(xs.size() == out.size(), "normal_cdf_batch: span size mismatch");
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    out[i] = std_normal_cdf((xs[i] - mu) * inv_sigma);
   }
 }
 

@@ -7,24 +7,29 @@
 // exactly the complexity claim of section 4.4.
 #pragma once
 
-#include <concepts>
+#include <optional>
 
 #include "util/check.hpp"
 
 namespace ficon {
 
 /// Integrate f over [a, b] with composite Simpson's rule using `panels`
-/// sub-intervals (must be even and >= 2). Returns 0 for a >= b.
-template <std::invocable<double> F>
-double simpson(F&& f, double a, double b, int panels = 16) {
+/// sub-intervals (must be even and >= 2). The integrand returns
+/// std::optional<double>; the integral is nullopt as soon as any sample is
+/// (Theorem 1's invalid-sample rule). Returns 0 for a >= b.
+template <typename F>
+std::optional<double> simpson(F&& f, double a, double b, int panels) {
   FICON_REQUIRE(panels >= 2 && panels % 2 == 0,
                 "Simpson's rule needs an even panel count >= 2");
   if (!(a < b)) return 0.0;
   const double h = (b - a) / panels;
-  double sum = f(a) + f(b);
-  for (int i = 1; i < panels; ++i) {
+  double sum = 0.0;
+  for (int i = 0; i <= panels; ++i) {
     const double x = a + h * i;
-    sum += f(x) * (i % 2 == 1 ? 4.0 : 2.0);
+    const auto v = f(x);
+    if (!v) return std::nullopt;
+    const double w = (i == 0 || i == panels) ? 1.0 : (i % 2 == 1 ? 4.0 : 2.0);
+    sum += w * *v;
   }
   return sum * h / 3.0;
 }

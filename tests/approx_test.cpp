@@ -17,6 +17,7 @@ class ApproxFixture : public ::testing::Test {
   LogFactorialTable table_;
   PathProbability exact_{table_};
   ApproxRegionProbability approx_{exact_};
+  ProbKernel kernel_{exact_};
 };
 
 TEST_F(ApproxFixture, OptionsValidationRejectsBadSimpsonPanels) {
@@ -141,7 +142,7 @@ TEST_F(ApproxFixture, NarrowRangesRouteToExactFormula) {
         const double expected = exact_.region_covers_pin(s, r)
                                     ? 1.0
                                     : exact_.region_probability_exact(s, r);
-        EXPECT_NEAR(approx_.region_probability(s, r), expected, 1e-12)
+        EXPECT_NEAR(kernel_.region_probability(s, r), expected, 1e-12)
             << "g=(" << g1 << ',' << g2 << ") region " << r;
       }
     }
@@ -163,7 +164,7 @@ TEST_F(ApproxFixture, WorstCaseRegionErrorBounded) {
                                       ? 1.0
                                       : exact_.region_probability_exact(s, r);
           worst = std::max(worst,
-                           std::abs(approx_.region_probability(s, r) - expected));
+                           std::abs(kernel_.region_probability(s, r) - expected));
         }
       }
     }
@@ -203,11 +204,11 @@ TEST_F(ApproxFixture, Theorem1TracksExactOnInteriorRegions) {
 
 TEST_F(ApproxFixture, RegionProbabilityPolicyPinsGetOne) {
   const NetGridShape t1{20, 16, false};
-  EXPECT_EQ(approx_.region_probability(t1, GridRect{0, 0, 2, 2}), 1.0);
-  EXPECT_EQ(approx_.region_probability(t1, GridRect{18, 14, 19, 15}), 1.0);
+  EXPECT_EQ(kernel_.region_probability(t1, GridRect{0, 0, 2, 2}), 1.0);
+  EXPECT_EQ(kernel_.region_probability(t1, GridRect{18, 14, 19, 15}), 1.0);
   const NetGridShape t2{20, 16, true};
-  EXPECT_EQ(approx_.region_probability(t2, GridRect{0, 13, 2, 15}), 1.0);
-  EXPECT_EQ(approx_.region_probability(t2, GridRect{17, 0, 19, 3}), 1.0);
+  EXPECT_EQ(kernel_.region_probability(t2, GridRect{0, 13, 2, 15}), 1.0);
+  EXPECT_EQ(kernel_.region_probability(t2, GridRect{17, 0, 19, 3}), 1.0);
 }
 
 TEST_F(ApproxFixture, RegionProbabilityPolicyMatchesExactBroadly) {
@@ -220,7 +221,7 @@ TEST_F(ApproxFixture, RegionProbabilityPolicyMatchesExactBroadly) {
         for (int w = 1; w <= 9; w += 4) {
           for (int h = 1; h <= 7; h += 3) {
             const GridRect r{x1, y1, std::min(x1 + w, 24), std::min(y1 + h, 17)};
-            const double policy = approx_.region_probability(s, r);
+            const double policy = kernel_.region_probability(s, r);
             const double exact = exact_.region_probability_exact(s, r);
             EXPECT_NEAR(policy, exact, 0.06)
                 << "type2=" << type2 << " region " << r;
@@ -241,7 +242,7 @@ TEST_F(ApproxFixture, SmallRangesFallBackToExact) {
         for (int x = 0; x < g1; ++x) {
           for (int y = 0; y < g2; ++y) {
             const GridRect r{x, y, x, y};
-            EXPECT_NEAR(approx_.region_probability(s, r),
+            EXPECT_NEAR(kernel_.region_probability(s, r),
                         exact_.region_covers_pin(s, r)
                             ? 1.0
                             : exact_.region_probability_exact(s, r),
@@ -256,19 +257,19 @@ TEST_F(ApproxFixture, SmallRangesFallBackToExact) {
 }
 
 TEST_F(ApproxFixture, DegenerateRangesAreCertain) {
-  EXPECT_EQ(approx_.region_probability(NetGridShape{1, 1, false},
+  EXPECT_EQ(kernel_.region_probability(NetGridShape{1, 1, false},
                                        GridRect{0, 0, 0, 0}),
             1.0);
-  EXPECT_EQ(approx_.region_probability(NetGridShape{9, 1, false},
+  EXPECT_EQ(kernel_.region_probability(NetGridShape{9, 1, false},
                                        GridRect{3, 0, 5, 0}),
             1.0);
-  EXPECT_EQ(approx_.region_probability(NetGridShape{1, 7, false},
+  EXPECT_EQ(kernel_.region_probability(NetGridShape{1, 7, false},
                                        GridRect{0, 2, 0, 2}),
             1.0);
 }
 
 TEST_F(ApproxFixture, DisjointRegionsAreZero) {
-  EXPECT_EQ(approx_.region_probability(NetGridShape{10, 10, false},
+  EXPECT_EQ(kernel_.region_probability(NetGridShape{10, 10, false},
                                        GridRect{12, 0, 14, 3}),
             0.0);
 }
@@ -345,8 +346,8 @@ TEST_F(ApproxFixture, OutOfRangeRegionsMatchClampedRegions) {
         const GridRect clamped{std::max(raw.xlo, 0), std::max(raw.ylo, 0),
                                std::min(raw.xhi, g1 - 1),
                                std::min(raw.yhi, g2 - 1)};
-        EXPECT_EQ(approx_.region_probability(s, raw),
-                  approx_.region_probability(s, clamped))
+        EXPECT_EQ(kernel_.region_probability(s, raw),
+                  kernel_.region_probability(s, clamped))
             << "type2=" << type2 << " g=(" << g1 << ',' << g2 << ") raw "
             << raw;
       }
@@ -360,7 +361,7 @@ TEST_F(ApproxFixture, ProbabilitiesStayInUnitInterval) {
     for (int x1 = 0; x1 < 33; x1 += 5) {
       for (int y1 = 0; y1 < 27; y1 += 5) {
         const GridRect r{x1, y1, std::min(x1 + 6, 32), std::min(y1 + 6, 26)};
-        const double p = approx_.region_probability(s, r);
+        const double p = kernel_.region_probability(s, r);
         EXPECT_GE(p, 0.0);
         EXPECT_LE(p, 1.0);
       }

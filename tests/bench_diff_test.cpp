@@ -2,13 +2,15 @@
 // report must diff clean against itself, a synthetic regression beyond
 // the threshold must fail with exit 1, unreadable input must fail with
 // exit 2, and the filter/threshold/require flags must behave as
-// documented — CI leans on exactly these codes.
+// documented — CI leans on exactly these codes. The same codes hold for
+// the --lint structural check of single reports.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 namespace fs = std::filesystem;
 
@@ -255,6 +257,59 @@ TEST_F(BenchDiffTest, UnreadableInputIsExitTwo) {
   // Flag misuse is exit 2 as well.
   EXPECT_EQ(run_diff("--bogus " + base + " " + base).exit_code, 2);
   EXPECT_EQ(run_diff(base).exit_code, 2);
+}
+
+TEST_F(BenchDiffTest, LintAcceptsACleanReport) {
+  const std::string path = write("clean.json", report(1000.0, 5.0, "f1"));
+  const DiffRun run =
+      run_diff("--lint " + path + " --require tier,fingerprint");
+  EXPECT_EQ(run.exit_code, 0) << run.output;
+  EXPECT_NE(run.output.find("1 file(s) clean"), std::string::npos)
+      << run.output;
+  // An optional metric may be required and still be absent from every row.
+  EXPECT_EQ(run_diff("--lint --require peak_rss_mib " + path).exit_code, 0);
+}
+
+TEST_F(BenchDiffTest, LintFlagsEachStructuralViolation) {
+  struct Case {
+    std::string name;
+    std::string json;
+    std::string flags;
+    std::string message;
+  };
+  const std::string head =
+      "{\"schema\": \"ficon-bench-v1\", \"bench\": \"scale\",\n"
+      " \"meta\": {\"seed\": 7},\n \"rows\": ";
+  const std::vector<Case> cases = {
+      {"schema",
+       "{\"schema\": \"v9\", \"bench\": \"scale\", \"meta\": {},"
+       " \"rows\": [{\"a\": 1}]}\n",
+       "", "not a ficon-bench-v1 report"},
+      {"empty_rows", head + "[]}\n", "", "\"rows\" must not be empty"},
+      {"non_scalar", head + "[{\"a\": [1, 2]}]}\n", "",
+       "must be a number, string, or null"},
+      {"key_drift", head + "[{\"a\": 1, \"b\": 2}, {\"a\": 3}]}\n", "",
+       "key set differs from rows[0]"},
+      {"partial_rss",
+       head + "[{\"a\": 1, \"peak_rss_mib\": 9.5}, {\"a\": 2}]}\n", "",
+       "appears in 1 of 2 rows"},
+      {"missing_required", head + "[{\"a\": 1}]}\n", "--require a,b ",
+       "missing required key \"b\""},
+  };
+  for (const Case& c : cases) {
+    const std::string path = write(c.name + ".json", c.json);
+    const DiffRun run = run_diff("--lint " + c.flags + path);
+    EXPECT_EQ(run.exit_code, 1) << c.name << "\n" << run.output;
+    EXPECT_NE(run.output.find(c.message), std::string::npos)
+        << c.name << "\n" << run.output;
+  }
+}
+
+TEST_F(BenchDiffTest, LintUnreadableInputIsExitTwo) {
+  EXPECT_EQ(run_diff("--lint /nonexistent/BENCH.json").exit_code, 2);
+  const std::string garbage = write("garbage.json", "$$ not json $$\n");
+  EXPECT_EQ(run_diff("--lint " + garbage).exit_code, 2);
+  EXPECT_EQ(run_diff("--lint").exit_code, 2);
 }
 
 }  // namespace

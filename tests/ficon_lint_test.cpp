@@ -235,6 +235,7 @@ TEST(FiconLint, F008CatchesDeepProbabilityIncludesOutsideCongestion) {
   repo.write("src/anneal/cost.cpp", "#include \"congestion/approx.hpp\"\n");
   repo.write("examples/probe.cpp",
              "#include \"src/congestion/path_prob.hpp\"\n");
+  repo.write("bench/probe.cpp", "#include \"congestion/approx.hpp\"\n");
   // The probability engine itself and tests keep deep access.
   repo.write("src/congestion/glue.cpp", "#include \"congestion/approx.hpp\"\n");
   repo.write("tests/probe_test.cpp",
@@ -245,7 +246,10 @@ TEST(FiconLint, F008CatchesDeepProbabilityIncludesOutsideCongestion) {
       << run.output;
   EXPECT_NE(run.output.find("examples/probe.cpp:1: F008"), std::string::npos)
       << run.output;
-  EXPECT_NE(run.output.find("prob_eval.hpp"), std::string::npos) << run.output;
+  EXPECT_NE(run.output.find("bench/probe.cpp:1: F008"), std::string::npos)
+      << run.output;
+  EXPECT_NE(run.output.find("prob_kernel.hpp"), std::string::npos)
+      << run.output;
   EXPECT_EQ(run.output.find("src/congestion/glue.cpp"), std::string::npos)
       << run.output;
   EXPECT_EQ(run.output.find("tests/probe_test.cpp"), std::string::npos)

@@ -2,6 +2,7 @@
 // integration, and the normal-distribution helpers.
 #include <cmath>
 #include <numbers>
+#include <optional>
 
 #include <gtest/gtest.h>
 
@@ -96,27 +97,42 @@ TEST(ChooseDouble, TracksExact) {
 
 TEST(Simpson, ExactForCubics) {
   // Simpson's rule integrates polynomials of degree <= 3 exactly.
-  const auto cubic = [](double x) { return 2.0 * x * x * x - x * x + 3.0; };
+  const auto cubic = [](double x) -> std::optional<double> {
+    return 2.0 * x * x * x - x * x + 3.0;
+  };
   const double exact = 2.0 * 16.0 / 4.0 - 8.0 / 3.0 + 3.0 * 2.0;  // over [0,2]
-  EXPECT_NEAR(simpson(cubic, 0.0, 2.0, 2), exact, 1e-12);
-  EXPECT_NEAR(simpson(cubic, 0.0, 2.0, 64), exact, 1e-12);
+  EXPECT_NEAR(simpson(cubic, 0.0, 2.0, 2).value(), exact, 1e-12);
+  EXPECT_NEAR(simpson(cubic, 0.0, 2.0, 64).value(), exact, 1e-12);
 }
 
 TEST(Simpson, ConvergesOnGaussian) {
-  const auto gauss = [](double x) { return std_normal_pdf(x); };
-  EXPECT_NEAR(simpson(gauss, -6.0, 6.0, 64), 1.0, 1e-8);
+  const auto gauss = [](double x) -> std::optional<double> {
+    return std_normal_pdf(x);
+  };
+  EXPECT_NEAR(simpson(gauss, -6.0, 6.0, 64).value(), 1.0, 1e-8);
 }
 
 TEST(Simpson, EmptyAndInvertedIntervals) {
-  const auto f = [](double) { return 1.0; };
+  const auto f = [](double) -> std::optional<double> { return 1.0; };
   EXPECT_EQ(simpson(f, 1.0, 1.0, 4), 0.0);
   EXPECT_EQ(simpson(f, 2.0, 1.0, 4), 0.0);
 }
 
 TEST(Simpson, RejectsOddPanels) {
-  const auto f = [](double) { return 1.0; };
+  const auto f = [](double) -> std::optional<double> { return 1.0; };
   EXPECT_THROW(simpson(f, 0.0, 1.0, 3), std::invalid_argument);
   EXPECT_THROW(simpson(f, 0.0, 1.0, 0), std::invalid_argument);
+}
+
+TEST(Simpson, AnyInvalidSampleMakesTheIntegralInvalid) {
+  // Theorem 1's rule: one invalid sample (here the right end point, the
+  // last one visited) voids the integral instead of being skipped.
+  const auto f = [](double x) -> std::optional<double> {
+    if (x >= 1.0) return std::nullopt;
+    return 1.0;
+  };
+  EXPECT_FALSE(simpson(f, 0.0, 1.0, 4).has_value());
+  EXPECT_EQ(simpson(f, 0.0, 0.5, 4), 0.5);
 }
 
 TEST(Normal, PdfPeakAndSymmetry) {

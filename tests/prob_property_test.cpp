@@ -1,9 +1,9 @@
 // Randomized property tests on the probability engine — invariants that
 // must hold for ALL regions and range shapes, checked over random draws.
-// Includes the batched-kernel equivalence contract: ProbKernel's
-// contiguous-array surface must agree with its own per-pair form bitwise,
-// and with the scalar libm reference (ApproxRegionProbability::theorem1)
-// to sub-ulp-of-probability tolerance with identical invalid samples.
+// Includes the kernel equivalence contract: a long-lived ProbKernel must
+// agree bitwise with a fresh one, and its Theorem 1 with the scalar libm
+// reference (ApproxRegionProbability::theorem1) to 1e-12 with identical
+// invalid samples.
 #include <cmath>
 #include <vector>
 
@@ -200,7 +200,7 @@ TEST_F(ProbProperties, ApproxPolicyBoundedErrorRandomized) {
   // regions clear of the pin-adjacent frame, loose bound globally. (The
   // default kBandedExact strategy is exact everywhere; kTheorem1 is the
   // paper-fidelity mode.)
-  const ApproxRegionProbability approx(prob_);
+  ProbKernel kernel(prob_);
   for (int trial = 0; trial < 300; ++trial) {
     const NetGridShape s{rng_.uniform_int(12, 40), rng_.uniform_int(12, 40),
                          rng_.chance(0.5)};
@@ -208,7 +208,7 @@ TEST_F(ProbProperties, ApproxPolicyBoundedErrorRandomized) {
     const double expected = prob_.region_covers_pin(s, r)
                                 ? 1.0
                                 : prob_.region_probability_exact(s, r);
-    const double got = approx.region_probability(s, r);
+    const double got = kernel.region_probability(s, r);
     const bool near_pin_frame =
         r.xlo <= 1 || r.ylo <= 1 || r.xhi >= s.g1 - 2 || r.yhi >= s.g2 - 2;
     EXPECT_NEAR(got, expected, near_pin_frame ? 0.20 : 0.06)
@@ -217,32 +217,23 @@ TEST_F(ProbProperties, ApproxPolicyBoundedErrorRandomized) {
   }
 }
 
-TEST_F(ProbProperties, BatchMatchesPerPairScalarBitwise) {
-  // The per-pair policy is a batch of one over a fresh kernel: batching
-  // (and scratch reuse across calls) must never change a bit.
+TEST_F(ProbProperties, ReusedKernelMatchesFreshKernelBitwise) {
+  // The scorer keeps one kernel per block and reuses its scratch across
+  // nets and regions: reuse must never change a bit against a fresh
+  // kernel per region.
   ProbKernel kernel(prob_);
-  const ApproxRegionProbability scalar(prob_);
   for (int trial = 0; trial < 120; ++trial) {
     const NetGridShape s = random_shape();
     std::vector<GridRect> regions;
     for (int i = 0; i < 17; ++i) regions.push_back(random_region(s.g1, s.g2));
-    // Raw out-of-range rects must clamp exactly like the per-pair API.
+    // Raw out-of-range rects must clamp the same way on both kernels.
     regions.push_back(GridRect{-3, -2, s.g1 + 4, 2});
     regions.push_back(GridRect{s.g1 - 2, -5, s.g1 + 6, s.g2 + 9});
-    std::vector<double> out(regions.size(), -1.0);
-    kernel.region_probability_batch(s, regions, out);
-    for (std::size_t i = 0; i < regions.size(); ++i) {
-      EXPECT_EQ(out[i], scalar.region_probability(s, regions[i]))
+    for (const GridRect& r : regions) {
+      EXPECT_EQ(kernel.region_probability(s, r),
+                ProbKernel(prob_).region_probability(s, r))
           << "g=(" << s.g1 << ',' << s.g2 << ") t2=" << s.type2 << " region "
-          << regions[i];
-    }
-    std::vector<double> exact_out(regions.size(), -1.0);
-    kernel.region_probability_exact_batch(s, regions, exact_out);
-    for (std::size_t i = 0; i < regions.size(); ++i) {
-      const double expected = prob_.region_covers_pin(s, regions[i])
-                                  ? 1.0
-                                  : prob_.region_probability_exact(s, regions[i]);
-      EXPECT_EQ(exact_out[i], expected) << "region " << regions[i];
+          << r;
     }
   }
 }
@@ -284,34 +275,32 @@ TEST_F(ProbProperties, BatchTermSamplersMarkExactlyThePaperCellsInvalid) {
   }
 }
 
-TEST_F(ProbProperties, TheoremOneBatchNaNAgreesWithScalarNullopt) {
-  // theorem1_batch's NaN marker must coincide exactly with the scalar
-  // reference's nullopt — the fallback decision — and its values must
-  // agree with the reference to 1e-12. The vector kernel replaces only the
-  // pdf evaluation (custom exp); the validity predicates are shared IEEE
+TEST_F(ProbProperties, TheoremOneKernelAgreesWithScalarNullopt) {
+  // The kernel's Theorem 1 must return nullopt exactly where the scalar
+  // reference does — the fallback decision — and its values must agree
+  // with the reference to 1e-12. The vector kernel replaces only the pdf
+  // evaluation (custom exp); the validity predicates are shared IEEE
   // expressions.
   ProbKernel kernel(prob_);
   const ApproxRegionProbability scalar(prob_);
   for (int trial = 0; trial < 200; ++trial) {
     const NetGridShape s{rng_.uniform_int(5, 40), rng_.uniform_int(5, 40),
                          false};
-    std::vector<GridRect> regions;
-    for (int i = 0; i < 16; ++i) regions.push_back(random_region(s.g1, s.g2));
-    std::vector<double> out(regions.size());
-    kernel.theorem1_batch(s.g1, s.g2, regions, out);
-    for (std::size_t i = 0; i < regions.size(); ++i) {
-      const auto ref = scalar.theorem1(s.g1, s.g2, regions[i]);
-      EXPECT_EQ(std::isnan(out[i]), !ref.has_value())
-          << "g=(" << s.g1 << ',' << s.g2 << ") region " << regions[i];
-      if (ref.has_value() && !std::isnan(out[i])) {
-        EXPECT_NEAR(out[i], *ref, 1e-12) << "region " << regions[i];
+    for (int i = 0; i < 16; ++i) {
+      const GridRect r = random_region(s.g1, s.g2);
+      const auto got = kernel.theorem1(s.g1, s.g2, r);
+      const auto ref = scalar.theorem1(s.g1, s.g2, r);
+      EXPECT_EQ(got.has_value(), ref.has_value())
+          << "g=(" << s.g1 << ',' << s.g2 << ") region " << r;
+      if (got && ref) {
+        EXPECT_NEAR(*got, *ref, 1e-12) << "region " << r;
       }
     }
   }
 }
 
 TEST_F(ProbProperties, BatchedSimdEvaluateBitIdenticalAcrossThreadCounts) {
-  // End-to-end determinism pin for the batched path: the kTheorem1
+  // End-to-end determinism pin for the kernel path: the kTheorem1
   // strategy on the vector kernel must produce bit-identical flow grids at
   // every thread count (same contract as determinism_test, which covers
   // the default strategies).

@@ -25,14 +25,24 @@
 //    but never compared — baselines are expected to come from a
 //    different machine.
 //
+// `--lint FILE...` checks the structure of each report instead of
+// comparing two: `bench` is a non-empty string, `meta` (and `manifest`,
+// when present) an object, `rows` a non-empty array of objects, and
+// every value a number, string or null. Rows must agree on their key set
+// — a row that silently drops a metric is how trend dashboards rot —
+// except that an optional key (the same list as above) may be absent as
+// long as it is absent from every row. With --require, every row must
+// carry each key; a required optional key passes when no row has it.
+//
 // Usage:
 //   bench_diff [options] BASELINE CURRENT
+//   bench_diff --lint [--require key[,key]] [--optional key[,key]] FILE...
 //     --threshold F      default relative threshold (default 0.10)
 //     --metric key=F     per-metric threshold override (repeatable)
 //     --only key[,key]   compare only these metrics
 //     --skip key[,key]   never compare these metrics
 //     --require key[,key]  keys that must be present (meta or every row)
-//                        in both reports
+//                        in both reports; with --lint, in every row
 //     --optional key[,key]  additional keys exempt from key-drift checks
 //
 // Exit codes follow the project lint convention: 0 clean, 1 regression
@@ -232,6 +242,91 @@ bool has_required_key(const JsonValue& report, const std::string& key) {
   return true;
 }
 
+void check_scalars(Diff& diff, const std::string& where,
+                   const JsonValue& object) {
+  for (const auto& [key, value] : object.object) {
+    if (value.type != JsonValue::Type::kNumber &&
+        value.type != JsonValue::Type::kString &&
+        value.type != JsonValue::Type::kNull) {
+      diff.fail(where + ": key \"" + key +
+                "\" must be a number, string, or null");
+    }
+  }
+}
+
+/// --lint: the structural checks of one report (see the file comment).
+int lint_report(const std::string& path, const Options& options) {
+  int rc = 0;
+  const auto doc = load_report(path, rc);
+  if (!doc) return rc;
+  Diff diff;
+  const JsonValue* bench = doc->find("bench");
+  if (bench == nullptr || !bench->is_string() || bench->string.empty()) {
+    diff.fail(path + ": \"bench\" must be a non-empty string");
+  }
+  const JsonValue* meta = doc->find("meta");
+  if (meta == nullptr || !meta->is_object()) {
+    diff.fail(path + ": \"meta\" must be an object");
+  } else {
+    check_scalars(diff, path + ": meta", *meta);
+  }
+  const JsonValue* manifest = doc->find("manifest");
+  if (manifest != nullptr) {
+    if (manifest->is_object()) {
+      check_scalars(diff, path + ": manifest", *manifest);
+    } else {
+      diff.fail(path + ": \"manifest\" must be an object when present");
+    }
+  }
+  const JsonValue* rows = doc->find("rows");
+  if (rows == nullptr || rows->type != JsonValue::Type::kArray) {
+    diff.fail(path + ": \"rows\" must be an array");
+    return diff.rc;
+  }
+  if (rows->array.empty()) diff.fail(path + ": \"rows\" must not be empty");
+
+  std::vector<std::string> row0_keys;
+  std::map<std::string, std::size_t> optional_counts;
+  for (std::size_t i = 0; i < rows->array.size(); ++i) {
+    const JsonValue& row = rows->array[i];
+    const std::string where = path + ": rows[" + std::to_string(i) + "]";
+    if (!row.is_object()) {
+      diff.fail(where + " must be an object");
+      continue;
+    }
+    check_scalars(diff, where, row);
+    std::vector<std::string> keys;
+    for (const auto& [key, value] : row.object) {
+      if (contains(options.optional, key)) {
+        ++optional_counts[key];
+      } else {
+        keys.push_back(key);
+      }
+    }
+    if (i == 0) {
+      row0_keys = keys;
+    } else if (keys != row0_keys) {
+      diff.fail(where +
+                " key set differs from rows[0] (every row must report the "
+                "same metrics)");
+    }
+    for (const std::string& key : options.require) {
+      if (row.find(key) == nullptr && !contains(options.optional, key)) {
+        diff.fail(where + " missing required key \"" + key + "\"");
+      }
+    }
+  }
+  for (const auto& [key, count] : optional_counts) {
+    if (count != rows->array.size()) {
+      diff.fail(path + ": optional metric \"" + key + "\" appears in " +
+                std::to_string(count) + " of " +
+                std::to_string(rows->array.size()) +
+                " rows (must be all rows or none)");
+    }
+  }
+  return diff.rc;
+}
+
 void append_keys(std::vector<std::string>& out, const std::string& csv) {
   std::istringstream keys(csv);
   std::string key;
@@ -245,7 +340,9 @@ void append_keys(std::vector<std::string>& out, const std::string& csv) {
       << "usage: bench_diff [--threshold F] [--metric key=F]...\n"
          "                  [--only key[,key]] [--skip key[,key]]\n"
          "                  [--require key[,key]] [--optional key[,key]]\n"
-         "                  BASELINE CURRENT\n";
+         "                  BASELINE CURRENT\n"
+         "       bench_diff --lint [--require key[,key]]\n"
+         "                  [--optional key[,key]] FILE...\n";
   std::exit(rc);
 }
 
@@ -253,11 +350,14 @@ void append_keys(std::vector<std::string>& out, const std::string& csv) {
 
 int main(int argc, char** argv) {
   Options options;
+  bool lint = false;
   std::vector<std::string> paths;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") usage(0);
-    if (arg == "--threshold" && i + 1 < argc) {
+    if (arg == "--lint") {
+      lint = true;
+    } else if (arg == "--threshold" && i + 1 < argc) {
       options.threshold = std::stod(argv[++i]);
     } else if (arg == "--metric" && i + 1 < argc) {
       const std::string spec = argv[++i];
@@ -278,6 +378,17 @@ int main(int argc, char** argv) {
     } else {
       paths.push_back(arg);
     }
+  }
+  if (lint) {
+    if (paths.empty()) usage(2);
+    int rc = 0;
+    for (const std::string& path : paths) {
+      rc = std::max(rc, lint_report(path, options));
+    }
+    if (rc == 0) {
+      std::cout << "bench_diff: " << paths.size() << " file(s) clean\n";
+    }
+    return rc;
   }
   if (paths.size() != 2) usage(2);
 

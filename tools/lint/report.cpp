@@ -38,7 +38,7 @@ const std::vector<RuleInfo>& rule_registry() {
        "SVG emission goes through src/exp/ (HeatMapSource/write_svg)"},
       {"F008",
        "congestion/path_prob.hpp and congestion/approx.hpp are internal "
-       "outside src/congestion/ and tests/ (use congestion/prob_eval.hpp)"},
+       "outside src/congestion/ and tests/ (use congestion/prob_kernel.hpp)"},
       {"D001",
        "no std::unordered_{map,set} in result-affecting src/ code: "
        "iteration order is unspecified across libstdc++ versions"},

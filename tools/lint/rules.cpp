@@ -249,9 +249,9 @@ void rule_svg_emission(FileCtx& ctx) {
   }
 }
 
-// F008 — the per-pair probability engines are internal: only
+// F008 — the exact and reference probability engines are internal: only
 // src/congestion/ itself and the tests may include path_prob.hpp /
-// approx.hpp directly.
+// approx.hpp directly; everyone else includes prob_kernel.hpp.
 void rule_probability_internal_headers(FileCtx& ctx) {
   static const std::regex deep_prob_include(
       "#include\\s*\"(?:src/)?congestion/(?:path_prob|approx)\\.hpp\"");
@@ -264,7 +264,6 @@ void rule_probability_internal_headers(FileCtx& ctx) {
     if (std::regex_search(ctx.src.views.text[i], deep_prob_include)) {
       ctx.add("F008", static_cast<int>(i + 1),
               "internal probability header; include "
-              "\"congestion/prob_eval.hpp\" (ProbabilityEvaluator) or "
               "\"congestion/prob_kernel.hpp\" instead");
     }
   }
