@@ -14,7 +14,6 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
-#include <optional>
 #include <ostream>
 #include <string>
 #include <thread>
@@ -25,34 +24,12 @@
 
 namespace ficon::bench {
 
-/// Mean wall-clock milliseconds of `fn` over `repeats` runs. With
-/// `warmup`, one untimed call precedes the measurement (pages in partial
-/// grids, fills log-factorial caches).
-inline double timed_ms(const std::function<void()>& fn, int repeats,
-                       bool warmup = false) {
+/// Mean wall-clock milliseconds of `fn` over `repeats` runs.
+inline double timed_ms(const std::function<void()>& fn, int repeats) {
   FICON_REQUIRE(repeats > 0, "need at least one repeat");
-  if (warmup) fn();
   Stopwatch sw;
   for (int i = 0; i < repeats; ++i) fn();
   return sw.milliseconds() / repeats;
-}
-
-/// Peak resident set size of this process in MiB (Linux VmHWM — a
-/// high-water mark, so it is monotone over a run: measure size tiers in
-/// ascending order). nullopt where /proc/self/status or the VmHWM line
-/// is unavailable (non-Linux, sandboxed): benches must then OMIT the
-/// metric from their report rather than bake a fake 0.0 MiB into a
-/// baseline that bench_diff would hold future runs against. The key is
-/// on bench_diff's optional-metric exemption list (compare and --lint).
-inline std::optional<double> peak_rss_mib() {
-  std::ifstream status("/proc/self/status");
-  std::string line;
-  while (std::getline(status, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) {
-      return std::strtod(line.c_str() + 6, nullptr) / 1024.0;  // kB -> MiB
-    }
-  }
-  return std::nullopt;
 }
 
 /// @brief Collects one bench run's metrics and writes BENCH_<name>.json.
@@ -90,12 +67,6 @@ class BenchReport {
   }
 
   /// Machine/workload provenance ("netlist_fingerprint", ...).
-  void manifest(const std::string& key, double v) {
-    add(manifest_, key, num(v));
-  }
-  void manifest(const std::string& key, long long v) {
-    add(manifest_, key, std::to_string(v));
-  }
   void manifest(const std::string& key, const std::string& v) {
     add(manifest_, key, quote(v));
   }

@@ -116,10 +116,6 @@ SlicingResult SlicingPacker::pack(const PolishExpression& expr) const {
   return assemble(nodes, root);
 }
 
-SlicingResult SlicingPacker::pack_cached(const PolishExpression& expr) {
-  return pack_cached_ref(expr);
-}
-
 const SlicingResult& SlicingPacker::pack_cached_ref(
     const PolishExpression& expr) {
   FICON_REQUIRE(static_cast<std::size_t>(expr.module_count()) ==

@@ -21,12 +21,14 @@ struct SlicingResult {
 };
 
 /// Packs Polish expressions for one netlist. Leaf shape curves are
-/// precomputed once; pack() / pack_cached() are called per annealing move.
+/// precomputed once; pack() / pack_cached_ref() are called per annealing
+/// move.
 class SlicingPacker {
  public:
   /// One node of the slicing tree in postfix order (node i corresponds to
   /// token i; children indices are determined by the operand/operator kind
-  /// pattern alone). Public only so pack() and pack_cached() can share it.
+  /// pattern alone). Public only so pack() and pack_cached_ref() can share
+  /// it.
   struct TreeNode {
     PolishToken token;
     int left = -1;  ///< node index, -1 for leaves
@@ -34,7 +36,7 @@ class SlicingPacker {
     ShapeCurve curve;
   };
 
-  /// Counters of the incremental pack_cached() path.
+  /// Counters of the incremental pack_cached_ref() path.
   struct CacheStats {
     long long full_rebuilds = 0;      ///< structure changed (or cold cache)
     long long incremental_packs = 0;  ///< dirty-path recompute sufficed
@@ -60,16 +62,15 @@ class SlicingPacker {
   /// Curves of clean nodes are reused verbatim and dirty nodes recombine
   /// deterministic pure functions of their children, so cached and
   /// from-scratch packs are bit-identical (asserted by slicing_test).
-  SlicingResult pack_cached(const PolishExpression& expr);
-
-  /// @brief pack_cached() without materializing a fresh result: assembles
-  /// into an internal buffer reused across calls and returns a reference
-  /// to it — the annealing inner loop's zero-allocation variant.
-  /// @return reference valid until the next pack_cached()/
-  ///         pack_cached_ref() call on this packer.
+  ///
+  /// The result is assembled into an internal buffer reused across calls
+  /// — the annealing inner loop's zero-allocation path.
+  /// @return reference valid until the next pack_cached_ref() call on
+  ///         this packer.
   const SlicingResult& pack_cached_ref(const PolishExpression& expr);
 
-  /// Drop the cached tree; the next pack_cached() rebuilds from scratch.
+  /// Drop the cached tree; the next pack_cached_ref() rebuilds from
+  /// scratch.
   void invalidate_cache() { cache_valid_ = false; }
 
   const CacheStats& cache_stats() const { return cache_stats_; }
@@ -84,7 +85,7 @@ class SlicingPacker {
   SlicingResult assemble(const std::vector<TreeNode>& nodes, int root) const;
 
   std::vector<ShapeCurve> leaf_curves_;
-  // pack_cached() state: the previous expression's tree and curves.
+  // pack_cached_ref() state: the previous expression's tree and curves.
   bool cache_valid_ = false;
   std::vector<TreeNode> cache_nodes_;
   int cache_root_ = -1;

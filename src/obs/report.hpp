@@ -20,6 +20,7 @@
 ///    "regions":N,"exact_fallbacks":N}
 ///   {"type":"thread_pool","thread":"...","tasks":N,
 ///    "queue_wait_seconds":S}
+///     — one per thread label, summed over every thread that carried it.
 ///   {"type":"anneal_temperature","run":N,"step":N,"temperature":T,
 ///    "proposed":N,"accepted":N,"uphill_accepted":N,
 ///    "proposed_m1":N,...,"accepted_m3":N,"accepted_delta":D,

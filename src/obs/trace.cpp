@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <iterator>
+#include <map>
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "obs/schema.hpp"
 #include "util/env.hpp"
@@ -208,6 +211,10 @@ void set_thread_label(const std::string& label) {
 
 TraceReport capture() {
   TraceReport report;
+  // Pool activity per thread label. Sinks outlive their threads, and a
+  // rebuilt pool labels its workers "worker-0", ... again, so every
+  // label's sinks are summed into one row; the map keeps label order.
+  std::map<std::string, PoolThreadSample> pool_threads;
   Registry& r = registry();
   const MutexLock lock(r.mutex);
   for (const std::shared_ptr<ThreadSink>& sink : r.sinks) {
@@ -239,16 +246,18 @@ TraceReport capture() {
     {
       const MutexLock sink_lock(sink->mutex);
       if (tasks > 0 || wait_ns > 0) {
-        report.pool_threads.push_back({sink->label, tasks, wait_ns});
+        PoolThreadSample& row = pool_threads[sink->label];
+        row.thread = sink->label;
+        row.tasks += tasks;
+        row.queue_wait_ns += wait_ns;
       }
       report.anneal.insert(report.anneal.end(), sink->events.begin(),
                            sink->events.end());
     }
   }
-  std::sort(report.pool_threads.begin(), report.pool_threads.end(),
-            [](const PoolThreadSample& a, const PoolThreadSample& b) {
-              return a.thread < b.thread;
-            });
+  for (auto& entry : pool_threads) {
+    report.pool_threads.push_back(std::move(entry.second));
+  }
   std::stable_sort(report.anneal.begin(), report.anneal.end(),
                    [](const AnnealEvent& a, const AnnealEvent& b) {
                      return a.run != b.run ? a.run < b.run

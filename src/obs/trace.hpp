@@ -228,7 +228,8 @@ void record_anneal(const AnnealEvent& event);
 /// ...). Threads that never call this keep a registration-order label.
 void set_thread_label(const std::string& label);
 
-/// Per-thread activity attributed by the thread pool.
+/// Thread-pool activity of one thread label, summed over every thread
+/// that carried it (a rebuilt pool reuses "worker-0", ...).
 struct PoolThreadSample {
   std::string thread;
   long long tasks = 0;
@@ -256,7 +257,7 @@ struct TraceReport {
   std::array<long long, kPhaseCount> phase_ns{};
   std::array<long long, kPhaseCount> phase_calls{};
   std::array<HistSnapshot, kHistCount> hists{};
-  std::vector<PoolThreadSample> pool_threads;
+  std::vector<PoolThreadSample> pool_threads;  ///< One per label, sorted.
   std::vector<AnnealEvent> anneal;  ///< Sorted by (run, step).
 
   long long counter(Counter c) const {

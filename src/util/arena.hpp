@@ -6,10 +6,10 @@
 // those per-move allocations into pointer bumps over a small set of
 // retained blocks: allocation is O(1), reset() recycles every block without
 // releasing memory, and all scratch of one move stays contiguous — the
-// cache-blocked cut-line sort (src/congestion/cutlines.cpp) and the scale
-// benchmark generator draw their scratch from one of these.
+// cache-blocked cut-line sort (src/congestion/cutlines.cpp) draws its
+// scratch from one of these.
 //
-// Not internally synchronized: one arena per thread (the users keep a
+// Not internally synchronized: one arena per thread (the user keeps a
 // thread_local instance, mirroring the per-thread scratch convention used
 // throughout the evaluators).
 #pragma once

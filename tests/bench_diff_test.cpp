@@ -175,50 +175,6 @@ TEST_F(BenchDiffTest, SchemaDriftAndNameMismatchFail) {
       << renamed.output;
 }
 
-TEST_F(BenchDiffTest, OptionalMetricsAreExemptFromKeyDrift) {
-  // peak_rss_mib is built into the optional list: a platform that cannot
-  // measure RSS omits it, and the gate must not read that as schema
-  // drift — in either direction.
-  const std::string with_rss = write(
-      "with_rss.json",
-      "{\"schema\": \"ficon-bench-v1\", \"bench\": \"scale\",\n"
-      " \"meta\": {\"seed\": 7, \"moves\": 50},\n"
-      " \"rows\": [{\"tier\": \"n100\", \"fingerprint\": \"f1\","
-      " \"moves_per_s\": 1000.0, \"pack_ms\": 5.0,"
-      " \"peak_rss_mib\": 42.0}]}\n");
-  const std::string without_rss = write("without_rss.json",
-                                        report(1000.0, 5.0, "f1"));
-  EXPECT_EQ(run_diff(with_rss + " " + without_rss).exit_code, 0)
-      << run_diff(with_rss + " " + without_rss).output;
-  EXPECT_EQ(run_diff(without_rss + " " + with_rss).exit_code, 0);
-  // When both sides carry it, it still participates in the comparison
-  // (lower-better: a big jump is a regression).
-  const std::string more_rss = write(
-      "more_rss.json",
-      "{\"schema\": \"ficon-bench-v1\", \"bench\": \"scale\",\n"
-      " \"meta\": {\"seed\": 7, \"moves\": 50},\n"
-      " \"rows\": [{\"tier\": \"n100\", \"fingerprint\": \"f1\","
-      " \"moves_per_s\": 1000.0, \"pack_ms\": 5.0,"
-      " \"peak_rss_mib\": 84.0}]}\n");
-  const DiffRun grew = run_diff(with_rss + " " + more_rss);
-  EXPECT_EQ(grew.exit_code, 1) << grew.output;
-  EXPECT_NE(grew.output.find("peak_rss_mib"), std::string::npos)
-      << grew.output;
-
-  // --optional extends the exemption to user-declared keys.
-  const std::string custom = write(
-      "custom.json",
-      "{\"schema\": \"ficon-bench-v1\", \"bench\": \"scale\",\n"
-      " \"meta\": {\"seed\": 7, \"moves\": 50},\n"
-      " \"rows\": [{\"tier\": \"n100\", \"fingerprint\": \"f1\","
-      " \"moves_per_s\": 1000.0, \"pack_ms\": 5.0,"
-      " \"customkey\": 1.0}]}\n");
-  EXPECT_EQ(run_diff(custom + " " + without_rss).exit_code, 1);
-  EXPECT_EQ(run_diff("--optional customkey " + custom + " " + without_rss)
-                .exit_code,
-            0);
-}
-
 TEST_F(BenchDiffTest, AllFailuresAreReportedInOneRun) {
   // The gate must not stop at the first problem: a rename, a dropped row,
   // and a metric regression in the surviving row all surface together, so
@@ -266,8 +222,6 @@ TEST_F(BenchDiffTest, LintAcceptsACleanReport) {
   EXPECT_EQ(run.exit_code, 0) << run.output;
   EXPECT_NE(run.output.find("1 file(s) clean"), std::string::npos)
       << run.output;
-  // An optional metric may be required and still be absent from every row.
-  EXPECT_EQ(run_diff("--lint --require peak_rss_mib " + path).exit_code, 0);
 }
 
 TEST_F(BenchDiffTest, LintFlagsEachStructuralViolation) {
@@ -290,9 +244,6 @@ TEST_F(BenchDiffTest, LintFlagsEachStructuralViolation) {
        "must be a number, string, or null"},
       {"key_drift", head + "[{\"a\": 1, \"b\": 2}, {\"a\": 3}]}\n", "",
        "key set differs from rows[0]"},
-      {"partial_rss",
-       head + "[{\"a\": 1, \"peak_rss_mib\": 9.5}, {\"a\": 2}]}\n", "",
-       "appears in 1 of 2 rows"},
       {"missing_required", head + "[{\"a\": 1}]}\n", "--require a,b ",
        "missing required key \"b\""},
   };

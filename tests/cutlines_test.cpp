@@ -1,4 +1,7 @@
 // Cut-line construction and merging (algorithm steps 1-2, Figure 5).
+#include <algorithm>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "congestion/cutlines.hpp"
@@ -98,6 +101,38 @@ TEST(MergeLines, EveryInputSnapsWithinTwoGaps) {
       for (const double m : merged) nearest = std::min(nearest, std::abs(m - c));
       EXPECT_LE(nearest, 2 * gap + 1e-9) << "coord " << c;
     }
+  }
+}
+
+TEST(MergeLines, BlockedSortKeepsEveryDistinctLine) {
+  // From 16384 coordinates on, merge_lines sorts by bucketing before it
+  // clusters. With merging disabled the result must be exactly lo, the
+  // sorted distinct interior values, then hi. Integer coordinates with
+  // duplicates and both boundary values keep the pooled means exact.
+  Rng rng(43);
+  for (const int n : {20000, 40000}) {
+    std::vector<double> coords;
+    for (int i = 0; i < n; ++i) {
+      coords.push_back(static_cast<double>(rng.uniform_int(0, 5000)));
+    }
+    coords.push_back(0.0);
+    coords.push_back(5000.0);
+
+    std::vector<double> expected = coords;
+    std::sort(expected.begin(), expected.end());
+    expected.erase(std::unique(expected.begin(), expected.end()),
+                   expected.end());
+    ASSERT_EQ(expected.front(), 0.0);
+    ASSERT_EQ(expected.back(), 5000.0);
+
+    const std::vector<double> merged = merge_lines(coords, 0, 5000, 0);
+    ASSERT_EQ(merged.size(), expected.size()) << "n=" << n;
+    std::size_t differing = 0;
+    for (std::size_t i = 0; i < merged.size(); ++i) {
+      if (merged[i] != expected[i]) ++differing;
+    }
+    EXPECT_EQ(differing, 0u) << "n=" << n << ": " << differing << " of "
+                             << merged.size() << " lines differ";
   }
 }
 

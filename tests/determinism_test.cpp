@@ -3,6 +3,7 @@
 // NOTHING else. Every computation is blocked by problem size and reduced
 // in block order, so congestion maps, costs, and whole seed sweeps must be
 // bit-identical at 1, 2, 4 and 8 threads.
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -82,6 +83,34 @@ TEST_F(DeterminismTest, IrregularGridMapBitIdenticalAcrossThreadCounts) {
       }
       EXPECT_EQ(map.top_fraction_cost(0.10), reference.top_fraction_cost(0.10));
     }
+  }
+}
+
+TEST_F(DeterminismTest, CongestionDrivenAnnealPinnedAtEveryThreadCount) {
+  // End-to-end anchor: a short congestion-driven anneal of ami33 (IR
+  // objective, gamma 0.4, 30 um pitch, banded strategy) ends at a pinned
+  // cost, and every thread count reaches the 1-thread run's floorplan.
+  // The cost guards the annealer's trajectory; last-bit drift in the
+  // banded flows is pinned by irregular_grid_test's hashes.
+  const Netlist netlist = make_mcnc("ami33");
+  FloorplanOptions o;
+  o.effort = 0.05;
+  o.anneal.cooling = 0.90;
+  o.anneal.max_stall_temperatures = 8;
+  o.anneal.stop_temperature_ratio = 1e-4;
+  o.objective.model = CongestionModelKind::kIrregularGrid;
+  o.objective.gamma = 0.4;
+  o.objective.irregular.grid_w = 30.0;
+  o.objective.irregular.grid_h = 30.0;
+  o.seed = 1;
+
+  std::string reference;
+  for (const int threads : kThreadCounts) {
+    ThreadPool::set_global_threads(threads);
+    const FloorplanSolution run = Floorplanner(netlist, o).run();
+    EXPECT_EQ(run.metrics.cost, 0.70658411648833175) << "threads=" << threads;
+    if (threads == 1) reference = run.representation;
+    EXPECT_EQ(run.representation, reference) << "threads=" << threads;
   }
 }
 

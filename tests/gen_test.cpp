@@ -1,13 +1,23 @@
 // Tests for the scalable synthetic benchmark generator (src/gen/scale.hpp):
 // tier spec arithmetic, structural invariants of the generated netlists,
-// and the determinism contract — same (spec, seed) means byte-identical
-// netlists regardless of the thread-pool configuration.
+// the determinism contract — same (spec, seed) means byte-identical
+// netlists regardless of the thread-pool configuration — and pinned
+// pack / decompose / IR-cell results on two generated tiers.
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <span>
 #include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "circuit/mcnc.hpp"
+#include "congestion/irregular_grid.hpp"
+#include "floorplan/slicing.hpp"
 #include "gen/scale.hpp"
+#include "route/two_pin.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace ficon {
@@ -107,6 +117,97 @@ TEST(NetlistFingerprint, SeesEveryField) {
   const Netlist b(a.name(), std::move(modules),
                   a.terminals(), a.nets());
   EXPECT_NE(netlist_fingerprint(b), base);
+}
+
+/// Deterministic O(m) shelf packing in module-index order. The generator
+/// numbers modules tile by tile, so index order keeps each locality tile
+/// spatially contiguous and net routing ranges realistically small; 15%
+/// deadspace stands in for a packed floorplan's overhead.
+Placement shelf_placement(const Netlist& netlist) {
+  const double shelf_w = std::sqrt(1.15 * netlist.total_module_area());
+  Placement p;
+  p.module_rects.reserve(netlist.module_count());
+  p.rotated.assign(netlist.module_count(), false);
+  double x = 0.0, y = 0.0, row_h = 0.0, xmax = 0.0;
+  for (const Module& m : netlist.modules()) {
+    if (x > 0.0 && x + m.width > shelf_w) {
+      x = 0.0;
+      y += row_h;
+      row_h = 0.0;
+    }
+    p.module_rects.push_back(Rect::from_size({x, y}, m.width, m.height));
+    x += m.width;
+    row_h = std::max(row_h, m.height);
+    xmax = std::max(xmax, x);
+  }
+  p.chip = Rect{0.0, 0.0, xmax, y + row_h};
+  return p;
+}
+
+/// Expected values of one generated tier through the pipeline.
+struct TierPin {
+  std::string token;
+  std::string name;
+  std::uint64_t fingerprint;
+  int modules;
+  int nets;
+  int pins;
+  std::size_t two_pin_nets;
+  double ir_pitch_um;
+  long long ir_cells;
+  double stream_wirelength_um;
+};
+
+TEST(ScaleTierPipeline, TierResultsArePinnedBitForBit) {
+  // Per tier, at generator seed 7: the netlist fingerprint; the two-pin
+  // nets and IR-cell count of a shelf placement, evaluated at the pitch
+  // max(30 um, chip extent / 200) that holds ami49's relative resolution;
+  // and the summed wirelength of 50 random Polish moves through
+  // pack_cached_ref and the caching decomposer. ami49x21's ~23k
+  // coordinates per axis take the blocked cut-line sort; n100 takes
+  // std::sort.
+  const TierPin pins[] = {
+      {"n100", "n100", 7848313446471626199ULL, 100, 885, 1873, 988, 30.0, 32,
+       35875913.630642481},
+      {"1000", "ami49x21", 5304025613109544904ULL, 1029, 8568, 20101, 11533,
+       324.19999999999999, 1770, 87359364372.467728},
+  };
+  for (const TierPin& pin : pins) {
+    SCOPED_TRACE(pin.token);
+    const ScaleTierSpec spec = parse_scale_tier(pin.token);
+    EXPECT_EQ(spec.name, pin.name);
+    EXPECT_EQ(spec.modules, pin.modules);
+    EXPECT_EQ(spec.nets, pin.nets);
+    EXPECT_EQ(spec.pins, pin.pins);
+    const Netlist netlist = make_scale_netlist(spec, 7);
+    EXPECT_EQ(netlist_fingerprint(netlist), pin.fingerprint);
+
+    const Placement shelf = shelf_placement(netlist);
+    TwoPinDecomposer decomposer;
+    const std::span<const TwoPinNet> nets =
+        decomposer.decompose(netlist, shelf);
+    EXPECT_EQ(nets.size(), pin.two_pin_nets);
+    const double extent = std::max(shelf.chip.width(), shelf.chip.height());
+    IrregularGridParams params;
+    params.grid_w = params.grid_h = std::max(30.0, extent / 200.0);
+    EXPECT_EQ(params.grid_w, pin.ir_pitch_um);
+    EXPECT_EQ(IrregularGridModel(params).evaluate(nets, shelf.chip)
+                  .cell_count(),
+              pin.ir_cells);
+
+    SlicingPacker packer(netlist);
+    PolishExpression expr =
+        PolishExpression::initial(static_cast<int>(netlist.module_count()));
+    Rng rng(7);
+    double wirelength = 0.0;
+    for (int i = 0; i < 50; ++i) {
+      expr.random_move(rng);
+      const SlicingResult& packed = packer.pack_cached_ref(expr);
+      wirelength +=
+          total_length(decomposer.decompose(netlist, packed.placement));
+    }
+    EXPECT_EQ(wirelength, pin.stream_wirelength_um);
+  }
 }
 
 }  // namespace

@@ -4,8 +4,11 @@
 // round-trip through the validator.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "congestion/score_cache.hpp"
@@ -229,6 +232,31 @@ TEST_F(ObsTest, AnnealEventsAreConsistentWithCounterTotals) {
   EXPECT_GT(report.phase_call_count(obs::Phase::kDecompose), 0);
   EXPECT_GT(report.phase_call_count(obs::Phase::kCongestion), 0);
   EXPECT_GT(report.counter(obs::Counter::kIrEvaluations), 0);
+}
+
+TEST_F(ObsTest, PoolRowsAreOnePerThreadLabelAcrossPoolRebuilds) {
+  // Sinks outlive their threads, and every rebuilt pool labels its
+  // workers "worker-0", ... again. The capture must still hold one row
+  // per label, and the rows must account for every pool task. Blocks
+  // sleep so that the workers, not only the caller, claim some.
+  obs::set_trace_enabled(true);
+  for (int rebuild = 0; rebuild < 3; ++rebuild) {
+    ThreadPool::set_global_threads(3);
+    for (int job = 0; job < 4; ++job) {
+      ThreadPool::global().run(32, [](int) {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      });
+    }
+  }
+  const obs::TraceReport report = obs::capture();
+  std::set<std::string> labels;
+  long long tasks = 0;
+  for (const obs::PoolThreadSample& t : report.pool_threads) {
+    EXPECT_TRUE(labels.insert(t.thread).second) << "repeated row " << t.thread;
+    tasks += t.tasks;
+  }
+  EXPECT_EQ(tasks, report.counter(obs::Counter::kPoolTasks));
+  EXPECT_EQ(tasks, 3 * 4 * 32);
 }
 
 TEST_F(ObsTest, JsonlExportRoundTripsThroughValidator) {

@@ -104,9 +104,9 @@ TEST(Slicing, RandomExpressionsAlwaysLegal) {
 }
 
 TEST(Slicing, CachedPackMatchesFullPackBitwise) {
-  // The incremental pipeline's contract: pack_cached() is bit-identical to
-  // the stateless pack() after any sequence of Wong-Liu moves — including
-  // M3 moves, which change the kind pattern and force a full rebuild.
+  // The pipeline's contract: pack_cached_ref() is bit-identical to the
+  // stateless pack() after any sequence of Wong-Liu moves — including M3
+  // moves, which change the kind pattern and force a full rebuild.
   const Netlist n = make_mcnc("ami33");
   SlicingPacker cached(n);
   const SlicingPacker fresh(n);
@@ -115,7 +115,7 @@ TEST(Slicing, CachedPackMatchesFullPackBitwise) {
       PolishExpression::initial(static_cast<int>(n.module_count()));
   for (int iter = 0; iter < 200; ++iter) {
     e.random_move(rng);
-    const SlicingResult a = cached.pack_cached(e);
+    const SlicingResult a = cached.pack_cached_ref(e);
     const SlicingResult b = fresh.pack(e);
     ASSERT_EQ(a.width, b.width) << "iter " << iter;
     ASSERT_EQ(a.height, b.height) << "iter " << iter;
@@ -166,12 +166,12 @@ TEST(Slicing, CacheInvalidationForcesRebuild) {
   const Netlist n = three_modules();
   SlicingPacker packer(n);
   const PolishExpression e(toks({0, 1, V, 2, H}));
-  packer.pack_cached(e);
+  packer.pack_cached_ref(e);
   const long long rebuilds = packer.cache_stats().full_rebuilds;
-  packer.pack_cached(e);  // warm: incremental, zero dirty nodes
+  packer.pack_cached_ref(e);  // warm: incremental, zero dirty nodes
   EXPECT_EQ(packer.cache_stats().full_rebuilds, rebuilds);
   packer.invalidate_cache();
-  packer.pack_cached(e);  // cold again
+  packer.pack_cached_ref(e);  // cold again
   EXPECT_EQ(packer.cache_stats().full_rebuilds, rebuilds + 1);
 }
 

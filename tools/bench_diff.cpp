@@ -15,12 +15,9 @@
 //    Direction is inferred from the key: `*_per_s` / `*_speedup` are
 //    higher-better, `*_ms` / `*_mib` / `*_ns` / `*_bytes` / `seconds`
 //    are lower-better, everything else is an identity metric that may
-//    not drift in either direction (e.g. final_cost, bit_identical).
+//    not drift in either direction (e.g. checksum, batch).
 //  * A key present in one report but not the other is a violation
-//    (schema drift) unless filtered out or on the optional-key list
-//    (built in: peak_rss_mib, which benches omit where the platform
-//    cannot measure it; extend with --optional key[,key]). Optional
-//    keys present in both reports are still compared.
+//    (schema drift) unless filtered out.
 //  * The optional "manifest" member (machine provenance) is reported
 //    but never compared — baselines are expected to come from a
 //    different machine.
@@ -29,21 +26,18 @@
 // comparing two: `bench` is a non-empty string, `meta` (and `manifest`,
 // when present) an object, `rows` a non-empty array of objects, and
 // every value a number, string or null. Rows must agree on their key set
-// — a row that silently drops a metric is how trend dashboards rot —
-// except that an optional key (the same list as above) may be absent as
-// long as it is absent from every row. With --require, every row must
-// carry each key; a required optional key passes when no row has it.
+// — a row that silently drops a metric is how trend dashboards rot. With
+// --require, every row must carry each key.
 //
 // Usage:
 //   bench_diff [options] BASELINE CURRENT
-//   bench_diff --lint [--require key[,key]] [--optional key[,key]] FILE...
+//   bench_diff --lint [--require key[,key]] FILE...
 //     --threshold F      default relative threshold (default 0.10)
 //     --metric key=F     per-metric threshold override (repeatable)
 //     --only key[,key]   compare only these metrics
 //     --skip key[,key]   never compare these metrics
 //     --require key[,key]  keys that must be present (meta or every row)
 //                        in both reports; with --lint, in every row
-//     --optional key[,key]  additional keys exempt from key-drift checks
 //
 // Exit codes follow the project lint convention: 0 clean, 1 regression
 // or schema violation, 2 unreadable/unparsable input.
@@ -70,12 +64,6 @@ struct Options {
   std::vector<std::string> only;
   std::vector<std::string> skip;
   std::vector<std::string> require;
-  // Keys that may be absent from either report without counting as key
-  // drift (still compared when both sides carry them). Seeded with the
-  // platform-dependent metrics benches omit where unmeasurable — see
-  // peak_rss_mib in bench/bench_common.hpp — and extensible with
-  // --optional.
-  std::vector<std::string> optional = {"peak_rss_mib"};
 };
 
 enum class Direction { kHigherBetter, kLowerBetter, kIdentity };
@@ -176,19 +164,14 @@ void compare_object(Diff& diff, const Options& options,
     if (!compared(options, key)) continue;
     const JsonValue* cur_value = cur.find(key);
     if (cur_value == nullptr) {
-      // Optional metrics (platform measurements like peak_rss_mib) may
-      // be absent from one side — e.g. a Linux-built baseline held
-      // against a sandboxed run — without being schema drift.
-      if (!contains(options.optional, key)) {
-        diff.fail(where + "." + key + ": dropped from current report");
-      }
+      diff.fail(where + "." + key + ": dropped from current report");
       continue;
     }
     compare_value(diff, options, where, key, base_value, *cur_value);
   }
   for (const auto& [key, cur_value] : cur.object) {
     if (!compared(options, key)) continue;
-    if (base.find(key) == nullptr && !contains(options.optional, key)) {
+    if (base.find(key) == nullptr) {
       diff.fail(where + "." + key + ": not in baseline report");
     }
   }
@@ -286,7 +269,6 @@ int lint_report(const std::string& path, const Options& options) {
   if (rows->array.empty()) diff.fail(path + ": \"rows\" must not be empty");
 
   std::vector<std::string> row0_keys;
-  std::map<std::string, std::size_t> optional_counts;
   for (std::size_t i = 0; i < rows->array.size(); ++i) {
     const JsonValue& row = rows->array[i];
     const std::string where = path + ": rows[" + std::to_string(i) + "]";
@@ -296,13 +278,7 @@ int lint_report(const std::string& path, const Options& options) {
     }
     check_scalars(diff, where, row);
     std::vector<std::string> keys;
-    for (const auto& [key, value] : row.object) {
-      if (contains(options.optional, key)) {
-        ++optional_counts[key];
-      } else {
-        keys.push_back(key);
-      }
-    }
+    for (const auto& [key, value] : row.object) keys.push_back(key);
     if (i == 0) {
       row0_keys = keys;
     } else if (keys != row0_keys) {
@@ -311,17 +287,9 @@ int lint_report(const std::string& path, const Options& options) {
                 "same metrics)");
     }
     for (const std::string& key : options.require) {
-      if (row.find(key) == nullptr && !contains(options.optional, key)) {
+      if (row.find(key) == nullptr) {
         diff.fail(where + " missing required key \"" + key + "\"");
       }
-    }
-  }
-  for (const auto& [key, count] : optional_counts) {
-    if (count != rows->array.size()) {
-      diff.fail(path + ": optional metric \"" + key + "\" appears in " +
-                std::to_string(count) + " of " +
-                std::to_string(rows->array.size()) +
-                " rows (must be all rows or none)");
     }
   }
   return diff.rc;
@@ -339,10 +307,8 @@ void append_keys(std::vector<std::string>& out, const std::string& csv) {
   (rc == 0 ? std::cout : std::cerr)
       << "usage: bench_diff [--threshold F] [--metric key=F]...\n"
          "                  [--only key[,key]] [--skip key[,key]]\n"
-         "                  [--require key[,key]] [--optional key[,key]]\n"
-         "                  BASELINE CURRENT\n"
-         "       bench_diff --lint [--require key[,key]]\n"
-         "                  [--optional key[,key]] FILE...\n";
+         "                  [--require key[,key]] BASELINE CURRENT\n"
+         "       bench_diff --lint [--require key[,key]] FILE...\n";
   std::exit(rc);
 }
 
@@ -371,8 +337,6 @@ int main(int argc, char** argv) {
       append_keys(options.skip, argv[++i]);
     } else if (arg == "--require" && i + 1 < argc) {
       append_keys(options.require, argv[++i]);
-    } else if (arg == "--optional" && i + 1 < argc) {
-      append_keys(options.optional, argv[++i]);
     } else if (arg.rfind("--", 0) == 0) {
       usage(2);
     } else {
