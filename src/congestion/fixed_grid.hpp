@@ -38,9 +38,6 @@ class FixedGridModel : public CongestionModel {
   const FixedGridParams& params() const { return params_; }
 
   const char* name() const override { return "fixed_grid"; }
-  CongestionModelKind kind() const override {
-    return CongestionModelKind::kFixedGrid;
-  }
 
   /// @brief Build the full congestion map f(x,y) for the decomposed nets.
   ///

@@ -124,9 +124,6 @@ class IrregularGridModel : public CongestionModel {
   const IrregularGridParams& params() const { return params_; }
 
   const char* name() const override { return "irregular_grid"; }
-  CongestionModelKind kind() const override {
-    return CongestionModelKind::kIrregularGrid;
-  }
 
   /// @brief Run the full Congestion Information Computation algorithm
   /// (section 4.6) over the decomposed nets.

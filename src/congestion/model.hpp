@@ -41,8 +41,6 @@ class CongestionModel {
   /// Stable short name for diagnostics ("irregular_grid", "fixed_grid").
   virtual const char* name() const = 0;
 
-  virtual CongestionModelKind kind() const = 0;
-
   /// Scalar solution cost (each model's top-fraction reduction).
   virtual double cost(std::span<const TwoPinNet> nets,
                       const Rect& chip) const = 0;

@@ -1,8 +1,11 @@
 #include "core/floorplanner.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
+#include <string>
 #include <type_traits>
+#include <utility>
 
 #include "obs/trace.hpp"
 #include "route/two_pin.hpp"
@@ -77,6 +80,14 @@ Floorplanner::Floorplanner(const Netlist& netlist, FloorplanOptions options)
   area_scale_ = std::max(area_sum / samples, 1e-12);
   wire_scale_ = std::max(wire_sum / samples, 1e-12);
   congestion_scale_ = std::max(cgt_sum / samples, 1e-12);
+  // Geometry whose metrics overflow (a 1e300 module, say) would anneal
+  // toward inf/nan costs; stop here, before the run.
+  for (const auto& [name, scale] :
+       {std::pair{"area", area_scale_}, std::pair{"wirelength", wire_scale_},
+        std::pair{"congestion", congestion_scale_}}) {
+    FICON_REQUIRE(std::isfinite(scale), std::string("normalization ") +
+                                            name + " is not finite");
+  }
 }
 
 double Floorplanner::congestion_of(std::span<const TwoPinNet> nets,

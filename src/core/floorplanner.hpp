@@ -129,11 +129,6 @@ class Floorplanner {
   /// @brief Score an already-packed placement under this objective.
   FloorplanMetrics evaluate_placement(const Placement& placement) const;
 
-  /// @brief Pack only (no congestion): cheap geometric evaluation.
-  SlicingResult pack(const PolishExpression& expr) const {
-    return packer_.pack(expr);
-  }
-
   const Netlist& netlist() const { return *netlist_; }
   const FloorplanOptions& options() const { return options_; }
 

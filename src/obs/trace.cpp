@@ -42,8 +42,11 @@ struct Registry {
   std::vector<std::shared_ptr<ThreadSink>> sinks FICON_GUARDED_BY(mutex);
 };
 
+/// Never destroyed: a pool worker can first register its sink after
+/// main() returned, while static destructors run (the global pool joins
+/// its workers only when its own static is destroyed).
 Registry& registry() {
-  static Registry r;
+  static Registry& r = *new Registry;
   return r;
 }
 

@@ -21,7 +21,7 @@ namespace {
 using ficon::obs::JsonValue;
 
 /// %.17g: enough digits for a double to round-trip bit-exactly (the same
-/// contract as obs/report.cpp and bench_common.hpp).
+/// contract as obs/report.cpp).
 std::string json_double(double v) {
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), "%.17g", v);

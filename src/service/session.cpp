@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <exception>
 #include <sstream>
 #include <utility>
@@ -168,13 +169,25 @@ SeedResult anneal_once(const Netlist& netlist, const Request& request,
   return result;
 }
 
+/// One shard of either kind. A non-finite metric (an input so large its
+/// area overflows, say) is an error, never an ok result whose reply
+/// would carry bare inf/nan tokens.
 SeedResult run_shard(const Netlist& netlist, SlicingPacker& packer,
                      TwoPinDecomposer& decomposer, const Request& request,
                      std::uint64_t shard_seed,
                      const std::atomic<bool>* cancel) {
-  return request.kind == RequestKind::kEvaluate
-             ? evaluate_once(netlist, packer, decomposer, request, shard_seed)
-             : anneal_once(netlist, request, shard_seed, cancel);
+  SeedResult result =
+      request.kind == RequestKind::kEvaluate
+          ? evaluate_once(netlist, packer, decomposer, request, shard_seed)
+          : anneal_once(netlist, request, shard_seed, cancel);
+  const FloorplanMetrics& m = result.metrics;
+  for (const auto& [name, value] :
+       {std::pair{"area", m.area}, std::pair{"wirelength", m.wirelength},
+        std::pair{"congestion", m.congestion}, std::pair{"cost", m.cost}}) {
+    FICON_REQUIRE(std::isfinite(value),
+                  std::string(name) + " is not finite");
+  }
+  return result;
 }
 
 }  // namespace

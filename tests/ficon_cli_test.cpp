@@ -9,7 +9,13 @@
 #include <sys/wait.h>
 
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
+
+#include "circuit/mcnc.hpp"
+#include "circuit/parser.hpp"
+#include "obs/json.hpp"
 
 namespace {
 
@@ -99,6 +105,46 @@ TEST(FiconCliTest, EffortWhoseMoveCountOverflowsIsAnError) {
       << json.output;
   EXPECT_NE(json.output.find("effort too large"), std::string::npos)
       << json.output;
+}
+
+TEST(FiconCliTest, NonFiniteMetricsAreAnError) {
+  // apte with apte_m0 at 1e300 x 1e300 overflows the area. --json must
+  // print a parseable "error" line, not an "ok" line with bare inf/nan
+  // tokens, and the human path must stop instead of printing "area inf".
+  // No congestion model: the grid models cast such geometry to int
+  // before any metric exists, which only a range bound can prevent.
+  std::ostringstream native;
+  ficon::save_netlist(ficon::make_mcnc("apte"), native);
+  std::string text = native.str();
+  const std::size_t at = text.find("module apte_m0 ");
+  text.replace(at, text.find('\n', at) - at, "module apte_m0 1e300 1e300");
+  const std::string path =
+      ::testing::TempDir() + "ficon_cli_test_overflow.ficon";
+  std::ofstream(path) << text;
+
+  const CliRun json =
+      run_cli("--circuit " + path + " --model none --json --op evaluate");
+  EXPECT_EQ(json.exit_code, 1) << json.output;
+  const std::size_t line_at = json.output.find("{\"op\"");
+  ASSERT_NE(line_at, std::string::npos) << json.output;
+  const std::string line =
+      json.output.substr(line_at, json.output.find('\n', line_at) - line_at);
+  std::string error;
+  const auto parsed = ficon::obs::parse_json(line, &error);
+  ASSERT_TRUE(parsed.has_value()) << error << ": " << line;
+  const ficon::obs::JsonValue* status = parsed->find("status");
+  ASSERT_NE(status, nullptr) << line;
+  EXPECT_EQ(status->string, "error") << line;
+  EXPECT_NE(json.output.find("area is not finite"), std::string::npos)
+      << json.output;
+
+  const CliRun human =
+      run_cli("--circuit " + path + " --model none --effort 0.01 --quiet");
+  EXPECT_NE(human.exit_code, 0) << human.output;
+  EXPECT_NE(human.output.find("normalization area is not finite"),
+            std::string::npos)
+      << human.output;
+  EXPECT_EQ(human.output.find("area inf"), std::string::npos) << human.output;
 }
 
 TEST(FiconCliTest, ServiceKnobsRequireJsonMode) {

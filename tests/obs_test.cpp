@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdlib>
 #include <set>
 #include <sstream>
 #include <string>
@@ -257,6 +258,23 @@ TEST_F(ObsTest, PoolRowsAreOnePerThreadLabelAcrossPoolRebuilds) {
   }
   EXPECT_EQ(tasks, report.counter(obs::Counter::kPoolTasks));
   EXPECT_EQ(tasks, 3 * 4 * 32);
+}
+
+TEST(ObsExitDeathTest, ThreadStartingDuringExitCanStillLabelItself) {
+  // A pool worker can first run after main() returned, while static
+  // destructors run, and it labels itself on entry. The handler below
+  // runs after every static constructed later than its registration,
+  // the sink registry included.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        std::atexit([] {
+          std::thread([] { obs::set_thread_label("late"); }).join();
+        });
+        obs::set_thread_label("early");
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 TEST_F(ObsTest, JsonlExportRoundTripsThroughValidator) {

@@ -3,8 +3,12 @@
 // Includes the kernel equivalence contract: a long-lived ProbKernel must
 // agree bitwise with a fresh one, and its Theorem 1 with the scalar libm
 // reference (ApproxRegionProbability::theorem1) to 1e-12 with identical
-// invalid samples.
+// invalid samples; plus a value pin of both on the kernel throughput
+// harness's workload.
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -296,6 +300,69 @@ TEST_F(ProbProperties, TheoremOneKernelAgreesWithScalarNullopt) {
         EXPECT_NEAR(*got, *ref, 1e-12) << "region " << r;
       }
     }
+  }
+}
+
+/// bench_micro_formula's harness regions: a fixed LCG draws interior,
+/// pin-free rects on a g x g range, so forced Theorem 1 never
+/// short-circuits.
+std::vector<GridRect> harness_regions(int g, std::size_t n) {
+  std::vector<GridRect> regions;
+  regions.reserve(n);
+  std::uint64_t state = 0x9e3779b97f4a7c15ull;
+  const auto next = [&state](int lo, int hi) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return lo + static_cast<int>((state >> 33) %
+                                 static_cast<std::uint64_t>(hi - lo + 1));
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    const int x1 = next(8, g - 136);
+    const int y1 = next(8, g - 136);
+    regions.push_back(
+        GridRect{x1, y1, x1 + next(3, 120), y1 + next(3, 120)});
+  }
+  return regions;
+}
+
+TEST_F(ProbProperties, KernelHarnessChecksumsArePinned) {
+  // The value side of bench_micro_formula's throughput harness: forced
+  // Theorem 1 (exact fallbacks off) on a 400x400 type-I range, summed in
+  // order over its first n regions. Both implementations are held to
+  // their recorded sums at 1e-9 relative, which absorbs libm differences
+  // between compilers on the scalar reference.
+  constexpr int kG = 400;
+  ApproxOptions forced;
+  forced.small_region_threshold = 0;
+  forced.narrow_range_threshold = 0;
+  ProbKernel kernel(prob_, forced);
+  const ApproxRegionProbability scalar(prob_, forced);
+  const NetGridShape shape{kG, kG, false};
+  struct Pin {
+    std::size_t n;
+    double kernel_sum;
+    double scalar_sum;
+  };
+  const Pin pins[] = {
+      {1, 1.0133794557501018e-08, 1.0133794557500994e-08},
+      {8, 3.8129844826052266, 3.812984482605227},
+      {64, 30.761287336545884, 30.761287336545895},
+      {512, 219.18720604061471, 219.18720604061477},
+  };
+  const auto relative_delta = [](double got, double pinned) {
+    return std::abs(got - pinned) / std::max(std::abs(got), std::abs(pinned));
+  };
+  for (const Pin& pin : pins) {
+    double kernel_sum = 0.0;
+    double scalar_sum = 0.0;
+    for (const GridRect& r : harness_regions(kG, pin.n)) {
+      kernel_sum += kernel.region_probability(shape, r);
+      scalar_sum += scalar.theorem1(kG, kG, r).value_or(
+          std::numeric_limits<double>::quiet_NaN());
+    }
+    EXPECT_LE(relative_delta(kernel_sum, pin.kernel_sum), 1e-9)
+        << "n=" << pin.n << " kernel sum " << kernel_sum;
+    EXPECT_LE(relative_delta(scalar_sum, pin.scalar_sum), 1e-9)
+        << "n=" << pin.n << " scalar sum " << scalar_sum;
   }
 }
 

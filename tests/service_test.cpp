@@ -12,11 +12,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "circuit/mcnc.hpp"
+#include "circuit/parser.hpp"
 #include "service/protocol.hpp"
 #include "service/session.hpp"
 #include "util/rng.hpp"
@@ -416,6 +418,49 @@ TEST(ServiceSession, EffortWhoseMoveCountOverflowsIsAnErrorReply) {
   const Reply reply = session.wait(ticket);
   EXPECT_EQ(reply.status, ReplyStatus::kError);
   EXPECT_NE(reply.error.find("effort"), std::string::npos) << reply.error;
+}
+
+/// apte in the native format with apte_m0 set to 1e300 x 1e300: the area
+/// of every floorplan overflows to inf and its congestion to nan.
+Netlist overflowing_apte() {
+  std::ostringstream native;
+  save_netlist(make_mcnc("apte"), native);
+  std::string text = native.str();
+  const std::size_t at = text.find("module apte_m0 ");
+  text.replace(at, text.find('\n', at) - at, "module apte_m0 1e300 1e300");
+  std::istringstream in(text);
+  return parse_netlist(in);
+}
+
+TEST(ServiceSession, NonFiniteMetricsAreAnErrorReply) {
+  // An "ok" reply would carry the inf/nan metrics as bare tokens, which
+  // are not JSON; both service paths must answer with an error instead.
+  // No congestion model: the grid models cast such geometry to int
+  // before any metric exists, which only a range bound can prevent.
+  Request anneal = anneal_request(1, 1, 0.01);
+  anneal.objective.model = CongestionModelKind::kNone;
+  anneal.objective.gamma = 0.0;
+  Request evaluate = anneal;
+  evaluate.kind = RequestKind::kEvaluate;
+  const Reply evaluated = service::run_oneshot(overflowing_apte(), evaluate);
+  EXPECT_EQ(evaluated.status, ReplyStatus::kError);
+  EXPECT_NE(evaluated.error.find("area is not finite"), std::string::npos)
+      << evaluated.error;
+  EXPECT_TRUE(evaluated.seeds.empty());
+
+  const Reply annealed = service::run_oneshot(overflowing_apte(), anneal);
+  EXPECT_EQ(annealed.status, ReplyStatus::kError);
+  EXPECT_NE(annealed.error.find("normalization area is not finite"),
+            std::string::npos)
+      << annealed.error;
+
+  SessionOptions options;
+  options.workers = 1;
+  EngineSession session(overflowing_apte(), options);
+  const Reply reply = session.run(evaluate);
+  EXPECT_EQ(reply.status, ReplyStatus::kError);
+  EXPECT_NE(reply.error.find("area is not finite"), std::string::npos)
+      << reply.error;
 }
 
 TEST(ServiceProtocol, ReplyCodecRoundTripsBitExactDoubles) {

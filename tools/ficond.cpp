@@ -5,8 +5,7 @@
 // either a Unix-domain socket (one thread per connection, replies may
 // interleave out of submission order) or stdin/stdout (single
 // connection). The session amortizes netlist parsing and the evaluator
-// caches across every request — the point of ROADMAP item 1; see
-// docs/SERVICE.md and bench/bench_service.cpp for the numbers.
+// caches across every request; see docs/SERVICE.md for the numbers.
 //
 // Usage:
 //   ficond --circuit NAME|PATH (--socket PATH | --stdio)
