@@ -229,18 +229,9 @@ ficon::service::Request build_request(const Cli& cli) {
   request.objective.alpha = cli.alpha;
   request.objective.beta = cli.beta;
   request.objective.gamma = cli.gamma;
-  if (cli.model == "ir") {
-    request.objective.model = ficon::CongestionModelKind::kIrregularGrid;
-    request.objective.irregular.grid_w = cli.grid > 0.0 ? cli.grid : 30.0;
-    request.objective.irregular.grid_h = request.objective.irregular.grid_w;
-  } else if (cli.model == "fixed") {
-    request.objective.model = ficon::CongestionModelKind::kFixedGrid;
-    request.objective.fixed.grid_w = cli.grid > 0.0 ? cli.grid : 100.0;
-    request.objective.fixed.grid_h = request.objective.fixed.grid_w;
-  } else {
-    request.objective.model = ficon::CongestionModelKind::kNone;
-    request.objective.gamma = 0.0;
-  }
+  // parse_cli already rejected unknown model names.
+  ficon::service::set_congestion_model(cli.model, cli.grid,
+                                       &request.objective);
   request.engine = cli.engine == "sp"
                        ? ficon::FloorplanEngine::kSequencePair
                        : ficon::FloorplanEngine::kPolishExpression;

@@ -13,11 +13,50 @@
 
 namespace ficon {
 
+EvalContext::EvalContext(const Netlist& netlist)
+    : netlist_(&netlist), packer_(netlist), sp_packer_(netlist) {}
+
+FloorplanMetrics EvalContext::evaluate(const PolishExpression& expr,
+                                       const CongestionModel* model) {
+  const SlicingResult* packed = nullptr;
+  {
+    const obs::ScopedPhase timer(obs::Phase::kPack);
+    packed = &packer_.pack_cached_ref(expr);
+  }
+  return evaluate(packed->placement, model);
+}
+
+FloorplanMetrics EvalContext::evaluate(const SequencePair& pair,
+                                       const CongestionModel* model) {
+  const SlicingResult packed = [&] {
+    const obs::ScopedPhase timer(obs::Phase::kPack);
+    return sp_packer_.pack(pair);
+  }();
+  return evaluate(packed.placement, model);
+}
+
+FloorplanMetrics EvalContext::evaluate(const Placement& placement,
+                                       const CongestionModel* model) {
+  FloorplanMetrics m;
+  // Both packers set area = width * height with the chip at the origin,
+  // so chip.area() is that value bit for bit.
+  m.area = placement.chip.area();
+  // One decomposition feeds both the wirelength and congestion terms;
+  // total_length sums the same edges in the same order as mst_wirelength.
+  const std::span<const TwoPinNet> nets = [&] {
+    const obs::ScopedPhase timer(obs::Phase::kDecompose);
+    return decomposer_.decompose(*netlist_, placement);
+  }();
+  m.wirelength = total_length(nets);
+  if (model != nullptr) {
+    const obs::ScopedPhase timer(obs::Phase::kCongestion);
+    m.congestion = model->cost(nets, placement.chip);
+  }
+  return m;
+}
+
 Floorplanner::Floorplanner(const Netlist& netlist, FloorplanOptions options)
-    : netlist_(&netlist),
-      options_(options),
-      packer_(netlist),
-      sp_packer_(netlist) {
+    : options_(options), context_(netlist) {
   FICON_REQUIRE(options_.objective.alpha >= 0.0 &&
                     options_.objective.beta >= 0.0 &&
                     options_.objective.gamma >= 0.0,
@@ -46,36 +85,21 @@ Floorplanner::Floorplanner(const Netlist& netlist, FloorplanOptions options)
   Rng rng(SplitMix64(options_.seed ^ 0xA5A5A5A5DEADBEEFull).next());
   const int samples =
       std::max(30, 2 * static_cast<int>(netlist.module_count()));
-  const bool want_congestion =
-      options_.objective.model != CongestionModelKind::kNone &&
-      options_.objective.gamma > 0.0;
   double area_sum = 0.0, wire_sum = 0.0, cgt_sum = 0.0;
-  const auto sample_placement = [&](const Placement& placement,
-                                    double area) {
-    area_sum += area;
-    // Decompose once and share the nets between both terms; total_length
-    // sums the same edges in the same order as mst_wirelength.
-    const std::span<const TwoPinNet> nets =
-        decomposer_.decompose(netlist, placement);
-    wire_sum += total_length(nets);
-    if (want_congestion) cgt_sum += congestion_of(nets, placement.chip);
+  const auto walk = [&](auto state) {
+    for (int i = 0; i < samples; ++i) {
+      state.random_move(rng);
+      const FloorplanMetrics m = context_.evaluate(state, scoring_model());
+      area_sum += m.area;
+      wire_sum += m.wirelength;
+      cgt_sum += m.congestion;
+    }
   };
+  const int modules = static_cast<int>(netlist.module_count());
   if (options_.engine == FloorplanEngine::kPolishExpression) {
-    PolishExpression expr =
-        PolishExpression::initial(static_cast<int>(netlist.module_count()));
-    for (int i = 0; i < samples; ++i) {
-      expr.random_move(rng);
-      const SlicingResult& packed = packer_.pack_cached_ref(expr);
-      sample_placement(packed.placement, packed.area);
-    }
+    walk(PolishExpression::initial(modules));
   } else {
-    SequencePair pair =
-        SequencePair::initial(static_cast<int>(netlist.module_count()));
-    for (int i = 0; i < samples; ++i) {
-      pair.random_move(rng);
-      const SequencePairPacker::Result packed = sp_packer_.pack(pair);
-      sample_placement(packed.placement, packed.area);
-    }
+    walk(SequencePair::initial(modules));
   }
   area_scale_ = std::max(area_sum / samples, 1e-12);
   wire_scale_ = std::max(wire_sum / samples, 1e-12);
@@ -90,14 +114,7 @@ Floorplanner::Floorplanner(const Netlist& netlist, FloorplanOptions options)
   }
 }
 
-double Floorplanner::congestion_of(std::span<const TwoPinNet> nets,
-                                   const Rect& chip) const {
-  if (model_ == nullptr) return 0.0;
-  const obs::ScopedPhase timer(obs::Phase::kCongestion);
-  return model_->cost(nets, chip);
-}
-
-double Floorplanner::raw_cost(const FloorplanMetrics& m) const {
+double Floorplanner::normalized_cost(const FloorplanMetrics& m) const {
   const FloorplanObjective& o = options_.objective;
   const double weight_sum =
       o.alpha + o.beta +
@@ -110,40 +127,19 @@ double Floorplanner::raw_cost(const FloorplanMetrics& m) const {
   return weight_sum > 0.0 ? cost / weight_sum : cost;
 }
 
-FloorplanMetrics Floorplanner::evaluate_placement(
-    const Placement& placement) const {
-  FloorplanMetrics m;
-  m.area = placement.chip.area();
-  // One decomposition feeds both the wirelength and congestion terms;
-  // total_length sums the same edges in the same order as mst_wirelength.
-  const std::span<const TwoPinNet> nets = [&] {
-    const obs::ScopedPhase timer(obs::Phase::kDecompose);
-    return decomposer_.decompose(*netlist_, placement);
-  }();
-  m.wirelength = total_length(nets);
-  if (options_.objective.model != CongestionModelKind::kNone &&
-      options_.objective.gamma > 0.0) {
-    m.congestion = congestion_of(nets, placement.chip);
-  }
-  m.cost = raw_cost(m);
+template <typename State>
+FloorplanMetrics Floorplanner::score(const State& state) const {
+  FloorplanMetrics m = context_.evaluate(state, scoring_model());
+  m.cost = normalized_cost(m);
   return m;
 }
 
 FloorplanMetrics Floorplanner::evaluate(const PolishExpression& expr) const {
-  const SlicingResult* packed = nullptr;
-  {
-    const obs::ScopedPhase timer(obs::Phase::kPack);
-    packed = &packer_.pack_cached_ref(expr);
-  }
-  return evaluate_placement(packed->placement);
+  return score(expr);
 }
 
 FloorplanMetrics Floorplanner::evaluate(const SequencePair& pair) const {
-  const SequencePairPacker::Result packed = [&] {
-    const obs::ScopedPhase timer(obs::Phase::kPack);
-    return sp_packer_.pack(pair);
-  }();
-  return evaluate_placement(packed.placement);
+  return score(pair);
 }
 
 FloorplanSolution Floorplanner::run(const SnapshotFn& snapshot) const {
@@ -172,23 +168,23 @@ FloorplanSolution Floorplanner::run_engine(const SnapshotFn& snapshot) const {
       TemperatureSnapshot snap;
       snap.step = step;
       snap.temperature = temperature;
-      snap.placement = place(state);
-      snap.metrics = evaluate_placement(snap.placement);
+      snap.placement = context_.place(state);
+      snap.metrics = score(snap.placement);
       snapshot(snap);
     };
   }
 
   Rng rng(options_.seed);
   auto result = annealer.run(
-      State::initial(static_cast<int>(netlist_->module_count())), rng, hook);
+      State::initial(static_cast<int>(netlist().module_count())), rng, hook);
 
   FloorplanSolution solution;
   if constexpr (std::is_same_v<State, PolishExpression>) {
     solution.expression = result.best;
   }
   solution.representation = result.best.to_string();
-  solution.placement = place(result.best);
-  solution.metrics = evaluate_placement(solution.placement);
+  solution.placement = context_.place(result.best);
+  solution.metrics = score(solution.placement);
   solution.seconds = timer.seconds();
   solution.stats = result.stats;
   return solution;

@@ -14,7 +14,6 @@
 
 #include <functional>
 #include <memory>
-#include <span>
 
 #include "anneal/annealer.hpp"
 #include "circuit/netlist.hpp"
@@ -67,7 +66,9 @@ struct FloorplanMetrics {
   double area = 0.0;        ///< chip area, um^2
   double wirelength = 0.0;  ///< MST-decomposed Manhattan length, um
   double congestion = 0.0;  ///< objective-model cost (0 for kNone)
-  double cost = 0.0;        ///< normalized weighted cost
+  /// Weighted cost: walk-normalized for a Floorplanner, raw
+  /// alpha*A + beta*W + gamma*C for a service evaluate.
+  double cost = 0.0;
 };
 
 struct FloorplanSolution {
@@ -90,15 +91,61 @@ struct TemperatureSnapshot {
   FloorplanMetrics metrics;
 };
 
+/// @brief The one evaluation pipeline: pack a floorplan state, decompose
+/// every multi-pin net by MST once, and score area, wirelength and
+/// (given a model) congestion. The Floorplanner and the service's
+/// evaluate requests both score through it and differ only in the cost
+/// they form from the metrics.
+///
+/// Polish expressions re-pack over cached slicing shape curves
+/// (SlicingPacker::pack_cached_ref), and one caching decomposition
+/// (TwoPinDecomposer) feeds both the wirelength and the congestion term.
+/// Each cached value is a pure function of its key, so results equal the
+/// from-scratch references (SlicingPacker::pack, mst_wirelength,
+/// decompose_to_two_pin) bit for bit. The pack, decompose and congestion
+/// steps are traced as obs::Phase::kPack, kDecompose and kCongestion.
+///
+/// Not internally synchronized: one context per thread.
+class EvalContext {
+ public:
+  /// @param netlist circuit to score; must outlive the context.
+  explicit EvalContext(const Netlist& netlist);
+
+  /// @brief Area, MST wirelength and, when `model` is non-null, its
+  /// congestion cost of one state. `cost` is left at 0: the caller owns
+  /// the cost rule.
+  FloorplanMetrics evaluate(const PolishExpression& expr,
+                            const CongestionModel* model);
+  FloorplanMetrics evaluate(const SequencePair& pair,
+                            const CongestionModel* model);
+  /// Same for an already-packed placement (chip at the origin).
+  FloorplanMetrics evaluate(const Placement& placement,
+                            const CongestionModel* model);
+
+  /// From-scratch placement of a state, for snapshots and final
+  /// solutions.
+  Placement place(const PolishExpression& expr) const {
+    return packer_.pack(expr).placement;
+  }
+  Placement place(const SequencePair& pair) const {
+    return sp_packer_.pack(pair).placement;
+  }
+
+  const Netlist& netlist() const { return *netlist_; }
+
+ private:
+  const Netlist* netlist_;
+  SlicingPacker packer_;
+  SequencePairPacker sp_packer_;
+  TwoPinDecomposer decomposer_;
+};
+
 /// @brief One simulated-annealing floorplanning engine bound to a netlist
 /// and an objective.
 ///
-/// Evaluation runs the incremental pipeline: Polish expressions re-pack
-/// over cached slicing shape curves (SlicingPacker::pack_cached_ref), and
-/// one caching decomposition (TwoPinDecomposer) feeds both the wirelength
-/// and the congestion term. Each cached value is a pure function of its
-/// key, so results equal the from-scratch references (SlicingPacker::pack,
-/// mst_wirelength, decompose_to_two_pin) bit for bit.
+/// Every move, the normalization walk, each snapshot and the final
+/// solution are scored by one EvalContext; the Floorplanner adds only the
+/// walk-normalized cost rule on top of its metrics.
 ///
 /// Not internally synchronized — construct one instance per thread (the
 /// seed sweep in exp/experiment.hpp does exactly that). The congestion
@@ -120,16 +167,13 @@ class Floorplanner {
   FloorplanSolution run(const SnapshotFn& snapshot = {}) const;
 
   /// @brief Pack and score a single expression under this objective
-  /// (exposed for tests, examples and the snapshot path).
+  /// (exposed for tests and examples).
   FloorplanMetrics evaluate(const PolishExpression& expr) const;
 
   /// @brief Same for a sequence pair (kSequencePair engine).
   FloorplanMetrics evaluate(const SequencePair& pair) const;
 
-  /// @brief Score an already-packed placement under this objective.
-  FloorplanMetrics evaluate_placement(const Placement& placement) const;
-
-  const Netlist& netlist() const { return *netlist_; }
+  const Netlist& netlist() const { return context_.netlist(); }
   const FloorplanOptions& options() const { return options_; }
 
   /// @brief The congestion estimator behind the gamma term, dispatched
@@ -141,27 +185,21 @@ class Floorplanner {
   /// or SequencePair).
   template <typename State>
   FloorplanSolution run_engine(const SnapshotFn& snapshot) const;
-  /// From-scratch placement of a state, for snapshots and the final
-  /// solution.
-  Placement place(const PolishExpression& expr) const {
-    return packer_.pack(expr).placement;
+  /// Metrics of a state (or placement) with the normalized cost filled in.
+  template <typename State>
+  FloorplanMetrics score(const State& state) const;
+  /// The model the objective scores with: model_ when gamma > 0, else
+  /// none (model_ still backs congestion_model() at gamma = 0).
+  const CongestionModel* scoring_model() const {
+    return options_.objective.gamma > 0.0 ? model_.get() : nullptr;
   }
-  Placement place(const SequencePair& pair) const {
-    return sp_packer_.pack(pair).placement;
-  }
-  double congestion_of(std::span<const TwoPinNet> nets,
-                       const Rect& chip) const;
-  double raw_cost(const FloorplanMetrics& m) const;
+  double normalized_cost(const FloorplanMetrics& m) const;
 
-  const Netlist* netlist_;
   FloorplanOptions options_;
-  // The packer and decomposer are mutable because the incremental pipeline
-  // keeps per-instance caches/buffers warm across const evaluations. The
-  // class is documented as not internally synchronized, so const methods
-  // mutating instance-local caches do not widen the threading contract.
-  mutable SlicingPacker packer_;
-  mutable TwoPinDecomposer decomposer_;
-  SequencePairPacker sp_packer_;
+  // Mutable because the pipeline keeps per-instance caches warm across
+  // const evaluations. The class is documented as not internally
+  // synchronized, so this does not widen the threading contract.
+  mutable EvalContext context_;
   /// Unified congestion estimator (nullptr for kNone); built once by
   /// make_congestion_model() from the objective's kind + params.
   std::unique_ptr<CongestionModel> model_;

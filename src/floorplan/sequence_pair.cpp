@@ -106,8 +106,7 @@ SequencePairPacker::SequencePairPacker(const Netlist& netlist) {
   FICON_REQUIRE(!widths_.empty(), "netlist has no modules");
 }
 
-SequencePairPacker::Result SequencePairPacker::pack(
-    const SequencePair& pair) const {
+SlicingResult SequencePairPacker::pack(const SequencePair& pair) const {
   const std::size_t n = widths_.size();
   FICON_REQUIRE(static_cast<std::size_t>(pair.module_count()) == n,
                 "sequence pair does not match netlist module count");
@@ -127,7 +126,7 @@ SequencePairPacker::Result SequencePairPacker::pack(
   // precedes b in BOTH sequences; processing in G- order guarantees all
   // left-neighbours are placed. For y: a is below b iff a follows b in G+
   // but precedes it in G-.
-  Result result;
+  SlicingResult result;
   result.placement.module_rects.resize(n);
   result.placement.rotated.assign(pair.rotated().begin(),
                                   pair.rotated().end());

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "circuit/netlist.hpp"
+#include "floorplan/slicing.hpp"
 #include "util/rng.hpp"
 
 namespace ficon {
@@ -58,16 +59,9 @@ class SequencePairPacker {
  public:
   explicit SequencePairPacker(const Netlist& netlist);
 
-  /// Compute the placement implied by the pair (lower-left compaction).
-  /// Returns the same result type as the slicing packer so downstream
-  /// evaluation is representation-agnostic.
-  struct Result {
-    Placement placement;
-    double width = 0.0;
-    double height = 0.0;
-    double area = 0.0;
-  };
-  Result pack(const SequencePair& pair) const;
+  /// Compute the placement implied by the pair (lower-left compaction),
+  /// in the slicing packer's result type.
+  SlicingResult pack(const SequencePair& pair) const;
 
   std::size_t module_count() const { return widths_.size(); }
 

@@ -12,7 +12,8 @@
 
 namespace ficon {
 
-/// Result of packing one Polish expression.
+/// Result of packing one floorplan: a Polish expression here, or a
+/// sequence pair (SequencePairPacker::pack).
 struct SlicingResult {
   Placement placement;  ///< chip rect at origin (0,0) + module rects
   double width = 0.0;

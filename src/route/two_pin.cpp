@@ -1,37 +1,11 @@
 #include "route/two_pin.hpp"
 
-#include <algorithm>
 #include <limits>
 
 #include "obs/trace.hpp"
 #include "util/check.hpp"
 
 namespace ficon {
-
-namespace {
-
-/// Componentwise median of the pin set — the star hub. nth_element is
-/// deterministic for a fixed input, so every caller that feeds the same
-/// pins gets the same hub (and therefore the same edges).
-Point star_hub(std::span<const Point> pins, std::vector<double>& xs,
-               std::vector<double>& ys) {
-  xs.clear();
-  ys.clear();
-  xs.reserve(pins.size());
-  ys.reserve(pins.size());
-  for (const Point& p : pins) {
-    xs.push_back(p.x);
-    ys.push_back(p.y);
-  }
-  const auto median = [](std::vector<double>& v) {
-    const auto mid = v.begin() + static_cast<std::ptrdiff_t>(v.size() / 2);
-    std::nth_element(v.begin(), mid, v.end());
-    return *mid;
-  };
-  return Point{median(xs), median(ys)};
-}
-
-}  // namespace
 
 void TwoPinDecomposer::mst_edges_into(std::span<const Point> pins,
                                       int source_net, TwoPinNet* out) {
@@ -70,15 +44,6 @@ void TwoPinDecomposer::mst_edges_into(std::span<const Point> pins,
   }
 }
 
-void TwoPinDecomposer::star_edges_into(std::span<const Point> pins,
-                                       int source_net, TwoPinNet* out) {
-  FICON_REQUIRE(pins.size() >= 2, "star needs at least two pins");
-  const Point hub = star_hub(pins, xs_, ys_);
-  for (const Point& p : pins) {
-    *out++ = TwoPinNet{hub, p, source_net};
-  }
-}
-
 void TwoPinDecomposer::append_mst_edges(const std::vector<Point>& pins,
                                         int source_net,
                                         std::vector<TwoPinNet>& out) {
@@ -97,25 +62,11 @@ std::vector<TwoPinNet> mst_edges(const std::vector<Point>& pins,
   return edges;
 }
 
-std::vector<TwoPinNet> star_edges(const std::vector<Point>& pins,
-                                  int source_net) {
-  FICON_REQUIRE(pins.size() >= 2, "star needs at least two pins");
-  std::vector<double> xs, ys;
-  const Point hub = star_hub(pins, xs, ys);
-  std::vector<TwoPinNet> edges;
-  edges.reserve(pins.size());
-  for (const Point& p : pins) {
-    edges.push_back(TwoPinNet{hub, p, source_net});
-  }
-  return edges;
-}
-
 std::span<const TwoPinNet> TwoPinDecomposer::decompose(
-    const Netlist& netlist, const Placement& placement,
-    Decomposition method) {
+    const Netlist& netlist, const Placement& placement) {
   FICON_REQUIRE(placement.module_rects.size() == netlist.module_count(),
                 "placement does not match netlist");
-  if (cached_netlist_ != &netlist || cached_method_ != method) {
+  if (cached_netlist_ != &netlist) {
     // (Re)bind: flatten the netlist into the SoA view (pin CSR plus
     // module->net occurrence lists) and lay out per-net edge slices. Edge
     // counts depend only on net degrees, so each net's slice of nets_ is
@@ -126,13 +77,11 @@ std::span<const TwoPinNet> TwoPinDecomposer::decompose(
     for (std::size_t n = 0; n < soa_->net_count(); ++n) {
       const std::size_t k = soa_->degree(n);
       FICON_REQUIRE(k >= 2, "decomposition needs at least two pins per net");
-      edge_offset_.push_back(edge_offset_.back() +
-                             (method == Decomposition::kMst ? k - 1 : k));
+      edge_offset_.push_back(edge_offset_.back() + k - 1);
     }
     cached_pins_.resize(soa_->pin_count());
     nets_.resize(edge_offset_.back());
     cached_netlist_ = &netlist;
-    cached_method_ = method;
     pins_valid_ = false;
   }
   const NetlistSoA& soa = *soa_;
@@ -198,13 +147,8 @@ std::span<const TwoPinNet> TwoPinDecomposer::decompose(
       continue;
     }
     ++recomputed;
-    const std::span<const Point> pins(cached, k);
-    TwoPinNet* out = nets_.data() + edge_offset_[n];
-    if (method == Decomposition::kMst) {
-      mst_edges_into(pins, static_cast<int>(n), out);
-    } else {
-      star_edges_into(pins, static_cast<int>(n), out);
-    }
+    mst_edges_into(std::span<const Point>(cached, k), static_cast<int>(n),
+                   nets_.data() + edge_offset_[n]);
   }
   pins_valid_ = true;
   if (obs::trace_enabled()) {
@@ -216,11 +160,10 @@ std::span<const TwoPinNet> TwoPinDecomposer::decompose(
 }
 
 std::vector<TwoPinNet> decompose_to_two_pin(const Netlist& netlist,
-                                            const Placement& placement,
-                                            Decomposition method) {
+                                            const Placement& placement) {
   TwoPinDecomposer decomposer;
   const std::span<const TwoPinNet> nets =
-      decomposer.decompose(netlist, placement, method);
+      decomposer.decompose(netlist, placement);
   return std::vector<TwoPinNet>(nets.begin(), nets.end());
 }
 
@@ -236,25 +179,6 @@ double total_length(std::span<const TwoPinNet> nets) {
   double total = 0.0;
   for (const TwoPinNet& e : nets) {
     total += e.manhattan_length();
-  }
-  return total;
-}
-
-double hpwl(const Netlist& netlist, const Placement& placement) {
-  FICON_REQUIRE(placement.module_rects.size() == netlist.module_count(),
-                "placement does not match netlist");
-  double total = 0.0;
-  for (const Net& net : netlist.nets()) {
-    double xlo = std::numeric_limits<double>::infinity(), xhi = -xlo;
-    double ylo = xlo, yhi = -xlo;
-    for (const Pin& pin : net.pins) {
-      const Point p = placement.pin_position(pin);
-      xlo = std::min(xlo, p.x);
-      xhi = std::max(xhi, p.x);
-      ylo = std::min(ylo, p.y);
-      yhi = std::max(yhi, p.y);
-    }
-    total += (xhi - xlo) + (yhi - ylo);
   }
   return total;
 }

@@ -37,21 +37,9 @@ struct TwoPinNet {
 std::vector<TwoPinNet> mst_edges(const std::vector<Point>& pins,
                                  int source_net);
 
-/// Star decomposition: every pin connects to the pin set's componentwise
-/// median — the hub minimizing total Manhattan length over all hub choices.
-/// The hub is a Steiner point, so the star can be shorter OR longer than
-/// the pin-spanning MST; its length is always >= the net's HPWL. Exposed
-/// for decomposition-sensitivity studies (the paper uses the MST).
-std::vector<TwoPinNet> star_edges(const std::vector<Point>& pins,
-                                  int source_net);
-
-/// Multi-pin decomposition strategy. The paper uses the MST (section 5).
-enum class Decomposition { kMst, kStar };
-
 /// Decompose every net of the netlist under the given placement.
-std::vector<TwoPinNet> decompose_to_two_pin(
-    const Netlist& netlist, const Placement& placement,
-    Decomposition method = Decomposition::kMst);
+std::vector<TwoPinNet> decompose_to_two_pin(const Netlist& netlist,
+                                            const Placement& placement);
 
 /// Total Manhattan wirelength of the MST decomposition — the "wire length"
 /// column of the paper's tables.
@@ -72,16 +60,16 @@ double total_length(std::span<const TwoPinNet> nets);
 /// calls, so steady-state decomposition allocates nothing.
 ///
 /// It additionally remembers every net's pin positions from the previous
-/// call (for the same netlist and method): consecutive annealing
-/// candidates differ by one local move, so most modules — and therefore
-/// most nets' pins — do not move between calls. A net whose pins are
+/// call (for the same netlist): consecutive annealing candidates differ by
+/// one local move, so most modules — and therefore most nets' pins — do
+/// not move between calls. A net whose pins are
 /// unchanged keeps its cached edges, skipping Prim entirely. The edges
 /// are a pure function of the pin positions, so the cached values are
 /// bit-identical to a recomputation; every net's edge count is fixed by
 /// its degree, so each net owns a stable slice of the output buffer and
 /// reuse never perturbs edge order.
 ///
-/// Not internally synchronized: one instance per thread (the Floorplanner
+/// Not internally synchronized: one instance per thread (an EvalContext
 /// owns one, mirroring its own threading contract). The pin cache is
 /// keyed on the netlist's address; netlists are immutable after
 /// construction, so entries cannot go stale.
@@ -90,9 +78,8 @@ class TwoPinDecomposer {
   /// @brief Decompose every net of the netlist under the placement.
   /// @return view of the internal buffer; valid until the next decompose()
   ///         call and invalidated by it.
-  std::span<const TwoPinNet> decompose(
-      const Netlist& netlist, const Placement& placement,
-      Decomposition method = Decomposition::kMst);
+  std::span<const TwoPinNet> decompose(const Netlist& netlist,
+                                       const Placement& placement);
 
   /// Flat connectivity view of the currently bound netlist, or nullptr
   /// before the first decompose() call. Exposed for tests and diagnostics.
@@ -104,14 +91,11 @@ class TwoPinDecomposer {
   std::vector<char> in_tree_;
   std::vector<double> best_dist_;
   std::vector<std::size_t> best_parent_;
-  // Star hub scratch.
-  std::vector<double> xs_, ys_;
   // Binding: the flat connectivity view (pin CSR + module->net occurrence
-  // lists) rebuilt whenever the netlist or method changes. The pin cache
-  // shares the SoA's flat pin indexing: net n's previous pin positions
-  // live at cached_pins_[soa_->pin_begin(n) .. soa_->pin_end(n)).
+  // lists) rebuilt whenever the netlist changes. The pin cache shares the
+  // SoA's flat pin indexing: net n's previous pin positions live at
+  // cached_pins_[soa_->pin_begin(n) .. soa_->pin_end(n)).
   const Netlist* cached_netlist_ = nullptr;
-  Decomposition cached_method_ = Decomposition::kMst;
   bool pins_valid_ = false;
   std::unique_ptr<NetlistSoA> soa_;
   std::vector<Point> cached_pins_;
@@ -132,11 +116,6 @@ class TwoPinDecomposer {
                         std::vector<TwoPinNet>& out);
   void mst_edges_into(std::span<const Point> pins, int source_net,
                       TwoPinNet* out);
-  void star_edges_into(std::span<const Point> pins, int source_net,
-                       TwoPinNet* out);
 };
-
-/// Half-perimeter wirelength (cheaper; used as an SA cost alternative).
-double hpwl(const Netlist& netlist, const Placement& placement);
 
 }  // namespace ficon

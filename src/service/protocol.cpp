@@ -398,23 +398,31 @@ bool decode_request(const std::string& payload, ProtocolRequest* out,
     }
   }
 
-  if (model == "ir") {
-    request.objective.model = CongestionModelKind::kIrregularGrid;
-    request.objective.irregular.grid_w = grid > 0.0 ? grid : 30.0;
-    request.objective.irregular.grid_h = request.objective.irregular.grid_w;
-  } else if (model == "fixed") {
-    request.objective.model = CongestionModelKind::kFixedGrid;
-    request.objective.fixed.grid_w = grid > 0.0 ? grid : 100.0;
-    request.objective.fixed.grid_h = request.objective.fixed.grid_w;
-  } else if (model == "none") {
-    request.objective.model = CongestionModelKind::kNone;
-    request.objective.gamma = 0.0;
-  } else {
+  if (!set_congestion_model(model, grid, &request.objective)) {
     *error = "unknown model '" + model + "'";
     return false;
   }
   if (out->op == ProtocolOp::kCancel && out->target == 0) {
     *error = "cancel needs a non-zero \"target\"";
+    return false;
+  }
+  return true;
+}
+
+bool set_congestion_model(std::string_view model, double grid,
+                          FloorplanObjective* objective) {
+  if (model == "ir") {
+    objective->model = CongestionModelKind::kIrregularGrid;
+    objective->irregular.grid_w = grid > 0.0 ? grid : 30.0;
+    objective->irregular.grid_h = objective->irregular.grid_w;
+  } else if (model == "fixed") {
+    objective->model = CongestionModelKind::kFixedGrid;
+    objective->fixed.grid_w = grid > 0.0 ? grid : 100.0;
+    objective->fixed.grid_h = objective->fixed.grid_w;
+  } else if (model == "none") {
+    objective->model = CongestionModelKind::kNone;
+    objective->gamma = 0.0;
+  } else {
     return false;
   }
   return true;

@@ -89,6 +89,15 @@ struct ProtocolRequest {
 bool decode_request(const std::string& payload, ProtocolRequest* out,
                     std::string* error);
 
+/// @brief Resolve a congestion model name ("ir", "fixed" or "none") and a
+/// fine pitch into `objective`: a non-positive `grid` takes the model's
+/// default (30 um for ir, 100 um for fixed), and "none" also zeroes gamma.
+/// Returns false, leaving `objective` unchanged, for an unknown name. The
+/// request decoder and ficon_cli both resolve through it, so a flag and a
+/// field mean the same thing.
+bool set_congestion_model(std::string_view model, double grid,
+                          FloorplanObjective* objective);
+
 std::string encode_request(std::int64_t id, const Request& request);
 std::string encode_cancel(std::int64_t id, std::int64_t target);
 std::string encode_control(std::int64_t id, ProtocolOp op);

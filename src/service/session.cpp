@@ -11,7 +11,6 @@
 #include "circuit/parser.hpp"
 #include "congestion/model.hpp"
 #include "obs/trace.hpp"
-#include "route/two_pin.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
@@ -105,41 +104,34 @@ Netlist load_circuit(const std::string& name_or_path) {
 
 namespace {
 
-/// Score one expression against the netlist: pack, decompose, model cost.
-/// The reported cost is the *raw* weighted objective
+/// Score one expression through the executor's EvalContext. The reported
+/// cost is the *raw* weighted objective
 /// alpha*area + beta*wire + gamma*congestion — evaluate has no annealing
 /// warm-up walk, so the walk-normalized cost of a Floorplanner run is
-/// not defined here (docs/SERVICE.md spells out the difference).
-SeedResult evaluate_once(const Netlist& netlist, SlicingPacker& packer,
-                         TwoPinDecomposer& decomposer, const Request& request,
+/// not defined here (docs/SERVICE.md spells out the difference). The
+/// model is built per request because the objective changes per request;
+/// building one only validates its parameters.
+SeedResult evaluate_once(EvalContext& context, const Request& request,
                          std::uint64_t seed) {
   FICON_REQUIRE(request.engine == FloorplanEngine::kPolishExpression,
                 "evaluate supports the polish engine only");
   Stopwatch watch;
+  const int modules = static_cast<int>(context.netlist().module_count());
   const PolishExpression expr =
       request.expression.empty()
-          ? PolishExpression::initial(
-                static_cast<int>(netlist.module_count()))
+          ? PolishExpression::initial(modules)
           : parse_polish_expression(request.expression);
-  FICON_REQUIRE(
-      expr.module_count() == static_cast<int>(netlist.module_count()),
-      "expression module count does not match the session circuit");
-  const SlicingResult packed = packer.pack(expr);
-  const std::span<const TwoPinNet> nets =
-      decomposer.decompose(netlist, packed.placement);
+  FICON_REQUIRE(expr.module_count() == modules,
+                "expression module count does not match the session circuit");
+  const FloorplanObjective& o = request.objective;
+  const std::unique_ptr<CongestionModel> model =
+      make_congestion_model(o.model, o.irregular, o.fixed);
 
   SeedResult result;
   result.seed = seed;
-  result.metrics.area = packed.area;
-  result.metrics.wirelength = total_length(nets);
-  const std::unique_ptr<CongestionModel> model = make_congestion_model(
-      request.objective.model, request.objective.irregular,
-      request.objective.fixed);
-  result.metrics.congestion =
-      model ? model->cost(nets, packed.placement.chip) : 0.0;
-  result.metrics.cost = request.objective.alpha * result.metrics.area +
-                        request.objective.beta * result.metrics.wirelength +
-                        request.objective.gamma * result.metrics.congestion;
+  result.metrics = context.evaluate(expr, model.get());
+  FloorplanMetrics& m = result.metrics;
+  m.cost = o.alpha * m.area + o.beta * m.wirelength + o.gamma * m.congestion;
   result.representation = expr.to_string();
   result.seconds = watch.seconds();
   return result;
@@ -172,14 +164,13 @@ SeedResult anneal_once(const Netlist& netlist, const Request& request,
 /// One shard of either kind. A non-finite metric (an input so large its
 /// area overflows, say) is an error, never an ok result whose reply
 /// would carry bare inf/nan tokens.
-SeedResult run_shard(const Netlist& netlist, SlicingPacker& packer,
-                     TwoPinDecomposer& decomposer, const Request& request,
+SeedResult run_shard(EvalContext& context, const Request& request,
                      std::uint64_t shard_seed,
                      const std::atomic<bool>* cancel) {
   SeedResult result =
       request.kind == RequestKind::kEvaluate
-          ? evaluate_once(netlist, packer, decomposer, request, shard_seed)
-          : anneal_once(netlist, request, shard_seed, cancel);
+          ? evaluate_once(context, request, shard_seed)
+          : anneal_once(context.netlist(), request, shard_seed, cancel);
   const FloorplanMetrics& m = result.metrics;
   for (const auto& [name, value] :
        {std::pair{"area", m.area}, std::pair{"wirelength", m.wirelength},
@@ -195,15 +186,15 @@ SeedResult run_shard(const Netlist& netlist, SlicingPacker& packer,
 Reply run_oneshot(const Netlist& netlist, const Request& request) {
   Stopwatch watch;
   Reply reply;
-  SlicingPacker packer(netlist);
-  TwoPinDecomposer decomposer;
+  EvalContext context(netlist);
   for (const std::uint64_t seed : shard_seeds(request)) {
     try {
-      reply.seeds.push_back(
-          run_shard(netlist, packer, decomposer, request, seed, nullptr));
+      reply.seeds.push_back(run_shard(context, request, seed, nullptr));
     } catch (const std::exception& e) {
+      // A failed request carries no seed results, on either path.
       reply.status = ReplyStatus::kError;
       reply.error = e.what();
+      reply.seeds.clear();
       break;
     }
   }
@@ -334,11 +325,10 @@ SessionStats EngineSession::stats() const {
 
 void EngineSession::worker_loop(int worker_index) {
   obs::set_thread_label("svc-" + std::to_string(worker_index));
-  // Executor-local derived structures, warm across requests. Every cached
+  // Executor-local evaluation context, warm across requests. Every cached
   // value is a pure function of its inputs, so reuse cannot perturb
   // results (the same argument the incremental pipeline rests on).
-  SlicingPacker packer(netlist_);
-  TwoPinDecomposer decomposer;
+  EvalContext context(netlist_);
   while (true) {
     Shard shard;
     {
@@ -352,12 +342,11 @@ void EngineSession::worker_loop(int worker_index) {
       shard = std::move(queue_.front());
       queue_.pop_front();
     }
-    execute_shard(shard, packer, decomposer);
+    execute_shard(shard, context);
   }
 }
 
-void EngineSession::execute_shard(const Shard& shard, SlicingPacker& packer,
-                                  TwoPinDecomposer& decomposer) {
+void EngineSession::execute_shard(const Shard& shard, EvalContext& context) {
   Pending& pending = *shard.pending;
   SeedResult result;
   result.seed = pending.seeds[shard.index];
@@ -372,8 +361,8 @@ void EngineSession::execute_shard(const Shard& shard, SlicingPacker& packer,
       // run() calls collapse inline on this executor, the seed-sweep
       // pattern (see util/thread_pool.hpp, InlineScope).
       const ThreadPool::InlineScope inline_scope;
-      result = run_shard(netlist_, packer, decomposer, pending.request,
-                         result.seed, &pending.cancel);
+      result = run_shard(context, pending.request, result.seed,
+                         &pending.cancel);
     } catch (const std::exception& e) {
       error = e.what();
     }
@@ -397,7 +386,8 @@ void EngineSession::execute_shard(const Shard& shard, SlicingPacker& packer,
                            : pending.any_cancelled ? ReplyStatus::kCancelled
                                                    : ReplyStatus::kOk;
     pending.reply.error = pending.error;
-    pending.reply.seeds = pending.results;
+    // A failed request carries no seed results, like run_oneshot's.
+    if (!pending.failed) pending.reply.seeds = pending.results;
     pending.reply.seconds = pending.watch.seconds();
     switch (pending.reply.status) {
       case ReplyStatus::kError: ++stats_.failed; break;

@@ -5,8 +5,9 @@
 // The one-shot tools (ficon_cli, the experiment drivers) pay the full
 // setup cost per invocation: parse the netlist, precompute the slicing
 // shape curves, warm the decomposition caches — then throw it all away.
-// An EngineSession owns one parsed netlist snapshot plus per-executor
-// derived structures (SlicingPacker, TwoPinDecomposer) and serves
+// An EngineSession owns one parsed netlist snapshot plus one EvalContext
+// per executor, whose pack and decomposition caches stay warm across
+// evaluate requests (each re-packs through the cache), and serves
 // requests from a bounded queue:
 //
 //   * **Sharding.** An anneal request with `seeds = N` fans out into N
@@ -104,8 +105,8 @@ struct SeedResult {
 
 struct Reply {
   ReplyStatus status = ReplyStatus::kOk;
-  std::string error;            ///< first shard error (kError only)
-  std::vector<SeedResult> seeds;
+  std::string error;              ///< first shard error (kError only)
+  std::vector<SeedResult> seeds;  ///< one per shard; empty for kError
   double seconds = 0.0;  ///< submit-to-completion wall clock
 };
 
@@ -211,8 +212,7 @@ class EngineSession {
   };
 
   void worker_loop(int worker_index);
-  void execute_shard(const Shard& shard, SlicingPacker& packer,
-                     TwoPinDecomposer& decomposer);
+  void execute_shard(const Shard& shard, EvalContext& context);
 
   const Netlist netlist_;
   const SessionOptions options_;

@@ -281,6 +281,7 @@ TEST(FicondTest, SocketAnswersBadRequestsWithErrors) {
   EXPECT_EQ(replies[1].status, "error");
   EXPECT_NE(replies[1].error.find("effort too large"), std::string::npos)
       << replies[1].error;
+  EXPECT_TRUE(replies[1].seeds.empty());
   EXPECT_EQ(replies[2].status, "error");
   EXPECT_NE(replies[2].error.find("seed"), std::string::npos)
       << replies[2].error;

@@ -95,63 +95,6 @@ TEST(MstEdges, RequiresTwoPins) {
   EXPECT_THROW(mst_edges({Point{0, 0}}, 0), std::invalid_argument);
 }
 
-TEST(StarEdges, HubIsMedianAndEdgesCoverPins) {
-  const std::vector<Point> pins{{0, 0}, {10, 2}, {4, 20}};
-  const auto edges = star_edges(pins, 3);
-  ASSERT_EQ(edges.size(), 3u);
-  for (const auto& e : edges) {
-    EXPECT_EQ(e.source_net, 3);
-    EXPECT_EQ(e.a, (Point{4.0, 2.0}));  // componentwise median hub
-  }
-}
-
-TEST(StarEdges, MedianHubIsOptimalAndBoundedBelowByHpwl) {
-  Rng rng(13);
-  for (int trial = 0; trial < 100; ++trial) {
-    const int k = rng.uniform_int(2, 8);
-    std::vector<Point> pins;
-    double xlo = 1e300, xhi = -1e300, ylo = 1e300, yhi = -1e300;
-    for (int i = 0; i < k; ++i) {
-      pins.push_back(Point{rng.uniform(0, 50), rng.uniform(0, 50)});
-      xlo = std::min(xlo, pins.back().x);
-      xhi = std::max(xhi, pins.back().x);
-      ylo = std::min(ylo, pins.back().y);
-      yhi = std::max(yhi, pins.back().y);
-    }
-    const auto edges = star_edges(pins, 0);
-    double star = 0.0;
-    for (const auto& e : edges) star += e.manhattan_length();
-    // HPWL lower bound (the two x-extreme pins alone cost the width, etc).
-    EXPECT_GE(star + 1e-9, (xhi - xlo) + (yhi - ylo));
-    // The median hub is optimal: random alternative hubs never do better.
-    for (int probe = 0; probe < 10; ++probe) {
-      const Point alt{rng.uniform(0, 50), rng.uniform(0, 50)};
-      double alt_total = 0.0;
-      for (const Point& p : pins) alt_total += manhattan(alt, p);
-      EXPECT_GE(alt_total + 1e-9, star);
-    }
-  }
-}
-
-TEST(Decompose, StarMethodProducesOneEdgePerPin) {
-  const Netlist netlist = make_mcnc("hp");
-  Placement placement;
-  placement.chip = Rect{0, 0, 4000, 4000};
-  Rng rng(14);
-  for (std::size_t i = 0; i < netlist.module_count(); ++i) {
-    const Module& m = netlist.modules()[i];
-    placement.module_rects.push_back(Rect::from_size(
-        Point{rng.uniform(0, 1000), rng.uniform(0, 1000)}, m.width, m.height));
-    placement.rotated.push_back(false);
-  }
-  const auto star =
-      decompose_to_two_pin(netlist, placement, Decomposition::kStar);
-  EXPECT_EQ(star.size(), netlist.pin_count());
-  const auto mst =
-      decompose_to_two_pin(netlist, placement, Decomposition::kMst);
-  EXPECT_EQ(mst.size(), netlist.pin_count() - netlist.net_count());
-}
-
 TEST(Decompose, EdgeCountIsPinsMinusNets) {
   const Netlist netlist = make_mcnc("ami33");
   Placement placement;
@@ -189,21 +132,6 @@ TEST(Decompose, WirelengthIsSumOfEdges) {
   EXPECT_NEAR(mst_wirelength(netlist, placement), sum, 1e-9);
 }
 
-TEST(Decompose, HpwlLowerBoundsMst) {
-  // For every net, HPWL <= MST length; so totals obey the same order.
-  const Netlist netlist = make_mcnc("xerox");
-  Placement placement;
-  placement.chip = Rect{0, 0, 8000, 8000};
-  Rng rng(7);
-  for (std::size_t i = 0; i < netlist.module_count(); ++i) {
-    const Module& m = netlist.modules()[i];
-    placement.module_rects.push_back(Rect::from_size(
-        Point{rng.uniform(0, 4000), rng.uniform(0, 4000)}, m.width, m.height));
-    placement.rotated.push_back(false);
-  }
-  EXPECT_LE(hpwl(netlist, placement), mst_wirelength(netlist, placement) + 1e-9);
-}
-
 TEST(Decompose, ReusableDecomposerMatchesOneShotApi) {
   // TwoPinDecomposer (the annealing loop's buffer-reusing path) must emit
   // exactly the edges of decompose_to_two_pin, in the same order, across
@@ -222,17 +150,14 @@ TEST(Decompose, ReusableDecomposerMatchesOneShotApi) {
           m.height));
       placement.rotated.push_back(trial % 2 == 0);
     }
-    for (const Decomposition method :
-         {Decomposition::kMst, Decomposition::kStar}) {
-      const auto expected = decompose_to_two_pin(netlist, placement, method);
-      const std::span<const TwoPinNet> got =
-          decomposer.decompose(netlist, placement, method);
-      ASSERT_EQ(got.size(), expected.size());
-      for (std::size_t i = 0; i < expected.size(); ++i) {
-        ASSERT_EQ(got[i].a, expected[i].a) << "trial " << trial << " i=" << i;
-        ASSERT_EQ(got[i].b, expected[i].b) << "trial " << trial << " i=" << i;
-        ASSERT_EQ(got[i].source_net, expected[i].source_net);
-      }
+    const auto expected = decompose_to_two_pin(netlist, placement);
+    const std::span<const TwoPinNet> got =
+        decomposer.decompose(netlist, placement);
+    ASSERT_EQ(got.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      ASSERT_EQ(got[i].a, expected[i].a) << "trial " << trial << " i=" << i;
+      ASSERT_EQ(got[i].b, expected[i].b) << "trial " << trial << " i=" << i;
+      ASSERT_EQ(got[i].source_net, expected[i].source_net);
     }
     // total_length must reproduce mst_wirelength exactly (same summation
     // order), so sharing one decomposition between the wirelength and

@@ -156,6 +156,56 @@ TEST(ServiceSession, SessionReusePreservesResults) {
   }
 }
 
+TEST(ServiceSession, EvaluateWalkAcrossObjectivesSharesThePlannerPath) {
+  // One executor's warm EvalContext serves a seeded walk whose objective
+  // changes on every request: IR at gamma 0.4, fixed, none, IR at gamma 0.
+  // Every reply must equal a cold one-shot run of the same request, and
+  // the IR gamma-0.4 replies must carry the Floorplanner's own metrics
+  // under the same objective, with the raw cost on top.
+  const Netlist netlist = make_mcnc("apte");
+  std::vector<Request> objectives(4);
+  for (Request& r : objectives) {
+    r.kind = RequestKind::kEvaluate;
+    r.objective.gamma = 0.4;
+  }
+  ASSERT_TRUE(
+      service::set_congestion_model("ir", 60.0, &objectives[0].objective));
+  ASSERT_TRUE(
+      service::set_congestion_model("fixed", 0.0, &objectives[1].objective));
+  ASSERT_TRUE(
+      service::set_congestion_model("none", 0.0, &objectives[2].objective));
+  ASSERT_TRUE(
+      service::set_congestion_model("ir", 60.0, &objectives[3].objective));
+  objectives[3].objective.gamma = 0.0;
+  const Floorplanner planner(
+      netlist, service::to_floorplan_options(objectives[0], 1));
+
+  SessionOptions options;
+  options.workers = 1;
+  EngineSession session(make_mcnc("apte"), options);
+  Rng rng(21);
+  PolishExpression expr =
+      PolishExpression::initial(static_cast<int>(netlist.module_count()));
+  for (int i = 0; i < 24; ++i) {
+    expr.random_move(rng);
+    Request request = objectives[static_cast<std::size_t>(i % 4)];
+    request.expression = expr.to_string();
+    const Reply reply = session.run(request);
+    ASSERT_EQ(reply.status, ReplyStatus::kOk) << reply.error;
+    expect_same_results(service::run_oneshot(netlist, request), reply);
+    if (i % 4 != 0) continue;
+    const FloorplanMetrics want = planner.evaluate(expr);
+    const FloorplanMetrics& got = reply.seeds[0].metrics;
+    EXPECT_EQ(got.area, want.area) << "request " << i;
+    EXPECT_EQ(got.wirelength, want.wirelength) << "request " << i;
+    EXPECT_EQ(got.congestion, want.congestion) << "request " << i;
+    const FloorplanObjective& o = request.objective;
+    EXPECT_EQ(got.cost, o.alpha * got.area + o.beta * got.wirelength +
+                            o.gamma * got.congestion)
+        << "request " << i;
+  }
+}
+
 TEST(ServiceSession, BackpressureRejectsTheOverflowingSubmit) {
   std::atomic<bool> started{false};
   std::atomic<bool> release{false};
@@ -404,11 +454,13 @@ TEST(ServiceProtocol, IntegerFieldsAcceptOnlyIntegralNumbersInRange) {
 
 TEST(ServiceSession, EffortWhoseMoveCountOverflowsIsAnErrorReply) {
   // 10 * effort * modules must fit in an int; past that the Floorplanner
-  // refuses the request, and both service paths answer with an error.
-  const Request request = anneal_request(1, 1, 1e12);
+  // refuses the request, and both service paths answer with the same
+  // error reply, which carries no seed results.
+  const Request request = anneal_request(1, 3, 1e12);
   const Reply oneshot = service::run_oneshot(make_mcnc("apte"), request);
   EXPECT_EQ(oneshot.status, ReplyStatus::kError);
   EXPECT_NE(oneshot.error.find("effort"), std::string::npos) << oneshot.error;
+  EXPECT_TRUE(oneshot.seeds.empty());
 
   SessionOptions options;
   options.workers = 1;
@@ -418,6 +470,8 @@ TEST(ServiceSession, EffortWhoseMoveCountOverflowsIsAnErrorReply) {
   const Reply reply = session.wait(ticket);
   EXPECT_EQ(reply.status, ReplyStatus::kError);
   EXPECT_NE(reply.error.find("effort"), std::string::npos) << reply.error;
+  EXPECT_TRUE(reply.seeds.empty());
+  expect_same_results(oneshot, reply);
 }
 
 /// apte in the native format with apte_m0 set to 1e300 x 1e300: the area
@@ -461,6 +515,7 @@ TEST(ServiceSession, NonFiniteMetricsAreAnErrorReply) {
   EXPECT_EQ(reply.status, ReplyStatus::kError);
   EXPECT_NE(reply.error.find("area is not finite"), std::string::npos)
       << reply.error;
+  EXPECT_TRUE(reply.seeds.empty());
 }
 
 TEST(ServiceProtocol, ReplyCodecRoundTripsBitExactDoubles) {
