@@ -97,28 +97,41 @@ std::uint64_t scoring_fingerprint(const IrregularGridParams& p) {
 ///
 /// Banded exact evaluation (IrEvalStrategy::kBandedExact) works in the
 /// canonical type I frame (source cell (0,0), sink (g1-1,g2-1); type II
-/// nets are y-mirrored). Formula 3 for an IR-cell is
-///   P = sum_x in [lx1..lx2] T(x, Y)  +  sum_y in [cy1..cy2] R(X, y)
-/// with T/R the normalized top/right exit terms, Y the cell's top fine row
-/// and X its right fine column. Rather than evaluating each cell's sums
-/// independently, build per-band prefix sums of T (one pass of length g1
-/// per IR row) and of R (one pass of length g2 per IR column), advancing
-/// the terms with exact multiplicative recurrences:
-///   T(x+1,Y)/T(x,Y) = (x+1+Y)/(x+1) * (g1-1-x)/((g1-1-x)+(g2-2-Y))
+/// nets are y-mirrored, so their rows run top-down). A monotone route
+/// crosses every column line once; let R(x, y) be the probability that it
+/// leaves column x rightward at row y and PR(x, Y) = sum_{y<=Y} R(x, y).
+/// The route visits the IR-cell [lx1..lx2] x [cy1..cy2] exactly when it
+/// reaches column lx1 at a row <= cy2 and does not leave column lx2 below
+/// row cy1, so Formula 3 for the cell is
+///   P = E - F,  E = PR(lx1-1, cy2),  F = PR(lx2, cy1-1),
+/// with E = 1 when lx1 = 0 or cy2 = g2-1 and F = 0 when cy1 = 0 or
+/// lx2 = g1-1. Source and sink cells thus come out exactly 1, which doubles
+/// as the paper's step 3.1. Every covered column but the last (lx2 < g1-1)
+/// gets one band: PR(lx2, .) over the g2 rows, advanced by the exact
+/// multiplicative recurrence
 ///   R(X,y+1)/R(X,y) = (X+1+y)/(y+1) * (g2-1-y)/((g1-2-X)+(g2-1-y))
-/// so the only transcendental call is one exp() per band. Cells covering a
-/// pin are exactly 1 (every route passes a pin cell), which doubles as the
-/// paper's step 3.1.
+/// from its first normal term (first_normal_term), so the only
+/// transcendental call is one exp() per band. Adjacent columns share their
+/// boundary fine column x = lx2 of the left one, or meet at lx1 = x + 1;
+/// E of the right column is then
+///   PR(x-1, Y) = PR(x, Y) + R(x, Y) * (g2-1-Y)/(g1-1-x)
+/// (the route's top exit from (x, Y)) or PR(x, Y) itself. The transposed
+/// form puts one band of length g1 on every covered row but the top one;
+/// a net runs whichever form takes fewer steps, so it costs
+/// O(R + min(ncx * g2, ncy * g1)). Both forms need every IR-cell to span
+/// at least one fine cell and no IR-cell but the last to reach into the
+/// lattice's last fine column, which merge_factor >= 1 guarantees; a net
+/// that fits neither form is scored per region, like degenerate shapes.
 ///
-/// The recurrences are the annealing hot loop: one band per covered IR
-/// row plus one per covered IR column, each step two IEEE divisions, so
-/// divider throughput bounds it. The bands of one pass share their length
-/// (g1 for top exits, g2 for right exits), so prefix_pair() advances two
-/// of them at once, one per lane of a vd2: a 2-lane division costs about
-/// half as much per lane as a scalar one, while wider ones need target
-/// flags and are barely cheaper per lane (docs/ARCHITECTURE.md). Each
-/// lane runs the scalar operations in the scalar order, all correctly
-/// rounded, so pairing changes speed only, never bits.
+/// The recurrences are the annealing hot loop: each step is two IEEE
+/// divisions, so divider throughput bounds it. The bands of one net share
+/// their length, so prefix_pair() advances two of them at once, one per
+/// lane of a vd2: a 2-lane division costs about half as much per lane as a
+/// scalar one, while wider ones need target flags and are barely cheaper
+/// per lane (docs/ARCHITECTURE.md). Each lane runs the scalar operations
+/// in the scalar order, all correctly rounded, so pairing changes speed
+/// only, never bits. Bands stream through an L1-sized buffer: each writes
+/// its column's cells and the next column's E before the next band runs.
 class NetScorer {
  public:
   NetScorer(LogFactorialTable& table, const IrregularGridParams& params,
@@ -225,13 +238,14 @@ class NetScorer {
 
     // Memoization split: the region strategies look each matrix up in the
     // memo first. kBandedExact always recomputes and never looks up
-    // (degenerate shapes fall back to fill_regions and stay memoized), so
-    // a traced 1-thread ami49 anneal makes zero memo lookups, although a
-    // banded recompute there costs about 15 us per scored net at 30 um
-    // (one traced anneal on a Xeon vCPU). Hits and misses are
-    // bit-identical, so the split is invisible in results.
+    // (degenerate shapes and the rare nets no band pass fits fall back to
+    // fill_regions and stay memoized), so a traced 1-thread ami49 anneal
+    // makes zero memo lookups, although a banded recompute there costs
+    // about 12 us per scored net at 30 um (traced anneals on a Xeon
+    // vCPU). Hits and misses are bit-identical, so the split is invisible
+    // in results.
     const bool banded = params_->strategy == IrEvalStrategy::kBandedExact &&
-                        !on_grid.shape.degenerate();
+                        !on_grid.shape.degenerate() && plan_bands(on_grid);
     const std::vector<double>* probs = nullptr;
     if (memo_->enabled() && !banded) {
       build_key(on_grid);
@@ -275,134 +289,204 @@ class NetScorer {
     key_.insert(key_.end(), ly2_.begin(), ly2_.end());
   }
 
-  /// Banded exact probabilities for all covered IR-cells of one net,
-  /// pin-override and clamp applied (see the class comment for the math).
-  void fill_banded(const NetOnGrid& net) {
-    obs::count(obs::Counter::kIrRegionsBanded,
-               static_cast<long long>(net.ncx()) * net.ncy());
+  /// True when every span [lo[b], hi[b]] covers at least one fine cell.
+  static bool covers(const std::vector<int>& lo, const std::vector<int>& hi) {
+    for (std::size_t b = 0; b < lo.size(); ++b) {
+      if (lo[b] > hi[b]) return false;
+    }
+    return true;
+  }
+
+  /// True when one band pass can run across the spans of a g-cell axis,
+  /// in lattice order: the first starts at 0, the last ends at g - 1, and
+  /// every next span starts on, or right after, the previous span's last
+  /// fine cell, which is not the axis's last.
+  static bool chains(const std::vector<int>& lo, const std::vector<int>& hi,
+                     int g) {
+    if (lo.front() != 0 || hi.back() != g - 1) return false;
+    for (std::size_t b = 1; b < lo.size(); ++b) {
+      const int step = lo[b] - hi[b - 1];
+      if (hi[b - 1] == g - 1 || step < 0 || step > 1) return false;
+    }
+    return true;
+  }
+
+  /// Canonical row spans of the net, and the axis its band pass runs on:
+  /// columns or rows, whichever takes fewer band steps among those that
+  /// chain. False when neither chains or an IR-cell covers no fine cell
+  /// (the net is then scored per region).
+  bool plan_bands(const NetOnGrid& net) {
     const int g1 = net.shape.g1;
     const int g2 = net.shape.g2;
-    const bool t2 = net.shape.type2;
     const int ncx = net.ncx();
     const int ncy = net.ncy();
-    probs_.assign(static_cast<std::size_t>(ncx) * static_cast<std::size_t>(ncy),
-                  0.0);
-
-    // Canonical frame: mirror the y-spans for type II nets.
-    row_cy1_.resize(static_cast<std::size_t>(ncy));
-    row_cy2_.resize(static_cast<std::size_t>(ncy));
-    for (int cy = 0; cy < ncy; ++cy) {
-      const int ly1 = ly1_[static_cast<std::size_t>(cy)];
-      const int ly2 = ly2_[static_cast<std::size_t>(cy)];
-      row_cy1_[static_cast<std::size_t>(cy)] = t2 ? g2 - 1 - ly2 : ly1;
-      row_cy2_[static_cast<std::size_t>(cy)] = t2 ? g2 - 1 - ly1 : ly2;
+    // Canonical frame: type II rows are mirrored and run top-down, so
+    // canonical row r is IR row ncy - 1 - r.
+    const bool t2 = net.shape.type2;
+    cy1_.resize(static_cast<std::size_t>(ncy));
+    cy2_.resize(static_cast<std::size_t>(ncy));
+    for (int r = 0; r < ncy; ++r) {
+      const auto cy = static_cast<std::size_t>(t2 ? ncy - 1 - r : r);
+      cy1_[static_cast<std::size_t>(r)] = t2 ? g2 - 1 - ly2_[cy] : ly1_[cy];
+      cy2_[static_cast<std::size_t>(r)] = t2 ? g2 - 1 - ly1_[cy] : ly2_[cy];
     }
-
-    const double log_total = table_->log_choose(g1 + g2 - 2, g2 - 1);
-
-    // --- Top-exit pass: one prefix-sum row per covered IR row with a cell
-    // above it; the band offset is the row's top fine row.
-    bands_.clear();
-    for (int cy = 0; cy < ncy; ++cy) {
-      const int top = row_cy2_[static_cast<std::size_t>(cy)];
-      if (top >= g2 - 1) continue;  // no cell above: no top exits
-      bands_.push_back(Band{
-          cy, top,
-          std::exp(table_->log_choose(g1 - 1 + g2 - 2 - top, g2 - 2 - top) -
-                   log_total)});
-    }
-    run_bands(g1, g2, [&](int row, std::size_t lane) {
-      for (int cx = 0; cx < ncx; ++cx) {
-        probs_[index(cx, row, ncx)] +=
-            band_sum(lane, lx1_[static_cast<std::size_t>(cx)],
-                     lx2_[static_cast<std::size_t>(cx)]);
-      }
-    });
-
-    // --- Right-exit pass: one prefix-sum column per covered IR column with
-    // a cell to its right; the band offset is the column's right fine
-    // column.
-    bands_.clear();
-    for (int cx = 0; cx < ncx; ++cx) {
-      const int right = lx2_[static_cast<std::size_t>(cx)];
-      if (right >= g1 - 1) continue;  // no cell to the right
-      bands_.push_back(Band{
-          cx, right,
-          std::exp(table_->log_choose(g1 - 2 - right + g2 - 1, g2 - 1) -
-                   log_total)});
-    }
-    run_bands(g2, g1, [&](int column, std::size_t lane) {
-      for (int cy = 0; cy < ncy; ++cy) {
-        probs_[index(column, cy, ncx)] +=
-            band_sum(lane, row_cy1_[static_cast<std::size_t>(cy)],
-                     row_cy2_[static_cast<std::size_t>(cy)]);
-      }
-    });
-
-    // --- Pin override + clamp.
-    for (int cy = 0; cy < ncy; ++cy) {
-      const int cy1 = row_cy1_[static_cast<std::size_t>(cy)];
-      const int cy2 = row_cy2_[static_cast<std::size_t>(cy)];
-      for (int cx = 0; cx < ncx; ++cx) {
-        const int lx1 = lx1_[static_cast<std::size_t>(cx)];
-        const int lx2 = lx2_[static_cast<std::size_t>(cx)];
-        double& p = probs_[index(cx, cy, ncx)];
-        const bool covers_source = lx1 == 0 && cy1 == 0;
-        const bool covers_sink = lx2 == g1 - 1 && cy2 == g2 - 1;
-        if (covers_source || covers_sink) p = 1.0;
-        p = std::clamp(p, 0.0, 1.0);
-      }
-    }
+    if (!covers(lx1_, lx2_) || !covers(cy1_, cy2_)) return false;
+    const bool by_columns = chains(lx1_, lx2_, g1);
+    const bool by_rows = chains(cy1_, cy2_, g2);
+    // A pass runs one band per span but the last.
+    const long long column_steps = static_cast<long long>(ncx - 1) * g2;
+    const long long row_steps = static_cast<long long>(ncy - 1) * g1;
+    bands_on_rows_ = by_rows && (!by_columns || row_steps < column_steps);
+    return by_columns || by_rows;
   }
 
-  /// One band of a banded pass: the covered IR row (top pass) or column
-  /// (right pass) it serves, its fine-lattice offset k, and its first exit
-  /// term.
-  struct Band {
-    int cell;
-    int k;
-    double start;
+  /// Banded exact probabilities for all covered IR-cells of one net, on
+  /// the axis plan_bands() chose (see the class comment for the math).
+  void fill_banded(const NetOnGrid& net) {
+    const int ncx = net.ncx();
+    const int ncy = net.ncy();
+    obs::count(obs::Counter::kIrRegionsBanded,
+               static_cast<long long>(ncx) * ncy);
+    probs_.resize(static_cast<std::size_t>(ncx) *
+                  static_cast<std::size_t>(ncy));
+    // probs_ offsets: IR column cx at cx, canonical row r at its IR row.
+    const bool t2 = net.shape.type2;
+    const Axis columns{&lx1_, &lx2_, net.shape.g1, 0, 1};
+    const Axis rows{&cy1_, &cy2_, net.shape.g2,
+                    t2 ? static_cast<std::ptrdiff_t>(ncy - 1) * ncx : 0,
+                    t2 ? -static_cast<std::ptrdiff_t>(ncx) : ncx};
+    const double log_total =
+        table_->log_choose(net.shape.g1 + net.shape.g2 - 2, net.shape.g2 - 1);
+    const long long steps = bands_on_rows_
+                                ? band_pass(rows, columns, log_total)
+                                : band_pass(columns, rows, log_total);
+    obs::count(obs::Counter::kIrBandSteps, steps);
+  }
+
+  /// The covered IR columns or rows of a net along one lattice axis: their
+  /// fine spans in lattice order, the axis's lattice size, and where span
+  /// b's cells sit in probs_ (base + b * stride).
+  struct Axis {
+    const std::vector<int>* lo;
+    const std::vector<int>* hi;
+    int g;
+    std::ptrdiff_t base;
+    std::ptrdiff_t stride;
   };
 
-  /// Runs the bands_ of one pass through prefix_pair() two at a time and
-  /// hands each band's lane to accumulate(cell, lane). An odd count copies
-  /// the last band into the spare lane, whose output is dropped.
-  template <typename Accumulate>
-  void run_bands(int n, int m, Accumulate&& accumulate) {
-    const std::size_t count = bands_.size();
-    if (count % 2 != 0) bands_.push_back(bands_.back());
-    for (std::size_t j = 0; j < count; j += 2) {
-      prefix_pair(n, m, bands_[j], bands_[j + 1]);
-      accumulate(bands_[j].cell, std::size_t{0});
-      if (j + 1 < count) accumulate(bands_[j + 1].cell, std::size_t{1});
+  /// One band of a pass: its fine-lattice offset k (the last fine cell of
+  /// its span) and its first normal exit term.
+  struct Band {
+    int k;
+    FirstNormalTerm first;
+  };
+
+  /// One band pass: a band per span of `u` but the last, each of length
+  /// v.g, streamed in order (see the class comment; the column form has
+  /// u = columns, v = rows). Writes every IR-cell of the net into probs_
+  /// and returns the band steps run.
+  long long band_pass(const Axis& u, const Axis& v, double log_total) {
+    const auto nu = u.lo->size();
+    const auto nv = v.lo->size();
+    bands_.clear();
+    for (std::size_t b = 0; b + 1 < nu; ++b) {
+      const int k = (*u.hi)[b];
+      bands_.push_back(Band{
+          k, first_normal_term(*table_, k, u.g - 2 - k, v.g - 1, log_total)});
+    }
+    // entry_[c] is E for span c of v in the current span of u: 1 for the
+    // first span of u, which starts at 0.
+    entry_.assign(nv, 1.0);
+    long long steps = 0;
+    std::size_t b = 0;
+    while (b < bands_.size()) {
+      // Pair only bands that start at the same index; a band that starts
+      // later runs alone, beside a spare copy of itself.
+      const bool pair = b + 1 < bands_.size() &&
+                        bands_[b + 1].first.index == bands_[b].first.index;
+      prefix_pair(v.g, u.g, bands_[b], bands_[pair ? b + 1 : b]);
+      const std::size_t lanes = pair ? 2 : 1;
+      for (std::size_t lane = 0; lane < lanes; ++lane, ++b) {
+        steps += v.g - bands_[b].first.index;
+        finish_span(u, v, b, lane);
+      }
+    }
+    // The last span of u ends at the lattice's last fine cell: F = 0.
+    const std::ptrdiff_t last =
+        u.base + static_cast<std::ptrdiff_t>(nu - 1) * u.stride;
+    for (std::size_t c = 0; c < nv; ++c) {
+      probs_[static_cast<std::size_t>(
+          last + v.base + static_cast<std::ptrdiff_t>(c) * v.stride)] =
+          std::clamp(entry_[c], 0.0, 1.0);
+    }
+    return steps;
+  }
+
+  /// Writes span b of u's cells from entry_ and its band (one lane of
+  /// prefix_), then replaces entry_ with span b + 1's E.
+  void finish_span(const Axis& u, const Axis& v, std::size_t b,
+                   std::size_t lane) {
+    const int k = (*u.hi)[b];
+    const int next_lo = (*u.lo)[b + 1];
+    // next_lo is k + 1 (E is the band's own prefix) or k (add the exits
+    // across the shared fine cell); 0 only when k is 0, where E stays 1.
+    const bool shared = next_lo == k;
+    const double across = 1.0 / static_cast<double>(u.g - 1 - k);
+    const std::ptrdiff_t row =
+        u.base + static_cast<std::ptrdiff_t>(b) * u.stride + v.base;
+    const double* prefix = prefix_.data() + lane;
+    const double* terms = terms_.data() + lane;
+    for (std::size_t c = 0; c < entry_.size(); ++c) {
+      const int lo = (*v.lo)[c];
+      const int hi = (*v.hi)[c];
+      const double f =
+          lo == 0 ? 0.0 : prefix[2 * static_cast<std::size_t>(lo - 1)];
+      probs_[static_cast<std::size_t>(
+          row + static_cast<std::ptrdiff_t>(c) * v.stride)] =
+          std::clamp(entry_[c] - f, 0.0, 1.0);
+      if (next_lo == 0 || hi == v.g - 1) continue;  // E = 1
+      const std::size_t at = 2 * static_cast<std::size_t>(hi);
+      entry_[c] = prefix[at];
+      if (shared) {
+        entry_[c] += terms[at] * (static_cast<double>(v.g - 1 - hi) * across);
+      }
     }
   }
 
-  /// Exit-term prefix sums of two bands of length n, one per lane, into
-  /// prefix_ (lane-interleaved: prefix_[2 * i + lane]). m is the lattice
-  /// size across the bands: n = g1, m = g2 in the top-exit pass and
-  /// n = g2, m = g1 in the right-exit pass. Per lane this is the
-  /// recurrence of the class comment,
+  /// Exit terms and their prefix sums of two bands of length n, one per
+  /// lane, into terms_ and prefix_ (lane-interleaved: prefix_[2 * i +
+  /// lane]). m is the lattice size across the bands: n = g2, m = g1 for
+  /// column bands, n = g1, m = g2 for row bands. Both bands start at the
+  /// same index s; the terms before it are below DBL_MIN and stored as 0.
+  /// Per lane this is the recurrence of the class comment,
   ///   term(i+1) = term(i) * ((i+1+k)/(i+1) * ((n-1-i)/((n-1-i)+(m-2-k)))),
   /// with the same correctly rounded operations in the same order as a
   /// one-band loop, so neither lane's sums depend on the other band.
   void prefix_pair(int n, int m, const Band& lo, const Band& hi) {
+    const int s = std::min(lo.first.index, n);
     prefix_.resize(2 * static_cast<std::size_t>(n));
-    vd2 term = {lo.start, hi.start};
+    terms_.resize(2 * static_cast<std::size_t>(n));
+    std::fill_n(prefix_.begin(), 2 * static_cast<std::size_t>(s), 0.0);
+    std::fill_n(terms_.begin(), 2 * static_cast<std::size_t>(s), 0.0);
+    if (s == n) return;
+    vd2 term = {lo.first.value, hi.first.value};
     vd2 running = {0.0, 0.0};
-    // The four factors, stepped by 1 from their i = 0 values. They are
+    // The four factors, stepped by 1 from their i = s values. They are
     // integers far below 2^53, so every step is exact and each factor
     // equals the int expression converted to double.
-    vd2 a = {static_cast<double>(lo.k + 1), static_cast<double>(hi.k + 1)};
-    vd2 b = {1.0, 1.0};
-    vd2 c = {static_cast<double>(n - 1), static_cast<double>(n - 1)};
-    vd2 d = {static_cast<double>((n - 1) + (m - 2 - lo.k)),
-             static_cast<double>((n - 1) + (m - 2 - hi.k))};
+    vd2 a = {static_cast<double>(lo.k + 1 + s),
+             static_cast<double>(hi.k + 1 + s)};
+    vd2 b = {static_cast<double>(1 + s), static_cast<double>(1 + s)};
+    vd2 c = {static_cast<double>(n - 1 - s), static_cast<double>(n - 1 - s)};
+    vd2 d = {static_cast<double>((n - 1 - s) + (m - 2 - lo.k)),
+             static_cast<double>((n - 1 - s) + (m - 2 - hi.k))};
     const vd2 one = {1.0, 1.0};
-    for (int i = 0; i < n - 1; ++i) {
+    for (int i = s; i < n - 1; ++i) {
       running += term;
       std::memcpy(prefix_.data() + 2 * static_cast<std::size_t>(i), &running,
                   sizeof running);
+      std::memcpy(terms_.data() + 2 * static_cast<std::size_t>(i), &term,
+                  sizeof term);
       term *= (a / b) * (c / d);
       a += one;
       b += one;
@@ -412,25 +496,21 @@ class NetScorer {
     running += term;
     std::memcpy(prefix_.data() + 2 * static_cast<std::size_t>(n - 1),
                 &running, sizeof running);
-  }
-
-  /// Sum of one lane's exit terms over the fine span [lo, hi].
-  double band_sum(std::size_t lane, int lo, int hi) const {
-    return prefix_[2 * static_cast<std::size_t>(hi) + lane] -
-           (lo > 0 ? prefix_[2 * static_cast<std::size_t>(lo - 1) + lane]
-                   : 0.0);
+    std::memcpy(terms_.data() + 2 * static_cast<std::size_t>(n - 1), &term,
+                sizeof term);
   }
 
   /// Per-region probabilities (kTheorem1 / kExactPerRegion, and the
-  /// degenerate-shape fallback of kBandedExact): steps 3.1-3.3, one
-  /// kernel call per IR-cell of the net's ncx x ncy region matrix.
+  /// fallback of kBandedExact for degenerate shapes and nets no band pass
+  /// fits): steps 3.1-3.3, one kernel call per IR-cell of the net's
+  /// ncx x ncy region matrix.
   void fill_regions(const NetOnGrid& net) {
     const int ncx = net.ncx();
     const int ncy = net.ncy();
     const bool theorem1 = params_->strategy == IrEvalStrategy::kTheorem1;
     // Regions computed (memo hits skip this function entirely; they show
-    // up as score_memo hits instead). The banded strategy's degenerate
-    // shapes land here too and count as exact regions.
+    // up as score_memo hits instead). The banded strategy's fallback nets
+    // land here too and count as exact regions.
     obs::count(theorem1 ? obs::Counter::kIrRegionsTheorem1
                         : obs::Counter::kIrRegionsExact,
                static_cast<long long>(ncx) * ncy);
@@ -462,10 +542,11 @@ class NetScorer {
   // Scratch buffers reused across the nets of one evaluation block (each
   // block has its own scorer, so these are never shared between threads).
   std::vector<double> probs_;
-  std::vector<double> prefix_;
+  std::vector<double> prefix_, terms_, entry_;
   std::vector<Band> bands_;
   std::vector<int> lx1_, lx2_, ly1_, ly2_;
-  std::vector<int> row_cy1_, row_cy2_;
+  std::vector<int> cy1_, cy2_;  ///< row spans in canonical order
+  bool bands_on_rows_ = false;  ///< plan_bands()'s axis for fill_banded()
   ScoreMemo::Key key_;
 };
 

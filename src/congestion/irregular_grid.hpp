@@ -35,13 +35,16 @@ enum class IrEvalStrategy {
   /// Exact Formula 3 per IR-grid. O(region edge length) per region;
   /// the validation reference.
   kExactPerRegion,
-  /// Exact Formula 3 for ALL IR-grids of a net at once via per-cut-band
-  /// prefix sums of the exit terms (multiplicative recurrences, no
-  /// binomials in the inner loop). Same results as kExactPerRegion to
-  /// floating-point accuracy but O(ncy * g1 + ncx * g2) per net, one band
-  /// per covered IR row and column, instead of work per cell — the fast
-  /// path for annealing-embedded use. An engineering improvement over the
-  /// paper; see DESIGN.md ("Key design decisions").
+  /// Exact Formula 3 for ALL IR-grids of a net at once from one band pass:
+  /// prefix sums of the right-exit terms at each covered IR column's last
+  /// fine column (multiplicative recurrences, no binomials in the inner
+  /// loop), from which every cell follows as a difference of two sums —
+  /// or the transposed pass over the rows, whichever is cheaper. Same
+  /// results as kExactPerRegion to floating-point accuracy but
+  /// O(R + min(ncx * g2, ncy * g1)) per net for R covered IR-cells,
+  /// instead of work per cell — the fast path for annealing-embedded use.
+  /// An engineering improvement over the paper; see DESIGN.md ("Key
+  /// design decisions").
   kBandedExact,
 };
 
@@ -56,12 +59,13 @@ struct IrregularGridParams {
   double merge_factor = 2.0;
   /// Capacity (entries) of the per-thread LRU memo for per-net probability
   /// matrices; 0 disables memoization. Only the region strategies and the
-  /// banded strategy's degenerate-shape fallback use it: the banded scorer
-  /// recomputes every matrix and never looks it up. Hits and misses return
-  /// bit-identical values, so this knob trades memory for speed without
-  /// ever changing results. 4096 covers the live shape population of
-  /// MCNC-scale anneals; larger capacities were measured slower (the
-  /// working set outgrows the data caches faster than the hit rate rises).
+  /// banded strategy's per-region fallback (degenerate shapes, and nets no
+  /// band pass fits) use it: the banded scorer recomputes every matrix and
+  /// never looks it up. Hits and misses return bit-identical values, so
+  /// this knob trades memory for speed without ever changing results.
+  /// 4096 covers the live shape population of MCNC-scale anneals; larger
+  /// capacities were measured slower (the working set outgrows the data
+  /// caches faster than the hit rate rises).
   std::size_t score_cache_capacity = 4096;
 };
 

@@ -1,6 +1,7 @@
 #include "congestion/path_prob.hpp"
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
 #include <vector>
 
@@ -19,6 +20,23 @@ GridRect clip(const NetGridShape& s, const GridRect& r) {
 double clamp01(double v) { return std::clamp(v, 0.0, 1.0); }
 
 }  // namespace
+
+FirstNormalTerm first_normal_term(LogFactorialTable& table, int in, int out,
+                                  int len, double log_total) {
+  // exp() of anything below this is below DBL_MIN (ln DBL_MIN = -708.396),
+  // so only terms near the threshold pay for an exp().
+  constexpr double kBelowDblMin = -708.4;
+  for (int i = 0; i <= len; ++i) {
+    // At i = 0 the first log_choose is exactly 0, so the sum keeps the
+    // bits of log_choose(out + len, out) - log_total.
+    const double ln = table.log_choose(in + i, in) +
+                      table.log_choose(out + (len - i), out) - log_total;
+    if (ln < kBelowDblMin) continue;
+    const double term = std::exp(ln);
+    if (term >= DBL_MIN) return FirstNormalTerm{i, term};
+  }
+  return FirstNormalTerm{len + 1, 0.0};
+}
 
 std::optional<double> PathProbability::log_ta(const NetGridShape& s, int x,
                                               int y) const {

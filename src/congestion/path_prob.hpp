@@ -88,6 +88,27 @@ class PathProbability {
   LogFactorialTable* table_;
 };
 
+/// The first term of a straight lattice walk that is a normal double.
+struct FirstNormalTerm {
+  int index;     ///< first i with term(i) >= DBL_MIN; len + 1 if none
+  double value;  ///< term(index), or 0 if none
+};
+
+/// Where a multiplicative recurrence over a straight walk of lattice
+/// points may start:
+///   term(i) = C(in + i, in) * C(out + (len - i), out) / exp(log_total),
+/// i = 0..len, the share of routes through the walk's i-th point, `in`
+/// steps across the walk before it and `out` after it. A fixed-grid row
+/// and a banded scorer's band are such walks. Starting the recurrence at
+/// term(0) leaves the whole walk at 0 once term(0) underflows, which
+/// happens once ln C(out + len, out) passes ~708 (lattices of roughly
+/// 500 x 500 cells), although its later terms are large. Stepping
+/// ln term(i) up from i = 0 finds the first term >= DBL_MIN instead;
+/// every term skipped is below DBL_MIN. When term(0) is normal, its value
+/// is bit-equal to exp(log_choose(out + len, out) - log_total).
+FirstNormalTerm first_normal_term(LogFactorialTable& table, int in, int out,
+                                  int len, double log_total);
+
 /// Mirror a y-coordinate for the type II -> type I transform.
 inline int mirror_y(int g2, int y) { return g2 - 1 - y; }
 

@@ -29,6 +29,7 @@
 // thread at a time, like the rest of the scoring stack.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <optional>
 #include <span>
@@ -77,8 +78,10 @@ class ProbKernel {
   /// Fixed-grid mirror: Formula 2 for one non-degenerate net, emitted row
   /// by row in the canonical type I frame. `emit(ly, row)` receives each
   /// fine row's g1 cell probabilities (the span is kernel scratch, valid
-  /// only during the call). Bit-identical to the historical inline
-  /// recurrence in fixed_grid.cpp.
+  /// only during the call). Each row starts at its first normal cell
+  /// (first_normal_term), so rows of long routing ranges no longer
+  /// underflow to 0; a row whose first cell is normal keeps the bits of
+  /// the historical inline recurrence in fixed_grid.cpp.
   template <typename RowFn>
   void for_each_cell_row(const NetGridShape& s, RowFn&& emit) {
     const int g1 = s.g1;
@@ -87,11 +90,14 @@ class ProbKernel {
     row_.resize(static_cast<std::size_t>(g1));
     const double log_total = exact_.log_total(s);
     for (int ly = 0; ly < g2; ++ly) {
-      // P(0, ly) = Tb(0, ly) / Total, then advance along the row by the
+      // Start at the row's first normal P(lx, ly) (P(0, ly) = Tb(0, ly) /
+      // Total unless that underflows), then advance along the row by the
       // exact ratio P(x+1,y)/P(x,y) = (x+y+1)/(x+1) * a/(a+b).
-      double p = std::exp(table.log_choose(g1 - 1 + g2 - 1 - ly, g2 - 1 - ly) -
-                          log_total);
-      for (int lx = 0; lx < g1; ++lx) {
+      const FirstNormalTerm first =
+          first_normal_term(table, ly, g2 - 1 - ly, g1 - 1, log_total);
+      std::fill(row_.begin(), row_.begin() + std::min(first.index, g1), 0.0);
+      double p = first.value;
+      for (int lx = first.index; lx < g1; ++lx) {
         row_[static_cast<std::size_t>(lx)] = p;
         if (lx < g1 - 1) {
           const double a = static_cast<double>(g1 - 1 - lx);

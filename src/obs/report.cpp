@@ -224,16 +224,21 @@ void write_summary(std::ostream& os, const TraceReport& report) {
   caches.print(os);
   os << "\n";
 
-  TextTable strategies({"strategy", "regions", "exact fallbacks"});
+  // Band steps are the banded strategy's work count (one per recurrence
+  // step), so they sit on its row.
+  TextTable strategies(
+      {"strategy", "regions", "exact fallbacks", "band steps"});
   for (const StrategyLine& s : kStrategyLines) {
     strategies.add_row(
         {s.name, std::to_string(report.counter(s.regions)),
-         std::to_string(s.has_fallbacks ? report.counter(s.fallbacks)
-                                        : 0)});
+         std::to_string(s.has_fallbacks ? report.counter(s.fallbacks) : 0),
+         s.regions == Counter::kIrRegionsBanded
+             ? std::to_string(report.counter(Counter::kIrBandSteps))
+             : "-"});
   }
   strategies.add_row(
       {"certain (pin/full-span)",
-       std::to_string(report.counter(Counter::kIrRegionsCertain)), "0"});
+       std::to_string(report.counter(Counter::kIrRegionsCertain)), "0", "-"});
   strategies.print(os);
   os << "\n";
 

@@ -71,6 +71,7 @@ inline constexpr const char* kCounterNames[] = {
     "ir_regions_banded",
     "ir_regions_certain",
     "ir_theorem1_exact_fallbacks",
+    "ir_band_steps",
     // Fixed-grid (judging) congestion model.
     "fixed_evaluations",
     "fixed_nets_scored",

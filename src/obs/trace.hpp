@@ -67,6 +67,7 @@ enum class Counter : int {
   kIrRegionsBanded,
   kIrRegionsCertain,
   kIrTheorem1ExactFallbacks,
+  kIrBandSteps,
   // Fixed-grid (judging) congestion model.
   kFixedEvaluations,
   kFixedNetsScored,

@@ -1,5 +1,6 @@
 // Fixed-size-grid congestion model tests (the section 3 baseline and the
 // judging model).
+#include <algorithm>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -52,17 +53,36 @@ TEST(FixedGrid, TypeTwoNetAccumulatesMirrored) {
 
 TEST(FixedGrid, RowConservationPerNet) {
   // Summing f over any anti-diagonal of a single net's span gives exactly 1
-  // (each route crosses it once) — the map must inherit that.
-  const FixedGridModel model(FixedGridParams{10, 10, 0.10});
-  const std::vector<TwoPinNet> nets{{Point{5, 5}, Point{95, 95}, 0}};
-  const CongestionMap map = model.evaluate(nets, kChip);
-  for (int d = 0; d <= 18; ++d) {
-    double sum = 0.0;
-    for (int x = 0; x <= d; ++x) {
-      const int y = d - x;
-      if (x < 10 && y < 10) sum += map.at(x, y);
+  // (each route crosses it once) — the map must inherit that. The 800 x
+  // 800-cell nets' rows start at P(0, ly) = C(1598 - ly, 799 - ly) /
+  // C(1598, 799), which underflows to 0 for most rows; each row now starts
+  // at its first normal cell instead of losing the whole row.
+  struct Case {
+    int cells;  ///< the net spans cells x 0..cells-1 and y 0..cells-1
+    bool type2;
+  };
+  for (const Case c : {Case{10, false}, Case{800, false}, Case{800, true}}) {
+    SCOPED_TRACE(::testing::Message()
+                 << c.cells << " cells" << (c.type2 ? " type II" : ""));
+    const double extent = 10.0 * c.cells;
+    const FixedGridModel model(FixedGridParams{10, 10, 0.10});
+    const double top = extent - 5;
+    const std::vector<TwoPinNet> nets{{Point{5, c.type2 ? top : 5},
+                                       Point{top, c.type2 ? 5 : top}, 0}};
+    const CongestionMap map = model.evaluate(nets, Rect{0, 0, extent, extent});
+    ASSERT_EQ(map.nx(), c.cells);
+    ASSERT_EQ(map.ny(), c.cells);
+    const int last = c.cells - 1;
+    for (int d = 0; d <= 2 * last; ++d) {
+      double sum = 0.0;
+      for (int x = std::max(0, d - last); x <= std::min(d, last); ++x) {
+        // A type II route steps right or down, so its diagonals run from
+        // the top row.
+        const int y = c.type2 ? last - (d - x) : d - x;
+        sum += map.at(x, y);
+      }
+      EXPECT_NEAR(sum, 1.0, 1e-9) << "diagonal " << d;
     }
-    EXPECT_NEAR(sum, 1.0, 1e-9) << "diagonal " << d;
   }
 }
 
