@@ -11,13 +11,14 @@
 // Input layout: byte 0 = module count seed, byte 1..8 = RNG seed, the
 // rest alternates between raw token bytes (first half) and move selectors
 // (second half). Built as a libFuzzer target under clang
-// (-fsanitize=fuzzer); under gcc the same file compiles into a standalone
-// driver that replays files given on the command line (or a built-in
-// random smoke loop when run without arguments).
+// (-fsanitize=fuzzer); under gcc the shared standalone driver
+// (standalone_main.cpp) replays files given on the command line, or runs
+// a smoke loop over random bytes when run without arguments.
 #include <cstdint>
 #include <cstring>
 #include <vector>
 
+#include "harness.hpp"
 #include "floorplan/polish.hpp"
 #include "util/rng.hpp"
 
@@ -40,14 +41,6 @@ PolishToken decode_token(std::uint8_t b, int module_count) {
   }
 }
 
-void check(bool ok, const char* what) {
-  if (!ok) {
-    // Crash loudly so both libFuzzer and the standalone driver report it.
-    std::fprintf(stderr, "invariant violated: %s\n", what);
-    __builtin_trap();
-  }
-}
-
 void run_one(const std::uint8_t* data, std::size_t size) {
   if (size < 10) return;
   const int module_count = data[0] % 24 + 1;
@@ -67,7 +60,7 @@ void run_one(const std::uint8_t* data, std::size_t size) {
   const bool normalized = PolishExpression::is_normalized(tokens);
   if (valid && normalized) {
     const PolishExpression parsed(tokens);  // must not throw
-    check(parsed.tokens() == tokens, "constructor altered tokens");
+    fuzz_check(parsed.tokens() == tokens, "constructor altered tokens");
   }
 
   // Phase 2: a known-good expression through a fuzz-chosen move script.
@@ -89,12 +82,12 @@ void run_one(const std::uint8_t* data, std::size_t size) {
         expr.random_move(rng);
         break;
     }
-    check(PolishExpression::is_valid(expr.tokens()),
-          "move produced an invalid expression");
-    check(PolishExpression::is_normalized(expr.tokens()),
-          "move produced a non-normalized expression");
-    check(expr.module_count() == module_count,
-          "move changed the module count");
+    fuzz_check(PolishExpression::is_valid(expr.tokens()),
+               "move produced an invalid expression");
+    fuzz_check(PolishExpression::is_normalized(expr.tokens()),
+               "move produced a non-normalized expression");
+    fuzz_check(expr.module_count() == module_count,
+               "move changed the module count");
   }
 }
 
@@ -106,43 +99,9 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   return 0;
 }
 
-#ifndef FICON_LIBFUZZER
-// Standalone driver (gcc has no libFuzzer): replay corpus files, or with
-// no arguments run a deterministic random smoke loop.
-#include <cstdio>
-
-int main(int argc, char** argv) {
-  if (argc > 1) {
-    for (int i = 1; i < argc; ++i) {
-      std::FILE* f = std::fopen(argv[i], "rb");
-      if (f == nullptr) {
-        std::fprintf(stderr, "cannot open %s\n", argv[i]);
-        return 2;
-      }
-      std::vector<std::uint8_t> data;
-      std::uint8_t buf[4096];
-      std::size_t n = 0;
-      while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) {
-        data.insert(data.end(), buf, buf + n);
-      }
-      std::fclose(f);
-      run_one(data.data(), data.size());
-      std::printf("%s: ok (%zu bytes)\n", argv[i], data.size());
-    }
-    return 0;
+void fuzz_smoke_input(ficon::SplitMix64& gen, std::vector<std::uint8_t>& data) {
+  data.resize(10 + gen.next() % 120);
+  for (std::uint8_t& b : data) {
+    b = static_cast<std::uint8_t>(gen.next());
   }
-  // Smoke mode: ~20k random inputs from a fixed seed. The generator here
-  // only produces *inputs*; all checking stays inside run_one.
-  ficon::SplitMix64 gen(0xF1C0Du);
-  std::vector<std::uint8_t> data;
-  for (int iter = 0; iter < 20000; ++iter) {
-    data.resize(10 + gen.next() % 120);
-    for (std::uint8_t& b : data) {
-      b = static_cast<std::uint8_t>(gen.next());
-    }
-    run_one(data.data(), data.size());
-  }
-  std::printf("polish_fuzz smoke: 20000 inputs ok\n");
-  return 0;
 }
-#endif

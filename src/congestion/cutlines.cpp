@@ -1,10 +1,9 @@
 #include "congestion/cutlines.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdint>
+#include <array>
 
-#include "util/arena.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ficon {
 
@@ -36,63 +35,11 @@ struct Cluster {
   double rep() const { return sum / count; }
 };
 
-/// Below this size a plain std::sort wins; above it, cache-blocked
-/// bucketing keeps each comparison sort within L2.
-constexpr std::size_t kBlockedSortThreshold = std::size_t{1} << 14;
-/// Target elements per bucket: ~32 KiB of doubles, comfortably in-cache.
-constexpr std::size_t kBlockedSortBucket = std::size_t{1} << 12;
-
-/// @brief Sort `coords` ascending; all values must lie in [lo, hi].
-///
-/// Produces exactly the sequence std::sort would (doubles that compare
-/// equal are interchangeable, so stability is moot): values are scattered
-/// into equal-width buckets by a monotone linear map — so every element of
-/// bucket b precedes every element of bucket b+1 — then each bucket is
-/// comparison-sorted in cache and the buckets concatenated in place. At
-/// the million-line scale of the synthetic tiers (src/gen) this trades the
-/// O(n log n) full-array passes of introsort, whose working set falls out
-/// of LLC, for one O(n) scatter plus in-cache sorts. Scratch comes from a
-/// thread_local arena (util/arena.hpp), so steady state allocates nothing.
-void sort_coords_blocked(std::vector<double>& coords, double lo, double hi) {
-  if (coords.size() < kBlockedSortThreshold) {
-    std::sort(coords.begin(), coords.end());
-    return;
-  }
-  thread_local MonotonicArena arena;
-  arena.reset();
-  const std::size_t n = coords.size();
-  const std::size_t buckets = (n + kBlockedSortBucket - 1) / kBlockedSortBucket;
-  const double scale = static_cast<double>(buckets) / (hi - lo);
-  const auto bucket_of = [&](double v) {
-    // Monotone in v, clamped to [0, buckets): order across buckets is the
-    // value order even for coordinates pinned to the boundaries.
-    const double b = (v - lo) * scale;
-    if (!(b > 0.0)) return std::size_t{0};
-    const auto i = static_cast<std::size_t>(b);
-    return i < buckets ? i : buckets - 1;
-  };
-
-  const std::span<std::uint32_t> offset =
-      arena.alloc_span<std::uint32_t>(buckets + 1);
-  const std::span<std::uint32_t> cursor =
-      arena.alloc_span<std::uint32_t>(buckets);
-  const std::span<double> scratch = arena.alloc_span<double>(n);
-  std::fill(offset.begin(), offset.end(), 0u);
-  for (const double v : coords) {
-    ++offset[bucket_of(v) + 1];
-  }
-  for (std::size_t b = 0; b < buckets; ++b) {
-    offset[b + 1] += offset[b];
-    cursor[b] = offset[b];
-  }
-  for (const double v : coords) {
-    scratch[cursor[bucket_of(v)]++] = v;
-  }
-  for (std::size_t b = 0; b < buckets; ++b) {
-    std::sort(scratch.begin() + offset[b], scratch.begin() + offset[b + 1]);
-  }
-  std::copy(scratch.begin(), scratch.end(), coords.begin());
-}
+/// One axis's raw coordinates and its cluster buffer.
+struct AxisScratch {
+  std::vector<double> coords;
+  std::vector<Cluster> kept;
+};
 
 /// merge_lines() with caller-owned scratch: sorts `coords` in place, uses
 /// `kept` as the cluster buffer and writes the merged lines to `merged`.
@@ -103,7 +50,7 @@ void merge_lines_into(std::vector<double>& coords, double lo, double hi,
                       std::vector<double>& merged) {
   FICON_REQUIRE(lo < hi, "degenerate axis");
   FICON_REQUIRE(min_gap >= 0.0, "negative merge gap");
-  sort_coords_blocked(coords, lo, hi);
+  std::sort(coords.begin(), coords.end());
 
   kept.clear();
   std::size_t i = 0;
@@ -164,28 +111,34 @@ std::vector<double> merge_lines(std::vector<double> coords, double lo,
 CutLines build_cutlines(std::span<const TwoPinNet> nets, const Rect& chip,
                         double min_dx, double min_dy) {
   FICON_REQUIRE(chip.is_proper(), "chip must have positive area");
-  // Raw coordinate and cluster buffers are per-thread scratch: this runs
-  // once per proposed annealing move, and the raw line count (2 per net
-  // per axis) dwarfs the merged output that the CutLines object owns.
-  thread_local std::vector<double> xs;
-  thread_local std::vector<double> ys;
-  thread_local std::vector<Cluster> kept;
-  xs.clear();
-  ys.clear();
-  xs.reserve(nets.size() * 2);
-  ys.reserve(nets.size() * 2);
-  for (const TwoPinNet& net : nets) {
-    const Rect r = net.routing_range();
-    xs.push_back(std::clamp(r.xlo, chip.xlo, chip.xhi));
-    xs.push_back(std::clamp(r.xhi, chip.xlo, chip.xhi));
-    ys.push_back(std::clamp(r.ylo, chip.ylo, chip.yhi));
-    ys.push_back(std::clamp(r.yhi, chip.ylo, chip.yhi));
-  }
-  std::vector<double> merged_x;
-  std::vector<double> merged_y;
-  merge_lines_into(xs, chip.xlo, chip.xhi, min_dx, kept, merged_x);
-  merge_lines_into(ys, chip.ylo, chip.yhi, min_dy, kept, merged_y);
-  return CutLines(std::move(merged_x), std::move(merged_y));
+  // Raw coordinate and cluster buffers are scratch of the calling thread,
+  // one set per axis: this runs once per proposed annealing move, and the
+  // raw line count (2 per net per axis) dwarfs the merged output that the
+  // CutLines object owns. The blocks reach them through the local
+  // reference: a thread_local named inside the lambda would be the
+  // worker's instance, not the caller's.
+  thread_local std::array<AxisScratch, 2> scratch_tls;
+  std::array<AxisScratch, 2>& scratch = scratch_tls;
+  std::array<std::vector<double>, 2> merged;
+  // The axes are independent, so each is one block: it clamps, sorts and
+  // merges its own coordinates. Its lines depend on nothing else, so they
+  // are the same whether the two blocks run at once or inline in order.
+  ThreadPool::global().run(2, [&](int axis) {
+    const bool x = axis == 0;
+    const double lo = x ? chip.xlo : chip.ylo;
+    const double hi = x ? chip.xhi : chip.yhi;
+    AxisScratch& s = scratch[static_cast<std::size_t>(axis)];
+    s.coords.clear();
+    s.coords.reserve(nets.size() * 2);
+    for (const TwoPinNet& net : nets) {
+      const Rect r = net.routing_range();
+      s.coords.push_back(std::clamp(x ? r.xlo : r.ylo, lo, hi));
+      s.coords.push_back(std::clamp(x ? r.xhi : r.yhi, lo, hi));
+    }
+    merge_lines_into(s.coords, lo, hi, x ? min_dx : min_dy, s.kept,
+                     merged[static_cast<std::size_t>(axis)]);
+  });
+  return CutLines(std::move(merged[0]), std::move(merged[1]));
 }
 
 }  // namespace ficon

@@ -4,18 +4,15 @@
 #include <cstdio>
 #include <ostream>
 
+#include "obs/json.hpp"
 #include "util/check.hpp"
 
 namespace ficon {
 namespace {
 
-/// %.17g: enough digits for a double to round-trip bit-exactly — the
+/// Feature values print at %.17g, so they round-trip bit-exactly: the
 /// feature dump is a data artifact, not a picture.
-std::string fmt_value(double v) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", v);
-  return buffer;
-}
+using obs::json_number;
 
 /// Fixed two-decimal pixel coordinates: deterministic and compact. SVG
 /// geometry only needs picture precision.
@@ -191,10 +188,10 @@ void HeatMapSource::write_svg(std::ostream& os,
          << "\" stroke=\"#888888\" stroke-width=\"0.3\">";
       if (options.draw_tooltips) {
         os << "<title>cell (" << cx << ',' << cy << ") capacity="
-           << fmt_value(capacity(cx, cy)) << " usage="
-           << fmt_value(usage(cx, cy)) << " overflow="
-           << fmt_value(overflow(cx, cy)) << " density="
-           << fmt_value(density(cx, cy)) << " crossing_nets="
+           << json_number(capacity(cx, cy)) << " usage="
+           << json_number(usage(cx, cy)) << " overflow="
+           << json_number(overflow(cx, cy)) << " density="
+           << json_number(density(cx, cy)) << " crossing_nets="
            << crossing_nets(cx, cy) << "</title>";
       }
       os << "</rect>\n";
@@ -225,7 +222,7 @@ void HeatMapSource::write_svg(std::ostream& os,
        << fmt_px(bar_y + 22.0)
        << "\" font-size=\"10\" font-family=\"sans-serif\" "
           "text-anchor=\"end\" fill=\"#222222\">"
-       << fmt_value(peak_density) << "</text>\n";
+       << json_number(peak_density) << "</text>\n";
   }
   os << "</svg>\n";
 }
@@ -236,12 +233,12 @@ void HeatMapSource::write_features_csv(std::ostream& os) const {
   for (int cy = 0; cy < field_.ny(); ++cy) {
     for (int cx = 0; cx < field_.nx(); ++cx) {
       const Rect cell = field_.cell_rect(cx, cy);
-      os << cx << ',' << cy << ',' << fmt_value(cell.xlo) << ','
-         << fmt_value(cell.ylo) << ',' << fmt_value(cell.xhi) << ','
-         << fmt_value(cell.yhi) << ',' << fmt_value(capacity(cx, cy))
-         << ',' << fmt_value(usage(cx, cy)) << ','
-         << fmt_value(density(cx, cy)) << ',' << crossing_nets(cx, cy)
-         << ',' << fmt_value(overflow(cx, cy)) << '\n';
+      os << cx << ',' << cy << ',' << json_number(cell.xlo) << ','
+         << json_number(cell.ylo) << ',' << json_number(cell.xhi) << ','
+         << json_number(cell.yhi) << ',' << json_number(capacity(cx, cy))
+         << ',' << json_number(usage(cx, cy)) << ','
+         << json_number(density(cx, cy)) << ',' << crossing_nets(cx, cy)
+         << ',' << json_number(overflow(cx, cy)) << '\n';
     }
   }
 }
@@ -251,15 +248,15 @@ void HeatMapSource::write_features_jsonl(std::ostream& os) const {
     for (int cx = 0; cx < field_.nx(); ++cx) {
       const Rect cell = field_.cell_rect(cx, cy);
       os << "{\"source\":\"" << name_ << "\",\"cx\":" << cx
-         << ",\"cy\":" << cy << ",\"xlo\":" << fmt_value(cell.xlo)
-         << ",\"ylo\":" << fmt_value(cell.ylo)
-         << ",\"xhi\":" << fmt_value(cell.xhi)
-         << ",\"yhi\":" << fmt_value(cell.yhi)
-         << ",\"capacity\":" << fmt_value(capacity(cx, cy))
-         << ",\"usage\":" << fmt_value(usage(cx, cy))
-         << ",\"density\":" << fmt_value(density(cx, cy))
+         << ",\"cy\":" << cy << ",\"xlo\":" << json_number(cell.xlo)
+         << ",\"ylo\":" << json_number(cell.ylo)
+         << ",\"xhi\":" << json_number(cell.xhi)
+         << ",\"yhi\":" << json_number(cell.yhi)
+         << ",\"capacity\":" << json_number(capacity(cx, cy))
+         << ",\"usage\":" << json_number(usage(cx, cy))
+         << ",\"density\":" << json_number(density(cx, cy))
          << ",\"crossing_nets\":" << crossing_nets(cx, cy)
-         << ",\"overflow\":" << fmt_value(overflow(cx, cy)) << "}\n";
+         << ",\"overflow\":" << json_number(overflow(cx, cy)) << "}\n";
     }
   }
 }

@@ -67,7 +67,6 @@
 #include "obs/trace.hpp"   // IWYU pragma: export
 
 // Small utilities used throughout the public API.
-#include "util/arena.hpp"        // IWYU pragma: export
 #include "util/env.hpp"          // IWYU pragma: export
 #include "util/rng.hpp"          // IWYU pragma: export
 #include "util/stats.hpp"        // IWYU pragma: export

@@ -1,6 +1,7 @@
 #include "obs/json.hpp"
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 
 namespace ficon::obs {
@@ -166,45 +167,57 @@ class Parser {
     return true;
   }
 
+  bool parse_object(JsonValue& out) {
+    out.type = JsonValue::Type::kObject;
+    skip_whitespace();
+    if (consume('}')) return true;
+    while (true) {
+      skip_whitespace();
+      std::string key;
+      if (!parse_string(key)) return false;
+      skip_whitespace();
+      if (!consume(':')) return fail("expected ':'");
+      JsonValue member;
+      if (!parse_value(member)) return false;
+      out.object.emplace(std::move(key), std::move(member));
+      skip_whitespace();
+      if (consume(',')) continue;
+      if (consume('}')) return true;
+      return fail("expected ',' or '}'");
+    }
+  }
+
+  bool parse_array(JsonValue& out) {
+    out.type = JsonValue::Type::kArray;
+    skip_whitespace();
+    if (consume(']')) return true;
+    while (true) {
+      JsonValue element;
+      if (!parse_value(element)) return false;
+      out.array.push_back(std::move(element));
+      skip_whitespace();
+      if (consume(',')) continue;
+      if (consume(']')) return true;
+      return fail("expected ',' or ']'");
+    }
+  }
+
   bool parse_value(JsonValue& out) {
     skip_whitespace();
     if (pos_ >= text_.size()) return fail("unexpected end of input");
     const char c = text_[pos_];
     switch (c) {
-      case '{': {
-        ++pos_;
-        out.type = JsonValue::Type::kObject;
-        skip_whitespace();
-        if (consume('}')) return true;
-        while (true) {
-          skip_whitespace();
-          std::string key;
-          if (!parse_string(key)) return false;
-          skip_whitespace();
-          if (!consume(':')) return fail("expected ':'");
-          JsonValue member;
-          if (!parse_value(member)) return false;
-          out.object.emplace(std::move(key), std::move(member));
-          skip_whitespace();
-          if (consume(',')) continue;
-          if (consume('}')) return true;
-          return fail("expected ',' or '}'");
-        }
-      }
+      case '{':
       case '[': {
-        ++pos_;
-        out.type = JsonValue::Type::kArray;
-        skip_whitespace();
-        if (consume(']')) return true;
-        while (true) {
-          JsonValue element;
-          if (!parse_value(element)) return false;
-          out.array.push_back(std::move(element));
-          skip_whitespace();
-          if (consume(',')) continue;
-          if (consume(']')) return true;
-          return fail("expected ',' or ']'");
+        if (depth_ == kMaxJsonDepth) {
+          return fail("nesting deeper than " + std::to_string(kMaxJsonDepth) +
+                      " levels");
         }
+        ++pos_;
+        ++depth_;
+        const bool ok = c == '{' ? parse_object(out) : parse_array(out);
+        --depth_;
+        return ok;
       }
       case '"':
         out.type = JsonValue::Type::kString;
@@ -227,6 +240,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< arrays and objects open at pos_
   std::string error_;
 };
 
@@ -235,6 +249,36 @@ class Parser {
 std::optional<JsonValue> parse_json(const std::string& text,
                                     std::string* error) {
   return Parser(text).parse(error);
+}
+
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buffer[8];
+          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buffer;
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  return out;
+}
+
+std::string json_number(double v) {
+  char buffer[40];
+  std::snprintf(buffer, sizeof(buffer), "%.17g", v);
+  return buffer;
 }
 
 }  // namespace ficon::obs

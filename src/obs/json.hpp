@@ -1,16 +1,24 @@
 /// \file
 /// Minimal JSON value + recursive-descent parser, just enough to validate
 /// the trace JSONL schema (tests, `tools/trace_lint`) without an external
-/// dependency. Supports the full JSON grammar except `\u` surrogate
-/// pairs, which the trace writer never emits.
+/// dependency, plus the two helpers every JSON writer in the repo shares.
+/// Supports the full JSON grammar except `\u` surrogate pairs, which the
+/// trace writer never emits, and documents nested deeper than
+/// kMaxJsonDepth.
 #pragma once
 
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ficon::obs {
+
+/// Deepest array/object nesting parse_json() accepts. The parser recurses
+/// once per level, so without a cap one frame of '[' overflows the stack;
+/// the deepest document the repo writes (its SARIF log) has 9 levels.
+constexpr int kMaxJsonDepth = 64;
 
 class JsonValue {
  public:
@@ -35,10 +43,17 @@ class JsonValue {
   }
 };
 
-/// Parse a complete JSON document. Returns nullopt on any syntax error or
-/// trailing garbage; fills `error` (if non-null) with a position-tagged
-/// message.
+/// Parse a complete JSON document. Returns nullopt on any syntax error,
+/// trailing garbage or nesting deeper than kMaxJsonDepth; fills `error`
+/// (if non-null) with a position-tagged message.
 std::optional<JsonValue> parse_json(const std::string& text,
                                     std::string* error = nullptr);
+
+/// `s` escaped for a JSON string literal, without the quotes: quote,
+/// backslash and control characters are escaped, other bytes pass through.
+std::string json_escape(std::string_view s);
+
+/// %.17g: enough digits for a double to round-trip bit-exactly.
+std::string json_number(double v);
 
 }  // namespace ficon::obs

@@ -1,7 +1,6 @@
 #include "obs/report.hpp"
 
 #include <cstddef>
-#include <cstdio>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -13,36 +12,6 @@
 
 namespace ficon::obs {
 namespace {
-
-/// %.17g: enough digits for a double to round-trip bit-exactly.
-std::string fmt_double(double v) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", v);
-  return buffer;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
 
 struct CacheLine {
   const char* name;
@@ -110,7 +79,7 @@ void write_jsonl(std::ostream& os, const TraceReport& report,
     const Phase p = static_cast<Phase>(i);
     os << "{\"type\":\"phase\",\"name\":\"" << phase_name(p)
        << "\",\"calls\":" << report.phase_call_count(p)
-       << ",\"seconds\":" << fmt_double(report.phase_seconds(p)) << "}\n";
+       << ",\"seconds\":" << json_number(report.phase_seconds(p)) << "}\n";
   }
   for (int i = 0; i < kHistCount; ++i) {
     const HistSnapshot& h = report.hists[i];
@@ -143,12 +112,12 @@ void write_jsonl(std::ostream& os, const TraceReport& report,
     os << "{\"type\":\"thread_pool\",\"thread\":\""
        << json_escape(t.thread) << "\",\"tasks\":" << t.tasks
        << ",\"queue_wait_seconds\":"
-       << fmt_double(static_cast<double>(t.queue_wait_ns) * 1e-9) << "}\n";
+       << json_number(static_cast<double>(t.queue_wait_ns) * 1e-9) << "}\n";
   }
   for (const AnnealEvent& e : report.anneal) {
     os << "{\"type\":\"anneal_temperature\",\"run\":" << e.run
        << ",\"step\":" << e.step
-       << ",\"temperature\":" << fmt_double(e.temperature)
+       << ",\"temperature\":" << json_number(e.temperature)
        << ",\"proposed\":" << e.proposed << ",\"accepted\":" << e.accepted
        << ",\"uphill_accepted\":" << e.uphill_accepted;
     for (int k = 1; k < kMoveKinds; ++k) {
@@ -157,9 +126,9 @@ void write_jsonl(std::ostream& os, const TraceReport& report,
     for (int k = 1; k < kMoveKinds; ++k) {
       os << ",\"accepted_m" << k << "\":" << e.accepted_by_kind[k];
     }
-    os << ",\"accepted_delta\":" << fmt_double(e.accepted_delta_sum)
-       << ",\"current_cost\":" << fmt_double(e.current_cost)
-       << ",\"best_cost\":" << fmt_double(e.best_cost)
+    os << ",\"accepted_delta\":" << json_number(e.accepted_delta_sum)
+       << ",\"current_cost\":" << json_number(e.current_cost)
+       << ",\"best_cost\":" << json_number(e.best_cost)
        << ",\"stall\":" << e.stall << "}\n";
   }
   os << "{\"type\":\"anneal_summary\",\"runs\":"
@@ -175,11 +144,11 @@ void write_jsonl(std::ostream& os, const TraceReport& report,
 
 void write_solution_jsonl(std::ostream& os, double area, double wirelength,
                           double congestion, double cost, double seconds) {
-  os << "{\"type\":\"solution\",\"area\":" << fmt_double(area)
-     << ",\"wirelength\":" << fmt_double(wirelength)
-     << ",\"congestion\":" << fmt_double(congestion)
-     << ",\"cost\":" << fmt_double(cost)
-     << ",\"seconds\":" << fmt_double(seconds) << "}\n";
+  os << "{\"type\":\"solution\",\"area\":" << json_number(area)
+     << ",\"wirelength\":" << json_number(wirelength)
+     << ",\"congestion\":" << json_number(congestion)
+     << ",\"cost\":" << json_number(cost)
+     << ",\"seconds\":" << json_number(seconds) << "}\n";
 }
 
 void write_summary(std::ostream& os, const TraceReport& report) {

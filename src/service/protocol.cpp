@@ -2,7 +2,6 @@
 
 #include <cerrno>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <istream>
 #include <ostream>
@@ -19,39 +18,11 @@ namespace ficon::service {
 namespace {
 
 using ficon::obs::JsonValue;
+using ficon::obs::json_number;
 
-/// %.17g: enough digits for a double to round-trip bit-exactly (the same
-/// contract as obs/report.cpp).
-std::string json_double(double v) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", v);
-  return buffer;
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
+/// `s` as a quoted JSON string.
+std::string quoted(std::string_view s) {
+  return '"' + obs::json_escape(s) + '"';
 }
 
 // Integer ranges of the wire fields as exact doubles: [0, 2^64) for u64
@@ -81,14 +52,14 @@ std::string seed_results_json(const std::vector<SeedResult>& seeds,
   for (std::size_t i = 0; i < seeds.size(); ++i) {
     const SeedResult& s = seeds[i];
     if (i > 0) out += ',';
-    out += "{\"seed\":" + json_escape(std::to_string(s.seed)) +
-           ",\"area\":" + json_double(s.metrics.area) +
-           ",\"wirelength\":" + json_double(s.metrics.wirelength) +
-           ",\"congestion\":" + json_double(s.metrics.congestion) +
-           ",\"cost\":" + json_double(s.metrics.cost);
-    if (with_seconds) out += ",\"seconds\":" + json_double(s.seconds);
+    out += "{\"seed\":" + quoted(std::to_string(s.seed)) +
+           ",\"area\":" + json_number(s.metrics.area) +
+           ",\"wirelength\":" + json_number(s.metrics.wirelength) +
+           ",\"congestion\":" + json_number(s.metrics.congestion) +
+           ",\"cost\":" + json_number(s.metrics.cost);
+    if (with_seconds) out += ",\"seconds\":" + json_number(s.seconds);
     out += std::string(",\"cancelled\":") + (s.cancelled ? "true" : "false") +
-           ",\"representation\":" + json_escape(s.representation) + "}";
+           ",\"representation\":" + quoted(s.representation) + "}";
   }
   out += ']';
   return out;
@@ -315,9 +286,10 @@ bool decode_request(const std::string& payload, ProtocolRequest* out,
   request.objective.gamma = 0.4;
 
   for (const auto& [key, value] : doc->object) {
+    // Like ficon_cli's flags, numbers must be finite: 1e999 parses to inf.
     const auto need_number = [&]() {
-      if (value.is_number()) return true;
-      *error = "\"" + key + "\" must be a number";
+      if (value.is_number() && std::isfinite(value.number)) return true;
+      *error = "\"" + key + "\" must be a finite number";
       return false;
     };
     if (key == "id" || key == "op") {
@@ -374,8 +346,8 @@ bool decode_request(const std::string& payload, ProtocolRequest* out,
       }
     } else if (key == "seeds") {
       if (!need_number()) return false;
-      if (value.number < 1.0 || value.number > 4096.0) {
-        *error = "\"seeds\" must be in [1, 4096]";
+      if (!integral_in(value.number, 1.0, 4097.0)) {
+        *error = "\"seeds\" must be an integer in [1, 4096]";
         return false;
       }
       request.seeds = static_cast<int>(value.number);
@@ -439,20 +411,20 @@ std::string encode_request(std::int64_t id, const Request& request) {
     grid = request.objective.fixed.grid_w;
   }
   std::string out = "{\"id\":" + std::to_string(id) +
-                    ",\"op\":" + json_escape(to_string(request.kind)) +
-                    ",\"alpha\":" + json_double(request.objective.alpha) +
-                    ",\"beta\":" + json_double(request.objective.beta) +
-                    ",\"gamma\":" + json_double(request.objective.gamma) +
-                    ",\"model\":" + json_escape(model);
-  if (grid > 0.0) out += ",\"grid\":" + json_double(grid);
+                    ",\"op\":" + quoted(to_string(request.kind)) +
+                    ",\"alpha\":" + json_number(request.objective.alpha) +
+                    ",\"beta\":" + json_number(request.objective.beta) +
+                    ",\"gamma\":" + json_number(request.objective.gamma) +
+                    ",\"model\":" + quoted(model);
+  if (grid > 0.0) out += ",\"grid\":" + json_number(grid);
   out += std::string(",\"engine\":") +
          (request.engine == FloorplanEngine::kSequencePair ? "\"sp\""
                                                            : "\"polish\"") +
-         ",\"seed\":" + json_escape(std::to_string(request.seed)) +
+         ",\"seed\":" + quoted(std::to_string(request.seed)) +
          ",\"seeds\":" + std::to_string(request.seeds) +
-         ",\"effort\":" + json_double(request.effort);
+         ",\"effort\":" + json_number(request.effort);
   if (!request.expression.empty()) {
-    out += ",\"expression\":" + json_escape(request.expression);
+    out += ",\"expression\":" + quoted(request.expression);
   }
   out += '}';
   return out;
@@ -465,23 +437,23 @@ std::string encode_cancel(std::int64_t id, std::int64_t target) {
 
 std::string encode_control(std::int64_t id, ProtocolOp op) {
   return "{\"id\":" + std::to_string(id) + ",\"op\":" +
-         json_escape(to_string(op)) + "}";
+         quoted(to_string(op)) + "}";
 }
 
 // --- Replies ------------------------------------------------------------
 
 std::string encode_reply(std::int64_t id, const Reply& reply) {
   std::string out = "{\"id\":" + std::to_string(id) + ",\"status\":" +
-                    json_escape(to_string(reply.status));
-  if (!reply.error.empty()) out += ",\"error\":" + json_escape(reply.error);
-  out += ",\"seconds\":" + json_double(reply.seconds) +
+                    quoted(to_string(reply.status));
+  if (!reply.error.empty()) out += ",\"error\":" + quoted(reply.error);
+  out += ",\"seconds\":" + json_number(reply.seconds) +
          ",\"seeds\":" + seed_results_json(reply.seeds, true) + "}";
   return out;
 }
 
 std::string encode_error_reply(std::int64_t id, const std::string& message) {
   return "{\"id\":" + std::to_string(id) +
-         ",\"status\":\"error\",\"error\":" + json_escape(message) + "}";
+         ",\"status\":\"error\",\"error\":" + quoted(message) + "}";
 }
 
 std::string encode_ok_reply(std::int64_t id) {
@@ -562,8 +534,8 @@ std::string encode_result_line(const std::string& op,
                                const std::string& circuit,
                                const std::string& status,
                                const std::vector<SeedResult>& seeds) {
-  return "{\"op\":" + json_escape(op) + ",\"circuit\":" +
-         json_escape(circuit) + ",\"status\":" + json_escape(status) +
+  return "{\"op\":" + quoted(op) + ",\"circuit\":" +
+         quoted(circuit) + ",\"status\":" + quoted(status) +
          ",\"seeds\":" + seed_results_json(seeds, false) + "}";
 }
 

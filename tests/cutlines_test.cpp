@@ -104,10 +104,10 @@ TEST(MergeLines, EveryInputSnapsWithinTwoGaps) {
   }
 }
 
-TEST(MergeLines, BlockedSortKeepsEveryDistinctLine) {
-  // From 16384 coordinates on, merge_lines sorts by bucketing before it
-  // clusters. With merging disabled the result must be exactly lo, the
-  // sorted distinct interior values, then hi. Integer coordinates with
+TEST(MergeLines, LargeInputKeepsEveryDistinctLine) {
+  // Tens of thousands of coordinates, as many as a generated tier's axis.
+  // With merging disabled the result must be exactly lo, the sorted
+  // distinct interior values, then hi. Integer coordinates with
   // duplicates and both boundary values keep the pooled means exact.
   Rng rng(43);
   for (const int n : {20000, 40000}) {
@@ -208,6 +208,14 @@ TEST(BuildCutlines, ClampsRangesOutsideChip) {
 TEST(BuildCutlines, EmptyNetListGivesSingleCell) {
   const CutLines lines = build_cutlines({}, kChip, 20, 20);
   EXPECT_EQ(lines.cell_count(), 1);
+}
+
+TEST(BuildCutlines, AxisBlockErrorsReachTheCaller) {
+  // Each axis merges in its own pool block; a block's failed requirement
+  // is rethrown on the calling thread, whichever thread ran the block.
+  const std::vector<TwoPinNet> nets{{Point{100, 100}, Point{300, 400}, 0}};
+  EXPECT_THROW(build_cutlines(nets, kChip, -1, 20), std::invalid_argument);
+  EXPECT_THROW(build_cutlines(nets, kChip, 20, -1), std::invalid_argument);
 }
 
 }  // namespace

@@ -240,9 +240,11 @@ TEST(FicondTest, StdioModeServesFramesOnStdout) {
 TEST(FicondTest, SocketAnswersBadRequestsWithErrors) {
   // An effort whose move count overflows an int fails in the executor; a
   // seed no u64 can hold fails in the decoder. Both get an error reply
-  // addressed to their id, and the daemon keeps serving. Both replies are
-  // read before shutdown is sent: shutdown answers any request that no
-  // executor has picked up yet with "cancelled".
+  // addressed to their id, and the daemon keeps serving. So does a frame
+  // of 50,000 '[', far below the frame cap: its nesting is a parse error
+  // (reply id 0), not a stack overflow. Every reply is read before
+  // shutdown is sent: shutdown answers any request that no executor has
+  // picked up yet with "cancelled".
   const std::string path = socket_path();
   const std::string cmd = std::string(FICOND_BINARY) +
                           " --circuit apte --socket " + path + " 2>&1";
@@ -255,10 +257,11 @@ TEST(FicondTest, SocketAnswersBadRequestsWithErrors) {
       fd, R"({"id":1,"op":"anneal","effort":1e12})"));
   ASSERT_TRUE(
       service::write_frame_fd(fd, R"({"id":2,"op":"anneal","seed":1e30})"));
+  ASSERT_TRUE(service::write_frame_fd(fd, std::string(50000, '[')));
 
   // The anneal reply comes from an executor, so match replies by id.
   std::map<std::int64_t, DecodedReply> replies;
-  for (int i = 0; i < 2; ++i) {
+  for (int i = 0; i < 3; ++i) {
     const DecodedReply reply = read_reply(fd);
     replies[reply.id] = reply;
   }
@@ -277,7 +280,10 @@ TEST(FicondTest, SocketAnswersBadRequestsWithErrors) {
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 0);
 
-  ASSERT_EQ(replies.size(), 3u) << output;
+  ASSERT_EQ(replies.size(), 4u) << output;
+  EXPECT_EQ(replies[0].status, "error");
+  EXPECT_NE(replies[0].error.find("nesting"), std::string::npos)
+      << replies[0].error;
   EXPECT_EQ(replies[1].status, "error");
   EXPECT_NE(replies[1].error.find("effort too large"), std::string::npos)
       << replies[1].error;

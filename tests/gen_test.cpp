@@ -4,15 +4,18 @@
 // netlists regardless of the thread-pool configuration — and pinned
 // pack / decompose / IR-cell results on two generated tiers.
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "circuit/mcnc.hpp"
+#include "congestion/cutlines.hpp"
 #include "congestion/irregular_grid.hpp"
 #include "floorplan/slicing.hpp"
 #include "gen/scale.hpp"
@@ -144,6 +147,23 @@ Placement shelf_placement(const Netlist& netlist) {
   return p;
 }
 
+/// FNV-1a over the line counts and the IEEE bit pattern of every cut
+/// line, xs then ys: equal hashes mean bit-identical cut lines.
+std::uint64_t cutlines_hash(const CutLines& lines) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (word >> (8 * byte)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  for (const std::vector<double>* axis : {&lines.xs(), &lines.ys()}) {
+    mix(axis->size());
+    for (const double v : *axis) mix(std::bit_cast<std::uint64_t>(v));
+  }
+  return h;
+}
+
 /// Expected values of one generated tier through the pipeline.
 struct TierPin {
   std::string token;
@@ -155,6 +175,7 @@ struct TierPin {
   std::size_t two_pin_nets;
   double ir_pitch_um;
   long long ir_cells;
+  std::uint64_t cutlines_hash;
   double stream_wirelength_um;
 };
 
@@ -162,16 +183,17 @@ TEST(ScaleTierPipeline, TierResultsArePinnedBitForBit) {
   // Per tier, at generator seed 7: the netlist fingerprint; the two-pin
   // nets and IR-cell count of a shelf placement, evaluated at the pitch
   // max(30 um, chip extent / 200) that holds ami49's relative resolution;
-  // and the summed wirelength of 50 random Polish moves through
-  // pack_cached_ref and the caching decomposer. ami49x21's ~23k
-  // coordinates per axis take the blocked cut-line sort; n100 takes
-  // std::sort.
+  // the hash of its cut lines at merge factor 2, built on a 1-, 2-, 4-
+  // and 8-thread pool; and the summed wirelength of 50 random Polish moves
+  // through pack_cached_ref and the caching decomposer. ami49x21 sorts
+  // 23,066 coordinates per axis.
   const TierPin pins[] = {
       {"n100", "n100", 7848313446471626199ULL, 100, 885, 1873, 988, 30.0, 32,
-       35875913.630642481},
+       4972141620354504023ULL, 35875913.630642481},
       {"1000", "ami49x21", 5304025613109544904ULL, 1029, 8568, 20101, 11533,
-       324.19999999999999, 1770, 87359364372.467728},
+       324.19999999999999, 1770, 17532071665057823994ULL, 87359364372.467728},
   };
+  const int pool_threads = ThreadPool::global().threads();
   for (const TierPin& pin : pins) {
     SCOPED_TRACE(pin.token);
     const ScaleTierSpec spec = parse_scale_tier(pin.token);
@@ -194,6 +216,14 @@ TEST(ScaleTierPipeline, TierResultsArePinnedBitForBit) {
     EXPECT_EQ(IrregularGridModel(params).evaluate(nets, shelf.chip)
                   .cell_count(),
               pin.ir_cells);
+    for (const int threads : {1, 2, 4, 8}) {
+      ThreadPool::set_global_threads(threads);
+      const double gap = 2.0 * params.grid_w;
+      EXPECT_EQ(cutlines_hash(build_cutlines(nets, shelf.chip, gap, gap)),
+                pin.cutlines_hash)
+          << "threads=" << threads;
+    }
+    ThreadPool::set_global_threads(pool_threads);
 
     SlicingPacker packer(netlist);
     PolishExpression expr =

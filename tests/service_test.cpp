@@ -401,6 +401,24 @@ TEST(ServiceProtocol, RequestCodecRoundTrips) {
   EXPECT_FALSE(service::decode_request(
       R"({"id":1,"op":"explode"})", &decoded, &error));
   EXPECT_FALSE(service::decode_request("not json", &decoded, &error));
+
+  // Numbers must be finite and "seeds" integral, as ficon_cli's flags:
+  // 1e999 parses to inf.
+  for (const char* bad : {
+           R"({"id":1,"op":"evaluate","alpha":1e999})",
+           R"({"id":1,"op":"evaluate","beta":1e999})",
+           R"({"id":1,"op":"evaluate","gamma":1e999})",
+           R"({"id":1,"op":"evaluate","grid":1e999})",
+           R"({"id":1,"op":"anneal","effort":1e999})",
+           R"({"id":1,"op":"evaluate","alpha":-1e999})",
+           R"({"id":1,"op":"evaluate","beta":-1e999})",
+           R"({"id":1,"op":"evaluate","gamma":-1e999})",
+           R"({"id":1,"op":"anneal","seeds":2.5})",
+       }) {
+    error.clear();
+    EXPECT_FALSE(service::decode_request(bad, &decoded, &error)) << bad;
+    EXPECT_FALSE(error.empty()) << bad;
+  }
 }
 
 TEST(ServiceProtocol, IntegerFieldsAcceptOnlyIntegralNumbersInRange) {

@@ -60,6 +60,16 @@ TEST(JsonParser, RejectsMalformedInput) {
   EXPECT_FALSE(parse_json("nul", &error).has_value());
   EXPECT_FALSE(parse_json("1 2", &error).has_value());  // trailing garbage
   EXPECT_FALSE(error.empty());
+  // Nesting past kMaxJsonDepth is an error, not a stack overflow.
+  error.clear();
+  EXPECT_FALSE(parse_json(std::string(100000, '['), &error).has_value());
+  EXPECT_NE(error.find("nesting"), std::string::npos) << error;
+  EXPECT_TRUE(parse_json(std::string(obs::kMaxJsonDepth, '[') +
+                         std::string(obs::kMaxJsonDepth, ']'))
+                  .has_value());
+  EXPECT_FALSE(parse_json(std::string(obs::kMaxJsonDepth + 1, '[') +
+                          std::string(obs::kMaxJsonDepth + 1, ']'))
+                   .has_value());
 }
 
 TEST(TraceSchema, AcceptsEveryDocumentedRecordType) {

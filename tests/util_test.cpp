@@ -2,7 +2,6 @@
 // fork-join thread pool.
 #include <algorithm>
 #include <atomic>
-#include <cstdint>
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
@@ -10,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include "util/arena.hpp"
 #include "util/env.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -228,49 +226,6 @@ TEST(ThreadPool, GlobalPoolResizable) {
   EXPECT_EQ(sum.load(), 45);
   ThreadPool::set_global_threads(1);
   EXPECT_EQ(ThreadPool::global().threads(), 1);
-}
-
-TEST(MonotonicArena, SpansAreDisjointAndAligned) {
-  MonotonicArena arena(256);
-  const std::span<char> a = arena.alloc_span<char>(3);
-  const std::span<double> b = arena.alloc_span<double>(4);
-  const std::span<int> c = arena.alloc_span<int>(5);
-  ASSERT_EQ(a.size(), 3u);
-  ASSERT_EQ(b.size(), 4u);
-  ASSERT_EQ(c.size(), 5u);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b.data()) % alignof(double), 0u);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(c.data()) % alignof(int), 0u);
-  // Write every element: overlap would corrupt a neighbor's pattern.
-  std::fill(a.begin(), a.end(), 'x');
-  std::fill(b.begin(), b.end(), 2.5);
-  std::fill(c.begin(), c.end(), 7);
-  EXPECT_TRUE(std::all_of(a.begin(), a.end(), [](char v) { return v == 'x'; }));
-  EXPECT_TRUE(std::all_of(b.begin(), b.end(), [](double v) { return v == 2.5; }));
-  EXPECT_TRUE(std::all_of(c.begin(), c.end(), [](int v) { return v == 7; }));
-}
-
-TEST(MonotonicArena, ResetRetainsBlocksAndReusesStorage) {
-  MonotonicArena arena(1024);
-  const double* first = arena.alloc_span<double>(16).data();
-  const std::size_t reserved = arena.bytes_reserved();
-  arena.reset();
-  // Same request after reset lands on the same storage, no new blocks.
-  EXPECT_EQ(arena.alloc_span<double>(16).data(), first);
-  EXPECT_EQ(arena.bytes_reserved(), reserved);
-}
-
-TEST(MonotonicArena, OversizedRequestGetsADedicatedBlock) {
-  MonotonicArena arena(64);
-  const std::span<double> big = arena.alloc_span<double>(100);  // 800 bytes
-  ASSERT_EQ(big.size(), 100u);
-  EXPECT_GE(arena.bytes_reserved(), 800u);
-  // Steady state: repeating the same sequence after reset() allocates
-  // nothing new.
-  arena.reset();
-  const std::size_t reserved = arena.bytes_reserved();
-  (void)arena.alloc_span<double>(100);
-  EXPECT_EQ(arena.bytes_reserved(), reserved);
-  EXPECT_TRUE(arena.alloc_span<int>(0).empty());
 }
 
 }  // namespace

@@ -11,6 +11,9 @@
 namespace fs = std::filesystem;
 
 namespace ficon::lint {
+
+using obs::json_escape;
+
 namespace {
 
 std::string read_file(const fs::path& path) {
@@ -77,38 +80,6 @@ std::string collapse_whitespace(const std::string& s) {
     }
   }
   while (!out.empty() && out.back() == ' ') out.pop_back();
-  return out;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
   return out;
 }
 

@@ -51,9 +51,6 @@ void sort_findings(std::vector<Finding>& findings);
 /// Collapse runs of whitespace to single spaces (the default token).
 std::string collapse_whitespace(const std::string& s);
 
-/// Escape for embedding in a JSON string literal.
-std::string json_escape(const std::string& s);
-
 /// Load the baseline; a missing file is an empty baseline. Returns
 /// nullopt and fills `error` on parse problems.
 std::optional<std::vector<Suppression>> load_baseline(

@@ -16,6 +16,8 @@ namespace fs = std::filesystem;
 
 namespace ficon::lint {
 
+using obs::json_escape;
+
 const char kLintVersion[] = "ficon-lint-2.0.0";
 
 namespace {
