@@ -221,16 +221,24 @@ Netlist parse_gsrc(std::istream& blocks, std::istream& nets, std::istream* pl,
       std::getline(is, rest);
       std::string digits;
       std::vector<double> vals;
+      // stod throws std::out_of_range past the double range (1e999).
+      const auto push_number = [&] {
+        try {
+          vals.push_back(std::stod(digits));
+        } catch (const std::exception&) {
+          parse_error(line_no, "bad corner coordinate '" + digits + "'");
+        }
+        digits.clear();
+      };
       for (const char c : rest) {
         if ((c >= '0' && c <= '9') || c == '.' || c == '-' || c == '+' ||
             c == 'e' || c == 'E') {
           digits += c;
         } else if (!digits.empty()) {
-          vals.push_back(std::stod(digits));
-          digits.clear();
+          push_number();
         }
       }
-      if (!digits.empty()) vals.push_back(std::stod(digits));
+      if (!digits.empty()) push_number();
       if (vals.size() != 8) parse_error(line_no, "expected 4 corner points");
       for (std::size_t i = 0; i + 1 < vals.size(); i += 2) {
         xmin = std::min(xmin, vals[i]);
@@ -240,6 +248,11 @@ Netlist parse_gsrc(std::istream& blocks, std::istream& nets, std::istream* pl,
       }
       if (xmax <= xmin || ymax <= ymin) {
         parse_error(line_no, "degenerate block outline");
+      }
+      // Corners within the double range can still be an infinite width
+      // apart (-1e308 to 1e308).
+      if (!std::isfinite(xmax - xmin) || !std::isfinite(ymax - ymin)) {
+        parse_error(line_no, "block outline too large");
       }
       module_index[block_name] = static_cast<int>(modules.size());
       modules.push_back(Module{block_name, xmax - xmin, ymax - ymin});

@@ -26,7 +26,8 @@ class GridSpec {
  public:
   /// @brief Build a grid with the requested pitch; the chip is covered by
   /// ceil(extent / pitch) cells per axis (the last row/column may hang
-  /// over the chip edge, matching how fixed-grid estimators bin pins).
+  /// over the chip edge, matching how fixed-grid estimators bin pins),
+  /// at most kMaxLatticeCells per axis.
   /// @param chip    chip rectangle with positive area.
   /// @param pitch_x cell width (um), > 0.
   /// @param pitch_y cell height (um), > 0.
@@ -38,8 +39,8 @@ class GridSpec {
     g.chip_ = chip;
     g.pitch_x_ = pitch_x;
     g.pitch_y_ = pitch_y;
-    g.nx_ = std::max(1, static_cast<int>(std::ceil(chip.width() / pitch_x - 1e-9)));
-    g.ny_ = std::max(1, static_cast<int>(std::ceil(chip.height() / pitch_y - 1e-9)));
+    g.nx_ = lattice_cells(chip.width(), pitch_x);
+    g.ny_ = lattice_cells(chip.height(), pitch_y);
     return g;
   }
 

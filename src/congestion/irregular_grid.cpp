@@ -201,13 +201,10 @@ class NetScorer {
       return;
     }
 
-    // Fine lattice of the snapped routing range.
-    on_grid.shape.g1 = std::max(
-        1, static_cast<int>(
-               std::ceil((sx2 - on_grid.sx1) / params_->grid_w - 1e-9)));
-    on_grid.shape.g2 = std::max(
-        1, static_cast<int>(
-               std::ceil((sy2 - on_grid.sy1) / params_->grid_h - 1e-9)));
+    // Fine lattice of the snapped routing range. Its bound keeps the local
+    // spans below in int range too.
+    on_grid.shape.g1 = lattice_cells(sx2 - on_grid.sx1, params_->grid_w);
+    on_grid.shape.g2 = lattice_cells(sy2 - on_grid.sy1, params_->grid_h);
     // Type II iff the left pin is the upper pin (Figure 1).
     const Point& left = net.a.x <= net.b.x ? net.a : net.b;
     const Point& right = net.a.x <= net.b.x ? net.b : net.a;

@@ -17,10 +17,12 @@
 // kept as independent references in the test suite.
 #pragma once
 
+#include <cmath>
 #include <optional>
 
 #include "geom/rect.hpp"
 #include "numeric/factorial.hpp"
+#include "util/check.hpp"
 
 namespace ficon {
 
@@ -36,6 +38,21 @@ struct NetGridShape {
   bool degenerate() const { return g1 == 1 || g2 == 1; }
   friend bool operator==(const NetGridShape&, const NetGridShape&) = default;
 };
+
+/// Most cells one lattice axis may have: a routing range's fine lattice
+/// or a fixed grid's row. 1 um over a metre; the finest lattices in use
+/// are 1 um over a 2,000 um range and the 10 um judging grid.
+constexpr int kMaxLatticeCells = 1 << 20;
+
+/// Cells of `pitch` covering `extent` (at least 1), as g1/g2 and the fixed
+/// grid count them. Throws std::invalid_argument instead of casting a
+/// count above kMaxLatticeCells (or NaN) to int, which is undefined.
+inline int lattice_cells(double extent, double pitch) {
+  const double cells = std::ceil(extent / pitch - 1e-9);
+  FICON_REQUIRE(cells <= kMaxLatticeCells,
+                "pitch too fine: a lattice axis needs more than 2^20 cells");
+  return cells >= 1.0 ? static_cast<int>(cells) : 1;
+}
 
 /// Exact probability engine. Holds a reference to a shared log-factorial
 /// table; cheap to copy construct per model instance.

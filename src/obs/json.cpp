@@ -164,6 +164,7 @@ class Parser {
     }
     out.type = JsonValue::Type::kNumber;
     out.number = std::strtod(text_.c_str() + start, nullptr);
+    out.literal.assign(text_, start, pos_ - start);
     return true;
   }
 

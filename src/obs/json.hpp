@@ -27,6 +27,8 @@ class JsonValue {
   Type type = Type::kNull;
   bool boolean = false;
   double number = 0.0;
+  /// A number's text as written, for integers a double cannot hold.
+  std::string literal;
   std::string string;
   std::map<std::string, JsonValue> object;
   std::vector<JsonValue> array;

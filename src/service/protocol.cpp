@@ -1,8 +1,8 @@
 #include "service/protocol.hpp"
 
 #include <cerrno>
+#include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <istream>
 #include <ostream>
 
@@ -25,25 +25,24 @@ std::string quoted(std::string_view s) {
   return '"' + obs::json_escape(s) + '"';
 }
 
-// Integer ranges of the wire fields as exact doubles: [0, 2^64) for u64
-// seeds, [-2^63, 2^63) for int64 ids and targets.
-constexpr double kU64End = 18446744073709551616.0;
-constexpr double kI64End = 9223372036854775808.0;
-
-/// True when a JSON number is an integer in [lo, end), i.e. converting it
-/// to the field's integer type is defined. Rejects fractions, inf and NaN.
-bool integral_in(double v, double lo, double end) {
-  return v >= lo && v < end && std::trunc(v) == v;
+/// `text` as a T, exactly: an optional '-' (signed T only), then decimal
+/// digits and nothing else, within T's range. Wire integers are parsed
+/// from their text, never through a double, which holds only 53 bits.
+template <class T>
+bool parse_integer(std::string_view text, T* out) {
+  T v{};
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc{} || ptr != end) return false;
+  *out = v;
+  return true;
 }
 
-bool parse_u64_text(const std::string& text, std::uint64_t* out) {
-  if (text.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (errno != 0 || end != text.c_str() + text.size()) return false;
-  *out = static_cast<std::uint64_t>(v);
-  return true;
+/// An integer field: a JSON number written as an integer literal that
+/// fits T. Rejects fractions and exponents, even when they are integral.
+template <class T>
+bool integer_field(const JsonValue& v, T* out) {
+  return v.is_number() && parse_integer(v.literal, out);
 }
 
 std::string seed_results_json(const std::vector<SeedResult>& seeds,
@@ -74,13 +73,11 @@ bool decode_seed_result(const JsonValue& v, SeedResult* out,
     return false;
   }
   if (seed->is_string()) {
-    if (!parse_u64_text(seed->string, &out->seed)) {
+    if (!parse_integer(seed->string, &out->seed)) {
       *error = "bad seed string '" + seed->string + "'";
       return false;
     }
-  } else if (integral_in(seed->number, 0.0, kU64End)) {
-    out->seed = static_cast<std::uint64_t>(seed->number);
-  } else {
+  } else if (!integer_field(*seed, &out->seed)) {
     *error = "seed result \"seed\" is not a u64";
     return false;
   }
@@ -137,7 +134,7 @@ FrameStatus read_frame(std::istream& in, std::string* payload) {
     return header.empty() ? FrameStatus::kEof : FrameStatus::kMalformed;
   }
   std::uint64_t length = 0;
-  if (!parse_u64_text(header, &length) || length > kMaxFrameBytes) {
+  if (!parse_integer(header, &length) || length > kMaxFrameBytes) {
     return FrameStatus::kMalformed;
   }
   payload->resize(static_cast<std::size_t>(length));
@@ -191,7 +188,7 @@ FrameStatus read_frame_fd(int fd, std::string* payload) {
     if (header.size() > 20) return FrameStatus::kMalformed;
   }
   std::uint64_t length = 0;
-  if (!parse_u64_text(header, &length) || length > kMaxFrameBytes) {
+  if (!parse_integer(header, &length) || length > kMaxFrameBytes) {
     return FrameStatus::kMalformed;
   }
   payload->resize(static_cast<std::size_t>(length));
@@ -246,11 +243,10 @@ bool decode_request(const std::string& payload, ProtocolRequest* out,
 
   // Pull "id" first so even a rejected payload has an addressable reply.
   if (const JsonValue* id = doc->find("id"); id != nullptr && id->is_number()) {
-    if (!integral_in(id->number, -kI64End, kI64End)) {
+    if (!integer_field(*id, &out->id)) {
       *error = "\"id\" must be an integer in [-2^63, 2^63)";
       return false;
     }
-    out->id = static_cast<std::int64_t>(id->number);
   }
 
   const JsonValue* op = doc->find("op");
@@ -334,23 +330,20 @@ bool decode_request(const std::string& payload, ProtocolRequest* out,
       request.effort = value.number;
     } else if (key == "seed") {
       if (value.is_string()) {
-        if (!parse_u64_text(value.string, &request.seed)) {
+        if (!parse_integer(value.string, &request.seed)) {
           *error = "bad seed '" + value.string + "'";
           return false;
         }
-      } else if (value.is_number() && integral_in(value.number, 0.0, kU64End)) {
-        request.seed = static_cast<std::uint64_t>(value.number);
-      } else {
+      } else if (!integer_field(value, &request.seed)) {
         *error = "\"seed\" must be a decimal string or an integer in [0, 2^64)";
         return false;
       }
     } else if (key == "seeds") {
-      if (!need_number()) return false;
-      if (!integral_in(value.number, 1.0, 4097.0)) {
+      if (!integer_field(value, &request.seeds) || request.seeds < 1 ||
+          request.seeds > 4096) {
         *error = "\"seeds\" must be an integer in [1, 4096]";
         return false;
       }
-      request.seeds = static_cast<int>(value.number);
     } else if (key == "expression") {
       if (!value.is_string()) {
         *error = "\"expression\" must be a string";
@@ -358,12 +351,10 @@ bool decode_request(const std::string& payload, ProtocolRequest* out,
       }
       request.expression = value.string;
     } else if (key == "target") {
-      if (!need_number()) return false;
-      if (!integral_in(value.number, -kI64End, kI64End)) {
+      if (!integer_field(value, &out->target)) {
         *error = "\"target\" must be an integer in [-2^63, 2^63)";
         return false;
       }
-      out->target = static_cast<std::int64_t>(value.number);
     } else {
       *error = "unknown key \"" + key + "\"";
       return false;
@@ -481,11 +472,10 @@ bool decode_reply(const std::string& payload, DecodedReply* out,
     return false;
   }
   if (const JsonValue* id = doc->find("id"); id != nullptr && id->is_number()) {
-    if (!integral_in(id->number, -kI64End, kI64End)) {
+    if (!integer_field(*id, &out->id)) {
       *error = "reply \"id\" is not an int64";
       return false;
     }
-    out->id = static_cast<std::int64_t>(id->number);
   }
   const JsonValue* status = doc->find("status");
   if (status == nullptr || !status->is_string()) {
@@ -512,10 +502,7 @@ bool decode_reply(const std::string& payload, DecodedReply* out,
       stats != nullptr && stats->is_object()) {
     const auto counter = [&](const char* key, long long* dst) {
       const JsonValue* v = stats->find(key);
-      if (v == nullptr || !v->is_number()) return true;
-      if (!integral_in(v->number, -kI64End, kI64End)) return false;
-      *dst = static_cast<long long>(v->number);
-      return true;
+      return v == nullptr || !v->is_number() || integer_field(*v, dst);
     };
     if (!counter("submitted", &out->stats.submitted) ||
         !counter("accepted", &out->stats.accepted) ||

@@ -23,8 +23,10 @@
 //    "seed": "1", "seeds": 1, "expression": "0 1 V",
 //    "target": 2}              // cancel only: id of the request to cancel
 //
-// "seed" is a decimal string (also accepted as a number): JSON numbers
-// are doubles and cannot carry a full uint64 exactly.
+// "seed" is a decimal string (also accepted as an integer literal).
+// Integer fields ("id", "target", "seeds", a numeric "seed") take integer
+// literals only, parsed from their text into the field's type: a double
+// would carry only 53 bits.
 //
 // Reply payload:
 //

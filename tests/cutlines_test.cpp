@@ -1,5 +1,10 @@
 // Cut-line construction and merging (algorithm steps 1-2, Figure 5).
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -35,6 +40,12 @@ TEST(MergeLines, PinsChipBoundaries) {
   ASSERT_EQ(merged.size(), 2u);
   EXPECT_DOUBLE_EQ(merged.front(), 0);
   EXPECT_DOUBLE_EQ(merged.back(), 1000);
+  // So is one exactly min_gap from a boundary, and it pulls no neighbour
+  // into a cluster with it.
+  const auto exact = merge_lines({60, 100, 900, 940}, 0, 1000, 60);
+  ASSERT_EQ(exact.size(), 4u);
+  EXPECT_DOUBLE_EQ(exact[1], 100);
+  EXPECT_DOUBLE_EQ(exact[2], 900);
 }
 
 TEST(MergeLines, ZeroGapKeepsAllDistinctLines) {
@@ -104,11 +115,49 @@ TEST(MergeLines, EveryInputSnapsWithinTwoGaps) {
   }
 }
 
+// With merging disabled the merged axis must be exactly lo, the sorted
+// distinct interior values, then hi, bit for bit. A repeated value pools
+// to its mean, which is exact for the integers the callers repeat.
+void expect_every_distinct_line(const std::vector<double>& coords, double lo,
+                                double hi, const std::string& what) {
+  std::vector<double> expected;
+  for (const double c : coords) {
+    if (c > lo && c < hi) expected.push_back(c);
+  }
+  std::sort(expected.begin(), expected.end());
+  expected.erase(std::unique(expected.begin(), expected.end()),
+                 expected.end());
+  expected.insert(expected.begin(), lo);
+  expected.push_back(hi);
+
+  const std::vector<double> merged = merge_lines(coords, lo, hi, 0);
+  ASSERT_EQ(merged.size(), expected.size()) << what;
+  std::size_t differing = 0;
+  for (std::size_t i = 0; i < merged.size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(merged[i]) !=
+        std::bit_cast<std::uint64_t>(expected[i])) {
+      ++differing;
+    }
+  }
+  EXPECT_EQ(differing, 0u) << what << ": " << differing << " of "
+                           << merged.size() << " lines differ";
+}
+
+// `n` values from `draw`, none repeated, in draw order.
+template <class Draw>
+std::vector<double> distinct_values(int n, Draw draw) {
+  std::vector<double> values;
+  std::set<double> seen;
+  while (static_cast<int>(values.size()) < n) {
+    const double v = draw();
+    if (seen.insert(v).second) values.push_back(v);
+  }
+  return values;
+}
+
 TEST(MergeLines, LargeInputKeepsEveryDistinctLine) {
-  // Tens of thousands of coordinates, as many as a generated tier's axis.
-  // With merging disabled the result must be exactly lo, the sorted
-  // distinct interior values, then hi. Integer coordinates with
-  // duplicates and both boundary values keep the pooled means exact.
+  // Tens of thousands of coordinates, as many as a generated tier's axis:
+  // integers with duplicates and both boundary values.
   Rng rng(43);
   for (const int n : {20000, 40000}) {
     std::vector<double> coords;
@@ -117,23 +166,67 @@ TEST(MergeLines, LargeInputKeepsEveryDistinctLine) {
     }
     coords.push_back(0.0);
     coords.push_back(5000.0);
-
-    std::vector<double> expected = coords;
-    std::sort(expected.begin(), expected.end());
-    expected.erase(std::unique(expected.begin(), expected.end()),
-                   expected.end());
-    ASSERT_EQ(expected.front(), 0.0);
-    ASSERT_EQ(expected.back(), 5000.0);
-
-    const std::vector<double> merged = merge_lines(coords, 0, 5000, 0);
-    ASSERT_EQ(merged.size(), expected.size()) << "n=" << n;
-    std::size_t differing = 0;
-    for (std::size_t i = 0; i < merged.size(); ++i) {
-      if (merged[i] != expected[i]) ++differing;
-    }
-    EXPECT_EQ(differing, 0u) << "n=" << n << ": " << differing << " of "
-                             << merged.size() << " lines differ";
+    expect_every_distinct_line(coords, 0, 5000,
+                               "integers n=" + std::to_string(n));
   }
+
+  // Full-mantissa fractions: every low digit of the sort key varies.
+  expect_every_distinct_line(
+      distinct_values(40000, [&] { return rng.uniform(0, 5000); }), 0, 5000,
+      "fractions");
+
+  // Nine decades, so the exponent digits vary too.
+  expect_every_distinct_line(distinct_values(40000,
+                                             [&] {
+                                               return std::exp(rng.uniform(
+                                                   std::log(1e-3),
+                                                   std::log(1e6)));
+                                             }),
+                             0, 2e6, "1e-3 to 1e6");
+
+  // An axis below zero: negative keys are bit-inverted, and coordinates
+  // on both sides of the boundaries are dropped.
+  std::vector<double> negative =
+      distinct_values(20000, [&] { return rng.uniform(-6000, -1); });
+  for (int i = 0; i < 20000; ++i) {
+    negative.push_back(static_cast<double>(rng.uniform_int(-6000, 1500)));
+  }
+  expect_every_distinct_line(negative, -5000, -100, "negative axis");
+
+  // Sizes around one digit's bucket count, all interior so that the sort
+  // sees every one, mixed with repeats; and the same value everywhere,
+  // where every pass is skipped.
+  for (const int n : {0, 1, 2, 2047, 2048, 2049}) {
+    std::vector<double> coords = distinct_values(
+        n - n / 4, [&] { return rng.uniform(1, 999); });
+    for (int i = 0; i < n / 4; ++i) {
+      coords.push_back(static_cast<double>(rng.uniform_int(1, 999)));
+    }
+    expect_every_distinct_line(coords, 0, 1000, "n=" + std::to_string(n));
+    expect_every_distinct_line(
+        std::vector<double>(static_cast<std::size_t>(n), 250.0), 0, 1000,
+        "n=" + std::to_string(n) + " equal");
+  }
+}
+
+TEST(MergeLines, SignedZerosGiveOnePositiveZeroLine) {
+  // -0.0 and +0.0 compare equal, so they are one line; the sort puts -0.0
+  // first, and the cluster sum, starting at +0.0, gives +0.0 either way.
+  const std::vector<std::vector<double>> inputs{
+      {-0.0, 0.0}, {0.0, -0.0}, {-0.0, -0.0, 0.0}, {0.0, 0.0, -0.0, -0.0}};
+  for (const std::vector<double>& coords : inputs) {
+    const std::vector<double> merged = merge_lines(coords, -1, 1, 0);
+    ASSERT_EQ(merged.size(), 3u);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(merged[1]),
+              std::bit_cast<std::uint64_t>(0.0));
+  }
+  const std::vector<double> merged =
+      merge_lines({0.5, -0.0, -0.5, 0.0, -0.0}, -1, 1, 0);
+  ASSERT_EQ(merged.size(), 5u);
+  EXPECT_EQ(merged[1], -0.5);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(merged[2]),
+            std::bit_cast<std::uint64_t>(0.0));
+  EXPECT_EQ(merged[3], 0.5);
 }
 
 TEST(CutLines, NearestLookup) {

@@ -147,6 +147,19 @@ TEST(FiconCliTest, NonFiniteMetricsAreAnError) {
   EXPECT_EQ(human.output.find("area inf"), std::string::npos) << human.output;
 }
 
+TEST(FiconCliTest, PitchTooFineForItsLatticeIsAnError) {
+  // A lattice axis above kMaxLatticeCells used to be cast to int, which is
+  // undefined: gcc gave 1x1 lattices, and this printed "ok" with a
+  // congestion of 10.48 (0.00376 at the default 30 um).
+  const CliRun run =
+      run_cli("--circuit ami33 --grid 1e-30 --json --op evaluate");
+  EXPECT_EQ(run.exit_code, 1) << run.output;
+  EXPECT_NE(run.output.find("\"status\":\"error\""), std::string::npos)
+      << run.output;
+  EXPECT_NE(run.output.find("pitch too fine"), std::string::npos)
+      << run.output;
+}
+
 TEST(FiconCliTest, ServiceKnobsRequireJsonMode) {
   const CliRun run = run_cli("--circuit apte --op evaluate");
   EXPECT_EQ(run.exit_code, 2);

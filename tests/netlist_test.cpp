@@ -309,6 +309,23 @@ TEST(GsrcParser, RejectsUnknownBlockKindsAndPins) {
 }
 
 
+TEST(GsrcParser, RejectsOutlinesOutsideTheDoubleRange) {
+  // The first two corners used to escape the parser as std::out_of_range
+  // from std::stod (found by fuzz/netlist_fuzz.cpp); the third, within the
+  // double range but 2e308 wide, gave a module of infinite width.
+  for (const char* outline : {
+           "sb0 hardrectilinear 4 (0, 0) (0, 1) (1e999, 1) (1e999, 0)\n",
+           "sb0 hardrectilinear 4 (0, 0) (0, 1e-999) (1, 1e-999) (1, 0)\n",
+           "sb0 hardrectilinear 4 (-1e308, 0) (-1e308, 1) (1e308, 1) "
+           "(1e308, 0)\n",
+       }) {
+    std::istringstream blocks(outline);
+    std::istringstream nets("");
+    EXPECT_THROW(parse_gsrc(blocks, nets, "x"), std::invalid_argument)
+        << outline;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Terminals in both file formats
 // ---------------------------------------------------------------------------

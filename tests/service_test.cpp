@@ -12,6 +12,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -381,11 +383,14 @@ TEST(ServiceSession, DestructorCancelsOutstandingWork) {
 TEST(ServiceProtocol, RequestCodecRoundTrips) {
   Request request = anneal_request(123456789012345ull, 4, 0.5);
   request.expression = "0 1 V";
-  const std::string payload = service::encode_request(42, request);
+  // Ids and targets past 2^53 come back exactly: a double would round
+  // 2^60 + 1 to 2^60.
+  const std::int64_t id = (std::int64_t{1} << 60) + 1;
+  const std::string payload = service::encode_request(id, request);
   service::ProtocolRequest decoded;
   std::string error;
   ASSERT_TRUE(service::decode_request(payload, &decoded, &error)) << error;
-  EXPECT_EQ(decoded.id, 42);
+  EXPECT_EQ(decoded.id, id);
   EXPECT_EQ(decoded.op, service::ProtocolOp::kAnneal);
   EXPECT_EQ(decoded.request.seed, request.seed);
   EXPECT_EQ(decoded.request.seeds, request.seeds);
@@ -394,6 +399,11 @@ TEST(ServiceProtocol, RequestCodecRoundTrips) {
   EXPECT_EQ(decoded.request.objective.irregular.grid_w,
             request.objective.irregular.grid_w);
   EXPECT_EQ(decoded.request.expression, request.expression);
+  ASSERT_TRUE(service::decode_request(service::encode_cancel(7, -id),
+                                      &decoded, &error))
+      << error;
+  EXPECT_EQ(decoded.id, 7);
+  EXPECT_EQ(decoded.target, -id);
 
   // Unknown keys and unknown ops are errors, not silently ignored.
   EXPECT_FALSE(service::decode_request(
@@ -436,7 +446,49 @@ TEST(ServiceProtocol, IntegerFieldsAcceptOnlyIntegralNumbersInRange) {
       &error))
       << error;
   EXPECT_EQ(decoded.target, -9007199254740992);
+
+  // Integers are parsed from their text, so every bit of the field's type
+  // arrives: 2^53 + 1 is the first integer a double cannot hold.
+  ASSERT_TRUE(service::decode_request(
+      R"({"id":9007199254740993,"op":"anneal","seed":9007199254740993})",
+      &decoded, &error))
+      << error;
+  EXPECT_EQ(decoded.id, 9007199254740993);
+  EXPECT_EQ(decoded.request.seed, 9007199254740993u);
+  ASSERT_TRUE(service::decode_request(
+      R"({"id":1,"op":"cancel","target":9007199254740993})", &decoded,
+      &error))
+      << error;
+  EXPECT_EQ(decoded.target, 9007199254740993);
+  ASSERT_TRUE(service::decode_request(
+      R"({"id":9223372036854775807,"op":"anneal",)"
+      R"("seed":18446744073709551615})",
+      &decoded, &error))
+      << error;
+  EXPECT_EQ(decoded.id, std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(decoded.request.seed, std::numeric_limits<std::uint64_t>::max());
+  ASSERT_TRUE(service::decode_request(
+      R"({"id":-9223372036854775808,"op":"cancel",)"
+      R"("target":-9223372036854775808})",
+      &decoded, &error))
+      << error;
+  EXPECT_EQ(decoded.id, std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(decoded.target, std::numeric_limits<std::int64_t>::min());
+  ASSERT_TRUE(service::decode_request(
+      R"({"id":1,"op":"cancel","target":9223372036854775807})", &decoded,
+      &error))
+      << error;
+  EXPECT_EQ(decoded.target, std::numeric_limits<std::int64_t>::max());
+
+  // Only integer literals: an integral fraction or exponent is rejected
+  // too, since its value would come through a double. A seed string is
+  // digits only; "-1" used to wrap to 2^64 - 1.
   for (const char* bad : {
+           R"({"id":4503599627370496.3,"op":"ping"})",
+           R"({"id":1e3,"op":"ping"})",
+           R"({"id":1,"op":"anneal","seeds":4.0})",
+           R"({"id":1,"op":"anneal","seed":"-1"})",
+           R"({"id":1,"op":"anneal","seed":"+1"})",
            R"({"id":1,"op":"anneal","seed":1e30})",
            R"({"id":1,"op":"anneal","seed":18446744073709551616})",
            R"({"id":1,"op":"anneal","seed":-1})",
@@ -458,9 +510,19 @@ TEST(ServiceProtocol, IntegerFieldsAcceptOnlyIntegralNumbersInRange) {
            R"({"id":1,"status":"ok","seeds":[{"seed":-3e300,"area":1,)"
            R"("wirelength":1,"congestion":0,"cost":1}]})",
            R"({"id":1,"status":"ok","stats":{"submitted":1e300}})",
+           R"({"id":1,"status":"ok","stats":{"submitted":4.0}})",
        }) {
     EXPECT_FALSE(service::decode_reply(bad, &reply, &error)) << bad;
   }
+  ASSERT_TRUE(service::decode_reply(
+      R"({"id":9007199254740993,"status":"ok","seeds":[)"
+      R"({"seed":18446744073709551615,"area":1,"wirelength":1,)"
+      R"("congestion":0,"cost":1}]})",
+      &reply, &error))
+      << error;
+  EXPECT_EQ(reply.id, 9007199254740993);
+  ASSERT_EQ(reply.seeds.size(), 1u);
+  EXPECT_EQ(reply.seeds[0].seed, std::numeric_limits<std::uint64_t>::max());
   ASSERT_TRUE(service::decode_reply(
       R"({"id":3,"status":"ok","stats":{"submitted":4,"failed":1}})", &reply,
       &error))
@@ -534,6 +596,32 @@ TEST(ServiceSession, NonFiniteMetricsAreAnErrorReply) {
   EXPECT_NE(reply.error.find("area is not finite"), std::string::npos)
       << reply.error;
   EXPECT_TRUE(reply.seeds.empty());
+}
+
+TEST(ServiceSession, PitchTooFineForItsLatticeIsAnErrorReply) {
+  // A lattice axis above kMaxLatticeCells used to be cast to int, which is
+  // undefined: gcc gave 1x1 lattices, and ami33 at a 1e-300 um pitch
+  // replied ok with congestion 10.48 (0.00376 at 30 um).
+  SessionOptions options;
+  options.workers = 1;
+  EngineSession session(make_mcnc("ami33"), options);
+  for (const char* payload : {
+           R"({"id":1,"op":"evaluate","grid":1e-300})",
+           R"({"id":2,"op":"evaluate","model":"fixed","grid":1e-30})",
+       }) {
+    service::ProtocolRequest decoded;
+    std::string error;
+    ASSERT_TRUE(service::decode_request(payload, &decoded, &error)) << error;
+    const Reply oneshot =
+        service::run_oneshot(make_mcnc("ami33"), decoded.request);
+    EXPECT_EQ(oneshot.status, ReplyStatus::kError) << payload;
+    EXPECT_NE(oneshot.error.find("pitch too fine"), std::string::npos)
+        << oneshot.error;
+    EXPECT_TRUE(oneshot.seeds.empty());
+    const Reply reply = session.run(decoded.request);
+    EXPECT_EQ(reply.status, ReplyStatus::kError) << payload;
+    expect_same_results(oneshot, reply);
+  }
 }
 
 TEST(ServiceProtocol, ReplyCodecRoundTripsBitExactDoubles) {
