@@ -27,7 +27,7 @@ class GridSpec {
   /// @brief Build a grid with the requested pitch; the chip is covered by
   /// ceil(extent / pitch) cells per axis (the last row/column may hang
   /// over the chip edge, matching how fixed-grid estimators bin pins),
-  /// at most kMaxLatticeCells per axis.
+  /// at most kMaxLatticeCells per axis and kMaxGridCells in all.
   /// @param chip    chip rectangle with positive area.
   /// @param pitch_x cell width (um), > 0.
   /// @param pitch_y cell height (um), > 0.
@@ -41,6 +41,8 @@ class GridSpec {
     g.pitch_y_ = pitch_y;
     g.nx_ = lattice_cells(chip.width(), pitch_x);
     g.ny_ = lattice_cells(chip.height(), pitch_y);
+    FICON_REQUIRE(static_cast<double>(g.nx_) * g.ny_ <= kMaxGridCells,
+                  "pitch too fine: a fixed grid needs more than 2^24 cells");
     return g;
   }
 

@@ -44,6 +44,12 @@ struct NetGridShape {
 /// are 1 um over a 2,000 um range and the 10 um judging grid.
 constexpr int kMaxLatticeCells = 1 << 20;
 
+/// Most cells a whole fixed grid may have (nx * ny). Each axis can pass
+/// kMaxLatticeCells while their product does not fit in memory: the
+/// evaluator holds the map plus one partial grid per block, 8 bytes a
+/// cell each.
+constexpr int kMaxGridCells = 1 << 24;
+
 /// Cells of `pitch` covering `extent` (at least 1), as g1/g2 and the fixed
 /// grid count them. Throws std::invalid_argument instead of casting a
 /// count above kMaxLatticeCells (or NaN) to int, which is undefined.

@@ -48,12 +48,6 @@ class ScoreMemo {
   using Key = std::vector<int>;
   using Value = std::vector<double>;
 
-  struct Stats {
-    long long hits = 0;
-    long long misses = 0;
-    long long evictions = 0;
-  };
-
   ScoreMemo() : index_(0, SlotHash{&slots_}, SlotEq{&slots_}) {}
 
   // The hash index functors point at this object's slot array.
@@ -77,7 +71,6 @@ class ScoreMemo {
 
   bool enabled() const { return capacity_ > 0; }
   std::size_t size() const { return used_; }
-  const Stats& stats() const { return stats_; }
 
   /// @brief Look up a signature; refreshes LRU order on hit.
   /// @return the cached matrix, or nullptr on miss. The pointer is valid
@@ -86,12 +79,10 @@ class ScoreMemo {
     if (capacity_ == 0) return nullptr;
     const auto it = index_.find(Probe{&key, hash_key(key)});
     if (it == index_.end()) {
-      ++stats_.misses;
       obs::count(obs::Counter::kScoreMemoMisses);
       return nullptr;
     }
     touch(*it);
-    ++stats_.hits;
     obs::count(obs::Counter::kScoreMemoHits);
     return &slots_[static_cast<std::size_t>(*it)].value;
   }
@@ -114,7 +105,6 @@ class ScoreMemo {
       slot = tail_;
       index_.erase(slot);
       unlink(slot);
-      ++stats_.evictions;
       obs::count(obs::Counter::kScoreMemoEvictions);
     } else {
       slot = static_cast<int>(used_);
@@ -207,7 +197,6 @@ class ScoreMemo {
   int head_ = -1;
   int tail_ = -1;
   std::unordered_set<int, SlotHash, SlotEq> index_;
-  Stats stats_;
 };
 
 }  // namespace ficon

@@ -9,15 +9,18 @@
 namespace ficon {
 namespace {
 
+constexpr double kCanvasPx = 800.0;    ///< longer chip edge in pixels
+constexpr double kHeatOpacity = 0.65;  ///< opacity of the heat overlay
+
 /// Pixel mapper: chip coordinates -> SVG canvas (y flipped: SVG grows
 /// downwards, chips grow upwards).
 struct Mapper {
   Rect chip;
   double scale;
 
-  static Mapper fit(const Rect& chip, double canvas_px) {
+  static Mapper fit(const Rect& chip) {
     FICON_REQUIRE(chip.is_proper(), "cannot render an empty chip");
-    return Mapper{chip, canvas_px / std::max(chip.width(), chip.height())};
+    return Mapper{chip, kCanvasPx / std::max(chip.width(), chip.height())};
   }
 
   double w() const { return chip.width() * scale; }
@@ -62,12 +65,12 @@ std::string heat_color(double t) {
 }
 
 void draw_modules(std::ostream& os, const Mapper& m, const Netlist& netlist,
-                  const Placement& placement, const SvgOptions& options) {
+                  const Placement& placement) {
   for (std::size_t i = 0; i < placement.module_rects.size(); ++i) {
     const Rect& r = placement.module_rects[i];
     m.rect(os, r,
            "fill:none;stroke:#333333;stroke-width:1");
-    if (options.draw_module_names && i < netlist.module_count()) {
+    if (i < netlist.module_count()) {
       os << "  <text x=\"" << m.x(r.center().x) << "\" y=\""
          << m.y(r.center().y)
          << "\" font-size=\"10\" text-anchor=\"middle\" fill=\"#333333\">"
@@ -87,17 +90,16 @@ void draw_modules(std::ostream& os, const Mapper& m, const Netlist& netlist,
 }  // namespace
 
 void write_svg(std::ostream& os, const Netlist& netlist,
-               const Placement& placement, const SvgOptions& options) {
-  const Mapper m = Mapper::fit(placement.chip, options.canvas_px);
+               const Placement& placement) {
+  const Mapper m = Mapper::fit(placement.chip);
   open_svg(os, m);
-  draw_modules(os, m, netlist, placement, options);
+  draw_modules(os, m, netlist, placement);
   close_svg(os);
 }
 
 void write_svg(std::ostream& os, const Netlist& netlist,
-               const Placement& placement, const CongestionMap& map,
-               const SvgOptions& options) {
-  const Mapper m = Mapper::fit(placement.chip, options.canvas_px);
+               const Placement& placement, const CongestionMap& map) {
+  const Mapper m = Mapper::fit(placement.chip);
   open_svg(os, m);
   const double peak = std::max(map.max_value(), 1e-12);
   for (int cy = 0; cy < map.grid().ny(); ++cy) {
@@ -106,18 +108,17 @@ void write_svg(std::ostream& os, const Netlist& netlist,
       if (v <= 0.0) continue;
       m.rect(os, map.grid().cell_rect(cx, cy),
              "fill:" + heat_color(v / peak) +
-                 ";fill-opacity:" + std::to_string(options.heat_alpha) +
+                 ";fill-opacity:" + std::to_string(kHeatOpacity) +
                  ";stroke:none");
     }
   }
-  draw_modules(os, m, netlist, placement, options);
+  draw_modules(os, m, netlist, placement);
   close_svg(os);
 }
 
 void write_svg(std::ostream& os, const Netlist& netlist,
-               const Placement& placement, const IrregularCongestionMap& map,
-               const SvgOptions& options) {
-  const Mapper m = Mapper::fit(placement.chip, options.canvas_px);
+               const Placement& placement, const IrregularCongestionMap& map) {
+  const Mapper m = Mapper::fit(placement.chip);
   open_svg(os, m);
   double peak = 1e-300;
   for (int iy = 0; iy < map.ny(); ++iy) {
@@ -131,7 +132,7 @@ void write_svg(std::ostream& os, const Netlist& netlist,
       if (v <= 0.0) continue;
       m.rect(os, map.lines().cell_rect(ix, iy),
              "fill:" + heat_color(v / peak) +
-                 ";fill-opacity:" + std::to_string(options.heat_alpha) +
+                 ";fill-opacity:" + std::to_string(kHeatOpacity) +
                  ";stroke:none");
     }
   }
@@ -146,7 +147,7 @@ void write_svg(std::ostream& os, const Netlist& netlist,
        << "\" y2=\"" << m.y(y)
        << "\" stroke=\"#7788aa\" stroke-width=\"0.4\"/>\n";
   }
-  draw_modules(os, m, netlist, placement, options);
+  draw_modules(os, m, netlist, placement);
   close_svg(os);
 }
 

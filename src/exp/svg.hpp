@@ -3,7 +3,6 @@
 #pragma once
 
 #include <iosfwd>
-#include <optional>
 
 #include "circuit/netlist.hpp"
 #include "congestion/congestion_map.hpp"
@@ -11,26 +10,20 @@
 
 namespace ficon {
 
-struct SvgOptions {
-  double canvas_px = 800.0;   ///< longer chip edge in pixels
-  bool draw_module_names = true;
-  bool draw_nets = false;     ///< routing-range outlines of 2-pin nets
-  double heat_alpha = 0.65;   ///< opacity of the congestion overlay
-};
+// Every picture is 800 px along the chip's longer edge, with module
+// names, and a congestion overlay at opacity 0.65.
 
 /// Render the placement (module outlines + names) to SVG.
 void write_svg(std::ostream& os, const Netlist& netlist,
-               const Placement& placement, const SvgOptions& options = {});
+               const Placement& placement);
 
 /// Render the placement with a fixed-grid congestion heat overlay.
 void write_svg(std::ostream& os, const Netlist& netlist,
-               const Placement& placement, const CongestionMap& map,
-               const SvgOptions& options = {});
+               const Placement& placement, const CongestionMap& map);
 
 /// Render the placement with the Irregular-Grid density overlay and its
 /// cut lines — the Figure 5 picture for a real circuit.
 void write_svg(std::ostream& os, const Netlist& netlist,
-               const Placement& placement, const IrregularCongestionMap& map,
-               const SvgOptions& options = {});
+               const Placement& placement, const IrregularCongestionMap& map);
 
 }  // namespace ficon

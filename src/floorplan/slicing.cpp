@@ -139,7 +139,6 @@ const SlicingResult& SlicingPacker::pack_cached_ref(
   if (!same_structure) {
     build_nodes(tokens, cache_nodes_, cache_root_);
     cache_valid_ = true;
-    ++cache_stats_.full_rebuilds;
     obs::count(obs::Counter::kPackCacheFullRebuilds);
     assemble_into(cache_nodes_, cache_root_, cache_result_);
     return cache_result_;
@@ -149,12 +148,10 @@ const SlicingResult& SlicingPacker::pack_cached_ref(
   // or either child is dirty; only dirty curves are recombined. Clean
   // curves are reused bit-for-bit and recombination is a pure function of
   // the children, so the result is identical to a full rebuild.
-  ++cache_stats_.incremental_packs;
-  cache_stats_.nodes_total += static_cast<long long>(tokens.size());
   obs::count(obs::Counter::kPackCacheIncremental);
   obs::count(obs::Counter::kPackCacheNodesTotal,
              static_cast<long long>(tokens.size()));
-  const long long recomputed_before = cache_stats_.nodes_recomputed;
+  long long recomputed = 0;
   dirty_.assign(tokens.size(), 0);
   for (std::size_t i = 0; i < tokens.size(); ++i) {
     const PolishToken& t = tokens[i];
@@ -177,12 +174,11 @@ const SlicingResult& SlicingPacker::pack_cached_ref(
                          : ShapeCurve::combine_horizontal(lc, rc);
       }
       node.token = t;
-      ++cache_stats_.nodes_recomputed;
+      ++recomputed;
     }
     dirty_[i] = d ? 1 : 0;
   }
-  obs::count(obs::Counter::kPackCacheNodesRecomputed,
-             cache_stats_.nodes_recomputed - recomputed_before);
+  obs::count(obs::Counter::kPackCacheNodesRecomputed, recomputed);
   assemble_into(cache_nodes_, cache_root_, cache_result_);
   return cache_result_;
 }

@@ -37,14 +37,6 @@ class SlicingPacker {
     ShapeCurve curve;
   };
 
-  /// Counters of the incremental pack_cached_ref() path.
-  struct CacheStats {
-    long long full_rebuilds = 0;      ///< structure changed (or cold cache)
-    long long incremental_packs = 0;  ///< dirty-path recompute sufficed
-    long long nodes_recomputed = 0;   ///< curves recombined incrementally
-    long long nodes_total = 0;        ///< nodes seen by incremental packs
-  };
-
   explicit SlicingPacker(const Netlist& netlist);
 
   /// Pack the expression; throws if it does not cover exactly the
@@ -70,12 +62,6 @@ class SlicingPacker {
   ///         this packer.
   const SlicingResult& pack_cached_ref(const PolishExpression& expr);
 
-  /// Drop the cached tree; the next pack_cached_ref() rebuilds from
-  /// scratch.
-  void invalidate_cache() { cache_valid_ = false; }
-
-  const CacheStats& cache_stats() const { return cache_stats_; }
-
   std::size_t module_count() const { return leaf_curves_.size(); }
 
  private:
@@ -92,7 +78,6 @@ class SlicingPacker {
   int cache_root_ = -1;
   std::vector<char> dirty_;  ///< per-node scratch for the diff pass
   SlicingResult cache_result_;  ///< pack_cached_ref() output buffer
-  CacheStats cache_stats_;
 };
 
 /// True iff no two module rects overlap with positive area and all lie

@@ -64,6 +64,21 @@ long long bucket_hi(int b) {
   return 1LL << b;
 }
 
+/// The non-empty buckets of `h` as a JSON array; "lo" strictly
+/// increases and the counts sum to `h.count`.
+void write_buckets(std::ostream& os, const HistSnapshot& h) {
+  os << ",\"buckets\":[";
+  bool first = true;
+  for (int b = 0; b < kHistBuckets; ++b) {
+    if (h.buckets[b] == 0) continue;
+    if (!first) os << ",";
+    first = false;
+    os << "{\"lo\":" << bucket_lo(b) << ",\"hi\":" << bucket_hi(b)
+       << ",\"count\":" << h.buckets[b] << "}";
+  }
+  os << "]";
+}
+
 }  // namespace
 
 void write_jsonl(std::ostream& os, const TraceReport& report,
@@ -79,34 +94,17 @@ void write_jsonl(std::ostream& os, const TraceReport& report,
     const Phase p = static_cast<Phase>(i);
     os << "{\"type\":\"phase\",\"name\":\"" << phase_name(p)
        << "\",\"calls\":" << report.phase_call_count(p)
-       << ",\"seconds\":" << json_number(report.phase_seconds(p)) << "}\n";
+       << ",\"seconds\":" << json_number(report.phase_seconds(p));
+    write_buckets(os, report.phase(p));
+    os << "}\n";
   }
   for (int i = 0; i < kHistCount; ++i) {
     const HistSnapshot& h = report.hists[i];
     os << "{\"type\":\"hist\",\"name\":\""
        << hist_name(static_cast<Hist>(i)) << "\",\"count\":" << h.count
-       << ",\"sum\":" << h.sum << ",\"buckets\":[";
-    bool first = true;
-    for (int b = 0; b < kHistBuckets; ++b) {
-      if (h.buckets[b] == 0) continue;
-      if (!first) os << ",";
-      first = false;
-      os << "{\"lo\":" << bucket_lo(b) << ",\"hi\":" << bucket_hi(b)
-         << ",\"count\":" << h.buckets[b] << "}";
-    }
-    os << "]}\n";
-  }
-  for (const CacheLine& c : kCacheLines) {
-    os << "{\"type\":\"cache\",\"name\":\"" << c.name
-       << "\",\"hits\":" << report.counter(c.hits)
-       << ",\"misses\":" << report.counter(c.misses) << ",\"evictions\":"
-       << (c.has_evictions ? report.counter(c.evictions) : 0) << "}\n";
-  }
-  for (const StrategyLine& s : kStrategyLines) {
-    os << "{\"type\":\"strategy\",\"name\":\"" << s.name
-       << "\",\"regions\":" << report.counter(s.regions)
-       << ",\"exact_fallbacks\":"
-       << (s.has_fallbacks ? report.counter(s.fallbacks) : 0) << "}\n";
+       << ",\"sum\":" << h.sum;
+    write_buckets(os, h);
+    os << "}\n";
   }
   for (const PoolThreadSample& t : report.pool_threads) {
     os << "{\"type\":\"thread_pool\",\"thread\":\""
@@ -131,15 +129,6 @@ void write_jsonl(std::ostream& os, const TraceReport& report,
        << ",\"best_cost\":" << json_number(e.best_cost)
        << ",\"stall\":" << e.stall << "}\n";
   }
-  os << "{\"type\":\"anneal_summary\",\"runs\":"
-     << report.counter(Counter::kAnnealRuns) << ",\"temperatures\":"
-     << report.counter(Counter::kAnnealTemperatures) << ",\"proposed\":"
-     << report.counter(Counter::kAnnealMovesProposed) << ",\"accepted\":"
-     << report.counter(Counter::kAnnealMovesAccepted)
-     << ",\"uphill_accepted\":"
-     << report.counter(Counter::kAnnealUphillAccepted)
-     << ",\"stall_temperatures\":"
-     << report.counter(Counter::kAnnealStallTemperatures) << "}\n";
 }
 
 void write_solution_jsonl(std::ostream& os, double area, double wirelength,
@@ -211,12 +200,17 @@ void write_summary(std::ostream& os, const TraceReport& report) {
   strategies.print(os);
   os << "\n";
 
-  TextTable phases({"phase", "calls", "seconds"});
+  const auto quantile = [](const HistSnapshot& h, double fraction) {
+    return std::to_string(h.quantile_upper_bound(fraction));
+  };
+  TextTable phases(
+      {"phase", "calls", "seconds", "~p50 ns", "~p90 ns", "~p99 ns"});
   for (int i = 0; i < kPhaseCount; ++i) {
     const Phase p = static_cast<Phase>(i);
-    phases.add_row({phase_name(p),
-                    std::to_string(report.phase_call_count(p)),
-                    fmt_fixed(report.phase_seconds(p), 3)});
+    const HistSnapshot& h = report.phase(p);
+    phases.add_row({phase_name(p), std::to_string(h.count),
+                    fmt_fixed(report.phase_seconds(p), 3), quantile(h, 0.50),
+                    quantile(h, 0.90), quantile(h, 0.99)});
   }
   phases.print(os);
   os << "\n";
@@ -227,9 +221,7 @@ void write_summary(std::ostream& os, const TraceReport& report) {
     if (h.count == 0) continue;
     hists.add_row({hist_name(static_cast<Hist>(i)),
                    std::to_string(h.count), fmt_fixed(h.mean(), 1),
-                   std::to_string(h.quantile_upper_bound(0.50)),
-                   std::to_string(h.quantile_upper_bound(0.90)),
-                   std::to_string(h.quantile_upper_bound(0.99))});
+                   quantile(h, 0.50), quantile(h, 0.90), quantile(h, 0.99)});
   }
   if (hists.row_count() > 0) {
     hists.print(os);
@@ -264,6 +256,9 @@ struct RecordSchema {
   const char* type;
   std::vector<Field> fields;
   NameTable names{};
+  /// The field the "buckets" counts must sum to, for records that carry
+  /// a histogram.
+  const char* bucket_total = nullptr;
 };
 
 template <std::size_t N>
@@ -282,25 +277,17 @@ const std::vector<RecordSchema>& trace_schema() {
       {"phase",
        {{"name", T::kString},
         {"calls", T::kNumber},
-        {"seconds", T::kNumber}},
-       name_table("name", schema::kPhaseNames)},
+        {"seconds", T::kNumber},
+        {"buckets", T::kArray}},
+       name_table("name", schema::kPhaseNames),
+       "calls"},
       {"hist",
        {{"name", T::kString},
         {"count", T::kNumber},
         {"sum", T::kNumber},
         {"buckets", T::kArray}},
-       name_table("name", schema::kHistNames)},
-      {"cache",
-       {{"name", T::kString},
-        {"hits", T::kNumber},
-        {"misses", T::kNumber},
-        {"evictions", T::kNumber}},
-       name_table("name", schema::kCacheNames)},
-      {"strategy",
-       {{"name", T::kString},
-        {"regions", T::kNumber},
-        {"exact_fallbacks", T::kNumber}},
-       name_table("name", schema::kStrategyNames)},
+       name_table("name", schema::kHistNames),
+       "count"},
       {"thread_pool",
        {{"thread", T::kString},
         {"tasks", T::kNumber},
@@ -322,13 +309,6 @@ const std::vector<RecordSchema>& trace_schema() {
         {"current_cost", T::kNumber},
         {"best_cost", T::kNumber},
         {"stall", T::kNumber}}},
-      {"anneal_summary",
-       {{"runs", T::kNumber},
-        {"temperatures", T::kNumber},
-        {"proposed", T::kNumber},
-        {"accepted", T::kNumber},
-        {"uphill_accepted", T::kNumber},
-        {"stall_temperatures", T::kNumber}}},
       {"solution",
        {{"area", T::kNumber},
         {"wirelength", T::kNumber},
@@ -357,52 +337,49 @@ bool known_name(const NameTable& table, const std::string& name) {
   return false;
 }
 
-/// "hist" bucket checks beyond the generic field pass: every bucket is an
+/// Bucket checks beyond the generic field pass: every bucket is an
 /// object of numbers with lo < hi, the lo sequence is strictly
-/// increasing, and the bucket counts sum to the record's "count".
-TraceLintResult lint_hist_buckets(const JsonValue& record,
-                                  std::string* error) {
+/// increasing, and the bucket counts sum to the record's `total` field.
+TraceLintResult lint_buckets(const JsonValue& record, const char* total,
+                             std::string* error) {
   const JsonValue& buckets = *record.find("buckets");
   double previous_lo = -1.0;
   bool have_previous = false;
-  double total = 0.0;
+  double sum = 0.0;
   for (const JsonValue& bucket : buckets.array) {
     if (!bucket.is_object()) {
-      return schema_error(error, "hist bucket is not a JSON object");
+      return schema_error(error, "bucket is not a JSON object");
     }
     const JsonValue* lo = bucket.find("lo");
     const JsonValue* hi = bucket.find("hi");
     const JsonValue* count = bucket.find("count");
     if (lo == nullptr || !lo->is_number() || hi == nullptr ||
         !hi->is_number() || count == nullptr || !count->is_number()) {
-      return schema_error(error,
-                          "hist bucket lacks numeric lo/hi/count fields");
+      return schema_error(error, "bucket lacks numeric lo/hi/count fields");
     }
     if (!(lo->number < hi->number)) {
-      return schema_error(error, "hist bucket has lo >= hi");
+      return schema_error(error, "bucket has lo >= hi");
     }
     if (have_previous && !(lo->number > previous_lo)) {
       return schema_error(error,
-                          "hist bucket lo values are not strictly "
-                          "increasing");
+                          "bucket lo values are not strictly increasing");
     }
     previous_lo = lo->number;
     have_previous = true;
     if (count->number < 0) {
-      return schema_error(error, "hist bucket has a negative count");
+      return schema_error(error, "bucket has a negative count");
     }
-    total += count->number;
+    sum += count->number;
   }
-  const double declared = record.find("count")->number;
-  if (total != declared) {
-    return schema_error(error,
-                        "hist bucket counts do not sum to \"count\"");
+  if (sum != record.find(total)->number) {
+    return schema_error(error, std::string("bucket counts do not sum to \"") +
+                                   total + "\"");
   }
   return TraceLintResult::kOk;
 }
 
 /// One line: kIoError when the text is not JSON at all, kSchemaViolation
-/// when it parses but is not a valid schema-v1 record.
+/// when it parses but is not a valid record of the current schema.
 TraceLintResult lint_trace_line(const std::string& line,
                                 std::string* error) {
   std::string parse_error;
@@ -441,9 +418,8 @@ TraceLintResult lint_trace_line(const std::string& line,
                                        "\" is not in the schema registry");
       }
     }
-    if (type->string == "hist") {
-      const TraceLintResult hist_result = lint_hist_buckets(*value, error);
-      if (hist_result != TraceLintResult::kOk) return hist_result;
+    if (record.bucket_total != nullptr) {
+      return lint_buckets(*value, record.bucket_total, error);
     }
     return TraceLintResult::kOk;
   }

@@ -2,22 +2,20 @@
 /// Trace export: JSON Lines for machines, a `TextTable` summary for
 /// humans, and a validator for the JSONL schema.
 ///
-/// JSONL schema (one object per line, discriminated by "type"):
+/// JSONL schema v3 (one object per line, discriminated by "type"):
 ///
-///   {"type":"meta","version":2,"tool":"..."}
+///   {"type":"meta","version":3,"tool":"..."}
 ///   {"type":"counter","name":"...","value":N}
 ///   {"type":"phase","name":"pack|decompose|congestion",
-///    "calls":N,"seconds":S}
-///   {"type":"hist","name":"repack_latency_ns|decompose_latency_ns|
-///    congestion_latency_ns|accept_ratio_ppm","count":N,"sum":S,
+///    "calls":N,"seconds":S,"buckets":[{"lo":L,"hi":H,"count":N},...]}
+///     — a phase is its per-call latency histogram in nanoseconds;
+///       bucket counts sum to "calls".
+///   {"type":"hist","name":"accept_ratio_ppm","count":N,"sum":S,
 ///    "buckets":[{"lo":L,"hi":H,"count":N},...]}
-///     — log-bucketed distribution; only non-empty buckets are emitted,
-///       "lo" strictly increasing, bucket counts sum to "count".
-///   {"type":"cache","name":"score_memo|pack_cached|decomposer",
-///    "hits":N,"misses":N,"evictions":N}
-///   {"type":"strategy",
-///    "name":"theorem1|exact_per_region|banded_exact|degenerate",
-///    "regions":N,"exact_fallbacks":N}
+///     — a distribution that is not a phase; bucket counts sum to
+///       "count".
+///   In both, only non-empty buckets are emitted and "lo" strictly
+///   increases.
 ///   {"type":"thread_pool","thread":"...","tasks":N,
 ///    "queue_wait_seconds":S}
 ///     — one per thread label, summed over every thread that carried it.
@@ -25,10 +23,11 @@
 ///    "proposed":N,"accepted":N,"uphill_accepted":N,
 ///    "proposed_m1":N,...,"accepted_m3":N,"accepted_delta":D,
 ///    "current_cost":C,"best_cost":B,"stall":N}
-///   {"type":"anneal_summary","runs":N,"temperatures":N,"proposed":N,
-///    "accepted":N,"uphill_accepted":N,"stall_temperatures":N}
 ///   {"type":"solution","area":A,"wirelength":W,"congestion":C,
 ///    "cost":K,"seconds":S}   (appended by tools, optional)
+///
+/// Cache hit rates, the region-strategy mix and the annealer's totals
+/// are counters; `write_summary` tabulates them for humans.
 ///
 /// Doubles are printed with %.17g so values round-trip bit-exactly.
 #pragma once
@@ -51,8 +50,9 @@ void write_jsonl(std::ostream& os, const TraceReport& report,
 void write_solution_jsonl(std::ostream& os, double area, double wirelength,
                           double congestion, double cost, double seconds);
 
-/// Human summary (cache hit ratios, strategy mix, phase timings,
-/// annealer totals, per-thread pool activity) via `src/exp/table`.
+/// Human summary (annealer totals, cache hit ratios, strategy mix, phase
+/// calls, times and latency quantiles, other histograms, per-thread pool
+/// activity) via `util/table`.
 void write_summary(std::ostream& os, const TraceReport& report);
 
 /// Validate one JSONL line against the schema. Returns false and fills

@@ -1,19 +1,20 @@
 /// \file
-/// Schema-v2 name registry for the trace JSONL export.
+/// Schema-v3 name registry for the trace JSONL export.
 ///
 /// Every name that can appear in a trace record — record "type"
-/// discriminators, counter names, phase names, cache names, strategy
-/// names — is declared here exactly once. The writer (`obs/trace.cpp`,
+/// discriminators, counter names, phase names, histogram names — is
+/// declared here exactly once. The writer (`obs/trace.cpp`,
 /// `obs/report.cpp`) draws display names from these tables, the
 /// validator (`validate_trace_line`) rejects records whose names are not
 /// registered, and `tools/ficon_lint` rule F002 cross-checks that every
-/// name literal emitted from `src/obs/` is present in this file.
+/// record type the writer emits or the validator declares is present in
+/// this file.
 ///
 /// Extending the schema therefore always starts here: add the name to
-/// the right table (append — the counter table is indexed by the
-/// `Counter` enum), then use it from the writer. A name used anywhere
-/// else first is a compile error (counters, via static_assert) or a
-/// lint/validator failure (everything else).
+/// the right table (append — each table is indexed by its enum), then
+/// use it from the writer. A counter, phase or histogram added on one
+/// side only is a compile error (static_assert); an unregistered record
+/// type is a lint/validator failure.
 ///
 /// This header is deliberately standalone (no includes) so the registry
 /// can be consumed by constexpr contexts and parsed trivially by
@@ -25,7 +26,10 @@ namespace ficon::obs::schema {
 /// Bump when a record shape or name table changes incompatibly.
 /// v2: added the "hist" record type (log-bucketed latency / accept-ratio
 /// histograms) and the `kHistNames` table.
-inline constexpr int kVersion = 2;
+/// v3: a "phase" record carries its latency buckets; the phase-mirroring
+/// hists and the "cache", "strategy" and "anneal_summary" records, which
+/// restated other records, are gone.
+inline constexpr int kVersion = 3;
 
 /// Record "type" discriminators, in the order the writer emits them.
 inline constexpr const char* kRecordTypes[] = {
@@ -33,11 +37,8 @@ inline constexpr const char* kRecordTypes[] = {
     "counter",
     "phase",
     "hist",
-    "cache",
-    "strategy",
     "thread_pool",
     "anneal_temperature",
-    "anneal_summary",
     "solution",
 };
 
@@ -83,7 +84,8 @@ inline constexpr const char* kCounterNames[] = {
     "pool_queue_wait_ns",
 };
 
-/// Facade phases, indexed by `ficon::obs::Phase`.
+/// Facade phases, indexed by `ficon::obs::Phase`; each is exported with
+/// its per-call latency buckets (nanoseconds).
 inline constexpr const char* kPhaseNames[] = {
     "pack",
     "decompose",
@@ -92,29 +94,10 @@ inline constexpr const char* kPhaseNames[] = {
 
 /// Histogram names, indexed by `ficon::obs::Hist`. `obs/trace.cpp`
 /// static_asserts that this table and the enum stay the same length.
-/// The first three mirror the facade phases (per-call latency in ns);
 /// `accept_ratio_ppm` samples each temperature's accepted/proposed ratio
 /// in parts per million so the log buckets resolve [0, 1] usefully.
 inline constexpr const char* kHistNames[] = {
-    "repack_latency_ns",
-    "decompose_latency_ns",
-    "congestion_latency_ns",
     "accept_ratio_ppm",
-};
-
-/// Cache rows of the "cache" record.
-inline constexpr const char* kCacheNames[] = {
-    "score_memo",
-    "pack_cached",
-    "decomposer",
-};
-
-/// Region-strategy rows of the "strategy" record.
-inline constexpr const char* kStrategyNames[] = {
-    "theorem1",
-    "exact_per_region",
-    "banded_exact",
-    "degenerate",
 };
 
 }  // namespace ficon::obs::schema

@@ -14,23 +14,41 @@
 namespace ficon::obs {
 namespace {
 
+/// Per-thread histogram storage: relaxed-atomic bucket counts plus a
+/// running sum, merged into `HistSnapshot`s by `capture()`. Phases and
+/// hists share it.
+struct HistSink {
+  std::array<std::atomic<long long>, kHistBuckets> buckets{};
+  std::atomic<long long> count{0};
+  std::atomic<long long> sum{0};
+
+  void record(long long v) {
+    buckets[hist_bucket(v)].fetch_add(1, std::memory_order_relaxed);
+    count.fetch_add(1, std::memory_order_relaxed);
+    sum.fetch_add(v, std::memory_order_relaxed);
+  }
+  void merge_into(HistSnapshot& merged) const {
+    for (int b = 0; b < kHistBuckets; ++b) {
+      merged.buckets[b] += buckets[b].load(std::memory_order_relaxed);
+    }
+    merged.count += count.load(std::memory_order_relaxed);
+    merged.sum += sum.load(std::memory_order_relaxed);
+  }
+  void clear() {
+    for (auto& b : buckets) b.store(0, std::memory_order_relaxed);
+    count.store(0, std::memory_order_relaxed);
+    sum.store(0, std::memory_order_relaxed);
+  }
+};
+
 /// One sink per thread. Counters are relaxed atomics: they are pure
 /// statistics, never used for synchronization, and `capture()` runs at
 /// join points where the producing threads are quiescent. The
 /// variable-size members (events, label) are guarded by the sink's own
 /// mutex; lock order is registry.mutex before sink.mutex.
-/// Per-thread histogram storage: relaxed-atomic bucket counts plus a
-/// running sum, merged into `HistSnapshot`s by `capture()`.
-struct HistSink {
-  std::array<std::atomic<long long>, kHistBuckets> buckets{};
-  std::atomic<long long> count{0};
-  std::atomic<long long> sum{0};
-};
-
 struct ThreadSink {
   std::array<std::atomic<long long>, kCounterCount> counters{};
-  std::array<std::atomic<long long>, kPhaseCount> phase_ns{};
-  std::array<std::atomic<long long>, kPhaseCount> phase_calls{};
+  std::array<HistSink, kPhaseCount> phases{};
   std::array<HistSink, kHistCount> hists{};
   Mutex mutex;
   std::vector<AnnealEvent> events FICON_GUARDED_BY(mutex);
@@ -108,32 +126,12 @@ void count_slow(Counter c, long long n) {
       n, std::memory_order_relaxed);
 }
 
-void add_phase_slow(Phase p, long long ns) {
-  ThreadSink& sink = local_sink();
-  sink.phase_ns[static_cast<int>(p)].fetch_add(ns,
-                                               std::memory_order_relaxed);
-  sink.phase_calls[static_cast<int>(p)].fetch_add(
-      1, std::memory_order_relaxed);
-  // Phases double as per-call latency distributions: Phase and the
-  // leading Hist entries are index-aligned, so every ScopedPhase sample
-  // also lands in the matching latency histogram for free.
-  static_assert(static_cast<int>(Phase::kPack) ==
-                    static_cast<int>(Hist::kRepackNs),
-                "Phase/Hist latency indices out of sync");
-  static_assert(static_cast<int>(Phase::kDecompose) ==
-                    static_cast<int>(Hist::kDecomposeNs),
-                "Phase/Hist latency indices out of sync");
-  static_assert(static_cast<int>(Phase::kCongestion) ==
-                    static_cast<int>(Hist::kCongestionNs),
-                "Phase/Hist latency indices out of sync");
-  record_hist_slow(static_cast<Hist>(p), ns);
+void record_phase_slow(Phase p, long long ns) {
+  local_sink().phases[static_cast<int>(p)].record(ns);
 }
 
 void record_hist_slow(Hist h, long long v) {
-  HistSink& hist = local_sink().hists[static_cast<int>(h)];
-  hist.buckets[hist_bucket(v)].fetch_add(1, std::memory_order_relaxed);
-  hist.count.fetch_add(1, std::memory_order_relaxed);
-  hist.sum.fetch_add(v, std::memory_order_relaxed);
+  local_sink().hists[static_cast<int>(h)].record(v);
 }
 
 }  // namespace detail
@@ -226,19 +224,10 @@ TraceReport capture() {
           sink->counters[i].load(std::memory_order_relaxed);
     }
     for (int i = 0; i < kPhaseCount; ++i) {
-      report.phase_ns[i] +=
-          sink->phase_ns[i].load(std::memory_order_relaxed);
-      report.phase_calls[i] +=
-          sink->phase_calls[i].load(std::memory_order_relaxed);
+      sink->phases[i].merge_into(report.phases[i]);
     }
     for (int i = 0; i < kHistCount; ++i) {
-      HistSnapshot& merged = report.hists[i];
-      const HistSink& hist = sink->hists[i];
-      for (int b = 0; b < kHistBuckets; ++b) {
-        merged.buckets[b] += hist.buckets[b].load(std::memory_order_relaxed);
-      }
-      merged.count += hist.count.load(std::memory_order_relaxed);
-      merged.sum += hist.sum.load(std::memory_order_relaxed);
+      sink->hists[i].merge_into(report.hists[i]);
     }
     const long long tasks =
         sink->counters[static_cast<int>(Counter::kPoolTasks)].load(
@@ -274,15 +263,8 @@ void reset() {
   const MutexLock lock(r.mutex);
   for (const std::shared_ptr<ThreadSink>& sink : r.sinks) {
     for (auto& c : sink->counters) c.store(0, std::memory_order_relaxed);
-    for (auto& p : sink->phase_ns) p.store(0, std::memory_order_relaxed);
-    for (auto& p : sink->phase_calls) {
-      p.store(0, std::memory_order_relaxed);
-    }
-    for (auto& h : sink->hists) {
-      for (auto& b : h.buckets) b.store(0, std::memory_order_relaxed);
-      h.count.store(0, std::memory_order_relaxed);
-      h.sum.store(0, std::memory_order_relaxed);
-    }
+    for (HistSink& p : sink->phases) p.clear();
+    for (HistSink& h : sink->hists) h.clear();
     const MutexLock sink_lock(sink->mutex);
     sink->events.clear();
   }

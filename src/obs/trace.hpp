@@ -85,7 +85,10 @@ inline constexpr int kCounterCount = static_cast<int>(Counter::kCount);
 /// Stable snake_case identifier for the JSONL export.
 const char* counter_name(Counter c);
 
-/// Facade phases timed by `ScopedPhase`.
+/// Facade phases timed by `ScopedPhase`. Each phase is its per-call
+/// latency histogram (nanoseconds): its count is the phase's calls and
+/// its sum the phase's total time. A new phase is one entry here and one
+/// name in `obs/schema.hpp::kPhaseNames`.
 enum class Phase : int {
   kPack = 0,
   kDecompose,
@@ -97,17 +100,13 @@ inline constexpr int kPhaseCount = static_cast<int>(Phase::kCount);
 
 const char* phase_name(Phase p);
 
-/// Log-bucketed distributions. The first three mirror `Phase` (per-call
-/// latency in nanoseconds, recorded automatically by `ScopedPhase`); the
-/// accept-ratio histogram samples each annealing temperature's
-/// accepted/proposed ratio in parts per million. Same registry
-/// discipline as counters: names live in `obs/schema.hpp::kHistNames`,
-/// pinned by a static_assert in `obs/trace.cpp`.
+/// Log-bucketed distributions that are not phases. The accept-ratio
+/// histogram samples each annealing temperature's accepted/proposed
+/// ratio in parts per million. Same registry discipline as counters:
+/// names live in `obs/schema.hpp::kHistNames`, pinned by a static_assert
+/// in `obs/trace.cpp`.
 enum class Hist : int {
-  kRepackNs = 0,      ///< Per-move cached re-pack latency (= Phase::kPack).
-  kDecomposeNs,       ///< Per-move decomposition latency.
-  kCongestionNs,      ///< Per-evaluation congestion-model latency.
-  kAcceptRatioPpm,    ///< Per-temperature accepted/proposed, in ppm.
+  kAcceptRatioPpm = 0,  ///< Per-temperature accepted/proposed, in ppm.
   kCount,
 };
 
@@ -138,7 +137,7 @@ namespace detail {
 extern std::atomic<bool> g_enabled;
 
 void count_slow(Counter c, long long n);
-void add_phase_slow(Phase p, long long ns);
+void record_phase_slow(Phase p, long long ns);
 void record_hist_slow(Hist h, long long v);
 
 }  // namespace detail
@@ -168,8 +167,9 @@ inline void record_hist(Hist h, long long v) {
   if (trace_enabled()) detail::record_hist_slow(h, v);
 }
 
-/// RAII span timer for a facade phase. Reads the clock only when tracing
-/// is enabled at construction.
+/// RAII span timer for a facade phase: one sample, the span's
+/// nanoseconds, into the phase's histogram. Reads the clock only when
+/// tracing is enabled at construction.
 class ScopedPhase {
  public:
   explicit ScopedPhase(Phase phase)
@@ -181,7 +181,7 @@ class ScopedPhase {
       const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                           std::chrono::steady_clock::now() - start_)
                           .count();
-      detail::add_phase_slow(phase_, ns);
+      detail::record_phase_slow(phase_, ns);
     }
   }
   ScopedPhase(const ScopedPhase&) = delete;
@@ -255,8 +255,7 @@ struct HistSnapshot {
 /// Aggregated snapshot of every sink, merged at a join point.
 struct TraceReport {
   std::array<long long, kCounterCount> counters{};
-  std::array<long long, kPhaseCount> phase_ns{};
-  std::array<long long, kPhaseCount> phase_calls{};
+  std::array<HistSnapshot, kPhaseCount> phases{};  ///< Per-call latency, ns.
   std::array<HistSnapshot, kHistCount> hists{};
   std::vector<PoolThreadSample> pool_threads;  ///< One per label, sorted.
   std::vector<AnnealEvent> anneal;  ///< Sorted by (run, step).
@@ -264,12 +263,13 @@ struct TraceReport {
   long long counter(Counter c) const {
     return counters[static_cast<int>(c)];
   }
+  const HistSnapshot& phase(Phase p) const {
+    return phases[static_cast<int>(p)];
+  }
   double phase_seconds(Phase p) const {
-    return static_cast<double>(phase_ns[static_cast<int>(p)]) * 1e-9;
+    return static_cast<double>(phase(p).sum) * 1e-9;
   }
-  long long phase_call_count(Phase p) const {
-    return phase_calls[static_cast<int>(p)];
-  }
+  long long phase_call_count(Phase p) const { return phase(p).count; }
   const HistSnapshot& hist(Hist h) const {
     return hists[static_cast<int>(h)];
   }

@@ -149,15 +149,20 @@ TEST(FiconCliTest, NonFiniteMetricsAreAnError) {
 
 TEST(FiconCliTest, PitchTooFineForItsLatticeIsAnError) {
   // A lattice axis above kMaxLatticeCells used to be cast to int, which is
-  // undefined: gcc gave 1x1 lattices, and this printed "ok" with a
-  // congestion of 10.48 (0.00376 at the default 30 um).
-  const CliRun run =
-      run_cli("--circuit ami33 --grid 1e-30 --json --op evaluate");
-  EXPECT_EQ(run.exit_code, 1) << run.output;
-  EXPECT_NE(run.output.find("\"status\":\"error\""), std::string::npos)
-      << run.output;
-  EXPECT_NE(run.output.find("pitch too fine"), std::string::npos)
-      << run.output;
+  // undefined: gcc gave 1x1 lattices, and the first input printed "ok"
+  // with a congestion of 10.48 (0.00376 at the default 30 um). The
+  // second one's fixed grid passes the per-axis bound, but its 5.3e10
+  // cells used to end in std::bad_alloc.
+  for (const char* args :
+       {"--circuit ami33 --grid 1e-30 --json --op evaluate",
+        "--circuit ami33 --model fixed --grid 0.01 --json --op evaluate"}) {
+    const CliRun run = run_cli(args);
+    EXPECT_EQ(run.exit_code, 1) << args << "\n" << run.output;
+    EXPECT_NE(run.output.find("\"status\":\"error\""), std::string::npos)
+        << run.output;
+    EXPECT_NE(run.output.find("pitch too fine"), std::string::npos)
+        << run.output;
+  }
 }
 
 TEST(FiconCliTest, ServiceKnobsRequireJsonMode) {

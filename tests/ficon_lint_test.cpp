@@ -49,9 +49,7 @@ class SeededRepo {
     write("src/obs/schema.hpp",
           "inline constexpr const char* kRecordTypes[] = {\"meta\"};\n"
           "inline constexpr const char* kCounterNames[] = {\"good_counter\"};\n"
-          "inline constexpr const char* kPhaseNames[] = {\"pack\"};\n"
-          "inline constexpr const char* kCacheNames[] = {\"score_memo\"};\n"
-          "inline constexpr const char* kStrategyNames[] = {\"theorem1\"};\n");
+          "inline constexpr const char* kPhaseNames[] = {\"pack\"};\n");
   }
   ~SeededRepo() { fs::remove_all(root_); }
 
@@ -118,10 +116,23 @@ TEST(FiconLint, F002CatchesUnregisteredTraceNames) {
              "  os << \"{\\\"type\\\":\\\"bogus_record\\\",\\\"v\\\":1}\";\n"
              "  os << \"{\\\"type\\\":\\\"meta\\\",\\\"version\\\":1}\";\n"
              "}\n");
+  // The validator's record rows are checked as well.
+  repo.write("src/obs/validator.cpp",
+             "const std::vector<RecordSchema>& trace_schema() {\n"
+             "  static const std::vector<RecordSchema> schema = {\n"
+             "      {\"meta\", {{\"version\", T::kNumber}}},\n"
+             "      {\"ghost_record\",\n"
+             "       {{\"name\", T::kString}}},\n"
+             "  };\n"
+             "  return schema;\n"
+             "}\n");
   const LintRun run = repo.lint();
   EXPECT_EQ(run.exit_code, 1) << run.output;
   EXPECT_NE(run.output.find("F002"), std::string::npos) << run.output;
   EXPECT_NE(run.output.find("bogus_record"), std::string::npos) << run.output;
+  EXPECT_NE(run.output.find("validator record type \"ghost_record\""),
+            std::string::npos)
+      << run.output;
   // The registered type must pass.
   EXPECT_EQ(run.output.find("\"meta\""), std::string::npos) << run.output;
 }
@@ -504,33 +515,6 @@ TEST(FiconLint, SarifLogIsWellFormedAndCarriesSuppressions) {
   EXPECT_EQ(sup->array[0].find("kind")->string, "external");
   EXPECT_EQ(sup->array[0].find("justification")->string,
             "exact sentinel compare");
-}
-
-TEST(FiconLint, CacheInvalidatesOnContentChangeAndSurvivesCorruption) {
-  SeededRepo repo("cache");
-  repo.write("src/x.cpp", "int f() { return 1; }\n");
-  const std::string cache = (repo.root() / "lint-cache.json").string();
-
-  EXPECT_EQ(repo.lint("--cache " + cache).exit_code, 0);
-  EXPECT_TRUE(fs::exists(cache));
-  // Warm run replays the cached (clean) analyses.
-  EXPECT_EQ(repo.lint("--cache " + cache).exit_code, 0);
-
-  // A content change invalidates that file's entry: the fresh analysis
-  // must see the new violation, and the next run replays it from cache.
-  repo.write("src/x.cpp", "bool f(double a) { return a == 1.0; }\n");
-  const LintRun fresh = repo.lint("--cache " + cache);
-  EXPECT_EQ(fresh.exit_code, 1) << fresh.output;
-  EXPECT_NE(fresh.output.find("F004"), std::string::npos) << fresh.output;
-  const LintRun replay = repo.lint("--cache " + cache);
-  EXPECT_EQ(replay.exit_code, 1) << replay.output;
-  EXPECT_NE(replay.output.find("F004"), std::string::npos) << replay.output;
-
-  // A corrupt cache is a miss, not a failure.
-  repo.write("lint-cache.json", "garbage{");
-  const LintRun cold = repo.lint("--cache " + cache);
-  EXPECT_EQ(cold.exit_code, 1) << cold.output;
-  EXPECT_NE(cold.output.find("F004"), std::string::npos) << cold.output;
 }
 
 // ---- analyzer-core unit tests (linked against ficon_lint_core) ----

@@ -1,6 +1,6 @@
 // Observability layer: the telemetry must be a pure observer (enabling it
-// never changes results, at any thread count), its counters must agree
-// with the per-component stats they mirror, and the JSONL export must
+// never changes results, at any thread count), its counters and
+// histograms must agree with each other, and the JSONL export must
 // round-trip through the validator.
 #include <gtest/gtest.h>
 
@@ -10,9 +10,9 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
-#include "congestion/score_cache.hpp"
 #include "ficon.hpp"
 
 namespace ficon {
@@ -83,6 +83,10 @@ TEST_F(ObsTest, DisabledTracingRecordsNothing) {
         << obs::counter_name(static_cast<obs::Counter>(c));
   }
   EXPECT_TRUE(report.anneal.empty());
+  for (int p = 0; p < obs::kPhaseCount; ++p) {
+    EXPECT_EQ(report.phases[static_cast<std::size_t>(p)].count, 0)
+        << obs::phase_name(static_cast<obs::Phase>(p));
+  }
   for (int h = 0; h < obs::kHistCount; ++h) {
     EXPECT_EQ(report.hists[static_cast<std::size_t>(h)].count, 0)
         << obs::hist_name(static_cast<obs::Hist>(h));
@@ -106,19 +110,13 @@ TEST_F(ObsTest, HistBucketIndexIsLogBaseTwo) {
 }
 
 TEST_F(ObsTest, LatencyHistogramsTrackPhaseCallCounts) {
-  // The phase timers double as the latency histograms' feed: one sample
-  // per ScopedPhase, so per-hist sample counts must equal phase calls.
+  // A phase is its latency histogram: one sample per ScopedPhase, so its
+  // bucket counts sum to its calls and its sum is its total time.
   obs::set_trace_enabled(true);
   const Netlist netlist = make_mcnc("apte");
   (void)Floorplanner(netlist, small_run_options()).run();
   const obs::TraceReport report = obs::capture();
 
-  EXPECT_EQ(report.hist(obs::Hist::kRepackNs).count,
-            report.phase_call_count(obs::Phase::kPack));
-  EXPECT_EQ(report.hist(obs::Hist::kDecomposeNs).count,
-            report.phase_call_count(obs::Phase::kDecompose));
-  EXPECT_EQ(report.hist(obs::Hist::kCongestionNs).count,
-            report.phase_call_count(obs::Phase::kCongestion));
   // One accept-ratio sample per temperature with at least one proposal.
   long long proposing_temps = 0;
   for (const obs::AnnealEvent& e : report.anneal) {
@@ -126,79 +124,28 @@ TEST_F(ObsTest, LatencyHistogramsTrackPhaseCallCounts) {
   }
   EXPECT_EQ(report.hist(obs::Hist::kAcceptRatioPpm).count, proposing_temps);
 
+  std::vector<std::pair<std::string, const obs::HistSnapshot*>> snapshots;
+  for (int p = 0; p < obs::kPhaseCount; ++p) {
+    const obs::Phase phase = static_cast<obs::Phase>(p);
+    snapshots.emplace_back(obs::phase_name(phase), &report.phase(phase));
+    EXPECT_EQ(report.phase_call_count(phase), report.phase(phase).count);
+    EXPECT_EQ(report.phase_seconds(phase),
+              static_cast<double>(report.phase(phase).sum) * 1e-9);
+  }
   for (int h = 0; h < obs::kHistCount; ++h) {
-    const obs::HistSnapshot& snap =
-        report.hists[static_cast<std::size_t>(h)];
+    const obs::Hist hist = static_cast<obs::Hist>(h);
+    snapshots.emplace_back(obs::hist_name(hist), &report.hist(hist));
+  }
+  for (const auto& [name, snap] : snapshots) {
     long long total = 0;
-    for (const long long b : snap.buckets) total += b;
-    EXPECT_EQ(total, snap.count)
-        << obs::hist_name(static_cast<obs::Hist>(h));
-    if (snap.count > 0) {
-      EXPECT_GE(snap.mean(), 0.0);
-      EXPECT_LE(snap.quantile_upper_bound(0.5),
-                snap.quantile_upper_bound(0.99));
-    }
+    for (const long long b : snap->buckets) total += b;
+    EXPECT_EQ(total, snap->count) << name;
+    EXPECT_GT(snap->count, 0) << name;
+    EXPECT_GE(snap->mean(), 0.0) << name;
+    EXPECT_LE(snap->quantile_upper_bound(0.5),
+              snap->quantile_upper_bound(0.99))
+        << name;
   }
-  EXPECT_GT(report.hist(obs::Hist::kRepackNs).count, 0);
-  EXPECT_GT(report.hist(obs::Hist::kAcceptRatioPpm).count, 0);
-}
-
-TEST_F(ObsTest, ScoreMemoCountersMatchItsOwnStats) {
-  obs::set_trace_enabled(true);
-
-  // Mirrors ScoreMemo.FindReturnsInsertedValue: one cold miss, one hit.
-  ScoreMemo memo;
-  memo.configure(4, 1);
-  const ScoreMemo::Key key{1, 2, 3};
-  EXPECT_EQ(memo.find(key), nullptr);
-  memo.insert(key, ScoreMemo::Value{0.25});
-  EXPECT_NE(memo.find(key), nullptr);
-
-  obs::TraceReport report = obs::capture();
-  EXPECT_EQ(report.counter(obs::Counter::kScoreMemoHits), memo.stats().hits);
-  EXPECT_EQ(report.counter(obs::Counter::kScoreMemoMisses),
-            memo.stats().misses);
-  EXPECT_EQ(report.counter(obs::Counter::kScoreMemoHits), 1);
-  EXPECT_EQ(report.counter(obs::Counter::kScoreMemoMisses), 1);
-  EXPECT_EQ(report.counter(obs::Counter::kScoreMemoEvictions), 0);
-
-  // Mirrors ScoreMemo.EvictsLeastRecentlyUsed: capacity 2, third insert
-  // evicts exactly one entry.
-  obs::reset();
-  ScoreMemo lru;
-  lru.configure(2, 1);
-  lru.insert(ScoreMemo::Key{1}, ScoreMemo::Value{1.0});
-  lru.insert(ScoreMemo::Key{2}, ScoreMemo::Value{2.0});
-  lru.insert(ScoreMemo::Key{3}, ScoreMemo::Value{3.0});
-  report = obs::capture();
-  EXPECT_EQ(report.counter(obs::Counter::kScoreMemoEvictions),
-            lru.stats().evictions);
-  EXPECT_EQ(report.counter(obs::Counter::kScoreMemoEvictions), 1);
-}
-
-TEST_F(ObsTest, PackCacheCountersMatchItsOwnStats) {
-  obs::set_trace_enabled(true);
-  const Netlist netlist = make_mcnc("apte");
-  SlicingPacker packer(netlist);
-  PolishExpression expr =
-      PolishExpression::initial(static_cast<int>(netlist.module_count()));
-  Rng rng(3);
-  (void)packer.pack_cached_ref(expr);  // cold: full rebuild
-  for (int i = 0; i < 10; ++i) {
-    expr.random_move(rng);
-    (void)packer.pack_cached_ref(expr);
-  }
-  const obs::TraceReport report = obs::capture();
-  const SlicingPacker::CacheStats& stats = packer.cache_stats();
-  EXPECT_EQ(report.counter(obs::Counter::kPackCacheFullRebuilds),
-            stats.full_rebuilds);
-  EXPECT_EQ(report.counter(obs::Counter::kPackCacheIncremental),
-            stats.incremental_packs);
-  EXPECT_EQ(report.counter(obs::Counter::kPackCacheNodesRecomputed),
-            stats.nodes_recomputed);
-  EXPECT_EQ(report.counter(obs::Counter::kPackCacheNodesTotal),
-            stats.nodes_total);
-  EXPECT_GE(stats.full_rebuilds, 1);
 }
 
 TEST_F(ObsTest, AnnealEventsAreConsistentWithCounterTotals) {
@@ -298,11 +245,22 @@ TEST_F(ObsTest, JsonlExportRoundTripsThroughValidator) {
   const std::string text = jsonl.str();
   EXPECT_NE(text.find("\"type\":\"meta\""), std::string::npos);
   EXPECT_NE(text.find("\"type\":\"anneal_temperature\""), std::string::npos);
-  EXPECT_NE(text.find("\"type\":\"cache\""), std::string::npos);
-  EXPECT_NE(text.find("\"type\":\"strategy\""), std::string::npos);
   EXPECT_NE(text.find("\"type\":\"thread_pool\""), std::string::npos);
   EXPECT_NE(text.find("\"type\":\"solution\""), std::string::npos);
   EXPECT_NE(text.find("\"type\":\"hist\""), std::string::npos);
+  // Counters are the one record of cache and annealer totals.
+  EXPECT_EQ(text.find("\"type\":\"cache\""), std::string::npos);
+  EXPECT_EQ(text.find("\"type\":\"anneal_summary\""), std::string::npos);
+  // Every phase record carries its latency buckets.
+  std::istringstream lines(text);
+  std::string line;
+  int phases = 0;
+  while (std::getline(lines, line)) {
+    if (line.find("\"type\":\"phase\"") == std::string::npos) continue;
+    ++phases;
+    EXPECT_NE(line.find("\"buckets\":[{"), std::string::npos) << line;
+  }
+  EXPECT_EQ(phases, obs::kPhaseCount);
 
   // The human summary renders without throwing and mentions each table.
   std::ostringstream summary;
@@ -311,12 +269,14 @@ TEST_F(ObsTest, JsonlExportRoundTripsThroughValidator) {
   EXPECT_NE(summary.str().find("cache"), std::string::npos);
   EXPECT_NE(summary.str().find("strategy"), std::string::npos);
   EXPECT_NE(summary.str().find("histogram"), std::string::npos);
+  EXPECT_NE(summary.str().find("~p99 ns"), std::string::npos);
 }
 
 TEST_F(ObsTest, ResetZeroesEverything) {
   obs::set_trace_enabled(true);
   obs::count(obs::Counter::kIrEvaluations, 5);
-  obs::record_hist(obs::Hist::kRepackNs, 1234);
+  obs::record_hist(obs::Hist::kAcceptRatioPpm, 1234);
+  { const obs::ScopedPhase phase(obs::Phase::kPack); }
   obs::AnnealEvent event;
   event.run = obs::next_anneal_run();
   obs::record_anneal(event);
@@ -324,8 +284,13 @@ TEST_F(ObsTest, ResetZeroesEverything) {
   const obs::TraceReport report = obs::capture();
   EXPECT_EQ(report.counter(obs::Counter::kIrEvaluations), 0);
   EXPECT_TRUE(report.anneal.empty());
-  EXPECT_EQ(report.hist(obs::Hist::kRepackNs).count, 0);
-  EXPECT_EQ(report.hist(obs::Hist::kRepackNs).sum, 0);
+  EXPECT_EQ(report.hist(obs::Hist::kAcceptRatioPpm).count, 0);
+  EXPECT_EQ(report.hist(obs::Hist::kAcceptRatioPpm).sum, 0);
+  EXPECT_EQ(report.phase(obs::Phase::kPack).count, 0);
+  EXPECT_EQ(report.phase(obs::Phase::kPack).sum, 0);
+  for (const long long b : report.phase(obs::Phase::kPack).buckets) {
+    EXPECT_EQ(b, 0);
+  }
   EXPECT_EQ(obs::next_anneal_run(), 0);  // run ids restart after reset
 }
 

@@ -601,13 +601,16 @@ TEST(ServiceSession, NonFiniteMetricsAreAnErrorReply) {
 TEST(ServiceSession, PitchTooFineForItsLatticeIsAnErrorReply) {
   // A lattice axis above kMaxLatticeCells used to be cast to int, which is
   // undefined: gcc gave 1x1 lattices, and ami33 at a 1e-300 um pitch
-  // replied ok with congestion 10.48 (0.00376 at 30 um).
+  // replied ok with congestion 10.48 (0.00376 at 30 um). A fixed grid
+  // whose axes pass that bound but whose nx * ny (5.3e10 cells at
+  // 0.01 um) does not used to end in std::bad_alloc.
   SessionOptions options;
   options.workers = 1;
   EngineSession session(make_mcnc("ami33"), options);
   for (const char* payload : {
            R"({"id":1,"op":"evaluate","grid":1e-300})",
            R"({"id":2,"op":"evaluate","model":"fixed","grid":1e-30})",
+           R"({"id":3,"op":"evaluate","model":"fixed","grid":0.01})",
        }) {
     service::ProtocolRequest decoded;
     std::string error;

@@ -3,10 +3,30 @@
 
 #include "circuit/mcnc.hpp"
 #include "floorplan/slicing.hpp"
+#include "obs/trace.hpp"
 #include "util/rng.hpp"
 
 namespace ficon {
 namespace {
+
+/// Tracing on over zeroed sinks for one test's scope, so the test reads
+/// the pack-cache counters of its own packs only.
+class TracedScope {
+ public:
+  TracedScope() : was_enabled_(obs::trace_enabled()) {
+    obs::reset();
+    obs::set_trace_enabled(true);
+  }
+  ~TracedScope() {
+    obs::set_trace_enabled(was_enabled_);
+    obs::reset();
+  }
+  TracedScope(const TracedScope&) = delete;
+  TracedScope& operator=(const TracedScope&) = delete;
+
+ private:
+  bool was_enabled_;
+};
 
 Netlist three_modules() {
   return Netlist("t",
@@ -107,6 +127,7 @@ TEST(Slicing, CachedPackMatchesFullPackBitwise) {
   // The pipeline's contract: pack_cached_ref() is bit-identical to the
   // stateless pack() after any sequence of Wong-Liu moves — including M3
   // moves, which change the kind pattern and force a full rebuild.
+  const TracedScope traced;
   const Netlist n = make_mcnc("ami33");
   SlicingPacker cached(n);
   const SlicingPacker fresh(n);
@@ -131,10 +152,12 @@ TEST(Slicing, CachedPackMatchesFullPackBitwise) {
   // 200 random moves must have exercised both cache paths, and the dirty
   // pass must be doing real work: far fewer curves recombined than a full
   // rebuild per move would cost.
-  const SlicingPacker::CacheStats& stats = cached.cache_stats();
-  EXPECT_GT(stats.incremental_packs, 0);
-  EXPECT_GT(stats.full_rebuilds, 0);  // M3 moves change the kind pattern
-  EXPECT_LT(stats.nodes_recomputed, stats.nodes_total / 2);
+  const obs::TraceReport report = obs::capture();
+  EXPECT_GT(report.counter(obs::Counter::kPackCacheIncremental), 0);
+  // M3 moves change the kind pattern.
+  EXPECT_GT(report.counter(obs::Counter::kPackCacheFullRebuilds), 0);
+  EXPECT_LT(report.counter(obs::Counter::kPackCacheNodesRecomputed),
+            report.counter(obs::Counter::kPackCacheNodesTotal) / 2);
 }
 
 TEST(Slicing, PackCachedRefMatchesPackAcrossMoves) {
@@ -162,17 +185,17 @@ TEST(Slicing, PackCachedRefMatchesPackAcrossMoves) {
   }
 }
 
-TEST(Slicing, CacheInvalidationForcesRebuild) {
+TEST(Slicing, WarmRepackOfTheSameExpressionRecomputesNothing) {
+  const TracedScope traced;
   const Netlist n = three_modules();
   SlicingPacker packer(n);
   const PolishExpression e(toks({0, 1, V, 2, H}));
-  packer.pack_cached_ref(e);
-  const long long rebuilds = packer.cache_stats().full_rebuilds;
+  packer.pack_cached_ref(e);  // cold: one full rebuild
   packer.pack_cached_ref(e);  // warm: incremental, zero dirty nodes
-  EXPECT_EQ(packer.cache_stats().full_rebuilds, rebuilds);
-  packer.invalidate_cache();
-  packer.pack_cached_ref(e);  // cold again
-  EXPECT_EQ(packer.cache_stats().full_rebuilds, rebuilds + 1);
+  const obs::TraceReport report = obs::capture();
+  EXPECT_EQ(report.counter(obs::Counter::kPackCacheFullRebuilds), 1);
+  EXPECT_EQ(report.counter(obs::Counter::kPackCacheIncremental), 1);
+  EXPECT_EQ(report.counter(obs::Counter::kPackCacheNodesRecomputed), 0);
 }
 
 TEST(Slicing, DeadspaceReasonableAfterManyMoves) {

@@ -74,15 +74,13 @@ TEST(JsonParser, RejectsMalformedInput) {
 
 TEST(TraceSchema, AcceptsEveryDocumentedRecordType) {
   const char* lines[] = {
-      R"({"type":"meta","version":2,"tool":"t"})",
+      R"({"type":"meta","version":3,"tool":"t"})",
       R"({"type":"counter","name":"anneal_runs","value":1})",
-      R"({"type":"phase","name":"pack","calls":3,"seconds":0.5})",
-      R"({"type":"cache","name":"score_memo","hits":1,"misses":2,"evictions":0})",
-      R"({"type":"strategy","name":"theorem1","regions":9,"exact_fallbacks":1})",
+      R"({"type":"phase","name":"pack","calls":3,"seconds":0.5,"buckets":[{"lo":1,"hi":2,"count":1},{"lo":2,"hi":4,"count":2}]})",
+      R"({"type":"phase","name":"congestion","calls":0,"seconds":0,"buckets":[]})",
       R"({"type":"thread_pool","thread":"worker-0","tasks":4,"queue_wait_seconds":0.001})",
-      R"({"type":"anneal_summary","runs":1,"temperatures":2,"proposed":40,"accepted":12,"uphill_accepted":3,"stall_temperatures":0})",
       R"({"type":"solution","area":1.0,"wirelength":2.0,"congestion":0.5,"cost":3.5,"seconds":0.1})",
-      R"({"type":"hist","name":"repack_latency_ns","count":3,"sum":9,"buckets":[{"lo":1,"hi":2,"count":1},{"lo":2,"hi":4,"count":2}]})",
+      R"({"type":"hist","name":"accept_ratio_ppm","count":3,"sum":9,"buckets":[{"lo":1,"hi":2,"count":1},{"lo":2,"hi":4,"count":2}]})",
       R"({"type":"hist","name":"accept_ratio_ppm","count":0,"sum":0,"buckets":[]})",
   };
   for (const char* line : lines) {
@@ -92,26 +90,31 @@ TEST(TraceSchema, AcceptsEveryDocumentedRecordType) {
   }
 }
 
-TEST(TraceSchema, HistRecordsAreCheckedForBucketConsistency) {
+TEST(TraceSchema, HistAndPhaseRecordsAreCheckedForBucketConsistency) {
   // Bucket lists must be well-formed: numeric lo/hi/count per bucket,
   // lo < hi, strictly increasing lo, non-negative counts summing to the
-  // declared "count". A sparse export is how a corrupted merge would
-  // slip by — lint it hard.
+  // declared "count" (a hist) or "calls" (a phase). A sparse export is
+  // how a corrupted merge would slip by — lint it hard.
   const char* bad[] = {
-      // Unregistered histogram name.
+      // Unregistered histogram name, and a retired phase mirror.
       R"({"type":"hist","name":"vibes_ns","count":0,"sum":0,"buckets":[]})",
+      R"({"type":"hist","name":"repack_latency_ns","count":0,"sum":0,"buckets":[]})",
       // Bucket is not an object.
-      R"({"type":"hist","name":"repack_latency_ns","count":1,"sum":1,"buckets":[7]})",
+      R"({"type":"hist","name":"accept_ratio_ppm","count":1,"sum":1,"buckets":[7]})",
       // Bucket missing "count".
-      R"({"type":"hist","name":"repack_latency_ns","count":1,"sum":1,"buckets":[{"lo":1,"hi":2}]})",
+      R"({"type":"hist","name":"accept_ratio_ppm","count":1,"sum":1,"buckets":[{"lo":1,"hi":2}]})",
       // lo >= hi.
-      R"({"type":"hist","name":"repack_latency_ns","count":1,"sum":1,"buckets":[{"lo":4,"hi":2,"count":1}]})",
+      R"({"type":"hist","name":"accept_ratio_ppm","count":1,"sum":1,"buckets":[{"lo":4,"hi":2,"count":1}]})",
       // Non-monotone lo sequence.
-      R"({"type":"hist","name":"repack_latency_ns","count":2,"sum":6,"buckets":[{"lo":4,"hi":8,"count":1},{"lo":2,"hi":4,"count":1}]})",
+      R"({"type":"hist","name":"accept_ratio_ppm","count":2,"sum":6,"buckets":[{"lo":4,"hi":8,"count":1},{"lo":2,"hi":4,"count":1}]})",
       // Negative bucket count.
-      R"({"type":"hist","name":"repack_latency_ns","count":1,"sum":1,"buckets":[{"lo":1,"hi":2,"count":-1}]})",
+      R"({"type":"hist","name":"accept_ratio_ppm","count":1,"sum":1,"buckets":[{"lo":1,"hi":2,"count":-1}]})",
       // Bucket counts do not sum to the declared total.
-      R"({"type":"hist","name":"repack_latency_ns","count":5,"sum":9,"buckets":[{"lo":1,"hi":2,"count":1},{"lo":2,"hi":4,"count":2}]})",
+      R"({"type":"hist","name":"accept_ratio_ppm","count":5,"sum":9,"buckets":[{"lo":1,"hi":2,"count":1},{"lo":2,"hi":4,"count":2}]})",
+      // A phase without buckets, or whose buckets do not sum to "calls".
+      R"({"type":"phase","name":"pack","calls":3,"seconds":0.5})",
+      R"({"type":"phase","name":"pack","calls":4,"seconds":0.5,"buckets":[{"lo":1,"hi":2,"count":1},{"lo":2,"hi":4,"count":2}]})",
+      R"({"type":"phase","name":"pack","calls":1,"seconds":0.5,"buckets":[{"lo":2,"hi":1,"count":1}]})",
   };
   for (const char* line : bad) {
     std::string error;
@@ -139,7 +142,11 @@ TEST(TraceSchema, RejectsBadRecords) {
       R"({"type":"launch_codes"})",                    // unknown type
       R"({"type":"counter","name":"anneal_runs"})",    // missing field
       R"({"type":"counter","name":7,"value":1})",      // wrong field kind
-      R"({"type":"phase","name":"pack","calls":"3","seconds":0.5})",
+      R"({"type":"phase","name":"pack","calls":"3","seconds":0.5,"buckets":[]})",
+      // Schema-v2 records that restated counters.
+      R"({"type":"cache","name":"score_memo","hits":1,"misses":2,"evictions":0})",
+      R"({"type":"strategy","name":"theorem1","regions":9,"exact_fallbacks":1})",
+      R"({"type":"anneal_summary","runs":1,"temperatures":2,"proposed":40,"accepted":12,"uphill_accepted":3,"stall_temperatures":0})",
   };
   for (const char* line : lines) {
     std::string error;
@@ -149,13 +156,12 @@ TEST(TraceSchema, RejectsBadRecords) {
 }
 
 TEST(TraceSchema, RejectsNamesMissingFromRegistry) {
-  // Free-form names defeat the point of a schema: every counter, phase,
-  // cache, and strategy name must come from obs/schema.hpp.
+  // Free-form names defeat the point of a schema: every counter, phase
+  // and histogram name must come from obs/schema.hpp.
   const char* lines[] = {
       R"({"type":"counter","name":"made_up_counter","value":1})",
-      R"({"type":"phase","name":"warp","calls":3,"seconds":0.5})",
-      R"({"type":"cache","name":"l5","hits":1,"misses":2,"evictions":0})",
-      R"({"type":"strategy","name":"vibes","regions":9,"exact_fallbacks":0})",
+      R"({"type":"phase","name":"warp","calls":0,"seconds":0.5,"buckets":[]})",
+      R"({"type":"hist","name":"vibes_ns","count":0,"sum":0,"buckets":[]})",
   };
   for (const char* line : lines) {
     std::string error;
@@ -179,7 +185,7 @@ TEST(TraceSchema, EveryCounterAndPhaseNameIsRegistered) {
     const std::string line =
         std::string(R"({"type":"phase","name":")") +
         obs::phase_name(static_cast<obs::Phase>(i)) +
-        R"(","calls":0,"seconds":0.0})";
+        R"(","calls":0,"seconds":0.0,"buckets":[]})";
     std::string error;
     EXPECT_TRUE(obs::validate_trace_line(line, &error)) << error;
   }
@@ -189,7 +195,7 @@ TEST(TraceSchema, StreamValidatorRequiresLeadingMeta) {
   std::string error;
 
   std::istringstream good(
-      "{\"type\":\"meta\",\"version\":2,\"tool\":\"t\"}\n"
+      "{\"type\":\"meta\",\"version\":3,\"tool\":\"t\"}\n"
       "{\"type\":\"counter\",\"name\":\"anneal_runs\",\"value\":0}\n"
       "\n");  // blank lines are fine
   EXPECT_TRUE(obs::validate_trace(good, &error)) << error;
@@ -202,8 +208,14 @@ TEST(TraceSchema, StreamValidatorRequiresLeadingMeta) {
       "{\"type\":\"meta\",\"version\":999,\"tool\":\"t\"}\n");
   EXPECT_FALSE(obs::validate_trace(wrong_version, &error));
 
+  // A version-2 trace is not read as a version-3 one.
+  std::istringstream version_two(
+      "{\"type\":\"meta\",\"version\":2,\"tool\":\"t\"}\n");
+  EXPECT_FALSE(obs::validate_trace(version_two, &error));
+  EXPECT_NE(error.find("version"), std::string::npos) << error;
+
   std::istringstream bad_tail(
-      "{\"type\":\"meta\",\"version\":2,\"tool\":\"t\"}\n"
+      "{\"type\":\"meta\",\"version\":3,\"tool\":\"t\"}\n"
       "{\"type\":\"counter\"}\n");
   EXPECT_FALSE(obs::validate_trace(bad_tail, &error));
   EXPECT_NE(error.find("line"), std::string::npos);  // position-tagged
@@ -219,12 +231,12 @@ TEST(TraceLint, DistinguishesSchemaViolationFromParseError) {
 
   std::string error;
   std::istringstream ok(
-      "{\"type\":\"meta\",\"version\":2,\"tool\":\"t\"}\n");
+      "{\"type\":\"meta\",\"version\":3,\"tool\":\"t\"}\n");
   EXPECT_EQ(obs::lint_trace(ok, &error), obs::TraceLintResult::kOk);
 
   // Well-formed JSON, but the record violates the schema -> 1.
   std::istringstream bad_record(
-      "{\"type\":\"meta\",\"version\":2,\"tool\":\"t\"}\n"
+      "{\"type\":\"meta\",\"version\":3,\"tool\":\"t\"}\n"
       "{\"type\":\"counter\",\"name\":\"anneal_runs\"}\n");
   EXPECT_EQ(obs::lint_trace(bad_record, &error),
             obs::TraceLintResult::kSchemaViolation);

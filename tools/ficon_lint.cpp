@@ -17,7 +17,8 @@
 // v2 replaced the line-regex scanner core with tools/lint/: a
 // comment/string-aware tokenizer builds the code/text views and the
 // token stream the D-rules walk, and quoted includes are resolved
-// per TU against compile_commands.json for the layering checks.
+// against the including file's directory and src/ for the layering
+// checks. Every run analyzes every file.
 //
 // Findings can be suppressed through a committed baseline
 // (.ficon-lint-baseline.json). Every baseline entry must carry a
@@ -25,14 +26,8 @@
 // current findings, preserving reasons for entries that persist.
 //
 // Flags beyond the v1 set:
-//   --sarif PATH             write a SARIF 2.1.0 log of every finding
-//                            (baselined ones carry suppressions)
-//   --compile-commands PATH  compile database for include resolution;
-//                            defaults to <repo>/build/compile_commands.json
-//                            when present
-//   --cache PATH             per-file result cache keyed by content hash;
-//                            safe because global checks (README, schema,
-//                            layering) re-run at aggregation every time
+//   --sarif PATH  write a SARIF 2.1.0 log of every finding (baselined
+//                 ones carry suppressions)
 //
 // Exit codes: 0 clean (all findings baselined), 1 findings, 2 usage or
 // I/O error.
@@ -50,7 +45,6 @@
 #include "lint/include_graph.hpp"
 #include "lint/report.hpp"
 #include "lint/rules.hpp"
-#include "lint/tokenizer.hpp"
 
 namespace fs = std::filesystem;
 using namespace ficon::lint;
@@ -73,8 +67,7 @@ void list_rules() {
 int usage() {
   std::cerr << "usage: ficon_lint [--repo DIR] [--baseline FILE] "
                "[--update-baseline] [--list-rules]\n"
-               "                  [--sarif FILE] [--compile-commands FILE] "
-               "[--cache FILE]\n";
+               "                  [--sarif FILE]\n";
   return 2;
 }
 
@@ -82,7 +75,7 @@ int usage() {
 
 int main(int argc, char** argv) {
   fs::path repo = fs::current_path();
-  std::optional<fs::path> baseline_path, sarif_path, cc_path, cache_path;
+  std::optional<fs::path> baseline_path, sarif_path;
   bool update_baseline = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -92,10 +85,6 @@ int main(int argc, char** argv) {
       baseline_path = fs::path(argv[++i]);
     } else if (arg == "--sarif" && i + 1 < argc) {
       sarif_path = fs::path(argv[++i]);
-    } else if (arg == "--compile-commands" && i + 1 < argc) {
-      cc_path = fs::path(argv[++i]);
-    } else if (arg == "--cache" && i + 1 < argc) {
-      cache_path = fs::path(argv[++i]);
     } else if (arg == "--update-baseline") {
       update_baseline = true;
     } else if (arg == "--list-rules") {
@@ -140,26 +129,18 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Per-file analysis, through the cache when one is configured.
-  std::map<std::string, FileAnalysis> cached;
-  if (cache_path.has_value()) cached = load_cache(*cache_path);
-  std::map<std::string, FileAnalysis> analyses;
+  // Per-file analysis, then the global F-rule halves over the per-file
+  // extractions.
+  std::vector<FileAnalysis> analyses;
+  analyses.reserve(sources.size());
   for (const Source& s : sources) {
-    const std::uint64_t hash = content_hash(s.content);
-    const auto it = cached.find(s.rel);
-    if (it != cached.end() && it->second.hash == hash) {
-      analyses.emplace(s.rel, std::move(it->second));
-    } else {
-      analyses.emplace(s.rel, analyze_file(s.rel, s.content));
-    }
+    analyses.push_back(analyze_file(s.rel, s.content));
   }
-
-  // Aggregation: global F-rule halves over the per-file extractions.
   std::vector<Finding> findings;
   std::vector<std::pair<std::string, const FileAnalysis*>> ordered;
-  for (const Source& s : sources) {
-    const FileAnalysis& fa = analyses.at(s.rel);
-    ordered.emplace_back(s.rel, &fa);
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    const FileAnalysis& fa = analyses[i];
+    ordered.emplace_back(sources[i].rel, &fa);
     findings.insert(findings.end(), fa.findings.begin(), fa.findings.end());
   }
   const fs::path schema_path = repo / "src" / "obs" / "schema.hpp";
@@ -171,18 +152,6 @@ int main(int argc, char** argv) {
 
   // Layering: resolve the include graph, check it against .ficon-layers.
   std::string error;
-  const fs::path cc_file =
-      cc_path.value_or(repo / "build" / "compile_commands.json");
-  const auto compile = load_compile_commands(cc_file, &error);
-  if (!compile.has_value()) {
-    std::cerr << "ficon_lint: " << error << "\n";
-    return 2;
-  }
-  if (cc_path.has_value() && !compile->loaded) {
-    std::cerr << "ficon_lint: cannot read compile database "
-              << cc_path->string() << "\n";
-    return 2;
-  }
   const fs::path layers_path = repo / ".ficon-layers";
   if (fs::exists(layers_path)) {
     const auto groups = parse_layers(read_file(layers_path), &error);
@@ -197,8 +166,7 @@ int main(int argc, char** argv) {
       if (rel.rfind("src/", 0) != 0) continue;
       auto& edges = resolved[rel];
       for (const IncludeRef& inc : fa->includes) {
-        const auto target =
-            resolve_include(rel, inc.path, known, repo, *compile);
+        const auto target = resolve_include(rel, inc.path, known);
         if (target.has_value() && *target != rel) {
           edges.emplace_back(*target, inc.line);
         }
@@ -214,12 +182,6 @@ int main(int argc, char** argv) {
   const auto suppressions = load_baseline(*baseline_path, &error);
   if (!suppressions.has_value()) {
     std::cerr << "ficon_lint: " << error << "\n";
-    return 2;
-  }
-
-  if (cache_path.has_value() && !save_cache(*cache_path, analyses)) {
-    std::cerr << "ficon_lint: cannot write cache " << cache_path->string()
-              << "\n";
     return 2;
   }
 

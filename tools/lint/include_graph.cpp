@@ -1,53 +1,14 @@
 #include "lint/include_graph.hpp"
 
 #include <algorithm>
-#include <fstream>
+#include <filesystem>
 #include <functional>
 #include <sstream>
-
-#include "obs/json.hpp"
 
 namespace fs = std::filesystem;
 
 namespace ficon::lint {
 namespace {
-
-std::string read_file(const fs::path& path) {
-  std::ifstream in(path);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
-/// Whitespace-split a shell command line. Good enough for compiler
-/// invocations, whose -I arguments never contain quoted spaces here.
-std::vector<std::string> split_command(const std::string& command) {
-  std::vector<std::string> args;
-  std::istringstream in(command);
-  std::string arg;
-  while (in >> arg) args.push_back(std::move(arg));
-  return args;
-}
-
-void collect_include_dirs(const std::vector<std::string>& args,
-                          const fs::path& directory, CompileInfo* info) {
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    std::string dir;
-    if (args[i] == "-I" || args[i] == "-isystem") {
-      if (i + 1 < args.size()) dir = args[++i];
-    } else if (args[i].rfind("-I", 0) == 0) {
-      dir = args[i].substr(2);
-    }
-    if (dir.empty()) continue;
-    fs::path p(dir);
-    if (p.is_relative()) p = directory / p;
-    p = p.lexically_normal();
-    if (std::find(info->include_dirs.begin(), info->include_dirs.end(), p) ==
-        info->include_dirs.end()) {
-      info->include_dirs.push_back(std::move(p));
-    }
-  }
-}
 
 /// The src/<module>/ directory a repo file belongs to, or "" for files
 /// outside src/ or directly at its top level (the umbrella header).
@@ -60,46 +21,9 @@ std::string module_of(const std::string& rel) {
 
 }  // namespace
 
-std::optional<CompileInfo> load_compile_commands(const fs::path& path,
-                                                 std::string* error) {
-  CompileInfo info;
-  if (!fs::exists(path)) return info;  // not configured yet: no -I dirs
-  const std::string text = read_file(path);
-  std::string parse_error;
-  const auto value = ficon::obs::parse_json(text, &parse_error);
-  if (!value.has_value() ||
-      value->type != ficon::obs::JsonValue::Type::kArray) {
-    *error = path.string() + ": " +
-             (parse_error.empty() ? "expected a JSON array" : parse_error);
-    return std::nullopt;
-  }
-  for (const ficon::obs::JsonValue& entry : value->array) {
-    const ficon::obs::JsonValue* dir = entry.find("directory");
-    const fs::path directory =
-        dir != nullptr && dir->is_string() ? fs::path(dir->string) : fs::path();
-    if (const ficon::obs::JsonValue* args = entry.find("arguments");
-        args != nullptr &&
-        args->type == ficon::obs::JsonValue::Type::kArray) {
-      std::vector<std::string> argv;
-      for (const ficon::obs::JsonValue& a : args->array) {
-        if (a.is_string()) argv.push_back(a.string);
-      }
-      collect_include_dirs(argv, directory, &info);
-    } else if (const ficon::obs::JsonValue* cmd = entry.find("command");
-               cmd != nullptr && cmd->is_string()) {
-      collect_include_dirs(split_command(cmd->string), directory, &info);
-    }
-  }
-  info.loaded = true;
-  return info;
-}
-
 std::optional<std::string> resolve_include(const std::string& from_rel,
                                            const std::string& include,
-                                           const std::set<std::string>& known,
-                                           const fs::path& repo,
-                                           const CompileInfo& compile) {
-  const fs::path abs_repo = fs::absolute(repo).lexically_normal();
+                                           const std::set<std::string>& known) {
   const auto try_rel = [&](const fs::path& candidate)
       -> std::optional<std::string> {
     const std::string rel = candidate.lexically_normal().generic_string();
@@ -109,18 +33,8 @@ std::optional<std::string> resolve_include(const std::string& from_rel,
   // 1. Relative to the including file's directory.
   const fs::path from_dir = fs::path(from_rel).parent_path();
   if (auto hit = try_rel(from_dir / include); hit.has_value()) return hit;
-  // 2. Each -I directory from the compile database, in order.
-  for (const fs::path& dir : compile.include_dirs) {
-    const fs::path abs = (dir / include).lexically_normal();
-    const fs::path rel = abs.lexically_relative(abs_repo);
-    if (rel.empty() || *rel.begin() == "..") continue;
-    if (auto hit = try_rel(rel); hit.has_value()) return hit;
-  }
-  // 3. src/ fallback for an unconfigured tree.
-  if (auto hit = try_rel(fs::path("src") / include); hit.has_value()) {
-    return hit;
-  }
-  return std::nullopt;
+  // 2. src/, the one include directory of every library TU.
+  return try_rel(fs::path("src") / include);
 }
 
 std::optional<std::vector<LayerGroup>> parse_layers(const std::string& text,

@@ -1,14 +1,10 @@
-// ficon_lint v2 include graph & layering — per-TU include extraction
-// resolved against compile_commands.json, checked against the declared
-// module DAG in .ficon-layers.
+// ficon_lint v2 include graph & layering — per-TU include extraction,
+// checked against the declared module DAG in .ficon-layers.
 //
 // Resolution mirrors the build: a quoted include is looked up relative
-// to the including file's directory first, then in each -I directory
-// from the compile database (CMAKE_EXPORT_COMPILE_COMMANDS is always on,
-// so build/compile_commands.json is the default source), then under
-// src/ as a fallback so the analyzer still works on a tree that has
-// never been configured. Only includes that land on a scanned repo file
-// become graph edges; system headers are ignored.
+// to the including file's directory first, then under src/, the one
+// include directory of every library TU. Only includes that land on a
+// scanned repo file become graph edges; system headers are ignored.
 //
 // The layering manifest groups src/ modules:
 //
@@ -22,7 +18,6 @@
 // must both be acyclic (L002).
 #pragma once
 
-#include <filesystem>
 #include <map>
 #include <optional>
 #include <set>
@@ -39,24 +34,11 @@ struct IncludeRef {
   int line = 0;      // 1-based
 };
 
-/// Include search directories extracted from compile_commands.json.
-struct CompileInfo {
-  bool loaded = false;
-  std::vector<std::filesystem::path> include_dirs;  // absolute, in order
-};
-
-/// Parse a compile database. Returns nullopt and fills `error` when the
-/// file exists but cannot be parsed; a clean "not loaded" CompileInfo
-/// when it does not exist.
-std::optional<CompileInfo> load_compile_commands(
-    const std::filesystem::path& path, std::string* error);
-
 /// Resolve a quoted include from `from_rel` to a repo-relative path in
 /// `known_files`, or nullopt for external/system headers.
 std::optional<std::string> resolve_include(
     const std::string& from_rel, const std::string& include,
-    const std::set<std::string>& known_files,
-    const std::filesystem::path& repo, const CompileInfo& compile);
+    const std::set<std::string>& known_files);
 
 struct LayerGroup {
   std::string name;

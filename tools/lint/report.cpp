@@ -30,7 +30,7 @@ const std::vector<RuleInfo>& rule_registry() {
       {"F001",
        "env discipline: no raw getenv(); FICON_* knobs documented in "
        "README"},
-      {"F002", "trace names registered in src/obs/schema.hpp"},
+      {"F002", "trace record types registered in src/obs/schema.hpp"},
       {"F003",
        "examples/, bench/ and tools/ include \"ficon.hpp\" only (tools may "
        "also use \"obs/json.hpp\")"},

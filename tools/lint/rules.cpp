@@ -2,24 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cinttypes>
-#include <cstdlib>
-#include <fstream>
 #include <regex>
 #include <set>
-#include <sstream>
 
 #include "lint/tokenizer.hpp"
-#include "obs/json.hpp"
-
-namespace fs = std::filesystem;
 
 namespace ficon::lint {
-
-using obs::json_escape;
-
-const char kLintVersion[] = "ficon-lint-2.0.0";
-
 namespace {
 
 bool starts_with(const std::string& s, const char* prefix) {
@@ -78,8 +66,9 @@ void rule_env_discipline(FileCtx& ctx) {
   }
 }
 
-// F002 (per-file half) — collect every name the trace writer emits from
-// src/obs/; membership in the schema registry is checked at aggregation.
+// F002 (per-file half) — collect every record type the trace writer
+// emits or the validator declares in src/obs/; membership in the schema
+// registry is checked at aggregation.
 void rule_trace_names(FileCtx& ctx) {
   if (!starts_with(ctx.rel, "src/obs/") || ctx.rel == "src/obs/schema.hpp") {
     return;
@@ -87,7 +76,6 @@ void rule_trace_names(FileCtx& ctx) {
   static const std::regex emitted_type(
       "\\{\\\\\"type\\\\\":\\\\\"(\\w+)\\\\\"");
   static const std::regex schema_row("\\{\"(\\w+)\",(\\s*$|\\s*\\{\\{)");
-  static const std::regex counter_row("\\{\"(\\w+)\",\\s*Counter::");
   static const std::regex schema_fn("\\btrace_schema\\s*\\(\\s*\\)");
   bool in_schema_fn = false;
   for (std::size_t i = 0; i < ctx.src.views.text.size(); ++i) {
@@ -105,10 +93,7 @@ void rule_trace_names(FileCtx& ctx) {
           {"type", (*it)[1].str(), static_cast<int>(i + 1)});
     }
     std::smatch m;
-    if (std::regex_search(text, m, counter_row)) {
-      ctx.out->traces.push_back(
-          {"row", m[1].str(), static_cast<int>(i + 1)});
-    } else if (in_schema_fn && std::regex_search(text, m, schema_row)) {
+    if (in_schema_fn && std::regex_search(text, m, schema_row)) {
       ctx.out->traces.push_back(
           {"schema_row", m[1].str(), static_cast<int>(i + 1)});
     }
@@ -502,24 +487,11 @@ std::set<std::string> registry_array(const std::string& text,
   return names;
 }
 
-std::string to_hex(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
-  return buf;
-}
-
-std::uint64_t from_hex(const std::string& s) {
-  return std::strtoull(s.c_str(), nullptr, 16);
-}
-
-std::string globals_key() { return to_hex(content_hash(kLintVersion)); }
-
 }  // namespace
 
 FileAnalysis analyze_file(const std::string& rel,
                           const std::string& content) {
   FileAnalysis out;
-  out.hash = content_hash(content);
   const std::vector<std::string> raw = split_lines(content);
   const TokenizedSource src = tokenize(content);
   FileCtx ctx{rel, raw, src, &out};
@@ -558,7 +530,8 @@ std::vector<Finding> aggregate_findings(
     }
   }
 
-  // F002 — emitted trace names must exist in the schema-v1 registry.
+  // F002 — emitted and validated record types must exist in the schema
+  // registry.
   if (!schema_exists) {
     findings.push_back({"F002", "src/obs/schema.hpp", 1,
                         "schema registry header is missing", "missing"});
@@ -566,167 +539,18 @@ std::vector<Finding> aggregate_findings(
   }
   const std::set<std::string> record_types =
       registry_array(schema_content, "kRecordTypes[]");
-  std::set<std::string> value_names, row_names;
-  for (const char* marker : {"kCounterNames[]", "kPhaseNames[]",
-                             "kCacheNames[]", "kStrategyNames[]"}) {
-    for (const std::string& n : registry_array(schema_content, marker)) {
-      value_names.insert(n);
-    }
-  }
-  for (const char* marker : {"kCacheNames[]", "kStrategyNames[]"}) {
-    for (const std::string& n : registry_array(schema_content, marker)) {
-      row_names.insert(n);
-    }
-  }
   for (const auto& [rel, fa] : files) {
     for (const TraceName& tn : fa->traces) {
-      if (tn.kind == "type" && record_types.count(tn.name) == 0) {
-        findings.push_back({"F002", rel, tn.line,
-                            "record type \"" + tn.name +
-                                "\" is not registered in obs/schema.hpp",
-                            tn.name});
-      } else if (tn.kind == "row" && row_names.count(tn.name) == 0) {
-        findings.push_back({"F002", rel, tn.line,
-                            "cache/strategy row \"" + tn.name +
-                                "\" is not registered in obs/schema.hpp",
-                            tn.name});
-      } else if (tn.kind == "schema_row" &&
-                 record_types.count(tn.name) == 0) {
-        findings.push_back({"F002", rel, tn.line,
-                            "validator record type \"" + tn.name +
-                                "\" is not registered in obs/schema.hpp",
-                            tn.name});
-      }
+      if (record_types.count(tn.name) != 0) continue;
+      const std::string what =
+          tn.kind == "type" ? "record type" : "validator record type";
+      findings.push_back({"F002", rel, tn.line,
+                          what + " \"" + tn.name +
+                              "\" is not registered in obs/schema.hpp",
+                          tn.name});
     }
   }
   return findings;
-}
-
-std::map<std::string, FileAnalysis> load_cache(const fs::path& path) {
-  std::map<std::string, FileAnalysis> out;
-  if (!fs::exists(path)) return out;
-  std::ifstream in(path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const auto value = ficon::obs::parse_json(buf.str());
-  if (!value.has_value() || !value->is_object()) return out;
-  const ficon::obs::JsonValue* schema = value->find("schema");
-  const ficon::obs::JsonValue* globals = value->find("globals");
-  if (schema == nullptr || !schema->is_string() ||
-      schema->string != "ficon-lint-cache-v1" || globals == nullptr ||
-      !globals->is_string() || globals->string != globals_key()) {
-    return out;  // different analyzer version: drop everything
-  }
-  const ficon::obs::JsonValue* files = value->find("files");
-  if (files == nullptr || !files->is_object()) return out;
-  const auto str = [](const ficon::obs::JsonValue& v, const char* key,
-                      std::string* dst) {
-    const ficon::obs::JsonValue* m = v.find(key);
-    if (m == nullptr || !m->is_string()) return false;
-    *dst = m->string;
-    return true;
-  };
-  const auto num = [](const ficon::obs::JsonValue& v, const char* key,
-                      int* dst) {
-    const ficon::obs::JsonValue* m = v.find(key);
-    if (m == nullptr || !m->is_number()) return false;
-    *dst = static_cast<int>(m->number);
-    return true;
-  };
-  for (const auto& [rel, entry] : files->object) {
-    FileAnalysis fa;
-    std::string hash;
-    if (!str(entry, "hash", &hash)) continue;
-    fa.hash = from_hex(hash);
-    bool ok = true;
-    const auto each = [&](const char* key, const auto& fn) {
-      const ficon::obs::JsonValue* list = entry.find(key);
-      if (list == nullptr) return;
-      if (list->type != ficon::obs::JsonValue::Type::kArray) {
-        ok = false;
-        return;
-      }
-      for (const ficon::obs::JsonValue& item : list->array) {
-        if (!fn(item)) {
-          ok = false;
-          return;
-        }
-      }
-    };
-    each("findings", [&](const ficon::obs::JsonValue& v) {
-      Finding f;
-      f.file = rel;
-      return str(v, "rule", &f.rule) && num(v, "line", &f.line) &&
-             str(v, "message", &f.message) && str(v, "token", &f.token) &&
-             (fa.findings.push_back(std::move(f)), true);
-    });
-    each("knobs", [&](const ficon::obs::JsonValue& v) {
-      KnobRead k;
-      return str(v, "knob", &k.knob) && num(v, "line", &k.line) &&
-             (fa.knobs.push_back(std::move(k)), true);
-    });
-    each("traces", [&](const ficon::obs::JsonValue& v) {
-      TraceName t;
-      return str(v, "kind", &t.kind) && str(v, "name", &t.name) &&
-             num(v, "line", &t.line) &&
-             (fa.traces.push_back(std::move(t)), true);
-    });
-    each("includes", [&](const ficon::obs::JsonValue& v) {
-      IncludeRef r;
-      return str(v, "path", &r.path) && num(v, "line", &r.line) &&
-             (fa.includes.push_back(std::move(r)), true);
-    });
-    if (ok) out.emplace(rel, std::move(fa));
-  }
-  return out;
-}
-
-bool save_cache(const fs::path& path,
-                const std::map<std::string, FileAnalysis>& files) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << "{\"schema\": \"ficon-lint-cache-v1\", \"globals\": \""
-      << globals_key() << "\",\n \"files\": {";
-  bool first_file = true;
-  for (const auto& [rel, fa] : files) {
-    out << (first_file ? "\n" : ",\n");
-    first_file = false;
-    out << "  \"" << json_escape(rel) << "\": {\"hash\": \""
-        << to_hex(fa.hash) << "\",\n   \"findings\": [";
-    bool first = true;
-    for (const Finding& f : fa.findings) {
-      out << (first ? "" : ",\n     ") << "{\"rule\": \"" << f.rule
-          << "\", \"line\": " << f.line << ", \"message\": \""
-          << json_escape(f.message) << "\", \"token\": \""
-          << json_escape(f.token) << "\"}";
-      first = false;
-    }
-    out << "],\n   \"knobs\": [";
-    first = true;
-    for (const KnobRead& k : fa.knobs) {
-      out << (first ? "" : ", ") << "{\"knob\": \"" << json_escape(k.knob)
-          << "\", \"line\": " << k.line << "}";
-      first = false;
-    }
-    out << "],\n   \"traces\": [";
-    first = true;
-    for (const TraceName& t : fa.traces) {
-      out << (first ? "" : ", ") << "{\"kind\": \"" << t.kind
-          << "\", \"name\": \"" << json_escape(t.name)
-          << "\", \"line\": " << t.line << "}";
-      first = false;
-    }
-    out << "],\n   \"includes\": [";
-    first = true;
-    for (const IncludeRef& r : fa.includes) {
-      out << (first ? "" : ", ") << "{\"path\": \"" << json_escape(r.path)
-          << "\", \"line\": " << r.line << "}";
-      first = false;
-    }
-    out << "]}";
-  }
-  out << "\n }\n}\n";
-  return static_cast<bool>(out);
 }
 
 }  // namespace ficon::lint

@@ -6,21 +6,16 @@
 // state are *extracted* per file and *decided* at aggregation time:
 //
 //   * F001 knob documentation — knob reads are collected per file and
-//     checked against the README at aggregation, so a README edit never
-//     invalidates cached per-file results;
-//   * F002 schema membership — emitted trace names are collected per
-//     file and checked against src/obs/schema.hpp at aggregation;
+//     checked against the README at aggregation;
+//   * F002 schema membership — the record types the trace writer emits
+//     and the validator declares are collected per file and checked
+//     against src/obs/schema.hpp at aggregation;
 //   * quoted includes — collected per file, resolved and layer-checked
 //     (L001/L002) by the include-graph module.
-//
-// This split is what makes the content-hash cache sound: a FileAnalysis
-// is a pure function of (file content, kLintVersion).
 #pragma once
 
-#include <cstdint>
-#include <filesystem>
-#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "lint/include_graph.hpp"
@@ -28,27 +23,22 @@
 
 namespace ficon::lint {
 
-/// Bumped whenever rule logic changes; part of the cache key, so stale
-/// per-file results from an older analyzer are never reused.
-extern const char kLintVersion[];
-
 struct KnobRead {
   std::string knob;  // e.g. "FICON_THREADS"
   int line = 0;
 };
 
 struct TraceName {
-  std::string kind;  // "type" | "row" | "schema_row"
+  std::string kind;  // "type" (emitted) | "schema_row" (validator)
   std::string name;
   int line = 0;
 };
 
-/// Everything the analyzer learns from one file, cacheable by content.
+/// Everything the analyzer learns from one file.
 struct FileAnalysis {
-  std::uint64_t hash = 0;             // content_hash of the raw bytes
   std::vector<Finding> findings;      // per-file rule findings
   std::vector<KnobRead> knobs;        // env_*("FICON_...") reads
-  std::vector<TraceName> traces;      // names emitted from src/obs/
+  std::vector<TraceName> traces;      // record types named in src/obs/
   std::vector<IncludeRef> includes;   // quoted #include directives
 };
 
@@ -62,14 +52,5 @@ std::vector<Finding> aggregate_findings(
     const std::vector<std::pair<std::string, const FileAnalysis*>>& files,
     const std::string& readme, bool schema_exists,
     const std::string& schema_content);
-
-/// Load a per-file result cache. Entries from a different cache schema or
-/// analyzer version are dropped wholesale; a missing file is empty.
-std::map<std::string, FileAnalysis> load_cache(
-    const std::filesystem::path& path);
-
-/// Persist the cache. Returns false on I/O failure.
-bool save_cache(const std::filesystem::path& path,
-                const std::map<std::string, FileAnalysis>& files);
 
 }  // namespace ficon::lint

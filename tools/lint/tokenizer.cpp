@@ -350,13 +350,4 @@ TokenizedSource tokenize(const std::string& source) {
   return lexer.run();
 }
 
-std::uint64_t content_hash(const std::string& source) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : source) {
-    h ^= static_cast<std::uint64_t>(static_cast<unsigned char>(c));
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 }  // namespace ficon::lint

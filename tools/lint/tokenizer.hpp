@@ -24,7 +24,6 @@
 //    rules can match on operator identity.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -62,8 +61,5 @@ TokenizedSource tokenize(const std::string& source);
 
 /// Split raw file content into physical lines (no trailing '\n').
 std::vector<std::string> split_lines(const std::string& source);
-
-/// FNV-1a over the raw bytes — the cache key for per-file results.
-std::uint64_t content_hash(const std::string& source);
 
 }  // namespace ficon::lint
