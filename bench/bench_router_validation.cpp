@@ -4,10 +4,11 @@
 // estimator — IR-grid (30um), fixed-grid at several pitches — against the
 // congestion the router actually realizes, across a spread of placements.
 //
-// Expected shape: all estimators correlate strongly with routed usage
-// (the premise of probabilistic congestion analysis), with the fine judging
-// pitch at the top — which justifies the paper's use of a 10um fixed grid
-// as referee.
+// Measured shape (ami33, 40 placements, Pearson): finer fixed pitches
+// correlate better with routed usage, the 10um judge at 0.92, which
+// supports the paper's use of a 10um fixed grid as referee; the IR cost is
+// the weakest estimator at 0.72 (EXPERIMENTS.md; router_test holds floors
+// under both).
 #include <iostream>
 #include <vector>
 

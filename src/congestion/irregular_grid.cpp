@@ -31,7 +31,9 @@ int local_hi(double hi, double origin, double pitch, int g) {
 
 /// A partial flow grid: one block's accumulation target. Same row-major
 /// layout as IrregularCongestionMap::flow(); partials from all blocks are
-/// reduced in block order at the end of evaluate().
+/// reduced in block order at the end of evaluate(). add() checks every
+/// index; the banded scorer checks a net's IR-cell window once and writes
+/// inside it by offset.
 struct FlowGrid {
   std::vector<double>* flow;
   int nx;
@@ -93,7 +95,8 @@ std::uint64_t scoring_fingerprint(const IrregularGridParams& p) {
 /// not move re-present identical signatures and skip straight to
 /// accumulation. Hit and miss produce bit-identical matrices, so
 /// memoization cannot perturb results. The banded strategy recomputes
-/// every matrix (see score()).
+/// every net and adds its cells into the flow grid without building the
+/// matrix (see score()).
 ///
 /// Banded exact evaluation (IrEvalStrategy::kBandedExact) works in the
 /// canonical type I frame (source cell (0,0), sink (g1-1,g2-1); type II
@@ -109,7 +112,7 @@ std::uint64_t scoring_fingerprint(const IrregularGridParams& p) {
 /// as the paper's step 3.1. Every covered column but the last (lx2 < g1-1)
 /// gets one band: PR(lx2, .) over the g2 rows, advanced by the exact
 /// multiplicative recurrence
-///   R(X,y+1)/R(X,y) = (X+1+y)/(y+1) * (g2-1-y)/((g1-2-X)+(g2-1-y))
+///   R(X,y+1)/R(X,y) = ((X+1+y) * (g2-1-y)) / ((y+1) * ((g1-2-X)+(g2-1-y)))
 /// from its first normal term (first_normal_term), so the only
 /// transcendental call is one exp() per band. Adjacent columns share their
 /// boundary fine column x = lx2 of the left one, or meet at lx1 = x + 1;
@@ -123,15 +126,18 @@ std::uint64_t scoring_fingerprint(const IrregularGridParams& p) {
 /// lattice's last fine column, which merge_factor >= 1 guarantees; a net
 /// that fits neither form is scored per region, like degenerate shapes.
 ///
-/// The recurrences are the annealing hot loop: each step is two IEEE
-/// divisions, so divider throughput bounds it. The bands of one net share
-/// their length, so prefix_pair() advances two of them at once, one per
-/// lane of a vd2: a 2-lane division costs about half as much per lane as a
-/// scalar one, while wider ones need target flags and are barely cheaper
-/// per lane (docs/ARCHITECTURE.md). Each lane runs the scalar operations
-/// in the scalar order, all correctly rounded, so pairing changes speed
-/// only, never bits. Bands stream through an L1-sized buffer: each writes
-/// its column's cells and the next column's E before the next band runs.
+/// The recurrences are the annealing hot loop. Each step multiplies the
+/// term by one exact quotient of integer products, one IEEE division, and
+/// adds it to the running prefix; the loop is bound by the latency of
+/// those two dependent chains, not by the divider. The bands of one net
+/// share their length, so prefix_pair() advances two of them at once, one
+/// per lane of a vd2, and finish_spans() turns both lanes into their
+/// spans' cells in one pass over the other axis. Each lane runs the scalar
+/// operations in the scalar order, all correctly rounded, so pairing
+/// changes speed only, never bits. Bands stream through an L1-sized
+/// buffer, and each IR-cell is added into the block's flow grid as soon as
+/// it is computed, once per net: a pass adds its spans' cells and leaves
+/// the next span's E before the next band runs.
 class NetScorer {
  public:
   NetScorer(LogFactorialTable& table, const IrregularGridParams& params,
@@ -234,27 +240,26 @@ class NetScorer {
     }
 
     // Memoization split: the region strategies look each matrix up in the
-    // memo first. kBandedExact always recomputes and never looks up
-    // (degenerate shapes and the rare nets no band pass fits fall back to
-    // fill_regions and stay memoized), so a traced 1-thread ami49 anneal
-    // makes zero memo lookups, although a banded recompute there costs
-    // about 12 us per scored net at 30 um (traced anneals on a Xeon
-    // vCPU). Hits and misses are bit-identical, so the split is invisible
-    // in results.
-    const bool banded = params_->strategy == IrEvalStrategy::kBandedExact &&
-                        !on_grid.shape.degenerate() && plan_bands(on_grid);
+    // memo first. kBandedExact always recomputes, never looks up and adds
+    // its cells straight into the flow grid (degenerate shapes and the
+    // rare nets no band pass fits fall back to fill_regions and stay
+    // memoized), so a traced 1-thread ami49 anneal makes zero memo
+    // lookups, although a banded recompute there costs about 8 us per
+    // scored net at 30 um (traced anneals on a Xeon vCPU). Hits and misses
+    // are bit-identical, so the split is invisible in results.
+    if (params_->strategy == IrEvalStrategy::kBandedExact &&
+        !on_grid.shape.degenerate() && plan_bands(on_grid)) {
+      fill_banded(on_grid, out);
+      return;
+    }
     const std::vector<double>* probs = nullptr;
-    if (memo_->enabled() && !banded) {
+    if (memo_->enabled()) {
       build_key(on_grid);
       probs = memo_->find(key_);
     }
     if (probs == nullptr) {
-      if (banded) {
-        fill_banded(on_grid);
-      } else {
-        fill_regions(on_grid);
-        if (memo_->enabled()) memo_->insert(key_, probs_);
-      }
+      fill_regions(on_grid);
+      if (memo_->enabled()) memo_->insert(key_, probs_);
       probs = &probs_;
     }
 
@@ -338,31 +343,37 @@ class NetScorer {
   }
 
   /// Banded exact probabilities for all covered IR-cells of one net, on
-  /// the axis plan_bands() chose (see the class comment for the math).
-  void fill_banded(const NetOnGrid& net) {
-    const int ncx = net.ncx();
+  /// the axis plan_bands() chose (see the class comment for the math),
+  /// added straight into the flow grid.
+  void fill_banded(const NetOnGrid& net, const FlowGrid& out) {
+    // Every cell the pass writes lies in this window.
+    FICON_REQUIRE(net.ix1 >= 0 && net.ix2 <= out.nx && net.iy1 >= 0 &&
+                      net.iy2 <= out.ny,
+                  "IR-cell window out of range");
     const int ncy = net.ncy();
     obs::count(obs::Counter::kIrRegionsBanded,
-               static_cast<long long>(ncx) * ncy);
-    probs_.resize(static_cast<std::size_t>(ncx) *
-                  static_cast<std::size_t>(ncy));
-    // probs_ offsets: IR column cx at cx, canonical row r at its IR row.
+               static_cast<long long>(net.ncx()) * ncy);
+    // Flow-grid offsets from the window's first cell: IR column cx at cx,
+    // canonical row r at its IR row.
+    const std::ptrdiff_t nx = out.nx;
+    double* window = out.flow->data() +
+                     static_cast<std::ptrdiff_t>(net.iy1) * nx + net.ix1;
     const bool t2 = net.shape.type2;
     const Axis columns{&lx1_, &lx2_, net.shape.g1, 0, 1};
     const Axis rows{&cy1_, &cy2_, net.shape.g2,
-                    t2 ? static_cast<std::ptrdiff_t>(ncy - 1) * ncx : 0,
-                    t2 ? -static_cast<std::ptrdiff_t>(ncx) : ncx};
+                    t2 ? static_cast<std::ptrdiff_t>(ncy - 1) * nx : 0,
+                    t2 ? -nx : nx};
     const double log_total =
         table_->log_choose(net.shape.g1 + net.shape.g2 - 2, net.shape.g2 - 1);
     const long long steps = bands_on_rows_
-                                ? band_pass(rows, columns, log_total)
-                                : band_pass(columns, rows, log_total);
+                                ? band_pass(rows, columns, log_total, window)
+                                : band_pass(columns, rows, log_total, window);
     obs::count(obs::Counter::kIrBandSteps, steps);
   }
 
   /// The covered IR columns or rows of a net along one lattice axis: their
   /// fine spans in lattice order, the axis's lattice size, and where span
-  /// b's cells sit in probs_ (base + b * stride).
+  /// b's cells sit in the flow grid (base + b * stride from the window).
   struct Axis {
     const std::vector<int>* lo;
     const std::vector<int>* hi;
@@ -380,9 +391,10 @@ class NetScorer {
 
   /// One band pass: a band per span of `u` but the last, each of length
   /// v.g, streamed in order (see the class comment; the column form has
-  /// u = columns, v = rows). Writes every IR-cell of the net into probs_
-  /// and returns the band steps run.
-  long long band_pass(const Axis& u, const Axis& v, double log_total) {
+  /// u = columns, v = rows). Adds every IR-cell of the net into the flow
+  /// grid at `window` and returns the band steps run.
+  long long band_pass(const Axis& u, const Axis& v, double log_total,
+                      double* window) {
     const auto nu = u.lo->size();
     const auto nv = v.lo->size();
     bands_.clear();
@@ -402,51 +414,71 @@ class NetScorer {
       const bool pair = b + 1 < bands_.size() &&
                         bands_[b + 1].first.index == bands_[b].first.index;
       prefix_pair(v.g, u.g, bands_[b], bands_[pair ? b + 1 : b]);
-      const std::size_t lanes = pair ? 2 : 1;
-      for (std::size_t lane = 0; lane < lanes; ++lane, ++b) {
-        steps += v.g - bands_[b].first.index;
-        finish_span(u, v, b, lane);
-      }
+      const int lanes = pair ? 2 : 1;
+      steps += lanes * static_cast<long long>(v.g - bands_[b].first.index);
+      finish_spans(u, v, b, lanes, window);
+      b += static_cast<std::size_t>(lanes);
     }
     // The last span of u ends at the lattice's last fine cell: F = 0.
-    const std::ptrdiff_t last =
-        u.base + static_cast<std::ptrdiff_t>(nu - 1) * u.stride;
+    double* last = window + u.base +
+                   static_cast<std::ptrdiff_t>(nu - 1) * u.stride + v.base;
     for (std::size_t c = 0; c < nv; ++c) {
-      probs_[static_cast<std::size_t>(
-          last + v.base + static_cast<std::ptrdiff_t>(c) * v.stride)] =
+      last[static_cast<std::ptrdiff_t>(c) * v.stride] +=
           std::clamp(entry_[c], 0.0, 1.0);
     }
     return steps;
   }
 
-  /// Writes span b of u's cells from entry_ and its band (one lane of
-  /// prefix_), then replaces entry_ with span b + 1's E.
-  void finish_span(const Axis& u, const Axis& v, std::size_t b,
-                   std::size_t lane) {
-    const int k = (*u.hi)[b];
-    const int next_lo = (*u.lo)[b + 1];
-    // next_lo is k + 1 (E is the band's own prefix) or k (add the exits
-    // across the shared fine cell); 0 only when k is 0, where E stays 1.
-    const bool shared = next_lo == k;
-    const double across = 1.0 / static_cast<double>(u.g - 1 - k);
-    const std::ptrdiff_t row =
-        u.base + static_cast<std::ptrdiff_t>(b) * u.stride + v.base;
-    const double* prefix = prefix_.data() + lane;
-    const double* terms = terms_.data() + lane;
+  /// Adds the cells of spans b .. b + lanes - 1 of u into the flow grid,
+  /// span b + l from lane l of prefix_ and the E that span b + l - 1
+  /// leaves in entry_, then replaces entry_ with span b + lanes's E. One
+  /// pass over the spans of v serves both lanes of a pair: one vd2 load
+  /// gives both lanes' F, and one each both lanes' exit sums and terms.
+  void finish_spans(const Axis& u, const Axis& v, std::size_t b, int lanes,
+                    double* window) {
+    // Per lane, span b + l + 1 starts at k + 1 (E is the band's own
+    // prefix: across 0, which adds an exact +0 since terms are finite and
+    // prefixes >= +0) or at k (add the exits across the shared fine cell);
+    // at 0 only when k is 0, where E stays 1.
+    vd2 across = {0.0, 0.0};
+    bool stays[2] = {false, false};
+    double* row[2] = {nullptr, nullptr};
+    for (int l = 0; l < lanes; ++l) {
+      const std::size_t span = b + static_cast<std::size_t>(l);
+      const int k = (*u.hi)[span];
+      const int next_lo = (*u.lo)[span + 1];
+      if (next_lo == k) across[l] = 1.0 / static_cast<double>(u.g - 1 - k);
+      stays[l] = next_lo == 0;
+      row[l] = window + u.base +
+               static_cast<std::ptrdiff_t>(span) * u.stride + v.base;
+    }
     for (std::size_t c = 0; c < entry_.size(); ++c) {
       const int lo = (*v.lo)[c];
       const int hi = (*v.hi)[c];
-      const double f =
-          lo == 0 ? 0.0 : prefix[2 * static_cast<std::size_t>(lo - 1)];
-      probs_[static_cast<std::size_t>(
-          row + static_cast<std::ptrdiff_t>(c) * v.stride)] =
-          std::clamp(entry_[c] - f, 0.0, 1.0);
-      if (next_lo == 0 || hi == v.g - 1) continue;  // E = 1
-      const std::size_t at = 2 * static_cast<std::size_t>(hi);
-      entry_[c] = prefix[at];
-      if (shared) {
-        entry_[c] += terms[at] * (static_cast<double>(v.g - 1 - hi) * across);
+      vd2 f = {0.0, 0.0};
+      if (lo > 0) {
+        std::memcpy(&f, prefix_.data() + 2 * static_cast<std::size_t>(lo - 1),
+                    sizeof f);
       }
+      // E of spans b, b + 1 and b + 2. A span of v that ends on the last
+      // fine cell keeps E = 1.
+      const double e0 = entry_[c];
+      double e1 = e0;
+      double e2 = e0;
+      if (hi != v.g - 1) {
+        const std::size_t at = 2 * static_cast<std::size_t>(hi);
+        vd2 exits, terms;
+        std::memcpy(&exits, prefix_.data() + at, sizeof exits);
+        std::memcpy(&terms, terms_.data() + at, sizeof terms);
+        exits += terms * (static_cast<double>(v.g - 1 - hi) * across);
+        e1 = stays[0] ? e0 : exits[0];
+        e2 = stays[1] ? e1 : exits[1];
+      }
+      const vd2 cells = vd2{e0, e1} - f;
+      const std::ptrdiff_t at = static_cast<std::ptrdiff_t>(c) * v.stride;
+      row[0][at] += std::clamp(cells[0], 0.0, 1.0);
+      if (lanes == 2) row[1][at] += std::clamp(cells[1], 0.0, 1.0);
+      entry_[c] = lanes == 2 ? e2 : e1;
     }
   }
 
@@ -456,9 +488,13 @@ class NetScorer {
   /// column bands, n = g1, m = g2 for row bands. Both bands start at the
   /// same index s; the terms before it are below DBL_MIN and stored as 0.
   /// Per lane this is the recurrence of the class comment,
-  ///   term(i+1) = term(i) * ((i+1+k)/(i+1) * ((n-1-i)/((n-1-i)+(m-2-k)))),
+  ///   term(i+1) = term(i) * (((i+1+k) * (n-1-i)) /
+  ///                          ((i+1) * ((n-1-i)+(m-2-k)))),
   /// with the same correctly rounded operations in the same order as a
-  /// one-band loop, so neither lane's sums depend on the other band.
+  /// one-band loop, so neither lane's sums depend on the other band. Both
+  /// products are integers below 2^42 (lattice axes are at most 2^20
+  /// cells), so they are exact and a step rounds twice: its one division
+  /// and its multiply.
   void prefix_pair(int n, int m, const Band& lo, const Band& hi) {
     const int s = std::min(lo.first.index, n);
     prefix_.resize(2 * static_cast<std::size_t>(n));
@@ -484,7 +520,7 @@ class NetScorer {
                   sizeof running);
       std::memcpy(terms_.data() + 2 * static_cast<std::size_t>(i), &term,
                   sizeof term);
-      term *= (a / b) * (c / d);
+      term *= (a * c) / (b * d);
       a += one;
       b += one;
       c -= one;

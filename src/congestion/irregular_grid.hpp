@@ -60,9 +60,10 @@ struct IrregularGridParams {
   /// Capacity (entries) of the per-thread LRU memo for per-net probability
   /// matrices; 0 disables memoization. Only the region strategies and the
   /// banded strategy's per-region fallback (degenerate shapes, and nets no
-  /// band pass fits) use it: the banded scorer recomputes every matrix and
-  /// never looks it up. Hits and misses return bit-identical values, so
-  /// this knob trades memory for speed without ever changing results.
+  /// band pass fits) use it: the banded scorer recomputes every net, adds
+  /// its cells straight into the flow grid and never looks the memo up.
+  /// Hits and misses return bit-identical values, so this knob trades
+  /// memory for speed without ever changing results.
   /// 4096 covers the live shape population of MCNC-scale anneals; larger
   /// capacities were measured slower (the working set outgrows the data
   /// caches faster than the hit rate rises).

@@ -11,9 +11,10 @@
 //   integers, unmirrored)
 //
 // to the net's full ncx x ncy probability matrix. The region strategies
-// use it; the banded-exact scorer recomputes every matrix and never looks
-// one up (only its degenerate-shape fallback, which scores per region,
-// goes through the memo). Like the log-factorial tables, instances
+// use it; the banded-exact scorer recomputes every net without building
+// a matrix and never looks one up (only its fallback for degenerate
+// shapes and nets no band pass fits, which scores per region, goes
+// through the memo). Like the log-factorial tables, instances
 // are meant to be `thread_local` inside the evaluation workers: per-thread
 // duplicates are harmless because hit and miss return bit-identical
 // values, which is also why memoized and unmemoized runs (and runs at any

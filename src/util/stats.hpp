@@ -90,4 +90,31 @@ inline double pearson(std::span<const double> a, std::span<const double> b) {
   return num / std::sqrt(da * db);
 }
 
+/// Ranks of `v` from 1 in ascending order; tied values share their mean
+/// rank.
+inline std::vector<double> ranks(std::span<const double> v) {
+  std::vector<std::size_t> order(v.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(),
+            [&v](std::size_t i, std::size_t j) { return v[i] < v[j]; });
+  std::vector<double> rank(v.size());
+  for (std::size_t i = 0; i < order.size();) {
+    std::size_t j = i + 1;
+    while (j < order.size() && !(v[order[i]] < v[order[j]])) ++j;
+    // Positions i .. j - 1 hold one value: ranks i + 1 .. j, mean below.
+    for (std::size_t t = i; t < j; ++t) {
+      rank[order[t]] = 0.5 * static_cast<double>(i + 1 + j);
+    }
+    i = j;
+  }
+  return rank;
+}
+
+/// Spearman rank correlation of two equal-length series: the Pearson
+/// correlation of their ranks, ties at their mean rank.
+inline double spearman(std::span<const double> a, std::span<const double> b) {
+  FICON_REQUIRE(a.size() == b.size(), "series length mismatch");
+  return pearson(ranks(a), ranks(b));
+}
+
 }  // namespace ficon

@@ -213,11 +213,12 @@ TEST(IrregularGrid, BandedMatchesPerRegionAcrossPitchesAndMergeFactors) {
   // The one-pass banded scorer against per-region exact Formula 3 over
   // merge factors and fine pitches. Windows cut at random and at lattice
   // positions cover both band-joining cases (a shared fine column, and
-  // lx1 = previous lx2 + 1), single columns and rows, and at merge factor
-  // 0 a net whose last IR column and row sit inside the last fine column,
-  // which no band pass fits and which is scored per region instead. Two
-  // more inputs run on their own chips: a net long enough for its bands'
-  // first terms to underflow, and a generated tier.
+  // lx1 = previous lx2 + 1), mixed within a pair of bands both ways round,
+  // single columns and rows, and at merge factor 0 a net whose last IR
+  // column and row sit inside the last fine column, which no band pass
+  // fits and which is scored per region instead. Two more inputs run on
+  // their own chips: a net long enough for its bands' first terms to
+  // underflow, and a generated tier.
   Rng rng(59);
   for (const double merge : {2.0, 1.0, 0.5, 0.0}) {
     for (const double pitch : {30.0, 10.0, 3.0, 1.0}) {
@@ -269,6 +270,17 @@ TEST(IrregularGrid, BandedMatchesPerRegionAcrossPitchesAndMergeFactors) {
         check_window(cut_window(Point{s0, type2 ? s1 : s0},
                                 Point{s1, type2 ? s0 : s1}, lattice_cuts,
                                 lattice_cuts, 950),
+                     kChip, params);
+        // Cuts on, off, off and on the lattice (the range spans at least
+        // 20 pitches): paired bands differ in whether they share their
+        // boundary fine cell, both ways round.
+        std::vector<double> mixed_cuts;
+        for (const double at : {4.0, 8.5, 13.5, 17.0}) {
+          mixed_cuts.push_back(s0 + at * pitch);
+        }
+        check_window(cut_window(Point{s0, type2 ? s1 : s0},
+                                Point{s1, type2 ? s0 : s1}, mixed_cuts,
+                                mixed_cuts, 950),
                      kChip, params);
         // Last IR column and row inside the last fine column and row.
         const double tail = 0.3 * pitch;
@@ -407,21 +419,21 @@ TEST(IrregularGrid, BandedFlowsArePinnedBitForBit) {
   // Lattice g1 x g2 and bands per net: see windowed_net().
   const Case cases[] = {
       // 36 x 40: 2 row bands of 36, one pair.
-      {3, 3, false, 72, 0x29cc2c5196891e89ull},
+      {3, 3, false, 72, 0xf35368ef6a58e992ull},
       // 53 x 55: 3 row bands of 53, a pair and one + spare lane.
-      {4, 4, false, 159, 0xcae3abc3e42ab81dull},
+      {4, 4, false, 159, 0x52046c8c1770b8e8ull},
       // 64 x 28: 1 row band of 64 + spare lane.
-      {5, 2, false, 64, 0x0561943cb8c9cd9cull},
+      {5, 2, false, 64, 0x1c35377176933043ull},
       // 36 x 64: 2 column bands of 64, one pair.
-      {3, 5, false, 128, 0x35a51d4f0d3ee679ull},
+      {3, 5, false, 128, 0xe57482d567bf191eull},
       // Type II, 24 x 64: 1 column band of 64.
-      {2, 5, true, 64, 0x93b832435aeedcaeull},
+      {2, 5, true, 64, 0x01df70f548fdf762ull},
       // Type II, 53 x 64: 3 column bands of 64.
-      {4, 5, true, 192, 0xf23cadbded413917ull},
+      {4, 5, true, 192, 0xd8cf57821e686a6dull},
       // Type II, 53 x 40: 2 row bands of 53.
-      {4, 3, true, 106, 0x983ca440bc64bc86ull},
+      {4, 3, true, 106, 0x524bc866435dbf95ull},
       // Type II, 36 x 55: 3 row bands of 36.
-      {3, 4, true, 108, 0x1f81f72ad8d8441full},
+      {3, 4, true, 108, 0x9e252f58dad28d29ull},
       // ncx == 1: one column, no band.
       {1, 4, false, 0, 0xda57a9d36b867fc1ull},
       {1, 5, true, 0, 0x84386c2a69cbe91dull},
@@ -456,7 +468,7 @@ TEST(IrregularGrid, BandedFlowsArePinnedBitForBit) {
     nets.push_back(TwoPinNet{a, b, i});
   }
   const std::uint64_t random_hash = flow_hash(model.evaluate(nets, kChip));
-  EXPECT_EQ(random_hash, 0x281a003debdae902ull)
+  EXPECT_EQ(random_hash, 0xf2879450792e4ea8ull)
       << "actual 0x" << std::hex << random_hash;
 }
 
@@ -471,7 +483,7 @@ TEST(IrregularGrid, BandedFlowsArePinnedOnAmi49AtEveryThreadCount) {
       PolishExpression::initial(static_cast<int>(netlist.module_count()));
   const IrregularGridModel model;
   const std::uint64_t expected[] = {
-      0x52f1ba796430e172ull, 0x7e780a2ae000a887ull, 0x47cec7295daffc5full};
+      0x78dc36cf13bd7662ull, 0xbcd881330ae860e8ull, 0xe4e609134f847364ull};
   for (const std::uint64_t want : expected) {
     for (int k = 0; k < 40; ++k) expr.random_move(rng);
     const SlicingResult packed = packer.pack(expr);

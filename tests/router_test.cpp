@@ -2,10 +2,13 @@
 #include <gtest/gtest.h>
 
 #include "circuit/mcnc.hpp"
+#include "congestion/fixed_grid.hpp"
+#include "congestion/irregular_grid.hpp"
 #include "core/floorplanner.hpp"
 #include "route/two_pin.hpp"
 #include "router/global_router.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace ficon {
 namespace {
@@ -181,6 +184,54 @@ TEST(Router, EstimatorsPredictRoutedCongestion) {
         make_judging_model(20.0).cost(nets, sol.placement.chip));
   }
   EXPECT_GT(pearson(routed, judged), 0.5);
+}
+
+TEST(Router, CorrelationFloorsHold) {
+  // How well the IR cost (30 um, banded) and the fixed 10 um judge predict
+  // routed congestion, over the placements bench_router_validation
+  // samples: 40 area + wire anneals of ami33 at efforts 0.1-0.4 with the
+  // bench's tuned schedule, each routed at 20 um, capacity 3, with two
+  // rip-up passes. Measured against routed top-10% usage:
+  //
+  //   estimator     Pearson  Spearman
+  //   IR 30 um       0.723    0.440
+  //   fixed 10 um    0.923    0.830
+  //
+  // The IR cost is the weakest estimator by this judge (ROADMAP, "Make
+  // the IR cost predict routed congestion").
+  // Each floor is the measured value less a bootstrap margin: the gap
+  // between that value and its 5% quantile over 10,000 resamples of the
+  // 40 placements (0.32 / 0.27 for IR, 0.12 / 0.13 for fixed 10 um),
+  // rounded down to two decimals. A change to the scorer or the cost that
+  // moves a correlation below its floor has made the estimate worse, not
+  // noisier.
+  const Netlist netlist = make_mcnc("ami33");
+  RouterParams rp;
+  rp.pitch = 20.0;
+  rp.capacity = 3.0;
+  rp.ripup_passes = 2;
+  const GlobalRouter router(rp);
+  const IrregularGridModel ir;
+  const FixedGridModel judge = make_judging_model(10.0);
+  std::vector<double> routed, ir_cost, judged;
+  for (int i = 0; i < 40; ++i) {
+    FloorplanOptions o;
+    o.effort = 0.1 + 0.1 * (i % 4);
+    o.seed = static_cast<std::uint64_t>(100 + i);
+    o.anneal.cooling = 0.90;
+    o.anneal.max_stall_temperatures = 8;
+    o.anneal.stop_temperature_ratio = 1e-4;
+    const Placement placement = Floorplanner(netlist, o).run().placement;
+    const auto nets = decompose_to_two_pin(netlist, placement);
+    routed.push_back(
+        router.route(nets, placement.chip).top_fraction_usage(0.10));
+    ir_cost.push_back(ir.cost(nets, placement.chip));
+    judged.push_back(judge.cost(nets, placement.chip));
+  }
+  EXPECT_GE(pearson(ir_cost, routed), 0.40);
+  EXPECT_GE(spearman(ir_cost, routed), 0.17);
+  EXPECT_GE(pearson(judged, routed), 0.80);
+  EXPECT_GE(spearman(judged, routed), 0.70);
 }
 
 }  // namespace

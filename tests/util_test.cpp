@@ -120,6 +120,21 @@ TEST(Pearson, KnownCorrelations) {
   EXPECT_EQ(pearson(x, c), 0.0);
 }
 
+TEST(Spearman, RanksWithTiesAndKnownCorrelations) {
+  EXPECT_EQ(ranks(std::vector<double>{30, 10, 20, 20}),
+            (std::vector<double>{4, 1, 2.5, 2.5}));
+  const std::vector<double> x{1, 2, 3, 4, 5};
+  // Monotone but not linear: rank correlation 1, Pearson below it.
+  const std::vector<double> cubes{1, 8, 27, 64, 125};
+  EXPECT_NEAR(spearman(x, cubes), 1.0, 1e-12);
+  EXPECT_LT(pearson(x, cubes), 0.99);
+  // Two adjacent swaps: 1 - 6 * sum(d^2) / (n (n^2 - 1)) = 1 - 24 / 120.
+  const std::vector<double> swapped{2, 1, 4, 3, 5};
+  EXPECT_NEAR(spearman(x, swapped), 0.8, 1e-12);
+  const std::vector<double> c{3, 3, 3, 3, 3};
+  EXPECT_EQ(spearman(x, c), 0.0);
+}
+
 TEST(Env, ParsesAndFallsBack) {
   ::setenv("FICON_TEST_INT", "17", 1);
   ::setenv("FICON_TEST_BAD", "not-a-number", 1);
