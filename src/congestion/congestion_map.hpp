@@ -2,6 +2,8 @@
 #pragma once
 
 #include <iosfwd>
+#include <utility>
+#include <vector>
 
 #include "congestion/field.hpp"
 #include "congestion/grid_spec.hpp"
@@ -11,7 +13,7 @@ namespace ficon {
 /// @brief Per-cell accumulated crossing probabilities f(x,y) =
 /// sum_i P_i(x,y) (paper section 3) on a uniform grid.
 ///
-/// Storage, merge and the shared field queries (max_value, density,
+/// Storage and the shared field queries (max_value, density,
 /// overflow, ...) come from FlowField; this class binds them to a
 /// GridSpec and keeps the section-3 cost semantics (raw cell values, not
 /// densities — on a uniform grid the two differ only by the constant
@@ -20,6 +22,11 @@ class CongestionMap : public FlowField {
  public:
   explicit CongestionMap(GridSpec grid)
       : FlowField(grid.nx(), grid.ny()), grid_(grid) {}
+
+  /// @brief Adopt an already-accumulated value vector (row-major, cy-major
+  /// like values()); used by the parallel evaluator's ordered fold.
+  CongestionMap(GridSpec grid, std::vector<double> values)
+      : FlowField(grid.nx(), grid.ny(), std::move(values)), grid_(grid) {}
 
   const GridSpec& grid() const { return grid_; }
 

@@ -6,8 +6,8 @@
 /// probabilities), `IrregularCongestionMap` (IR-grid, same quantity on an
 /// irregular partition) and `RoutedCongestion` (routing grid, realized
 /// usage). `FlowField` holds the shared mechanics — row-major storage,
-/// bounds-checked indexing, block-reduction merge, max/overflow queries,
-/// density and the area-weighted top-fraction cost — while each derived
+/// bounds-checked indexing, max/overflow queries, density and the
+/// area-weighted top-fraction cost — while each derived
 /// class keeps its domain vocabulary (`at`/`flow`/`usage`) and its own
 /// cell geometry via the `cell_rect` override.
 #pragma once
@@ -25,7 +25,8 @@ namespace ficon {
 ///
 /// A plain value type apart from the virtual geometry hook: reads are
 /// safe to share, concurrent writes are not (the parallel evaluators give
-/// each block its own partial vector and `merge` them in order).
+/// each block its own partial vector, fold them in block order with
+/// fold_blocks() and adopt the sum).
 class FlowField {
  public:
   virtual ~FlowField() = default;
@@ -52,16 +53,6 @@ class FlowField {
 
   double max_value() const {
     return values_.empty() ? 0.0 : max_of(values_);
-  }
-
-  /// @brief Element-wise add a partial grid (same layout as values()) —
-  /// the ordered-reduction step of the parallel evaluators.
-  void merge(const std::vector<double>& partial) {
-    FICON_REQUIRE(partial.size() == values_.size(),
-                  "partial grid size mismatch");
-    for (std::size_t i = 0; i < values_.size(); ++i) {
-      values_[i] += partial[i];
-    }
   }
 
   /// Value density of a cell: value / area (um^-2). Cells of different
@@ -98,7 +89,7 @@ class FlowField {
                 0.0) {}
 
   /// Adopt an already-accumulated value vector (row-major, y-major like
-  /// values()); used by the parallel evaluators' block reduction.
+  /// values()); used by the parallel evaluators' ordered fold.
   FlowField(int nx, int ny, std::vector<double> values)
       : nx_(nx), ny_(ny), values_(std::move(values)) {
     FICON_REQUIRE(values_.size() == static_cast<std::size_t>(cell_count()),

@@ -57,27 +57,25 @@ CongestionMap FixedGridModel::evaluate(std::span<const TwoPinNet> nets,
              static_cast<long long>(nets.size()));
   const GridSpec grid =
       GridSpec::from_pitch(chip, params_.grid_w, params_.grid_h);
-  CongestionMap map(grid);
-  const std::size_t cells = static_cast<std::size_t>(grid.cell_count());
+  std::vector<double> flow(static_cast<std::size_t>(grid.cell_count()), 0.0);
 
   // Parallel per-net accumulation: blocks of nets (boundaries depend only
-  // on the net count) write into private partial grids, reduced in block
-  // order — bit-identical for every FICON_THREADS setting.
+  // on the net count) fill partial grids that fold_blocks() adds into the
+  // map in block order — bit-identical for every FICON_THREADS setting.
+  // The partials are freed on return: at the 10 um judging pitch each is a
+  // whole map, and the map plus one partial is what one pool thread holds.
   const int blocks = deterministic_block_count(nets.size());
-  std::vector<std::vector<double>> partial(static_cast<std::size_t>(blocks));
-  ThreadPool::global().run(blocks, [&](int b) {
-    thread_local LogFactorialTable table;  // race-free per-thread cache
-    ProbKernel kernel(PathProbability(table), {});
-    std::vector<double>& flow = partial[static_cast<std::size_t>(b)];
-    flow.assign(cells, 0.0);
-    const BlockRange range = block_range(nets.size(), blocks, b);
-    for (std::size_t i = range.begin; i < range.end; ++i) {
-      accumulate_net(nets[i], grid, kernel, flow);
-    }
-  });
-
-  for (const std::vector<double>& p : partial) map.merge(p);
-  return map;
+  std::vector<std::vector<double>> partials;
+  fold_blocks(blocks, flow, partials,
+              [&](int b, std::vector<double>& partial) {
+                thread_local LogFactorialTable table;  // race-free cache
+                ProbKernel kernel(PathProbability(table), {});
+                const BlockRange range = block_range(nets.size(), blocks, b);
+                for (std::size_t i = range.begin; i < range.end; ++i) {
+                  accumulate_net(nets[i], grid, kernel, partial);
+                }
+              });
+  return CongestionMap(grid, std::move(flow));
 }
 
 }  // namespace ficon

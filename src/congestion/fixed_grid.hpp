@@ -42,10 +42,12 @@ class FixedGridModel : public CongestionModel {
   /// @brief Build the full congestion map f(x,y) for the decomposed nets.
   ///
   /// Nets are accumulated in parallel on the global ThreadPool: blocks of
-  /// nets (boundaries a function of the net count only) fill per-block
-  /// partial grids that are merged in block order, so the map is
-  /// bit-identical for every `FICON_THREADS` value. Thread-safe —
-  /// log-factorial caches are thread_local (see docs/ARCHITECTURE.md).
+  /// nets (boundaries a function of the net count only) fill partial grids
+  /// that are added into the map in block order as soon as every earlier
+  /// block is in (fold_blocks()), so the map is bit-identical for every
+  /// `FICON_THREADS` value. One pool thread holds the map and one partial;
+  /// the partials are freed before returning. Thread-safe — log-factorial
+  /// caches are thread_local (see docs/ARCHITECTURE.md).
   ///
   /// @param nets  decomposed 2-pin nets.
   /// @param chip  chip rectangle; defines the grid via the params' pitch.

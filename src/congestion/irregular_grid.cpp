@@ -16,22 +16,30 @@ namespace ficon {
 
 namespace {
 
-/// Map an IR-cell's um extent onto the net's local fine-lattice cell span.
-/// `origin` is the snapped range start, `pitch` the fine pitch, `g` the
-/// lattice size along this axis.
-int local_lo(double lo, double origin, double pitch, int g) {
-  const double raw = (lo - origin) / pitch;
-  return std::clamp(static_cast<int>(std::floor(raw + 1e-9)), 0, g - 1);
-}
-
-int local_hi(double hi, double origin, double pitch, int g) {
-  const double raw = (hi - origin) / pitch;
-  return std::clamp(static_cast<int>(std::ceil(raw - 1e-9)) - 1, 0, g - 1);
+/// Local fine-lattice spans [lo[c], hi[c]] of the n IR-cells between cut
+/// lines lines[first .. first + n] along one axis: `origin` is the snapped
+/// range start, `pitch` the fine pitch, `g` the lattice size. Each line is
+/// mapped once, by (line - origin) / pitch, and serves as the high edge of
+/// one cell and the low edge of the next.
+void local_spans(const std::vector<double>& lines, int first, int n,
+                 double origin, double pitch, int g, std::vector<int>& lo,
+                 std::vector<int>& hi) {
+  lo.resize(static_cast<std::size_t>(n));
+  hi.resize(static_cast<std::size_t>(n));
+  const double* line = lines.data() + first;
+  double raw = (line[0] - origin) / pitch;
+  for (int c = 0; c < n; ++c) {
+    lo[static_cast<std::size_t>(c)] =
+        std::clamp(static_cast<int>(std::floor(raw + 1e-9)), 0, g - 1);
+    raw = (line[c + 1] - origin) / pitch;
+    hi[static_cast<std::size_t>(c)] =
+        std::clamp(static_cast<int>(std::ceil(raw - 1e-9)) - 1, 0, g - 1);
+  }
 }
 
 /// A partial flow grid: one block's accumulation target. Same row-major
-/// layout as IrregularCongestionMap::flow(); partials from all blocks are
-/// reduced in block order at the end of evaluate(). add() checks every
+/// layout as IrregularCongestionMap::flow(); fold_blocks() adds each
+/// block's partial into the flow in block order. add() checks every
 /// index; the banded scorer checks a net's IR-cell window once and writes
 /// inside it by offset.
 struct FlowGrid {
@@ -62,6 +70,22 @@ struct NetOnGrid {
 /// and aarch64 (NEON), so no target flags are needed. Same GCC/Clang
 /// vector extension as numeric/kernel.cpp.
 using vd2 = double __attribute__((vector_size(16)));
+
+/// std::clamp(v, 0.0, 1.0) without its branches: the same comparisons in
+/// the same order, so -0.0 and NaN come out as std::clamp leaves them.
+/// About one finished IR-cell in ten clamps to 0, too often for a branch
+/// to predict.
+double clamp01(double v) {
+  v = v < 0.0 ? 0.0 : v;
+  return 1.0 < v ? 1.0 : v;
+}
+
+vd2 clamp01(vd2 v) {
+  const vd2 zero = {0.0, 0.0};
+  const vd2 one = {1.0, 1.0};
+  v = v < zero ? zero : v;
+  return one < v ? one : v;
+}
 
 std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
   h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
@@ -220,24 +244,10 @@ class NetScorer {
     // both the evaluation input and (with the shape) the memo signature.
     const int ncx = on_grid.ncx();
     const int ncy = on_grid.ncy();
-    lx1_.resize(static_cast<std::size_t>(ncx));
-    lx2_.resize(static_cast<std::size_t>(ncx));
-    for (int cx = 0; cx < ncx; ++cx) {
-      const Rect cell = cl.cell_rect(on_grid.ix1 + cx, on_grid.iy1);
-      lx1_[static_cast<std::size_t>(cx)] =
-          local_lo(cell.xlo, on_grid.sx1, params_->grid_w, on_grid.shape.g1);
-      lx2_[static_cast<std::size_t>(cx)] =
-          local_hi(cell.xhi, on_grid.sx1, params_->grid_w, on_grid.shape.g1);
-    }
-    ly1_.resize(static_cast<std::size_t>(ncy));
-    ly2_.resize(static_cast<std::size_t>(ncy));
-    for (int cy = 0; cy < ncy; ++cy) {
-      const Rect cell = cl.cell_rect(on_grid.ix1, on_grid.iy1 + cy);
-      ly1_[static_cast<std::size_t>(cy)] =
-          local_lo(cell.ylo, on_grid.sy1, params_->grid_h, on_grid.shape.g2);
-      ly2_[static_cast<std::size_t>(cy)] =
-          local_hi(cell.yhi, on_grid.sy1, params_->grid_h, on_grid.shape.g2);
-    }
+    local_spans(cl.xs(), on_grid.ix1, ncx, on_grid.sx1, params_->grid_w,
+                on_grid.shape.g1, lx1_, lx2_);
+    local_spans(cl.ys(), on_grid.iy1, ncy, on_grid.sy1, params_->grid_h,
+                on_grid.shape.g2, ly1_, ly2_);
 
     // Memoization split: the region strategies look each matrix up in the
     // memo first. kBandedExact always recomputes, never looks up and adds
@@ -389,6 +399,17 @@ class NetScorer {
     FirstNormalTerm first;
   };
 
+  /// One span [lo, hi] of v as finish_spans() reads it, built once per
+  /// net. Every offset is in range, so the pass reads without a branch and
+  /// drops the exits of a span that ends on the last fine cell.
+  struct Span {
+    std::uint32_t f;     ///< prefix_ index of PR(lo - 1): 2 * lo
+    std::uint32_t exit;  ///< prefix_ and terms_ index at hi: 2 * (hi + 1)
+    double weight;       ///< v.g - 1 - hi, the weight of the top exit
+    std::ptrdiff_t at;   ///< flow-grid offset of its cell in a span of u
+    bool last;           ///< hi == v.g - 1: E stays as it is
+  };
+
   /// One band pass: a band per span of `u` but the last, each of length
   /// v.g, streamed in order (see the class comment; the column form has
   /// u = columns, v = rows). Adds every IR-cell of the net into the flow
@@ -403,6 +424,16 @@ class NetScorer {
       bands_.push_back(Band{
           k, first_normal_term(*table_, k, u.g - 2 - k, v.g - 1, log_total)});
     }
+    spans_.resize(nv);
+    for (std::size_t c = 0; c < nv; ++c) {
+      const int lo = (*v.lo)[c];
+      const int hi = (*v.hi)[c];
+      spans_[c] = Span{2 * static_cast<std::uint32_t>(lo),
+                       2 * static_cast<std::uint32_t>(hi + 1),
+                       static_cast<double>(v.g - 1 - hi),
+                       v.base + static_cast<std::ptrdiff_t>(c) * v.stride,
+                       hi == v.g - 1};
+    }
     // entry_[c] is E for span c of v in the current span of u: 1 for the
     // first span of u, which starts at 0.
     entry_.assign(nv, 1.0);
@@ -416,26 +447,29 @@ class NetScorer {
       prefix_pair(v.g, u.g, bands_[b], bands_[pair ? b + 1 : b]);
       const int lanes = pair ? 2 : 1;
       steps += lanes * static_cast<long long>(v.g - bands_[b].first.index);
-      finish_spans(u, v, b, lanes, window);
+      if (pair) {
+        finish_spans<2>(u, b, window);
+      } else {
+        finish_spans<1>(u, b, window);
+      }
       b += static_cast<std::size_t>(lanes);
     }
     // The last span of u ends at the lattice's last fine cell: F = 0.
-    double* last = window + u.base +
-                   static_cast<std::ptrdiff_t>(nu - 1) * u.stride + v.base;
+    double* last =
+        window + u.base + static_cast<std::ptrdiff_t>(nu - 1) * u.stride;
     for (std::size_t c = 0; c < nv; ++c) {
-      last[static_cast<std::ptrdiff_t>(c) * v.stride] +=
-          std::clamp(entry_[c], 0.0, 1.0);
+      last[spans_[c].at] += clamp01(entry_[c]);
     }
     return steps;
   }
 
-  /// Adds the cells of spans b .. b + lanes - 1 of u into the flow grid,
+  /// Adds the cells of spans b .. b + Lanes - 1 of u into the flow grid,
   /// span b + l from lane l of prefix_ and the E that span b + l - 1
-  /// leaves in entry_, then replaces entry_ with span b + lanes's E. One
+  /// leaves in entry_, then replaces entry_ with span b + Lanes's E. One
   /// pass over the spans of v serves both lanes of a pair: one vd2 load
   /// gives both lanes' F, and one each both lanes' exit sums and terms.
-  void finish_spans(const Axis& u, const Axis& v, std::size_t b, int lanes,
-                    double* window) {
+  template <int Lanes>
+  void finish_spans(const Axis& u, std::size_t b, double* window) {
     // Per lane, span b + l + 1 starts at k + 1 (E is the band's own
     // prefix: across 0, which adds an exact +0 since terms are finite and
     // prefixes >= +0) or at k (add the exits across the shared fine cell);
@@ -443,50 +477,45 @@ class NetScorer {
     vd2 across = {0.0, 0.0};
     bool stays[2] = {false, false};
     double* row[2] = {nullptr, nullptr};
-    for (int l = 0; l < lanes; ++l) {
+    for (int l = 0; l < Lanes; ++l) {
       const std::size_t span = b + static_cast<std::size_t>(l);
       const int k = (*u.hi)[span];
       const int next_lo = (*u.lo)[span + 1];
       if (next_lo == k) across[l] = 1.0 / static_cast<double>(u.g - 1 - k);
       stays[l] = next_lo == 0;
-      row[l] = window + u.base +
-               static_cast<std::ptrdiff_t>(span) * u.stride + v.base;
+      row[l] = window + u.base + static_cast<std::ptrdiff_t>(span) * u.stride;
     }
-    for (std::size_t c = 0; c < entry_.size(); ++c) {
-      const int lo = (*v.lo)[c];
-      const int hi = (*v.hi)[c];
-      vd2 f = {0.0, 0.0};
-      if (lo > 0) {
-        std::memcpy(&f, prefix_.data() + 2 * static_cast<std::size_t>(lo - 1),
-                    sizeof f);
-      }
+    const double* prefix = prefix_.data();
+    const double* terms = terms_.data();
+    double* entry = entry_.data();
+    for (std::size_t c = 0; c < spans_.size(); ++c) {
+      const Span& span = spans_[c];
+      vd2 f, exits, exit_terms;
+      std::memcpy(&f, prefix + span.f, sizeof f);
+      std::memcpy(&exits, prefix + span.exit, sizeof exits);
+      std::memcpy(&exit_terms, terms + span.exit, sizeof exit_terms);
+      exits += exit_terms * (span.weight * across);
       // E of spans b, b + 1 and b + 2. A span of v that ends on the last
       // fine cell keeps E = 1.
-      const double e0 = entry_[c];
-      double e1 = e0;
-      double e2 = e0;
-      if (hi != v.g - 1) {
-        const std::size_t at = 2 * static_cast<std::size_t>(hi);
-        vd2 exits, terms;
-        std::memcpy(&exits, prefix_.data() + at, sizeof exits);
-        std::memcpy(&terms, terms_.data() + at, sizeof terms);
-        exits += terms * (static_cast<double>(v.g - 1 - hi) * across);
-        e1 = stays[0] ? e0 : exits[0];
-        e2 = stays[1] ? e1 : exits[1];
+      const double e0 = entry[c];
+      const double e1 = span.last || stays[0] ? e0 : exits[0];
+      const vd2 cells = clamp01(vd2{e0, e1} - f);
+      row[0][span.at] += cells[0];
+      if constexpr (Lanes == 2) {
+        row[1][span.at] += cells[1];
+        entry[c] = span.last || stays[1] ? e1 : exits[1];
+      } else {
+        entry[c] = e1;
       }
-      const vd2 cells = vd2{e0, e1} - f;
-      const std::ptrdiff_t at = static_cast<std::ptrdiff_t>(c) * v.stride;
-      row[0][at] += std::clamp(cells[0], 0.0, 1.0);
-      if (lanes == 2) row[1][at] += std::clamp(cells[1], 0.0, 1.0);
-      entry_[c] = lanes == 2 ? e2 : e1;
     }
   }
 
   /// Exit terms and their prefix sums of two bands of length n, one per
-  /// lane, into terms_ and prefix_ (lane-interleaved: prefix_[2 * i +
-  /// lane]). m is the lattice size across the bands: n = g2, m = g1 for
-  /// column bands, n = g1, m = g2 for row bands. Both bands start at the
-  /// same index s; the terms before it are below DBL_MIN and stored as 0.
+  /// lane, into terms_ and prefix_ (lane-interleaved behind a leading zero
+  /// pair: prefix_[2 * (i + 1) + lane], so PR(-1) = 0 sits at index 0).
+  /// m is the lattice size across the bands: n = g2, m = g1 for column
+  /// bands, n = g1, m = g2 for row bands. Both bands start at the same
+  /// index s; the terms before it are below DBL_MIN and stored as 0.
   /// Per lane this is the recurrence of the class comment,
   ///   term(i+1) = term(i) * (((i+1+k) * (n-1-i)) /
   ///                          ((i+1) * ((n-1-i)+(m-2-k)))),
@@ -497,11 +526,13 @@ class NetScorer {
   /// and its multiply.
   void prefix_pair(int n, int m, const Band& lo, const Band& hi) {
     const int s = std::min(lo.first.index, n);
-    prefix_.resize(2 * static_cast<std::size_t>(n));
-    terms_.resize(2 * static_cast<std::size_t>(n));
-    std::fill_n(prefix_.begin(), 2 * static_cast<std::size_t>(s), 0.0);
-    std::fill_n(terms_.begin(), 2 * static_cast<std::size_t>(s), 0.0);
+    prefix_.resize(2 * static_cast<std::size_t>(n + 1));
+    terms_.resize(2 * static_cast<std::size_t>(n + 1));
+    std::fill_n(prefix_.begin(), 2 * static_cast<std::size_t>(s + 1), 0.0);
+    std::fill_n(terms_.begin(), 2 * static_cast<std::size_t>(s + 1), 0.0);
     if (s == n) return;
+    double* prefix = prefix_.data() + 2;
+    double* terms = terms_.data() + 2;
     vd2 term = {lo.first.value, hi.first.value};
     vd2 running = {0.0, 0.0};
     // The four factors, stepped by 1 from their i = s values. They are
@@ -516,9 +547,9 @@ class NetScorer {
     const vd2 one = {1.0, 1.0};
     for (int i = s; i < n - 1; ++i) {
       running += term;
-      std::memcpy(prefix_.data() + 2 * static_cast<std::size_t>(i), &running,
+      std::memcpy(prefix + 2 * static_cast<std::size_t>(i), &running,
                   sizeof running);
-      std::memcpy(terms_.data() + 2 * static_cast<std::size_t>(i), &term,
+      std::memcpy(terms + 2 * static_cast<std::size_t>(i), &term,
                   sizeof term);
       term *= (a * c) / (b * d);
       a += one;
@@ -527,9 +558,9 @@ class NetScorer {
       d -= one;
     }
     running += term;
-    std::memcpy(prefix_.data() + 2 * static_cast<std::size_t>(n - 1),
-                &running, sizeof running);
-    std::memcpy(terms_.data() + 2 * static_cast<std::size_t>(n - 1), &term,
+    std::memcpy(prefix + 2 * static_cast<std::size_t>(n - 1), &running,
+                sizeof running);
+    std::memcpy(terms + 2 * static_cast<std::size_t>(n - 1), &term,
                 sizeof term);
   }
 
@@ -577,6 +608,7 @@ class NetScorer {
   std::vector<double> probs_;
   std::vector<double> prefix_, terms_, entry_;
   std::vector<Band> bands_;
+  std::vector<Span> spans_;  ///< band_pass()'s table of v's spans
   std::vector<int> lx1_, lx2_, ly1_, ly2_;
   std::vector<int> cy1_, cy2_;  ///< row spans in canonical order
   bool bands_on_rows_ = false;  ///< plan_bands()'s axis for fill_banded()
@@ -614,45 +646,30 @@ IrregularCongestionMap IrregularGridModel::evaluate(
 
   // Steps 3-4, parallel: nets are partitioned into blocks (boundaries a
   // function of the net count only — NOT the thread count), every block
-  // accumulates into a private partial grid, and the partials are reduced
-  // in block order below. Fixed blocking + ordered reduction make the
-  // result bit-identical for every FICON_THREADS setting.
+  // accumulates into a partial grid, and fold_blocks() adds the partials
+  // into the flow in block order. Fixed blocking + ordered folding make
+  // the result bit-identical for every FICON_THREADS setting.
   const int blocks = deterministic_block_count(nets.size());
-  // Per-caller-thread partial grids, reused across evaluate() calls (the
-  // annealing loop calls this once per proposed move). Workers only write
-  // the entry of their own block; the vector itself is sized before the
-  // fork and reduced after the join, both on the calling thread. The
-  // worker lambda must go through the local reference: naming the
-  // thread_local directly inside it would resolve to the *worker's*
-  // (empty) instance, not the caller's.
-  thread_local std::vector<std::vector<double>> partial_tls;
-  std::vector<std::vector<double>>& partial = partial_tls;
-  if (partial.size() < static_cast<std::size_t>(blocks)) {
-    partial.resize(static_cast<std::size_t>(blocks));
-  }
+  // The calling thread's zeroed partials, reused across evaluate() calls
+  // (the annealing loop calls this once per proposed move): one at one
+  // pool thread, a few more when blocks finish out of order.
+  thread_local std::vector<std::vector<double>> spare_partials;
   const CutLines& cl = lines;
   const IrregularGridParams& params = params_;
   const std::uint64_t fingerprint = scoring_fingerprint(params_);
-  ThreadPool::global().run(blocks, [&](int b) {
-    LogFactorialTable& table = scoring_table();
-    ScoreMemo& memo = scoring_memo();
-    memo.configure(params.score_cache_capacity, fingerprint);
-    NetScorer scorer(table, params, memo);
-    std::vector<double>& flow = partial[static_cast<std::size_t>(b)];
-    flow.assign(cells, 0.0);
-    const FlowGrid out{&flow, cl.nx(), cl.ny()};
-    const BlockRange range = block_range(nets.size(), blocks, b);
-    for (std::size_t i = range.begin; i < range.end; ++i) {
-      scorer.score(nets[i], cl, chip, out);
-    }
-  });
-
-  // Ordered reduction (block 0 first, block N-1 last).
   std::vector<double> flow(cells, 0.0);
-  for (int b = 0; b < blocks; ++b) {
-    const std::vector<double>& p = partial[static_cast<std::size_t>(b)];
-    for (std::size_t i = 0; i < cells; ++i) flow[i] += p[i];
-  }
+  fold_blocks(blocks, flow, spare_partials,
+              [&](int b, std::vector<double>& partial) {
+                LogFactorialTable& table = scoring_table();
+                ScoreMemo& memo = scoring_memo();
+                memo.configure(params.score_cache_capacity, fingerprint);
+                NetScorer scorer(table, params, memo);
+                const FlowGrid out{&partial, cl.nx(), cl.ny()};
+                const BlockRange range = block_range(nets.size(), blocks, b);
+                for (std::size_t i = range.begin; i < range.end; ++i) {
+                  scorer.score(nets[i], cl, chip, out);
+                }
+              });
   return IrregularCongestionMap(std::move(lines), std::move(flow));
 }
 

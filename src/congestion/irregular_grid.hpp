@@ -83,7 +83,7 @@ class IrregularCongestionMap : public FlowField {
       : FlowField(lines.nx(), lines.ny()), lines_(std::move(lines)) {}
 
   /// @brief Adopt an already-accumulated flow vector (row-major, iy-major
-  /// like flow()); used by the parallel evaluator's block reduction.
+  /// like flow()); used by the parallel evaluator's ordered fold.
   IrregularCongestionMap(CutLines lines, std::vector<double> flow)
       : FlowField(lines.nx(), lines.ny(), std::move(flow)),
         lines_(std::move(lines)) {}
@@ -135,8 +135,9 @@ class IrregularGridModel : public CongestionModel {
   ///
   /// Nets are scored in parallel on the global ThreadPool: they are split
   /// into blocks whose boundaries depend only on the net count, each block
-  /// accumulates into its own partial flow grid, and the partials are
-  /// reduced in block order — so the result is bit-identical for every
+  /// accumulates into a partial flow grid, and each partial is added into
+  /// the flow in block order as soon as every earlier block is in
+  /// (fold_blocks()) — so the result is bit-identical for every
   /// `FICON_THREADS` value (see docs/ARCHITECTURE.md, "Threading model").
   /// Thread-safe: concurrent evaluate() calls on the same model are fine
   /// (log-factorial caches are thread_local).

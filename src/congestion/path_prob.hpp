@@ -46,7 +46,8 @@ constexpr int kMaxLatticeCells = 1 << 20;
 
 /// Most cells a whole fixed grid may have (nx * ny). Each axis can pass
 /// kMaxLatticeCells while their product does not fit in memory: the
-/// evaluator holds the map plus one partial grid per block, 8 bytes a
+/// evaluator holds the map plus a partial grid per block that runs or
+/// waits for an earlier block's fold (one at one pool thread), 8 bytes a
 /// cell each.
 constexpr int kMaxGridCells = 1 << 24;
 

@@ -1,4 +1,4 @@
-// Scalable synthetic benchmark generator (ROADMAP item 2).
+// Scalable synthetic benchmark generator (the generated scale tiers).
 //
 // The MCNC-like substrate (src/circuit/mcnc.hpp) tops out at ami49-class
 // sizes; nothing there pins behavior at production scale. This module

@@ -1,4 +1,4 @@
-// Congestion-evaluation service layer (ROADMAP item 1): a long-lived
+// Congestion-evaluation service layer, the engine behind ficond: a long-lived
 // engine session that amortizes circuit parsing and evaluator caches
 // across many evaluate/anneal requests.
 //

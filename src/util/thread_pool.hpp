@@ -6,7 +6,9 @@
 //     computation in ficon is expressed as a fixed set of independent
 //     *blocks* whose count and boundaries depend only on the problem size
 //     (never on the thread count), and whose results are reduced in block
-//     order on the calling thread. Which worker executes which block is
+//     order: `fold_blocks()` adds a block's partial grid into the result
+//     as soon as every earlier block's is in, on whichever thread finishes
+//     the run of ready blocks. Which worker executes which block is
 //     scheduling noise; the reduced result is identical from
 //     `FICON_THREADS=1` to `FICON_THREADS=64`.
 //  2. **Cheap dispatch.** Congestion evaluation runs inside the annealing
@@ -282,8 +284,7 @@ class ThreadPool {
 /// Deterministic in the problem size ONLY — this is what makes parallel
 /// reductions reproducible across thread counts (see the file comment).
 /// 16 blocks saturate an 8-way pool under dynamic scheduling while keeping
-/// per-block partial buffers (the memory cost of deterministic reduction)
-/// bounded.
+/// the partial buffers of a deterministic reduction (fold_blocks()) few.
 inline int deterministic_block_count(std::size_t items, int max_blocks = 16) {
   if (items == 0) return 0;
   const std::size_t cap = static_cast<std::size_t>(max_blocks < 1 ? 1 : max_blocks);
@@ -302,6 +303,81 @@ inline BlockRange block_range(std::size_t items, int blocks, int b) {
   const std::size_t n = static_cast<std::size_t>(blocks);
   const std::size_t i = static_cast<std::size_t>(b);
   return BlockRange{items * i / n, items * (i + 1) / n};
+}
+
+/// @brief Runs `fn(b, partial)` for every block b in [0, blocks) on the
+/// global pool and adds each block's partial into `result` in block order.
+///
+/// Block b gets a partial of result.size() doubles, all +0.0, and adds its
+/// share into it. Its partial is added into `result` as soon as blocks
+/// 0 .. b-1 are in, by the thread that completes the run of ready blocks,
+/// and is zeroed by that same pass for the next block to reuse. So every
+/// cell of `result` adds block 0's partial first and block blocks-1's
+/// last, whichever thread ran which block: the ordered reduction of the
+/// file comment, without a partial per block. Inline runs (one pool
+/// thread, a nested run, an InlineScope) fold right after each block and
+/// hold a single partial.
+///
+/// `spare` keeps the zeroed partials between calls: a caller that keeps it
+/// reuses them, one that drops it frees them. A partial whose block threw
+/// is dropped, so `spare` never holds a dirty one.
+inline void fold_blocks(
+    int blocks, std::vector<double>& result,
+    std::vector<std::vector<double>>& spare,
+    const std::function<void(int, std::vector<double>&)>& fn) {
+  struct Fold {
+    Mutex mu;
+    std::vector<std::vector<double>> done FICON_GUARDED_BY(mu);
+    std::vector<char> ready FICON_GUARDED_BY(mu);
+    int next FICON_GUARDED_BY(mu) = 0;         ///< next block to fold
+    bool folding FICON_GUARDED_BY(mu) = false;  ///< a thread is folding
+  };
+  if (blocks <= 0) return;
+  Fold fold;
+  {
+    const MutexLock lock(fold.mu);
+    fold.done.resize(static_cast<std::size_t>(blocks));
+    fold.ready.assign(static_cast<std::size_t>(blocks), 0);
+    // At most `blocks` new partials join the spare ones, so handing them
+    // back under the lock never allocates (or throws).
+    spare.reserve(spare.size() + static_cast<std::size_t>(blocks));
+  }
+  const std::size_t cells = result.size();
+  ThreadPool::global().run(blocks, [&](int b) {
+    std::vector<double> partial;
+    {
+      const MutexLock lock(fold.mu);
+      if (!spare.empty()) {
+        partial = std::move(spare.back());
+        spare.pop_back();
+      }
+    }
+    partial.resize(cells);  // spare partials are zero over their size
+    fn(b, partial);
+    std::unique_lock<Mutex> lock(fold.mu);
+    fold.mu.AssertHeld();  // unique_lock is invisible to -Wthread-safety
+    fold.done[static_cast<std::size_t>(b)] = std::move(partial);
+    fold.ready[static_cast<std::size_t>(b)] = 1;
+    if (fold.folding) return;  // the folding thread takes this one too
+    fold.folding = true;
+    while (fold.next < blocks &&
+           fold.ready[static_cast<std::size_t>(fold.next)] != 0) {
+      std::vector<double> p =
+          std::move(fold.done[static_cast<std::size_t>(fold.next)]);
+      lock.unlock();
+      double* const sum = result.data();
+      double* const add = p.data();
+      for (std::size_t i = 0; i < cells; ++i) {
+        sum[i] += add[i];
+        add[i] = 0.0;
+      }
+      lock.lock();
+      fold.mu.AssertHeld();
+      spare.push_back(std::move(p));
+      ++fold.next;
+    }
+    fold.folding = false;
+  });
 }
 
 }  // namespace ficon

@@ -4,6 +4,7 @@
 // in block order, so congestion maps, costs, and whole seed sweeps must be
 // bit-identical at 1, 2, 4 and 8 threads.
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -130,6 +131,42 @@ TEST_F(DeterminismTest, FixedGridMapBitIdenticalAcrossThreadCounts) {
           << "threads=" << threads << " cell " << i;
     }
     EXPECT_EQ(map.top_fraction_cost(0.10), reference.top_fraction_cost(0.10));
+  }
+}
+
+TEST_F(DeterminismTest, FoldInsideInlineScopeMatchesEveryThreadCount) {
+  // A service executor evaluates under ThreadPool::InlineScope: the blocks
+  // run inline on it, one partial folded after each, while the global pool
+  // has 4 threads. Both models must give the 1- and 8-thread flows.
+  const PlacedCircuit pc("hp");
+  const IrregularGridModel ir;
+  const FixedGridModel fixed = make_judging_model(25.0);
+  const auto evaluate_both = [&] {
+    return std::make_pair(ir.evaluate(pc.nets, pc.placement.chip).values(),
+                          fixed.evaluate(pc.nets, pc.placement.chip).values());
+  };
+
+  ThreadPool::set_global_threads(4);
+  std::pair<std::vector<double>, std::vector<double>> inline_flows;
+  {
+    const ThreadPool::InlineScope scope;
+    inline_flows = evaluate_both();
+  }
+  ASSERT_FALSE(inline_flows.first.empty());
+  ASSERT_FALSE(inline_flows.second.empty());
+  for (const int threads : {1, 8}) {
+    ThreadPool::set_global_threads(threads);
+    const auto flows = evaluate_both();
+    ASSERT_EQ(flows.first.size(), inline_flows.first.size());
+    for (std::size_t i = 0; i < flows.first.size(); ++i) {
+      EXPECT_EQ(flows.first[i], inline_flows.first[i])
+          << "IR threads=" << threads << " cell " << i;
+    }
+    ASSERT_EQ(flows.second.size(), inline_flows.second.size());
+    for (std::size_t i = 0; i < flows.second.size(); ++i) {
+      EXPECT_EQ(flows.second[i], inline_flows.second[i])
+          << "fixed threads=" << threads << " cell " << i;
+    }
   }
 }
 

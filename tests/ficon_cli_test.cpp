@@ -1,5 +1,5 @@
 // Subprocess contract tests for ficon_cli's option parsing and service
-// mode (satellite of ROADMAP item 1): the parser must distinguish
+// mode (the CLI face of the service layer): the parser must distinguish
 // "missing value" from "unknown flag", validate numeric arguments, and
 // exit 2 with a targeted message on every usage error — previously a
 // trailing `--seed` crashed and `--seeds` was silently mis-parsed as an

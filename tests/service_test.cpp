@@ -1,4 +1,4 @@
-// EngineSession contract tests (ROADMAP item 1):
+// EngineSession contract tests (the service layer):
 //
 //   * session executors are bit-identical to the serial one-shot path at
 //     every worker count (1/2/4/8) for both evaluate and sharded anneal

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # service_smoke.sh BUILD_DIR — end-to-end smoke of the service layer
-# (ROADMAP item 1), run by the CI service-smoke job:
+# (EngineSession behind ficond), run by the CI service-smoke job:
 #
 #   1. boot ficond on a Unix socket,
 #   2. fire a batch of concurrent mixed requests at it through
