@@ -2,6 +2,12 @@
 // congestion model on fixed placements of the MCNC circuits — the
 // apples-to-apples version of Experiment 3's run-time claim (the IR-grid
 // model evaluates faster than fine fixed grids while judging better).
+//
+// One more banded case runs in the regime of perfbench's stream: the
+// generated ami49x80 tier in shelf rows at pitch max(30 um, extent / 200).
+// Most of its nets are degenerate or small, so it is the quick probe for
+// changes to the per-net set-up (snap, lattice, spans, band plan); the
+// ami49 case is the probe for the band steps themselves.
 #include <benchmark/benchmark.h>
 
 #include "ficon.hpp"
@@ -10,13 +16,56 @@ namespace {
 
 using namespace ficon;
 
-/// One packed placement per circuit, built once.
+/// One packed placement per circuit, built once, and its fine pitch.
 struct Workload {
   Rect chip;
   std::vector<TwoPinNet> nets;
+  double pitch = 30.0;
 };
 
+/// The stream tier; stream_workload() builds it.
+constexpr const char* kStreamTier = "ami49x80";
+
+/// Rows of width sqrt(1.15 * module area) filled in module order, each a V
+/// chain, stacked with H: a roughly square start, as the stream's.
+PolishExpression shelf_rows(const Netlist& netlist) {
+  const double shelf_w = std::sqrt(1.15 * netlist.total_module_area());
+  std::vector<PolishToken> tokens;
+  double x = 0.0;
+  bool first_row = true;
+  for (std::size_t i = 0; i < netlist.module_count(); ++i) {
+    const double w = netlist.modules()[i].width;
+    if (x > 0.0 && x + w > shelf_w) {
+      if (!first_row) tokens.push_back(PolishToken{PolishToken::kH});
+      first_row = false;
+      x = 0.0;
+    }
+    tokens.push_back(PolishToken{static_cast<int>(i)});
+    if (x > 0.0) tokens.push_back(PolishToken{PolishToken::kV});
+    x += w;
+  }
+  if (!first_row) tokens.push_back(PolishToken{PolishToken::kH});
+  return PolishExpression(std::move(tokens));
+}
+
+/// The stream tier (generator seed 7) packed in shelf rows, built once.
+const Workload& stream_workload() {
+  static const Workload w = [] {
+    const Netlist netlist =
+        make_scale_netlist(parse_scale_tier(kStreamTier), 7);
+    const SlicingResult packed =
+        SlicingPacker(netlist).pack(shelf_rows(netlist));
+    Workload out;
+    out.chip = packed.placement.chip;
+    out.nets = decompose_to_two_pin(netlist, packed.placement);
+    out.pitch = std::max(30.0, std::max(packed.width, packed.height) / 200.0);
+    return out;
+  }();
+  return w;
+}
+
 const Workload& workload(const std::string& circuit) {
+  if (circuit == kStreamTier) return stream_workload();
   static std::map<std::string, Workload> cache;
   auto it = cache.find(circuit);
   if (it == cache.end()) {
@@ -48,8 +97,8 @@ void BM_IrregularGrid(benchmark::State& state, const std::string& circuit,
                       IrEvalStrategy strategy, const char* label) {
   const Workload& w = workload(circuit);
   IrregularGridParams params;
-  params.grid_w = 30.0;
-  params.grid_h = 30.0;
+  params.grid_w = w.pitch;
+  params.grid_h = w.pitch;
   params.strategy = strategy;
   if (strategy == IrEvalStrategy::kTheorem1) {
     // Measure the paper's approximation itself, not the accuracy-first
@@ -87,6 +136,39 @@ void register_all() {
                            "banded");
         });
   }
+  benchmark::RegisterBenchmark(
+      (std::string("irregular/") + kStreamTier + "/banded_exact").c_str(),
+      [](benchmark::State& s) {
+        BM_IrregularGrid(s, kStreamTier, IrEvalStrategy::kBandedExact,
+                         "banded, stream regime");
+      });
+}
+
+/// Banded-scorer work of one evaluation, from the trace counters: nets
+/// that are not degenerate run the band pass unless they fall back per
+/// region (exact regions), so the means are per banded net when that
+/// count is 0.
+void print_banded_summary(const char* name, const Workload& w) {
+  IrregularGridParams params;
+  params.grid_w = params.grid_h = w.pitch;
+  const bool was_enabled = obs::trace_enabled();
+  obs::set_trace_enabled(true);
+  obs::reset();
+  IrregularGridModel(params).evaluate(w.nets, w.chip);
+  const obs::TraceReport report = obs::capture();
+  obs::set_trace_enabled(was_enabled);
+  const long long scored = report.counter(obs::Counter::kIrNetsScored);
+  const long long degenerate =
+      report.counter(obs::Counter::kIrNetsDegenerate);
+  const double banded = static_cast<double>(std::max(1ll, scored - degenerate));
+  printf("  banded %s @%.0fum: %lld nets, %lld degenerate, per banded net "
+         "%.1f IR cells and %.1f band steps (%lld exact regions)\n",
+         name, w.pitch, scored, degenerate,
+         static_cast<double>(report.counter(obs::Counter::kIrRegionsBanded)) /
+             banded,
+         static_cast<double>(report.counter(obs::Counter::kIrBandSteps)) /
+             banded,
+         report.counter(obs::Counter::kIrRegionsExact));
 }
 
 /// The Experiment 3 mechanism, independent of implementation constants:
@@ -120,8 +202,13 @@ void print_workload_summary() {
       const long long ny = std::abs(cl.nearest_y(r.yhi) - cl.nearest_y(r.ylo));
       regions += std::max(1ll, nx) * std::max(1ll, ny);
     }
-    printf("  IR-grid 30um: %7lld region evaluations over %lld IR-cells\n\n",
+    printf("  IR-grid 30um: %7lld region evaluations over %lld IR-cells\n",
            regions, map.cell_count());
+    if (std::string(circuit) == "ami49") {
+      print_banded_summary(circuit, w);
+      print_banded_summary(kStreamTier, stream_workload());
+    }
+    printf("\n");
   }
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 
@@ -17,15 +18,40 @@ CutLines::CutLines(std::vector<double> xs, std::vector<double> ys)
   FICON_REQUIRE(std::is_sorted(xs_.begin(), xs_.end()) &&
                     std::is_sorted(ys_.begin(), ys_.end()),
                 "cut lines must be sorted");
+  x_index_ = build_index(xs_);
+  y_index_ = build_index(ys_);
 }
 
-int CutLines::nearest(const std::vector<double>& lines, double v) {
-  const auto it = std::lower_bound(lines.begin(), lines.end(), v);
-  if (it == lines.begin()) return 0;
-  if (it == lines.end()) return static_cast<int>(lines.size()) - 1;
-  const auto prev = it - 1;
-  const bool take_prev = (v - *prev) <= (*it - v);
-  return static_cast<int>((take_prev ? prev : it) - lines.begin());
+CutLines::Index CutLines::build_index(const std::vector<double>& lines) {
+  // Eight buckets per line: the scan from a bucket's first line then
+  // almost never moves, so its branch predicts (measured against two and
+  // four per line on the stream tier's snaps). The count must fit an int.
+  constexpr int kBucketsPerLine = 8;
+  FICON_REQUIRE(lines.size() <= static_cast<std::size_t>(
+                                    std::numeric_limits<int>::max() /
+                                    kBucketsPerLine),
+                "too many cut lines");
+  Index index;
+  index.origin = lines.front();
+  const int n = static_cast<int>(lines.size());
+  // (v - origin) * scale stays finite for every v on the axis only when
+  // the extent and the scale are finite; otherwise one bucket holds all
+  // lines and the scan runs from the first.
+  const double extent = lines.back() - lines.front();
+  const double scale = static_cast<double>(kBucketsPerLine) * n / extent;
+  if (extent > 0.0 && std::isfinite(extent) && std::isfinite(scale)) {
+    index.scale = scale;
+    index.last = kBucketsPerLine * n - 1;
+  }
+  index.first.resize(static_cast<std::size_t>(index.last) + 1);
+  int i = 0;
+  for (int k = 0; k <= index.last; ++k) {
+    while (i < n - 1 && index.bucket(lines[static_cast<std::size_t>(i)]) < k) {
+      ++i;
+    }
+    index.first[static_cast<std::size_t>(k)] = i;
+  }
+  return index;
 }
 
 namespace {

@@ -6,7 +6,9 @@
 // four. Lines closer together than twice the fine-grid pitch are merged
 // (algorithm step 2) so that no IR-grid is thinner than the probability
 // math can resolve, and the associated routing ranges are snapped to the
-// merged representatives.
+// merged representatives. Every net snaps each of its four range edges,
+// so the snap goes through a bucket index built once with the lines and
+// costs O(1) per edge instead of a binary search.
 #pragma once
 
 #include <span>
@@ -44,10 +46,12 @@ class CutLines {
   }
 
   /// @brief Index of the cut line nearest to coordinate `x` — how routing
-  /// ranges are snapped onto the merged grid (algorithm step 2).
-  int nearest_x(double x) const { return nearest(xs_, x); }
+  /// ranges are snapped onto the merged grid (algorithm step 2). A tie
+  /// takes the lower line; a coordinate at or below the first line (or
+  /// NaN) gives 0, one above the last line the last index.
+  int nearest_x(double x) const { return nearest(xs_, x_index_, x); }
   /// @brief Index of the cut line nearest to coordinate `y`.
-  int nearest_y(double y) const { return nearest(ys_, y); }
+  int nearest_y(double y) const { return nearest(ys_, y_index_, y); }
 
   /// @brief um rectangle of IR-cell (ix, iy).
   /// @param ix column index in [0, nx()).
@@ -62,10 +66,45 @@ class CutLines {
   }
 
  private:
-  static int nearest(const std::vector<double>& lines, double v);
+  /// Uniform buckets over one axis's [first line, last line]. A
+  /// coordinate's bucket is (v - origin) * scale, truncated and capped at
+  /// `last`: a monotone map, so every line before `first[k]`, the first
+  /// line whose bucket is >= k, lies below any v in bucket k, and a
+  /// forward scan from there finds std::lower_bound's position. Eight
+  /// buckets per line keep that scan to a step, if any.
+  struct Index {
+    double origin = 0.0;
+    double scale = 0.0;  ///< buckets per um; 0 puts every line in bucket 0
+    int last = 0;        ///< the last bucket
+    std::vector<int> first;
+
+    int bucket(double v) const {
+      const double t = (v - origin) * scale;
+      return t < last ? static_cast<int>(t) : last;
+    }
+  };
+
+  static Index build_index(const std::vector<double>& lines);
+
+  /// std::lower_bound's position from the index's entry and a forward
+  /// scan, then the tie rule (v - below) <= (above - v).
+  static int nearest(const std::vector<double>& lines, const Index& index,
+                     double v) {
+    const double* line = lines.data();
+    const int n = static_cast<int>(lines.size());
+    if (!(v > line[0])) return 0;
+    if (v > line[n - 1]) return n - 1;
+    // line[0] < v <= line[n - 1], so the scan stops at a line >= v, and
+    // i >= 1.
+    int i = index.first[static_cast<std::size_t>(index.bucket(v))];
+    while (line[i] < v) ++i;
+    return (v - line[i - 1]) <= (line[i] - v) ? i - 1 : i;
+  }
 
   std::vector<double> xs_;
   std::vector<double> ys_;
+  Index x_index_;
+  Index y_index_;
 };
 
 /// @brief Build the Irregular-Grid cut lines from the routing ranges of

@@ -7,6 +7,7 @@
 #include <numeric>
 #include <ostream>
 
+#include "congestion/net_setup.hpp"
 #include "congestion/prob_kernel.hpp"
 #include "congestion/score_cache.hpp"
 #include "obs/trace.hpp"
@@ -15,27 +16,6 @@
 namespace ficon {
 
 namespace {
-
-/// Local fine-lattice spans [lo[c], hi[c]] of the n IR-cells between cut
-/// lines lines[first .. first + n] along one axis: `origin` is the snapped
-/// range start, `pitch` the fine pitch, `g` the lattice size. Each line is
-/// mapped once, by (line - origin) / pitch, and serves as the high edge of
-/// one cell and the low edge of the next.
-void local_spans(const std::vector<double>& lines, int first, int n,
-                 double origin, double pitch, int g, std::vector<int>& lo,
-                 std::vector<int>& hi) {
-  lo.resize(static_cast<std::size_t>(n));
-  hi.resize(static_cast<std::size_t>(n));
-  const double* line = lines.data() + first;
-  double raw = (line[0] - origin) / pitch;
-  for (int c = 0; c < n; ++c) {
-    lo[static_cast<std::size_t>(c)] =
-        std::clamp(static_cast<int>(std::floor(raw + 1e-9)), 0, g - 1);
-    raw = (line[c + 1] - origin) / pitch;
-    hi[static_cast<std::size_t>(c)] =
-        std::clamp(static_cast<int>(std::ceil(raw - 1e-9)) - 1, 0, g - 1);
-  }
-}
 
 /// A partial flow grid: one block's accumulation target. Same row-major
 /// layout as IrregularCongestionMap::flow(); fold_blocks() adds each
@@ -53,17 +33,6 @@ struct FlowGrid {
     (*flow)[static_cast<std::size_t>(iy) * static_cast<std::size_t>(nx) +
             static_cast<std::size_t>(ix)] += p;
   }
-};
-
-/// One net's placement on the Irregular-Grid: covered IR-cell index window
-/// plus the local fine lattice.
-struct NetOnGrid {
-  int ix1, ix2, iy1, iy2;  ///< covering cut-line indices (cells ix1..ix2-1)
-  double sx1, sy1;         ///< snapped range origin (um)
-  NetGridShape shape;
-
-  int ncx() const { return ix2 - ix1; }  ///< covered IR columns
-  int ncy() const { return iy2 - iy1; }  ///< covered IR rows
 };
 
 /// Two doubles in one 16-byte vector: the baseline width on x86-64 (SSE2)
@@ -110,8 +79,18 @@ std::uint64_t scoring_fingerprint(const IrregularGridParams& p) {
 
 /// Per-block net scorer (algorithm steps 3.1-3.3).
 ///
-/// For every net it derives the covered IR-cell window and each covered
-/// column/row's local fine-lattice span, then computes the net's ncx x ncy
+/// For every net its NetSetup (net_setup.hpp) snaps the routing range to
+/// the cut lines through their bucket index, O(1) per edge, and, unless
+/// the window is degenerate, maps each covered cut line onto the net's
+/// fine lattice once, by integer truncation, in the same pass that
+/// decides whether the spans cover the lattice and chain and which axis a
+/// band pass runs on; type II rows are written in canonical order there
+/// too. The set-up's buffers, and band_pass()'s band list and span table,
+/// are sized once per block, so a net writes them in place. An evaluation
+/// scores every net and most are degenerate or small (on perfbench's
+/// stream tier 56% are degenerate and the rest average about 80 IR-cells
+/// and 200 band steps), so this bookkeeping weighs as much as a small
+/// net's band steps. The scorer then computes the net's ncx x ncy
 /// crossing-probability matrix and accumulates it into the block's partial
 /// flow grid. The matrix is a pure function of the signature
 /// (g1, g2, type2, ncx, ncy, spans), so the region strategies memoize it
@@ -165,29 +144,18 @@ std::uint64_t scoring_fingerprint(const IrregularGridParams& p) {
 class NetScorer {
  public:
   NetScorer(LogFactorialTable& table, const IrregularGridParams& params,
-            ScoreMemo& memo)
+            ScoreMemo& memo, const CutLines& cl)
       : table_(&table),
         params_(&params),
         memo_(&memo),
-        kernel_(PathProbability(table), params.approx) {}
+        kernel_(PathProbability(table), params.approx),
+        setup_(cl),
+        bands_(std::max(cl.xs().size(), cl.ys().size())),
+        spans_(bands_.size()) {}
 
-  void score(const TwoPinNet& net, const CutLines& cl, const Rect& chip,
-             const FlowGrid& out) {
+  void score(const TwoPinNet& net, const Rect& chip, const FlowGrid& out) {
     obs::count(obs::Counter::kIrNetsScored);
-    const Rect range = net.routing_range().intersection(chip);
-    if (!range.valid()) return;  // net fully outside the chip window
-
-    // Snap the routing range to the merged cut lines (step 2's "modify the
-    // corresponding routing ranges").
-    NetOnGrid on_grid;
-    on_grid.ix1 = cl.nearest_x(range.xlo);
-    on_grid.ix2 = cl.nearest_x(range.xhi);
-    on_grid.iy1 = cl.nearest_y(range.ylo);
-    on_grid.iy2 = cl.nearest_y(range.yhi);
-    on_grid.sx1 = cl.xs()[static_cast<std::size_t>(on_grid.ix1)];
-    on_grid.sy1 = cl.ys()[static_cast<std::size_t>(on_grid.iy1)];
-    const double sx2 = cl.xs()[static_cast<std::size_t>(on_grid.ix2)];
-    const double sy2 = cl.ys()[static_cast<std::size_t>(on_grid.iy2)];
+    if (!setup_.snap(net, chip)) return;  // net fully outside the chip
 
     // Degenerate (line/point) snapped ranges: the single route runs exactly
     // ON a cut line, i.e. on the shared boundary of the two adjacent IR-cell
@@ -197,13 +165,14 @@ class NetScorer {
     // the single neighbor weight 1.0 when the line is a chip boundary.
     // Weights multiply when both axes collapse (a point net on a cut-line
     // crossing charges its four corner cells 0.25 each).
-    if (on_grid.ix1 == on_grid.ix2 || on_grid.iy1 == on_grid.iy2) {
+    if (setup_.degenerate_window()) {
+      const NetOnGrid& on_grid = setup_.net();
       obs::count(obs::Counter::kIrNetsDegenerate);
       int cx_lo, cx_hi;
       double wx = 1.0;
       if (on_grid.ix1 == on_grid.ix2) {
         const bool left = on_grid.ix1 > 0;
-        const bool right = on_grid.ix1 < cl.nx();
+        const bool right = on_grid.ix1 < out.nx;
         cx_lo = left ? on_grid.ix1 - 1 : on_grid.ix1;
         cx_hi = right ? on_grid.ix1 : on_grid.ix1 - 1;
         if (left && right) wx = 0.5;
@@ -215,7 +184,7 @@ class NetScorer {
       double wy = 1.0;
       if (on_grid.iy1 == on_grid.iy2) {
         const bool below = on_grid.iy1 > 0;
-        const bool above = on_grid.iy1 < cl.ny();
+        const bool above = on_grid.iy1 < out.ny;
         cy_lo = below ? on_grid.iy1 - 1 : on_grid.iy1;
         cy_hi = above ? on_grid.iy1 : on_grid.iy1 - 1;
         if (below && above) wy = 0.5;
@@ -231,23 +200,13 @@ class NetScorer {
       return;
     }
 
-    // Fine lattice of the snapped routing range. Its bound keeps the local
-    // spans below in int range too.
-    on_grid.shape.g1 = lattice_cells(sx2 - on_grid.sx1, params_->grid_w);
-    on_grid.shape.g2 = lattice_cells(sy2 - on_grid.sy1, params_->grid_h);
-    // Type II iff the left pin is the upper pin (Figure 1).
-    const Point& left = net.a.x <= net.b.x ? net.a : net.b;
-    const Point& right = net.a.x <= net.b.x ? net.b : net.a;
-    on_grid.shape.type2 = !on_grid.shape.degenerate() && left.y > right.y;
-
-    // Unmirrored local fine spans of every covered IR column/row. They are
-    // both the evaluation input and (with the shape) the memo signature.
+    // Fine lattice of the snapped routing range and the unmirrored local
+    // fine spans of every covered IR column/row: both the evaluation input
+    // and (with the shape) the memo signature.
+    setup_.lay_out(net, params_->grid_w, params_->grid_h);
+    const NetOnGrid& on_grid = setup_.net();
     const int ncx = on_grid.ncx();
     const int ncy = on_grid.ncy();
-    local_spans(cl.xs(), on_grid.ix1, ncx, on_grid.sx1, params_->grid_w,
-                on_grid.shape.g1, lx1_, lx2_);
-    local_spans(cl.ys(), on_grid.iy1, ncy, on_grid.sy1, params_->grid_h,
-                on_grid.shape.g2, ly1_, ly2_);
 
     // Memoization split: the region strategies look each matrix up in the
     // memo first. kBandedExact always recomputes, never looks up and adds
@@ -258,7 +217,7 @@ class NetScorer {
     // scored net at 30 um (traced anneals on a Xeon vCPU). Hits and misses
     // are bit-identical, so the split is invisible in results.
     if (params_->strategy == IrEvalStrategy::kBandedExact &&
-        !on_grid.shape.degenerate() && plan_bands(on_grid)) {
+        setup_.band_axis() != BandAxis::kNone) {
       fill_banded(on_grid, out);
       return;
     }
@@ -288,73 +247,24 @@ class NetScorer {
   }
 
   void build_key(const NetOnGrid& net) {
+    const int ncx = net.ncx();
+    const int ncy = net.ncy();
     key_.clear();
-    key_.reserve(5 + lx1_.size() + lx2_.size() + ly1_.size() + ly2_.size());
+    key_.reserve(5 + 2 * static_cast<std::size_t>(ncx + ncy));
     key_.push_back(net.shape.g1);
     key_.push_back(net.shape.g2);
     key_.push_back(net.shape.type2 ? 1 : 0);
-    key_.push_back(net.ncx());
-    key_.push_back(net.ncy());
-    key_.insert(key_.end(), lx1_.begin(), lx1_.end());
-    key_.insert(key_.end(), lx2_.begin(), lx2_.end());
-    key_.insert(key_.end(), ly1_.begin(), ly1_.end());
-    key_.insert(key_.end(), ly2_.begin(), ly2_.end());
-  }
-
-  /// True when every span [lo[b], hi[b]] covers at least one fine cell.
-  static bool covers(const std::vector<int>& lo, const std::vector<int>& hi) {
-    for (std::size_t b = 0; b < lo.size(); ++b) {
-      if (lo[b] > hi[b]) return false;
-    }
-    return true;
-  }
-
-  /// True when one band pass can run across the spans of a g-cell axis,
-  /// in lattice order: the first starts at 0, the last ends at g - 1, and
-  /// every next span starts on, or right after, the previous span's last
-  /// fine cell, which is not the axis's last.
-  static bool chains(const std::vector<int>& lo, const std::vector<int>& hi,
-                     int g) {
-    if (lo.front() != 0 || hi.back() != g - 1) return false;
-    for (std::size_t b = 1; b < lo.size(); ++b) {
-      const int step = lo[b] - hi[b - 1];
-      if (hi[b - 1] == g - 1 || step < 0 || step > 1) return false;
-    }
-    return true;
-  }
-
-  /// Canonical row spans of the net, and the axis its band pass runs on:
-  /// columns or rows, whichever takes fewer band steps among those that
-  /// chain. False when neither chains or an IR-cell covers no fine cell
-  /// (the net is then scored per region).
-  bool plan_bands(const NetOnGrid& net) {
-    const int g1 = net.shape.g1;
-    const int g2 = net.shape.g2;
-    const int ncx = net.ncx();
-    const int ncy = net.ncy();
-    // Canonical frame: type II rows are mirrored and run top-down, so
-    // canonical row r is IR row ncy - 1 - r.
-    const bool t2 = net.shape.type2;
-    cy1_.resize(static_cast<std::size_t>(ncy));
-    cy2_.resize(static_cast<std::size_t>(ncy));
-    for (int r = 0; r < ncy; ++r) {
-      const auto cy = static_cast<std::size_t>(t2 ? ncy - 1 - r : r);
-      cy1_[static_cast<std::size_t>(r)] = t2 ? g2 - 1 - ly2_[cy] : ly1_[cy];
-      cy2_[static_cast<std::size_t>(r)] = t2 ? g2 - 1 - ly1_[cy] : ly2_[cy];
-    }
-    if (!covers(lx1_, lx2_) || !covers(cy1_, cy2_)) return false;
-    const bool by_columns = chains(lx1_, lx2_, g1);
-    const bool by_rows = chains(cy1_, cy2_, g2);
-    // A pass runs one band per span but the last.
-    const long long column_steps = static_cast<long long>(ncx - 1) * g2;
-    const long long row_steps = static_cast<long long>(ncy - 1) * g1;
-    bands_on_rows_ = by_rows && (!by_columns || row_steps < column_steps);
-    return by_columns || by_rows;
+    key_.push_back(ncx);
+    key_.push_back(ncy);
+    key_.insert(key_.end(), setup_.lx1(), setup_.lx1() + ncx);
+    key_.insert(key_.end(), setup_.lx2(), setup_.lx2() + ncx);
+    key_.insert(key_.end(), setup_.ly1(), setup_.ly1() + ncy);
+    key_.insert(key_.end(), setup_.ly2(), setup_.ly2() + ncy);
   }
 
   /// Banded exact probabilities for all covered IR-cells of one net, on
-  /// the axis plan_bands() chose (see the class comment for the math),
-  /// added straight into the flow grid.
+  /// the axis NetSetup chose (see the class comment for the math), added
+  /// straight into the flow grid.
   void fill_banded(const NetOnGrid& net, const FlowGrid& out) {
     // Every cell the pass writes lies in this window.
     FICON_REQUIRE(net.ix1 >= 0 && net.ix2 <= out.nx && net.iy1 >= 0 &&
@@ -369,24 +279,28 @@ class NetScorer {
     double* window = out.flow->data() +
                      static_cast<std::ptrdiff_t>(net.iy1) * nx + net.ix1;
     const bool t2 = net.shape.type2;
-    const Axis columns{&lx1_, &lx2_, net.shape.g1, 0, 1};
-    const Axis rows{&cy1_, &cy2_, net.shape.g2,
+    const Axis columns{setup_.lx1(), setup_.lx2(), net.ncx(), net.shape.g1, 0,
+                       1};
+    const Axis rows{setup_.canonical_ly1(), setup_.canonical_ly2(), ncy,
+                    net.shape.g2,
                     t2 ? static_cast<std::ptrdiff_t>(ncy - 1) * nx : 0,
                     t2 ? -nx : nx};
     const double log_total =
         table_->log_choose(net.shape.g1 + net.shape.g2 - 2, net.shape.g2 - 1);
-    const long long steps = bands_on_rows_
+    const long long steps = setup_.band_axis() == BandAxis::kRows
                                 ? band_pass(rows, columns, log_total, window)
                                 : band_pass(columns, rows, log_total, window);
     obs::count(obs::Counter::kIrBandSteps, steps);
   }
 
-  /// The covered IR columns or rows of a net along one lattice axis: their
-  /// fine spans in lattice order, the axis's lattice size, and where span
-  /// b's cells sit in the flow grid (base + b * stride from the window).
+  /// The n covered IR columns or rows of a net along one lattice axis:
+  /// their fine spans in lattice order, the axis's lattice size, and where
+  /// span b's cells sit in the flow grid (base + b * stride from the
+  /// window).
   struct Axis {
-    const std::vector<int>* lo;
-    const std::vector<int>* hi;
+    const int* lo;
+    const int* hi;
+    int n;
     int g;
     std::ptrdiff_t base;
     std::ptrdiff_t stride;
@@ -416,18 +330,19 @@ class NetScorer {
   /// grid at `window` and returns the band steps run.
   long long band_pass(const Axis& u, const Axis& v, double log_total,
                       double* window) {
-    const auto nu = u.lo->size();
-    const auto nv = v.lo->size();
-    bands_.clear();
-    for (std::size_t b = 0; b + 1 < nu; ++b) {
-      const int k = (*u.hi)[b];
-      bands_.push_back(Band{
-          k, first_normal_term(*table_, k, u.g - 2 - k, v.g - 1, log_total)});
+    const auto nu = static_cast<std::size_t>(u.n);
+    const auto nv = static_cast<std::size_t>(v.n);
+    // bands_ and spans_ have an entry per cut line of the longer axis,
+    // sized once per block; a net writes its own in place.
+    const std::size_t nbands = nu - 1;
+    for (std::size_t b = 0; b < nbands; ++b) {
+      const int k = u.hi[b];
+      bands_[b] = Band{
+          k, first_normal_term(*table_, k, u.g - 2 - k, v.g - 1, log_total)};
     }
-    spans_.resize(nv);
     for (std::size_t c = 0; c < nv; ++c) {
-      const int lo = (*v.lo)[c];
-      const int hi = (*v.hi)[c];
+      const int lo = v.lo[c];
+      const int hi = v.hi[c];
       spans_[c] = Span{2 * static_cast<std::uint32_t>(lo),
                        2 * static_cast<std::uint32_t>(hi + 1),
                        static_cast<double>(v.g - 1 - hi),
@@ -439,18 +354,18 @@ class NetScorer {
     entry_.assign(nv, 1.0);
     long long steps = 0;
     std::size_t b = 0;
-    while (b < bands_.size()) {
+    while (b < nbands) {
       // Pair only bands that start at the same index; a band that starts
       // later runs alone, beside a spare copy of itself.
-      const bool pair = b + 1 < bands_.size() &&
+      const bool pair = b + 1 < nbands &&
                         bands_[b + 1].first.index == bands_[b].first.index;
       prefix_pair(v.g, u.g, bands_[b], bands_[pair ? b + 1 : b]);
       const int lanes = pair ? 2 : 1;
       steps += lanes * static_cast<long long>(v.g - bands_[b].first.index);
       if (pair) {
-        finish_spans<2>(u, b, window);
+        finish_spans<2>(u, nv, b, window);
       } else {
-        finish_spans<1>(u, b, window);
+        finish_spans<1>(u, nv, b, window);
       }
       b += static_cast<std::size_t>(lanes);
     }
@@ -469,7 +384,8 @@ class NetScorer {
   /// pass over the spans of v serves both lanes of a pair: one vd2 load
   /// gives both lanes' F, and one each both lanes' exit sums and terms.
   template <int Lanes>
-  void finish_spans(const Axis& u, std::size_t b, double* window) {
+  void finish_spans(const Axis& u, std::size_t nv, std::size_t b,
+                    double* window) {
     // Per lane, span b + l + 1 starts at k + 1 (E is the band's own
     // prefix: across 0, which adds an exact +0 since terms are finite and
     // prefixes >= +0) or at k (add the exits across the shared fine cell);
@@ -479,8 +395,8 @@ class NetScorer {
     double* row[2] = {nullptr, nullptr};
     for (int l = 0; l < Lanes; ++l) {
       const std::size_t span = b + static_cast<std::size_t>(l);
-      const int k = (*u.hi)[span];
-      const int next_lo = (*u.lo)[span + 1];
+      const int k = u.hi[span];
+      const int next_lo = u.lo[span + 1];
       if (next_lo == k) across[l] = 1.0 / static_cast<double>(u.g - 1 - k);
       stays[l] = next_lo == 0;
       row[l] = window + u.base + static_cast<std::ptrdiff_t>(span) * u.stride;
@@ -488,7 +404,7 @@ class NetScorer {
     const double* prefix = prefix_.data();
     const double* terms = terms_.data();
     double* entry = entry_.data();
-    for (std::size_t c = 0; c < spans_.size(); ++c) {
+    for (std::size_t c = 0; c < nv; ++c) {
       const Span& span = spans_[c];
       vd2 f, exits, exit_terms;
       std::memcpy(&f, prefix + span.f, sizeof f);
@@ -583,10 +499,8 @@ class NetScorer {
     const PathProbability& exact = kernel_.exact();
     for (int cy = 0; cy < ncy; ++cy) {
       for (int cx = 0; cx < ncx; ++cx) {
-        const GridRect r{lx1_[static_cast<std::size_t>(cx)],
-                         ly1_[static_cast<std::size_t>(cy)],
-                         lx2_[static_cast<std::size_t>(cx)],
-                         ly2_[static_cast<std::size_t>(cy)]};
+        const GridRect r{setup_.lx1()[cx], setup_.ly1()[cy],
+                         setup_.lx2()[cx], setup_.ly2()[cy]};
         double& p = probs_[index(cx, cy, ncx)];
         if (theorem1) {
           p = kernel_.region_probability(net.shape, r);
@@ -605,13 +519,11 @@ class NetScorer {
   ProbKernel kernel_;
   // Scratch buffers reused across the nets of one evaluation block (each
   // block has its own scorer, so these are never shared between threads).
+  NetSetup setup_;  ///< the current net's window, lattice, spans and plan
   std::vector<double> probs_;
   std::vector<double> prefix_, terms_, entry_;
-  std::vector<Band> bands_;
+  std::vector<Band> bands_;  ///< band_pass()'s bands of u
   std::vector<Span> spans_;  ///< band_pass()'s table of v's spans
-  std::vector<int> lx1_, lx2_, ly1_, ly2_;
-  std::vector<int> cy1_, cy2_;  ///< row spans in canonical order
-  bool bands_on_rows_ = false;  ///< plan_bands()'s axis for fill_banded()
   ScoreMemo::Key key_;
 };
 
@@ -663,11 +575,11 @@ IrregularCongestionMap IrregularGridModel::evaluate(
                 LogFactorialTable& table = scoring_table();
                 ScoreMemo& memo = scoring_memo();
                 memo.configure(params.score_cache_capacity, fingerprint);
-                NetScorer scorer(table, params, memo);
+                NetScorer scorer(table, params, memo, cl);
                 const FlowGrid out{&partial, cl.nx(), cl.ny()};
                 const BlockRange range = block_range(nets.size(), blocks, b);
                 for (std::size_t i = range.begin; i < range.end; ++i) {
-                  scorer.score(nets[i], cl, chip, out);
+                  scorer.score(nets[i], chip, out);
                 }
               });
   return IrregularCongestionMap(std::move(lines), std::move(flow));

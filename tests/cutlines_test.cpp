@@ -1,6 +1,7 @@
 // Cut-line construction and merging (algorithm steps 1-2, Figure 5).
 #include <algorithm>
 #include <bit>
+#include <cfloat>
 #include <cmath>
 #include <cstdint>
 #include <set>
@@ -238,6 +239,79 @@ TEST(CutLines, NearestLookup) {
   EXPECT_EQ(lines.nearest_x(180), 2);
   EXPECT_EQ(lines.nearest_x(9999), 3);
   EXPECT_EQ(lines.nearest_y(400), 1);
+}
+
+/// The snap as std::lower_bound gives it, with the tie rule
+/// (v - below) <= (above - v): the reference for the bucket index.
+int lower_bound_nearest(const std::vector<double>& lines, double v) {
+  const auto it = std::lower_bound(lines.begin(), lines.end(), v);
+  if (it == lines.begin()) return 0;
+  if (it == lines.end()) return static_cast<int>(lines.size()) - 1;
+  const auto prev = it - 1;
+  const bool take_prev = (v - *prev) <= (*it - v);
+  return static_cast<int>((take_prev ? prev : it) - lines.begin());
+}
+
+/// Expects nearest_x and nearest_y to match the reference on every line,
+/// a hair to either side of it, every midpoint (ties), points outside
+/// the lines, infinities, NaN and `extra`.
+void expect_nearest_matches(const std::vector<double>& lines,
+                            const std::vector<double>& extra) {
+  const CutLines cl(lines, lines);
+  std::vector<double> probes = extra;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    probes.push_back(lines[i]);
+    probes.push_back(std::nextafter(lines[i], -INFINITY));
+    probes.push_back(std::nextafter(lines[i], INFINITY));
+    if (i + 1 < lines.size()) {
+      probes.push_back(0.5 * (lines[i] + lines[i + 1]));
+      probes.push_back(lines[i] + 0.25 * (lines[i + 1] - lines[i]));
+    }
+  }
+  probes.push_back(INFINITY);
+  probes.push_back(-INFINITY);
+  probes.push_back(NAN);
+  for (const double v : probes) {
+    const int want = lower_bound_nearest(lines, v);
+    EXPECT_EQ(cl.nearest_x(v), want) << std::hexfloat << "v = " << v;
+    EXPECT_EQ(cl.nearest_y(v), want) << std::hexfloat << "v = " << v;
+  }
+}
+
+TEST(CutLines, NearestMatchesLowerBoundThroughTheIndex) {
+  // The bucket index must land on std::lower_bound's position for every
+  // coordinate: evenly and unevenly spread lines, dense clusters inside
+  // one bucket, duplicates, negative axes, exact ties at midpoints.
+  Rng rng(83);
+  for (int trial = 0; trial < 60; ++trial) {
+    const int n = trial < 10 ? 2 + trial : rng.uniform_int(2, 300);
+    const double lo = rng.uniform(-5000, 5000);
+    const double extent = trial % 7 == 0 ? 1e-6 : rng.uniform(1, 20000);
+    std::vector<double> lines{lo, lo + extent};
+    for (int i = 2; i < n; ++i) {
+      // A third of the lines cluster near a few centers.
+      const double at = trial % 3 == 0 && i % 3 == 0
+                            ? lo + extent * (0.5 + 1e-7 * rng.uniform(0, 1))
+                            : lo + extent * rng.uniform(0, 1);
+      lines.push_back(at);
+      if (i % 11 == 0) lines.push_back(at);  // duplicate
+    }
+    std::sort(lines.begin(), lines.end());
+    std::vector<double> extra;
+    for (int i = 0; i < 200; ++i) {
+      extra.push_back(lo + extent * rng.uniform(-0.1, 1.1));
+    }
+    SCOPED_TRACE(::testing::Message() << "trial " << trial);
+    expect_nearest_matches(lines, extra);
+  }
+  // Integer lines whose midpoints are exact ties.
+  expect_nearest_matches({0, 100, 250, 300, 301, 1000}, {50, 175, 275, 300.5});
+  // Axes the buckets cannot scale to: one bucket, scanned from the first
+  // line. A subnormal extent, an infinite extent, and all-equal lines.
+  expect_nearest_matches({0, 5e-324}, {});
+  expect_nearest_matches({-1e308, -1e300, 0, 1e300, 1e308}, {1, -1});
+  expect_nearest_matches({3, 3, 3}, {2, 4});
+  expect_nearest_matches({-DBL_MAX, DBL_MAX}, {0});
 }
 
 TEST(CutLines, CellGeometry) {

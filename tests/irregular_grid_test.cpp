@@ -3,6 +3,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iomanip>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include "circuit/mcnc.hpp"
 #include "congestion/fixed_grid.hpp"
 #include "congestion/irregular_grid.hpp"
+#include "congestion/net_setup.hpp"
 #include "floorplan/slicing.hpp"
 #include "gen/scale.hpp"
 #include "obs/trace.hpp"
@@ -495,6 +497,364 @@ TEST(IrregularGrid, BandedFlowsArePinnedOnAmi49AtEveryThreadCount) {
       EXPECT_EQ(got, want) << "threads=" << threads << " actual 0x"
                            << std::hex << got;
     }
+  }
+  ThreadPool::set_global_threads(ThreadPool::env_threads());
+}
+
+// The per-net set-up as it stood before NetSetup, kept as the reference
+// NetSetup must reproduce bit for bit: std::lower_bound snaps,
+// std::floor/std::ceil spans, a canonical copy of the rows and separate
+// covers/chains scans.
+namespace reference {
+
+int nearest(const std::vector<double>& lines, double v) {
+  const auto it = std::lower_bound(lines.begin(), lines.end(), v);
+  if (it == lines.begin()) return 0;
+  if (it == lines.end()) return static_cast<int>(lines.size()) - 1;
+  const auto prev = it - 1;
+  const bool take_prev = (v - *prev) <= (*it - v);
+  return static_cast<int>((take_prev ? prev : it) - lines.begin());
+}
+
+void local_spans(const std::vector<double>& lines, int first, int n,
+                 double origin, double pitch, int g, std::vector<int>& lo,
+                 std::vector<int>& hi) {
+  lo.resize(static_cast<std::size_t>(n));
+  hi.resize(static_cast<std::size_t>(n));
+  const double* line = lines.data() + first;
+  double raw = (line[0] - origin) / pitch;
+  for (int c = 0; c < n; ++c) {
+    lo[static_cast<std::size_t>(c)] =
+        std::clamp(static_cast<int>(std::floor(raw + 1e-9)), 0, g - 1);
+    raw = (line[c + 1] - origin) / pitch;
+    hi[static_cast<std::size_t>(c)] =
+        std::clamp(static_cast<int>(std::ceil(raw - 1e-9)) - 1, 0, g - 1);
+  }
+}
+
+bool covers(const std::vector<int>& lo, const std::vector<int>& hi) {
+  for (std::size_t b = 0; b < lo.size(); ++b) {
+    if (lo[b] > hi[b]) return false;
+  }
+  return true;
+}
+
+bool chains(const std::vector<int>& lo, const std::vector<int>& hi, int g) {
+  if (lo.front() != 0 || hi.back() != g - 1) return false;
+  for (std::size_t b = 1; b < lo.size(); ++b) {
+    const int step = lo[b] - hi[b - 1];
+    if (hi[b - 1] == g - 1 || step < 0 || step > 1) return false;
+  }
+  return true;
+}
+
+enum class Outcome { kOutside, kDegenerate, kLaidOut };
+
+struct Setup {
+  int ix1 = 0, ix2 = 0, iy1 = 0, iy2 = 0;
+  NetGridShape shape;
+  std::vector<int> lx1, lx2, ly1, ly2, cy1, cy2;
+  BandAxis axis = BandAxis::kNone;
+
+  Outcome run(const TwoPinNet& net, const CutLines& cl, const Rect& chip,
+              double pitch_x, double pitch_y) {
+    const Rect range = net.routing_range().intersection(chip);
+    if (!range.valid()) return Outcome::kOutside;
+    ix1 = nearest(cl.xs(), range.xlo);
+    ix2 = nearest(cl.xs(), range.xhi);
+    iy1 = nearest(cl.ys(), range.ylo);
+    iy2 = nearest(cl.ys(), range.yhi);
+    if (ix1 == ix2 || iy1 == iy2) return Outcome::kDegenerate;
+    const double sx1 = cl.xs()[static_cast<std::size_t>(ix1)];
+    const double sy1 = cl.ys()[static_cast<std::size_t>(iy1)];
+    const double sx2 = cl.xs()[static_cast<std::size_t>(ix2)];
+    const double sy2 = cl.ys()[static_cast<std::size_t>(iy2)];
+    shape.g1 = lattice_cells(sx2 - sx1, pitch_x);
+    shape.g2 = lattice_cells(sy2 - sy1, pitch_y);
+    const Point& left = net.a.x <= net.b.x ? net.a : net.b;
+    const Point& right = net.a.x <= net.b.x ? net.b : net.a;
+    shape.type2 = !shape.degenerate() && left.y > right.y;
+    const int ncx = ix2 - ix1;
+    const int ncy = iy2 - iy1;
+    local_spans(cl.xs(), ix1, ncx, sx1, pitch_x, shape.g1, lx1, lx2);
+    local_spans(cl.ys(), iy1, ncy, sy1, pitch_y, shape.g2, ly1, ly2);
+    axis = BandAxis::kNone;
+    if (shape.degenerate()) return Outcome::kLaidOut;
+    // The band plan: canonical rows, covers, chains, fewer band steps.
+    const bool t2 = shape.type2;
+    cy1.resize(static_cast<std::size_t>(ncy));
+    cy2.resize(static_cast<std::size_t>(ncy));
+    for (int r = 0; r < ncy; ++r) {
+      const auto cy = static_cast<std::size_t>(t2 ? ncy - 1 - r : r);
+      cy1[static_cast<std::size_t>(r)] = t2 ? shape.g2 - 1 - ly2[cy] : ly1[cy];
+      cy2[static_cast<std::size_t>(r)] = t2 ? shape.g2 - 1 - ly1[cy] : ly2[cy];
+    }
+    if (!covers(lx1, lx2) || !covers(cy1, cy2)) return Outcome::kLaidOut;
+    const bool by_columns = chains(lx1, lx2, shape.g1);
+    const bool by_rows = chains(cy1, cy2, shape.g2);
+    const long long column_steps = static_cast<long long>(ncx - 1) * shape.g2;
+    const long long row_steps = static_cast<long long>(ncy - 1) * shape.g1;
+    if (by_rows && (!by_columns || row_steps < column_steps)) {
+      axis = BandAxis::kRows;
+    } else if (by_columns) {
+      axis = BandAxis::kColumns;
+    }
+    return Outcome::kLaidOut;
+  }
+};
+
+}  // namespace reference
+
+/// What compare_setups() saw, to check that each case was exercised.
+struct SetupTally {
+  long long outside = 0, degenerate = 0, per_region = 0, columns = 0,
+            rows = 0, type2_banded = 0, steps_tied = 0, one_axis_chains = 0;
+};
+
+/// Runs NetSetup and the reference set-up on every net and expects equal
+/// windows, lattice sizes, spans (canonical rows too) and band axes.
+SetupTally compare_setups(const std::vector<TwoPinNet>& nets,
+                          const CutLines& cl, const Rect& chip,
+                          double pitch_x, double pitch_y) {
+  SetupTally tally;
+  NetSetup setup(cl);
+  reference::Setup want;
+  // The net, for failure messages only (gtest streams them lazily).
+  const auto where = [](const TwoPinNet& net) {
+    std::ostringstream os;
+    os << std::setprecision(17) << "net (" << net.a.x << ", " << net.a.y
+       << ") - (" << net.b.x << ", " << net.b.y << ")";
+    return os.str();
+  };
+  for (const TwoPinNet& net : nets) {
+    const reference::Outcome outcome =
+        want.run(net, cl, chip, pitch_x, pitch_y);
+    const bool inside = setup.snap(net, chip);
+    EXPECT_EQ(inside, outcome != reference::Outcome::kOutside) << where(net);
+    if (!inside) {
+      ++tally.outside;
+      continue;
+    }
+    const NetOnGrid& got = setup.net();
+    EXPECT_TRUE(got.ix1 == want.ix1 && got.ix2 == want.ix2 &&
+                got.iy1 == want.iy1 && got.iy2 == want.iy2)
+        << where(net) << ": window " << got.ix1 << ".." << got.ix2 << " x "
+        << got.iy1 << ".." << got.iy2 << ", reference " << want.ix1 << ".."
+        << want.ix2 << " x " << want.iy1 << ".." << want.iy2;
+    EXPECT_EQ(setup.degenerate_window(),
+              outcome == reference::Outcome::kDegenerate)
+        << where(net);
+    if (setup.degenerate_window()) {
+      ++tally.degenerate;
+      continue;
+    }
+    setup.lay_out(net, pitch_x, pitch_y);
+    EXPECT_EQ(got.shape, want.shape) << where(net);
+    const auto same = [](const std::vector<int>& ref, const int* spans) {
+      return std::equal(ref.begin(), ref.end(), spans);
+    };
+    EXPECT_TRUE(same(want.lx1, setup.lx1()) && same(want.lx2, setup.lx2()))
+        << where(net);
+    EXPECT_TRUE(same(want.ly1, setup.ly1()) && same(want.ly2, setup.ly2()))
+        << where(net);
+    EXPECT_EQ(setup.band_axis(), want.axis) << where(net);
+    if (want.axis == BandAxis::kNone) {
+      ++tally.per_region;
+      continue;
+    }
+    EXPECT_TRUE(same(want.cy1, setup.canonical_ly1()) &&
+                same(want.cy2, setup.canonical_ly2()))
+        << where(net);
+    ++(want.axis == BandAxis::kRows ? tally.rows : tally.columns);
+    if (want.shape.type2) ++tally.type2_banded;
+    const int g1 = want.shape.g1;
+    const int g2 = want.shape.g2;
+    const long long column_steps =
+        static_cast<long long>(got.ncx() - 1) * g2;
+    const long long row_steps = static_cast<long long>(got.ncy() - 1) * g1;
+    if (column_steps == row_steps) ++tally.steps_tied;
+    if (reference::chains(want.lx1, want.lx2, g1) !=
+        reference::chains(want.cy1, want.cy2, g2)) {
+      ++tally.one_axis_chains;
+    }
+  }
+  return tally;
+}
+
+/// Coordinates a net endpoint can take on an axis of `lines`: every line,
+/// every midpoint between neighbours (the snap's tie), points a hair to
+/// either side of each line, and points below the first and above the
+/// last line.
+std::vector<double> probe_coordinates(const std::vector<double>& lines) {
+  std::vector<double> at;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    at.push_back(lines[i]);
+    at.push_back(std::nextafter(lines[i], -1e300));
+    at.push_back(std::nextafter(lines[i], 1e300));
+    if (i + 1 < lines.size()) at.push_back(0.5 * (lines[i] + lines[i + 1]));
+  }
+  at.push_back(lines.front() - 37.0);
+  at.push_back(lines.back() + 37.0);
+  return at;
+}
+
+/// Nets between every pair of probe points on a sparse grid of them, in
+/// both diagonal orientations.
+std::vector<TwoPinNet> probe_nets(const std::vector<double>& xs,
+                                  const std::vector<double>& ys, int stride) {
+  const std::vector<double> px = probe_coordinates(xs);
+  const std::vector<double> py = probe_coordinates(ys);
+  std::vector<TwoPinNet> nets;
+  for (std::size_t a = 0; a < px.size(); a += static_cast<std::size_t>(stride)) {
+    for (std::size_t b = a; b < px.size(); b += 3) {
+      for (std::size_t c = 0; c < py.size(); c += static_cast<std::size_t>(stride)) {
+        for (std::size_t d = c; d < py.size(); d += 5) {
+          nets.push_back(TwoPinNet{Point{px[a], py[c]}, Point{px[b], py[d]},
+                                   static_cast<int>(nets.size())});
+          nets.push_back(TwoPinNet{Point{px[a], py[d]}, Point{px[b], py[c]},
+                                   static_cast<int>(nets.size())});
+        }
+      }
+    }
+  }
+  return nets;
+}
+
+TEST(IrregularGrid, SetUpMatchesTheReferenceOnEdgeCases) {
+  // Lines at exact pitch multiples from the line at 100, and within
+  // +-1e-9 pitch of them, where floor(raw + 1e-9) and ceil(raw - 1e-9)
+  // turn; lines closer than a pitch (as below merge factor 1), so that an
+  // IR-cell covers no fine cell or one ends in the lattice's last fine
+  // cell and the net is scored per region; and a chip wider than the
+  // lines, so endpoints fall below the first line and above the last.
+  const double pitch = 7.0;
+  std::vector<double> xs{40, 100};
+  for (const double k : {3.0, 5.0, 8.0, 13.0, 21.0}) {
+    xs.push_back(100 + k * pitch);
+  }
+  for (const double k : {26.0, 30.0, 35.0, 41.0}) {
+    xs.push_back(100 + k * pitch - 1e-9 * pitch);
+    xs.push_back(100 + (k + 2) * pitch + 0.5e-9 * pitch);
+  }
+  xs.push_back(100 + 50 * pitch - 2e-9 * pitch);
+  xs.push_back(100 + 52 * pitch + 1.5e-9 * pitch);
+  for (const double at : {460.0, 460.3, 463.4, 470.0, 476.9, 478.2}) {
+    xs.push_back(at);
+  }
+  xs.push_back(520);
+  std::sort(xs.begin(), xs.end());
+  // Rows: evenly spread lines, some a pitch apart, so that nets chain on
+  // one axis only and square windows tie on band steps.
+  std::vector<double> ys{40, 100};
+  for (const double k : {4.0, 7.0, 7.5, 11.0, 16.0, 22.0, 22.1, 29.0}) {
+    ys.push_back(100 + k * pitch);
+  }
+  for (const double k : {33.0, 40.0}) {
+    ys.push_back(100 + k * pitch + 1e-9 * pitch);
+    ys.push_back(100 + (k + 3) * pitch - 0.25e-9 * pitch);
+  }
+  ys.push_back(420);
+  ys.push_back(423.5);
+  ys.push_back(520);
+  std::sort(ys.begin(), ys.end());
+  const CutLines cl(xs, ys);
+  const Rect chip{0, 0, 600, 600};
+  std::vector<TwoPinNet> nets = probe_nets(xs, ys, 3);
+  nets.push_back(TwoPinNet{Point{700, 700}, Point{800, 800}, 0});  // outside
+  for (const double p : {pitch, 0.5 * pitch, 3.0}) {
+    SCOPED_TRACE(::testing::Message() << "pitch " << p);
+    const SetupTally t = compare_setups(nets, cl, chip, p, p);
+    EXPECT_GT(t.outside, 0);
+    EXPECT_GT(t.degenerate, 0);
+    EXPECT_GT(t.per_region, 0);
+    EXPECT_GT(t.columns, 0);
+    EXPECT_GT(t.rows, 0);
+    EXPECT_GT(t.type2_banded, 0);
+    EXPECT_GT(t.one_axis_chains, 0);
+  }
+  // Some windows tie on band steps at one pitch; unequal pitches.
+  EXPECT_GT(compare_setups(nets, cl, chip, pitch, pitch).steps_tied, 0);
+  compare_setups(nets, cl, chip, pitch, 2.5);
+}
+
+TEST(IrregularGrid, SetUpMatchesTheReferenceOnRealFloorplans) {
+  // Merged cut lines from build_cutlines at merge factors 2, 1, 0.5 and 0:
+  // ami49 at 30 um and at 3 um, and random nets at fine pitches.
+  const Netlist netlist = make_mcnc("ami49");
+  const SlicingResult packed = SlicingPacker(netlist).pack(
+      PolishExpression::initial(static_cast<int>(netlist.module_count())));
+  const auto nets = decompose_to_two_pin(netlist, packed.placement);
+  const Rect chip = packed.placement.chip;
+  Rng rng(73);
+  std::vector<TwoPinNet> random;
+  for (int i = 0; i < 400; ++i) {
+    random.push_back(
+        TwoPinNet{Point{rng.uniform(0, 1000), rng.uniform(0, 1000)},
+                  Point{rng.uniform(0, 1000), rng.uniform(0, 1000)}, i});
+  }
+  for (const double merge : {2.0, 1.0, 0.5, 0.0}) {
+    for (const double pitch : {30.0, 3.0}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "merge " << merge << " pitch " << pitch);
+      const CutLines cl =
+          build_cutlines(nets, chip, merge * pitch, merge * pitch);
+      const SetupTally t = compare_setups(nets, cl, chip, pitch, pitch);
+      EXPECT_GT(t.columns + t.rows, 0);
+      const CutLines rl =
+          build_cutlines(random, kChip, merge * pitch, merge * pitch);
+      compare_setups(random, rl, kChip, pitch, pitch);
+    }
+  }
+}
+
+/// A shelf-row Polish expression: rows of width sqrt(1.15 * module area)
+/// filled in module order, each row a V chain, the rows stacked with H.
+PolishExpression shelf_rows(const Netlist& netlist) {
+  const double shelf_w = std::sqrt(1.15 * netlist.total_module_area());
+  std::vector<PolishToken> tokens;
+  double x = 0.0;
+  bool first_row = true;
+  for (std::size_t i = 0; i < netlist.module_count(); ++i) {
+    const double w = netlist.modules()[i].width;
+    if (x > 0.0 && x + w > shelf_w) {
+      if (!first_row) tokens.push_back(PolishToken{PolishToken::kH});
+      first_row = false;
+      x = 0.0;
+    }
+    tokens.push_back(PolishToken{static_cast<int>(i)});
+    if (x > 0.0) tokens.push_back(PolishToken{PolishToken::kV});
+    x += w;
+  }
+  if (!first_row) tokens.push_back(PolishToken{PolishToken::kH});
+  return PolishExpression(std::move(tokens));
+}
+
+TEST(IrregularGrid, StreamTierFlowsArePinnedAtOneAndFourThreads) {
+  // The generated ami49x80 tier in shelf rows at pitch extent / 200, the
+  // regime where most nets are small and the set-up weighs most. The hash
+  // was recorded before the set-up went through NetSetup; the set-up
+  // produces the same integers, so every flow keeps its bits.
+  const Netlist netlist = make_scale_netlist(parse_scale_tier("ami49x80"), 7);
+  const SlicingResult packed =
+      SlicingPacker(netlist).pack(shelf_rows(netlist));
+  IrregularGridParams params;
+  params.grid_w = params.grid_h =
+      std::max(30.0, std::max(packed.width, packed.height) / 200.0);
+  const IrregularGridModel model(params);
+  const auto nets = decompose_to_two_pin(netlist, packed.placement);
+  const Rect chip = packed.placement.chip;
+  // Every net snaps and is laid out as the reference does it.
+  const CutLines cl = build_cutlines(nets, chip, 2 * params.grid_w,
+                                     2 * params.grid_h);
+  const SetupTally t =
+      compare_setups(nets, cl, chip, params.grid_w, params.grid_h);
+  EXPECT_GT(t.degenerate, 0);
+  EXPECT_GT(t.columns + t.rows, 0);
+  for (const int threads : {1, 4}) {
+    ThreadPool::set_global_threads(threads);
+    const std::uint64_t got = flow_hash(model.evaluate(nets, chip));
+    EXPECT_EQ(got, 0x662617249d7ed3f1ull) << "threads=" << threads << " actual 0x"
+                           << std::hex << got;
   }
   ThreadPool::set_global_threads(ThreadPool::env_threads());
 }
