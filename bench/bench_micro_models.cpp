@@ -7,7 +7,12 @@
 // generated ami49x80 tier in shelf rows at pitch max(30 um, extent / 200).
 // Most of its nets are degenerate or small, so it is the quick probe for
 // changes to the per-net set-up (snap, lattice, spans, band plan); the
-// ami49 case is the probe for the band steps themselves.
+// ami49 case is the probe for the band steps themselves. Two last cases
+// time the layers before scoring on that tier at the pool's thread count
+// (FICON_THREADS): cutlines/ami49x80 runs build_cutlines alone (one block
+// per axis at 1 thread, the value-range split on more), and
+// decompose/ami49x80 a fixed walk of 40 moves through TwoPinDecomposer
+// (one block at 1 thread, pool blocks on more).
 #include <benchmark/benchmark.h>
 
 #include "ficon.hpp"
@@ -113,6 +118,59 @@ void BM_IrregularGrid(benchmark::State& state, const std::string& circuit,
   state.SetLabel(circuit + " " + label);
 }
 
+/// build_cutlines alone on the stream tier at the default merge factor.
+void BM_StreamCutlines(benchmark::State& state) {
+  const Workload& w = stream_workload();
+  const double gap = IrregularGridParams{}.merge_factor * w.pitch;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        build_cutlines(w.nets, w.chip, gap, gap).cell_count());
+  }
+  state.SetLabel(std::string(kStreamTier) + " cut lines, " +
+                 std::to_string(ThreadPool::global().threads()) +
+                 " pool threads");
+}
+
+/// The stream tier and the placements of a fixed walk of 40 random Polish
+/// moves from its shelf rows (move seed 5), built once.
+struct StreamWalk {
+  Netlist netlist;
+  std::vector<Placement> placements;
+};
+
+const StreamWalk& stream_walk() {
+  static const StreamWalk w = [] {
+    StreamWalk out{make_scale_netlist(parse_scale_tier(kStreamTier), 7), {}};
+    const SlicingPacker packer(out.netlist);
+    PolishExpression expr = shelf_rows(out.netlist);
+    Rng rng(5);
+    for (int i = 0; i < 40; ++i) {
+      expr.random_move(rng);
+      out.placements.push_back(packer.pack(expr).placement);
+    }
+    return out;
+  }();
+  return w;
+}
+
+/// TwoPinDecomposer alone on the stream tier: one iteration decomposes
+/// the walk's 40 placements in order, and the next starts over from the
+/// first, so every iteration makes the same changes.
+void BM_StreamDecompose(benchmark::State& state) {
+  const StreamWalk& w = stream_walk();
+  TwoPinDecomposer decomposer;
+  decomposer.decompose(w.netlist, w.placements.back());
+  for (auto _ : state) {
+    for (const Placement& placement : w.placements) {
+      benchmark::DoNotOptimize(
+          decomposer.decompose(w.netlist, placement).data());
+    }
+  }
+  state.SetLabel(std::string(kStreamTier) + " 40 moves, " +
+                 std::to_string(ThreadPool::global().threads()) +
+                 " pool threads");
+}
+
 void register_all() {
   for (const char* circuit : {"ami33", "ami49"}) {
     for (const double pitch : {100.0, 50.0, 10.0}) {
@@ -142,6 +200,10 @@ void register_all() {
         BM_IrregularGrid(s, kStreamTier, IrEvalStrategy::kBandedExact,
                          "banded, stream regime");
       });
+  benchmark::RegisterBenchmark(
+      (std::string("cutlines/") + kStreamTier).c_str(), BM_StreamCutlines);
+  benchmark::RegisterBenchmark(
+      (std::string("decompose/") + kStreamTier).c_str(), BM_StreamDecompose);
 }
 
 /// Banded-scorer work of one evaluation, from the trace counters: nets

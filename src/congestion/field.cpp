@@ -102,8 +102,8 @@ std::size_t select_densest(TopScratch& s, std::size_t n, double target,
 }
 
 /// Stable LSD radix sort of s.chosen[0 .. m), densest first: cells of
-/// equal key keep their order. One read counts every pass's digits, and a
-/// pass over bits on which all keys agree is skipped, as in build_cutlines.
+/// equal key keep their order. One read counts every pass's digits, and
+/// the passes cover only the bits on which the keys differ.
 void sort_densest(TopScratch& s, std::size_t m) {
   if (m < 2) return;
   std::uint64_t differ = 0;

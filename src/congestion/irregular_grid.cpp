@@ -19,19 +19,21 @@ namespace {
 
 /// A partial flow grid: one block's accumulation target. Same row-major
 /// layout as IrregularCongestionMap::flow(); fold_blocks() adds each
-/// block's partial into the flow in block order. add() checks every
-/// index; the banded scorer checks a net's IR-cell window once and writes
-/// inside it by offset.
+/// block's partial into the flow in block order. Every net checks its
+/// IR-cell window once and writes inside it by offset.
 struct FlowGrid {
   std::vector<double>* flow;
   int nx;
   int ny;
 
-  void add(int ix, int iy, double p) const {
-    FICON_REQUIRE(ix >= 0 && ix < nx && iy >= 0 && iy < ny,
-                  "IR-cell index out of range");
-    (*flow)[static_cast<std::size_t>(iy) * static_cast<std::size_t>(nx) +
-            static_cast<std::size_t>(ix)] += p;
+  /// The flow of IR-cell (x0, y0), after checking that the cells
+  /// [x0, x1) x [y0, y1) lie in the grid; cell (x0 + i, y0 + j) is at
+  /// offset j * nx + i from it.
+  double* window(int x0, int x1, int y0, int y1) const {
+    FICON_REQUIRE(0 <= x0 && x0 <= x1 && x1 <= nx && 0 <= y0 && y0 <= y1 &&
+                      y1 <= ny,
+                  "IR-cell window out of range");
+    return flow->data() + static_cast<std::ptrdiff_t>(y0) * nx + x0;
   }
 };
 
@@ -192,10 +194,10 @@ class NetScorer {
         cy_lo = on_grid.iy1;
         cy_hi = on_grid.iy2 - 1;
       }
-      for (int iy = cy_lo; iy <= cy_hi; ++iy) {
-        for (int ix = cx_lo; ix <= cx_hi; ++ix) {
-          out.add(ix, iy, wx * wy);
-        }
+      double* window = out.window(cx_lo, cx_hi + 1, cy_lo, cy_hi + 1);
+      for (int j = 0; j <= cy_hi - cy_lo; ++j) {
+        double* row = window + static_cast<std::ptrdiff_t>(j) * out.nx;
+        for (int i = 0; i <= cx_hi - cx_lo; ++i) row[i] += wx * wy;
       }
       return;
     }
@@ -232,10 +234,12 @@ class NetScorer {
       probs = &probs_;
     }
 
+    double* window =
+        out.window(on_grid.ix1, on_grid.ix2, on_grid.iy1, on_grid.iy2);
     for (int cy = 0; cy < ncy; ++cy) {
+      double* row = window + static_cast<std::ptrdiff_t>(cy) * out.nx;
       for (int cx = 0; cx < ncx; ++cx) {
-        out.add(on_grid.ix1 + cx, on_grid.iy1 + cy,
-                (*probs)[index(cx, cy, ncx)]);
+        row[cx] += (*probs)[index(cx, cy, ncx)];
       }
     }
   }
@@ -266,18 +270,14 @@ class NetScorer {
   /// the axis NetSetup chose (see the class comment for the math), added
   /// straight into the flow grid.
   void fill_banded(const NetOnGrid& net, const FlowGrid& out) {
-    // Every cell the pass writes lies in this window.
-    FICON_REQUIRE(net.ix1 >= 0 && net.ix2 <= out.nx && net.iy1 >= 0 &&
-                      net.iy2 <= out.ny,
-                  "IR-cell window out of range");
+    // Every cell the pass writes lies in this window. Flow-grid offsets
+    // from its first cell: IR column cx at cx, canonical row r at its IR
+    // row.
+    double* window = out.window(net.ix1, net.ix2, net.iy1, net.iy2);
     const int ncy = net.ncy();
     obs::count(obs::Counter::kIrRegionsBanded,
                static_cast<long long>(net.ncx()) * ncy);
-    // Flow-grid offsets from the window's first cell: IR column cx at cx,
-    // canonical row r at its IR row.
     const std::ptrdiff_t nx = out.nx;
-    double* window = out.flow->data() +
-                     static_cast<std::ptrdiff_t>(net.iy1) * nx + net.ix1;
     const bool t2 = net.shape.type2;
     const Axis columns{setup_.lx1(), setup_.lx2(), net.ncx(), net.shape.g1, 0,
                        1};
@@ -318,7 +318,8 @@ class NetScorer {
   /// drops the exits of a span that ends on the last fine cell.
   struct Span {
     std::uint32_t f;     ///< prefix_ index of PR(lo - 1): 2 * lo
-    std::uint32_t exit;  ///< prefix_ and terms_ index at hi: 2 * (hi + 1)
+    std::uint32_t exit;  ///< prefix_ and terms_ index at hi: 2 * (hi + 1),
+                         ///< or 0 (the leading zeros) for the last span
     double weight;       ///< v.g - 1 - hi, the weight of the top exit
     std::ptrdiff_t at;   ///< flow-grid offset of its cell in a span of u
     bool last;           ///< hi == v.g - 1: E stays as it is
@@ -343,12 +344,18 @@ class NetScorer {
     for (std::size_t c = 0; c < nv; ++c) {
       const int lo = v.lo[c];
       const int hi = v.hi[c];
+      const bool last = hi == v.g - 1;
       spans_[c] = Span{2 * static_cast<std::uint32_t>(lo),
-                       2 * static_cast<std::uint32_t>(hi + 1),
+                       last ? 0 : 2 * static_cast<std::uint32_t>(hi + 1),
                        static_cast<double>(v.g - 1 - hi),
                        v.base + static_cast<std::ptrdiff_t>(c) * v.stride,
-                       hi == v.g - 1};
+                       last};
     }
+    // The finish reads a band's terms and prefix sums at every span's hi
+    // but the last one's, whose exits it drops, and its F at lo - 1, which
+    // is at most the previous span's hi. So a band stops at the last but
+    // one span's hi, and a net with one span of v runs no steps.
+    const int end = nv >= 2 ? v.hi[nv - 2] + 1 : 0;
     // entry_[c] is E for span c of v in the current span of u: 1 for the
     // first span of u, which starts at 0.
     entry_.assign(nv, 1.0);
@@ -359,9 +366,10 @@ class NetScorer {
       // later runs alone, beside a spare copy of itself.
       const bool pair = b + 1 < nbands &&
                         bands_[b + 1].first.index == bands_[b].first.index;
-      prefix_pair(v.g, u.g, bands_[b], bands_[pair ? b + 1 : b]);
+      prefix_pair(v.g, u.g, end, bands_[b], bands_[pair ? b + 1 : b]);
       const int lanes = pair ? 2 : 1;
-      steps += lanes * static_cast<long long>(v.g - bands_[b].first.index);
+      steps += lanes * static_cast<long long>(
+                           std::max(end - bands_[b].first.index, 0));
       if (pair) {
         finish_spans<2>(u, nv, b, window);
       } else {
@@ -427,11 +435,13 @@ class NetScorer {
   }
 
   /// Exit terms and their prefix sums of two bands of length n, one per
-  /// lane, into terms_ and prefix_ (lane-interleaved behind a leading zero
-  /// pair: prefix_[2 * (i + 1) + lane], so PR(-1) = 0 sits at index 0).
-  /// m is the lattice size across the bands: n = g2, m = g1 for column
-  /// bands, n = g1, m = g2 for row bands. Both bands start at the same
-  /// index s; the terms before it are below DBL_MIN and stored as 0.
+  /// lane, at indices 0 .. end - 1, into terms_ and prefix_
+  /// (lane-interleaved behind a leading zero pair:
+  /// prefix_[2 * (i + 1) + lane], so PR(-1) = 0 sits at index 0). m is
+  /// the lattice size across the bands: n = g2, m = g1 for column bands,
+  /// n = g1, m = g2 for row bands. Both bands start at the same index s;
+  /// the terms before it are below DBL_MIN and stored as 0. Stopping at
+  /// end leaves every value up to it as a full band computes it.
   /// Per lane this is the recurrence of the class comment,
   ///   term(i+1) = term(i) * (((i+1+k) * (n-1-i)) /
   ///                          ((i+1) * ((n-1-i)+(m-2-k)))),
@@ -440,13 +450,13 @@ class NetScorer {
   /// products are integers below 2^42 (lattice axes are at most 2^20
   /// cells), so they are exact and a step rounds twice: its one division
   /// and its multiply.
-  void prefix_pair(int n, int m, const Band& lo, const Band& hi) {
-    const int s = std::min(lo.first.index, n);
+  void prefix_pair(int n, int m, int end, const Band& lo, const Band& hi) {
+    const int s = std::min(lo.first.index, end);
     prefix_.resize(2 * static_cast<std::size_t>(n + 1));
     terms_.resize(2 * static_cast<std::size_t>(n + 1));
     std::fill_n(prefix_.begin(), 2 * static_cast<std::size_t>(s + 1), 0.0);
     std::fill_n(terms_.begin(), 2 * static_cast<std::size_t>(s + 1), 0.0);
-    if (s == n) return;
+    if (s == end) return;
     double* prefix = prefix_.data() + 2;
     double* terms = terms_.data() + 2;
     vd2 term = {lo.first.value, hi.first.value};
@@ -461,7 +471,7 @@ class NetScorer {
     vd2 d = {static_cast<double>((n - 1 - s) + (m - 2 - lo.k)),
              static_cast<double>((n - 1 - s) + (m - 2 - hi.k))};
     const vd2 one = {1.0, 1.0};
-    for (int i = s; i < n - 1; ++i) {
+    for (int i = s; i < end - 1; ++i) {
       running += term;
       std::memcpy(prefix + 2 * static_cast<std::size_t>(i), &running,
                   sizeof running);
@@ -474,9 +484,9 @@ class NetScorer {
       d -= one;
     }
     running += term;
-    std::memcpy(prefix + 2 * static_cast<std::size_t>(n - 1), &running,
+    std::memcpy(prefix + 2 * static_cast<std::size_t>(end - 1), &running,
                 sizeof running);
-    std::memcpy(terms + 2 * static_cast<std::size_t>(n - 1), &term,
+    std::memcpy(terms + 2 * static_cast<std::size_t>(end - 1), &term,
                 sizeof term);
   }
 

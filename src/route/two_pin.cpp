@@ -4,62 +4,92 @@
 
 #include "obs/trace.hpp"
 #include "util/check.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ficon {
 
-void TwoPinDecomposer::mst_edges_into(std::span<const Point> pins,
-                                      int source_net, TwoPinNet* out) {
+void TwoPinDecomposer::Prim::edges(std::span<const Point> pins,
+                                   int source_net, TwoPinNet* out) {
   FICON_REQUIRE(pins.size() >= 2, "MST needs at least two pins");
   const std::size_t k = pins.size();
 
   // Prim's algorithm from pin 0, scratch arrays reused across nets.
-  in_tree_.assign(k, 0);
-  best_dist_.assign(k, std::numeric_limits<double>::infinity());
-  best_parent_.assign(k, 0);
-  in_tree_[0] = 1;
+  in_tree.assign(k, 0);
+  best_dist.assign(k, std::numeric_limits<double>::infinity());
+  best_parent.assign(k, 0);
+  in_tree[0] = 1;
   for (std::size_t j = 1; j < k; ++j) {
-    best_dist_[j] = manhattan(pins[0], pins[j]);
+    best_dist[j] = manhattan(pins[0], pins[j]);
   }
   for (std::size_t added = 1; added < k; ++added) {
     std::size_t next = k;
     double best = std::numeric_limits<double>::infinity();
     for (std::size_t j = 0; j < k; ++j) {
-      if (!in_tree_[j] && best_dist_[j] < best) {
-        best = best_dist_[j];
+      if (!in_tree[j] && best_dist[j] < best) {
+        best = best_dist[j];
         next = j;
       }
     }
     FICON_ASSERT(next < k, "Prim found no next vertex");
-    in_tree_[next] = 1;
-    *out++ = TwoPinNet{pins[best_parent_[next]], pins[next], source_net};
+    in_tree[next] = 1;
+    *out++ = TwoPinNet{pins[best_parent[next]], pins[next], source_net};
     for (std::size_t j = 0; j < k; ++j) {
-      if (!in_tree_[j]) {
+      if (!in_tree[j]) {
         const double d = manhattan(pins[next], pins[j]);
-        if (d < best_dist_[j]) {
-          best_dist_[j] = d;
-          best_parent_[j] = next;
+        if (d < best_dist[j]) {
+          best_dist[j] = d;
+          best_parent[j] = next;
         }
       }
     }
   }
 }
 
-void TwoPinDecomposer::append_mst_edges(const std::vector<Point>& pins,
-                                        int source_net,
-                                        std::vector<TwoPinNet>& out) {
-  FICON_REQUIRE(pins.size() >= 2, "MST needs at least two pins");
-  const std::size_t base = out.size();
-  out.resize(base + pins.size() - 1);
-  mst_edges_into(std::span<const Point>(pins), source_net, out.data() + base);
-}
-
 std::vector<TwoPinNet> mst_edges(const std::vector<Point>& pins,
                                  int source_net) {
-  std::vector<TwoPinNet> edges;
-  if (pins.size() >= 2) edges.reserve(pins.size() - 1);
-  TwoPinDecomposer scratch;
-  scratch.append_mst_edges(pins, source_net, edges);
+  FICON_REQUIRE(pins.size() >= 2, "MST needs at least two pins");
+  std::vector<TwoPinNet> edges(pins.size() - 1);
+  TwoPinDecomposer::Prim prim;
+  prim.edges(pins, source_net, edges.data());
   return edges;
+}
+
+void TwoPinDecomposer::update_nets(std::size_t begin, std::size_t end,
+                                   const Placement& placement,
+                                   bool chip_same, Block& block) {
+  const NetlistSoA& soa = *soa_;
+  long long reused = 0;
+  long long recomputed = 0;
+  for (std::size_t n = begin; n < end; ++n) {
+    // Fast path: no incident module moved (and the chip is unchanged if
+    // the net has terminal pins) — cached pins and edges still hold.
+    if (pins_valid_ && !net_dirty_[n] &&
+        (chip_same || !soa.net_has_terminal(n))) {
+      ++reused;
+      continue;
+    }
+    const std::size_t first = soa.pin_begin(n);
+    const std::size_t k = soa.degree(n);
+    Point* cached = cached_pins_.data() + first;
+    // Gather this net's pin positions, diffing against the previous call
+    // in the same pass (write-through): a dirty module can still leave a
+    // net's pins in place (e.g. an unrelated chip resize).
+    bool same = pins_valid_;
+    for (std::size_t i = 0; i < k; ++i) {
+      const Point p = soa.pin_position(first + i, placement);
+      if (same && (p.x != cached[i].x || p.y != cached[i].y)) same = false;
+      cached[i] = p;
+    }
+    if (same) {  // unchanged pins: the cached edges already match
+      ++reused;
+      continue;
+    }
+    ++recomputed;
+    block.prim.edges(std::span<const Point>(cached, k), static_cast<int>(n),
+                     nets_.data() + edge_offset_[n]);
+  }
+  block.reused = reused;
+  block.recomputed = recomputed;
 }
 
 std::span<const TwoPinNet> TwoPinDecomposer::decompose(
@@ -120,35 +150,31 @@ std::span<const TwoPinNet> TwoPinDecomposer::decompose(
     cached_rotated_[m] = placement.rotated[m] ? 1 : 0;
   }
 
+  // The per-net pass: each net reads the shared diff and writes only its
+  // own pin-cache and edge slices, so blocks of nets run independently.
+  // A small netlist, or any on a pool that would run the blocks inline,
+  // is one block, run here without the pool.
+  ThreadPool& pool = ThreadPool::global();
+  const int blocks = net_count >= kSplitNets && !pool.runs_inline()
+                         ? deterministic_block_count(net_count)
+                         : 1;
+  if (blocks_.size() < static_cast<std::size_t>(blocks)) {
+    blocks_.resize(static_cast<std::size_t>(blocks));
+  }
+  if (blocks == 1) {
+    update_nets(0, net_count, placement, chip_same, blocks_[0]);
+  } else {
+    pool.run(blocks, [&](int b) {
+      const BlockRange range = block_range(net_count, blocks, b);
+      update_nets(range.begin, range.end, placement, chip_same,
+                  blocks_[static_cast<std::size_t>(b)]);
+    });
+  }
   long long reused = 0;
   long long recomputed = 0;
-  for (std::size_t n = 0; n < net_count; ++n) {
-    // Fast path: no incident module moved (and the chip is unchanged if
-    // the net has terminal pins) — cached pins and edges still hold.
-    if (pins_valid_ && !net_dirty_[n] &&
-        (chip_same || !soa.net_has_terminal(n))) {
-      ++reused;
-      continue;
-    }
-    const std::size_t begin = soa.pin_begin(n);
-    const std::size_t k = soa.degree(n);
-    Point* cached = cached_pins_.data() + begin;
-    // Gather this net's pin positions, diffing against the previous call
-    // in the same pass (write-through): a dirty module can still leave a
-    // net's pins in place (e.g. an unrelated chip resize).
-    bool same = pins_valid_;
-    for (std::size_t i = 0; i < k; ++i) {
-      const Point p = soa.pin_position(begin + i, placement);
-      if (same && (p.x != cached[i].x || p.y != cached[i].y)) same = false;
-      cached[i] = p;
-    }
-    if (same) {  // unchanged pins: the cached edges already match
-      ++reused;
-      continue;
-    }
-    ++recomputed;
-    mst_edges_into(std::span<const Point>(cached, k), static_cast<int>(n),
-                   nets_.data() + edge_offset_[n]);
+  for (std::size_t b = 0; b < static_cast<std::size_t>(blocks); ++b) {
+    reused += blocks_[b].reused;
+    recomputed += blocks_[b].recomputed;
   }
   pins_valid_ = true;
   if (obs::trace_enabled()) {

@@ -69,12 +69,28 @@ double total_length(std::span<const TwoPinNet> nets);
 /// its degree, so each net owns a stable slice of the output buffer and
 /// reuse never perturbs edge order.
 ///
+/// From kSplitNets nets up, on a pool that runs in parallel, the per-net
+/// pass (pin diff and Prim rebuild) runs in deterministic_block_count()
+/// pool blocks over the net order, each with its own Prim scratch. A net
+/// writes only its own slices of the pin cache and the output buffer, so
+/// the edges do not depend on the blocking or on which thread ran which
+/// block.
+///
 /// Not internally synchronized: one instance per thread (an EvalContext
 /// owns one, mirroring its own threading contract). The pin cache is
 /// keyed on the netlist's address; netlists are immutable after
 /// construction, so entries cannot go stale.
 class TwoPinDecomposer {
  public:
+  /// Netlists with at least this many nets decompose in pool blocks when
+  /// the pool runs in parallel; smaller ones, and any netlist on a pool
+  /// that runs its blocks inline (ThreadPool::runs_inline()), in one. On
+  /// a 4-thread pool (4 Xeon vCPUs, gcc 12 Release), over a 40-move walk
+  /// of generated tiers from shelf rows, the blocks took 34-35 against 37-38 us per move at 816 nets
+  /// (ami49x2), 37-39 against 41-57 us at 1,632 (ami49x4) and 250 against
+  /// 576 us at 32,640 (ami49x80).
+  static constexpr std::size_t kSplitNets = 1024;
+
   /// @brief Decompose every net of the netlist under the placement.
   /// @return view of the internal buffer; valid until the next decompose()
   ///         call and invalidated by it.
@@ -86,11 +102,28 @@ class TwoPinDecomposer {
   const NetlistSoA* bound_soa() const { return soa_.get(); }
 
  private:
+  /// Prim's algorithm from pin 0 on scratch sized to the largest net
+  /// degree seen so far.
+  struct Prim {
+    std::vector<char> in_tree;
+    std::vector<double> best_dist;
+    std::vector<std::size_t> best_parent;
+
+    /// Writes the k - 1 MST edges of the k >= 2 pins to out[0 .. k-1).
+    void edges(std::span<const Point> pins, int source_net, TwoPinNet* out);
+  };
+  /// One block's share of the per-net pass: its Prim scratch and how many
+  /// of its nets kept or rebuilt their edges. Each on its own cache line:
+  /// Prim resizes its vectors per net, and neighbouring blocks run on
+  /// other threads.
+  struct alignas(64) Block {
+    Prim prim;
+    long long reused = 0;
+    long long recomputed = 0;
+  };
+
   std::vector<TwoPinNet> nets_;  ///< net n owns [edge_offset_[n], edge_offset_[n+1])
-  // Prim scratch, sized to the largest net degree seen so far.
-  std::vector<char> in_tree_;
-  std::vector<double> best_dist_;
-  std::vector<std::size_t> best_parent_;
+  std::vector<Block> blocks_;    ///< one per pool block of the per-net pass
   // Binding: the flat connectivity view (pin CSR + module->net occurrence
   // lists) rebuilt whenever the netlist changes. The pin cache shares the
   // SoA's flat pin indexing: net n's previous pin positions live at
@@ -112,10 +145,11 @@ class TwoPinDecomposer {
   std::vector<char> net_dirty_;
 
   friend std::vector<TwoPinNet> mst_edges(const std::vector<Point>&, int);
-  void append_mst_edges(const std::vector<Point>& pins, int source_net,
-                        std::vector<TwoPinNet>& out);
-  void mst_edges_into(std::span<const Point> pins, int source_net,
-                      TwoPinNet* out);
+  /// The per-net pass over nets [begin, end): keeps a clean net's pins
+  /// and edges, re-gathers a dirty net's pins and rebuilds its edges if
+  /// they moved.
+  void update_nets(std::size_t begin, std::size_t end,
+                   const Placement& placement, bool chip_same, Block& block);
 };
 
 }  // namespace ficon

@@ -10,7 +10,9 @@
 //     as soon as every earlier block's is in, on whichever thread finishes
 //     the run of ready blocks. Which worker executes which block is
 //     scheduling noise; the reduced result is identical from
-//     `FICON_THREADS=1` to `FICON_THREADS=64`.
+//     `FICON_THREADS=1` to `FICON_THREADS=64`. A computation whose result
+//     does not depend on its blocking at all (the cut-line sort, the net
+//     decomposition) may choose its blocks from runs_inline() as well.
 //  2. **Cheap dispatch.** Congestion evaluation runs inside the annealing
 //     inner loop, so a fork-join must not spawn threads. Workers are
 //     long-lived `std::jthread`s parked on a condition variable; a
@@ -74,6 +76,12 @@ class ThreadPool {
 
   /// Total threads that participate in a run (workers + caller).
   int threads() const { return thread_count_; }
+
+  /// True when a run() issued from this thread runs its blocks inline, in
+  /// order: a one-thread pool, inside another run() or under an
+  /// InlineScope. A computation whose result is the same for every
+  /// blocking may skip a split that pays off only in parallel.
+  bool runs_inline() const { return thread_count_ == 1 || inside_run(); }
 
   /// @brief Execute `fn(b)` for every block b in [0, blocks) and wait for
   /// completion. Blocks must be independent; any deterministic reduction
@@ -305,6 +313,12 @@ inline BlockRange block_range(std::size_t items, int blocks, int b) {
   return BlockRange{items * i / n, items * (i + 1) / n};
 }
 
+/// Partials at least this large are bounded in number by fold_blocks():
+/// 1 MiB, far above the IR model's (about 16 KB on the generated ami49x80
+/// tier, 108 KB on ami49 at 30 um) and far below a fixed-grid map's at a
+/// judging pitch (74 MB on ami49 at 5 um).
+inline constexpr std::size_t kFoldBoundBytes = std::size_t{1} << 20;
+
 /// @brief Runs `fn(b, partial)` for every block b in [0, blocks) on the
 /// global pool and adds each block's partial into `result` in block order.
 ///
@@ -318,6 +332,13 @@ inline BlockRange block_range(std::size_t items, int blocks, int b) {
 /// thread, a nested run, an InlineScope) fold right after each block and
 /// hold a single partial.
 ///
+/// When a partial takes at least kFoldBoundBytes, a block waits before it
+/// takes one while it is the pool's thread count or more blocks past the
+/// next block to fold, so at most that many partials are live however the
+/// blocks finish. Smaller partials never wait: there a wait costs more
+/// than the memory it saves. A block that throws releases every waiting
+/// block, and blocks that have not taken a partial yet skip their work.
+///
 /// `spare` keeps the zeroed partials between calls: a caller that keeps it
 /// reuses them, one that drops it frees them. A partial whose block threw
 /// is dropped, so `spare` never holds a dirty one.
@@ -327,10 +348,12 @@ inline void fold_blocks(
     const std::function<void(int, std::vector<double>&)>& fn) {
   struct Fold {
     Mutex mu;
+    std::condition_variable_any folded;  ///< `next` moved or a block threw
     std::vector<std::vector<double>> done FICON_GUARDED_BY(mu);
     std::vector<char> ready FICON_GUARDED_BY(mu);
     int next FICON_GUARDED_BY(mu) = 0;         ///< next block to fold
     bool folding FICON_GUARDED_BY(mu) = false;  ///< a thread is folding
+    bool failed FICON_GUARDED_BY(mu) = false;   ///< a block threw
   };
   if (blocks <= 0) return;
   Fold fold;
@@ -343,17 +366,35 @@ inline void fold_blocks(
     spare.reserve(spare.size() + static_cast<std::size_t>(blocks));
   }
   const std::size_t cells = result.size();
-  ThreadPool::global().run(blocks, [&](int b) {
+  ThreadPool& pool = ThreadPool::global();
+  const bool bounded = cells * sizeof(double) >= kFoldBoundBytes;
+  const int ahead = bounded ? pool.threads() : blocks;
+  pool.run(blocks, [&](int b) {
     std::vector<double> partial;
     {
-      const MutexLock lock(fold.mu);
+      std::unique_lock<Mutex> lock(fold.mu);
+      fold.folded.wait(lock, [&] {
+        fold.mu.AssertHeld();  // wait predicates run with the lock held
+        return fold.failed || b - fold.next < ahead;
+      });
+      fold.mu.AssertHeld();  // unique_lock is invisible to -Wthread-safety
+      if (fold.failed) return;
       if (!spare.empty()) {
         partial = std::move(spare.back());
         spare.pop_back();
       }
     }
-    partial.resize(cells);  // spare partials are zero over their size
-    fn(b, partial);
+    try {
+      partial.resize(cells);  // spare partials are zero over their size
+      fn(b, partial);
+    } catch (...) {
+      {
+        const MutexLock lock(fold.mu);
+        fold.failed = true;
+      }
+      fold.folded.notify_all();
+      throw;
+    }
     std::unique_lock<Mutex> lock(fold.mu);
     fold.mu.AssertHeld();  // unique_lock is invisible to -Wthread-safety
     fold.done[static_cast<std::size_t>(b)] = std::move(partial);
@@ -375,6 +416,7 @@ inline void fold_blocks(
       fold.mu.AssertHeld();
       spare.push_back(std::move(p));
       ++fold.next;
+      if (bounded) fold.folded.notify_all();
     }
     fold.folding = false;
   });

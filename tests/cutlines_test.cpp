@@ -12,11 +12,130 @@
 
 #include "congestion/cutlines.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ficon {
 namespace {
 
 const Rect kChip{0, 0, 1000, 1000};
+
+namespace reference {
+
+/// merge_lines() as it was before the bucket sort: std::sort over the
+/// interior coordinates, then greedy clusters with backward pooling. The
+/// reference for the sorted order and every cluster sum.
+std::vector<double> merge_lines(const std::vector<double>& coords, double lo,
+                                double hi, double min_gap) {
+  std::vector<double> sorted;
+  for (const double c : coords) {
+    if (c > lo + min_gap && c < hi - min_gap) sorted.push_back(c);
+  }
+  std::sort(sorted.begin(), sorted.end());
+  struct Cluster {
+    double sum = 0.0;
+    double count = 0.0;
+    double rep() const { return sum / count; }
+  };
+  std::vector<Cluster> kept;
+  std::size_t i = 0;
+  while (i < sorted.size()) {
+    const double start = sorted[i];
+    Cluster cluster;
+    do {
+      cluster.sum += sorted[i];
+      cluster.count += 1.0;
+      ++i;
+    } while (i < sorted.size() && sorted[i] - start < min_gap);
+    while (!kept.empty()) {
+      const double gap = cluster.rep() - kept.back().rep();
+      if (gap >= min_gap && gap > 0.0) break;
+      cluster.sum += kept.back().sum;
+      cluster.count += kept.back().count;
+      kept.pop_back();
+    }
+    kept.push_back(cluster);
+  }
+  std::vector<double> merged{lo};
+  for (const Cluster& c : kept) {
+    const double rep = c.rep();
+    if (rep > lo + min_gap && rep < hi - min_gap) merged.push_back(rep);
+  }
+  merged.push_back(hi);
+  return merged;
+}
+
+/// build_cutlines() from the reference merge: both ends of every routing
+/// range per axis.
+CutLines build_cutlines(const std::vector<TwoPinNet>& nets, const Rect& chip,
+                        double min_dx, double min_dy) {
+  std::vector<double> xs;
+  std::vector<double> ys;
+  for (const TwoPinNet& net : nets) {
+    const Rect r = net.routing_range();
+    xs.push_back(r.xlo);
+    xs.push_back(r.xhi);
+    ys.push_back(r.ylo);
+    ys.push_back(r.yhi);
+  }
+  return CutLines(merge_lines(xs, chip.xlo, chip.xhi, min_dx),
+                  merge_lines(ys, chip.ylo, chip.yhi, min_dy));
+}
+
+}  // namespace reference
+
+/// The bit patterns of `lines`, so that EXPECT_EQ compares bit for bit.
+std::vector<std::uint64_t> bits(const std::vector<double>& lines) {
+  std::vector<std::uint64_t> out;
+  for (const double v : lines) out.push_back(std::bit_cast<std::uint64_t>(v));
+  return out;
+}
+
+/// The pool thread counts every comparison runs at, then an 8-thread pool
+/// under a ThreadPool::InlineScope, as a request executor runs it;
+/// restores the pool.
+class AtEveryThreadCount {
+ public:
+  ~AtEveryThreadCount() {
+    ThreadPool::set_global_threads(ThreadPool::env_threads());
+  }
+  template <class Fn>
+  void run(Fn&& fn) {
+    for (const int threads : {1, 2, 4, 8}) {
+      ThreadPool::set_global_threads(threads);
+      SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+      fn();
+    }
+    const ThreadPool::InlineScope inline_scope;
+    SCOPED_TRACE("threads=8 under InlineScope");
+    fn();
+  }
+};
+
+/// Expects merge_lines() to equal the reference bit for bit at 1, 2, 4
+/// and 8 pool threads and under an InlineScope.
+void expect_merge_matches(const std::vector<double>& coords, double lo,
+                          double hi, double min_gap, const std::string& what) {
+  SCOPED_TRACE(what);
+  const std::vector<std::uint64_t> want =
+      bits(reference::merge_lines(coords, lo, hi, min_gap));
+  AtEveryThreadCount().run([&] {
+    EXPECT_EQ(bits(merge_lines(coords, lo, hi, min_gap)), want);
+  });
+}
+
+/// Expects build_cutlines() to equal the reference bit for bit at 1, 2, 4
+/// and 8 pool threads and under an InlineScope.
+void expect_cutlines_match(const std::vector<TwoPinNet>& nets,
+                           const Rect& chip, double min_dx, double min_dy,
+                           const std::string& what) {
+  SCOPED_TRACE(what);
+  const CutLines want = reference::build_cutlines(nets, chip, min_dx, min_dy);
+  AtEveryThreadCount().run([&] {
+    const CutLines got = build_cutlines(nets, chip, min_dx, min_dy);
+    EXPECT_EQ(bits(got.xs()), bits(want.xs()));
+    EXPECT_EQ(bits(got.ys()), bits(want.ys()));
+  });
+}
 
 TEST(MergeLines, KeepsWellSeparatedLines) {
   const auto merged = merge_lines({200, 500, 800}, 0, 1000, 60);
@@ -230,6 +349,157 @@ TEST(MergeLines, SignedZerosGiveOnePositiveZeroLine) {
   EXPECT_EQ(merged[3], 0.5);
 }
 
+/// Candidate counts on both sides of the split threshold, and one well
+/// above it.
+std::vector<std::size_t> sizes_around_the_split() {
+  const std::size_t split = kCutLineSplitCoordinates;
+  return {split / 2, split - 1, split, split + 1, 3 * split};
+}
+
+TEST(MergeLines, MatchesTheReferenceAtEveryThreadCount) {
+  Rng rng(97);
+  for (const std::size_t n : sizes_around_the_split()) {
+    const std::string size = " n=" + std::to_string(n);
+    // Integers with many repeats: duplicates pool, and with merging
+    // they cluster.
+    std::vector<double> integers;
+    while (integers.size() < n) {
+      integers.push_back(static_cast<double>(rng.uniform_int(1, 999)));
+    }
+    expect_merge_matches(integers, 0, 1000, 0, "duplicates" + size);
+    expect_merge_matches(integers, 0, 1000, 3, "duplicates, gap 3" + size);
+
+    // On [0, 1024] the value ranges split at exact multiples of
+    // 1024 / kCutLineRanges: coordinates on each split and one ulp to
+    // either side, at lo + gap and hi - gap and one ulp inside them,
+    // among random fill.
+    std::vector<double> splits;
+    for (int r = 1; r < kCutLineRanges; ++r) {
+      const double at = 1024.0 * r / kCutLineRanges;
+      for (int k = 0; k < 3; ++k) {
+        splits.push_back(at);
+        splits.push_back(std::nextafter(at, -INFINITY));
+        splits.push_back(std::nextafter(at, INFINITY));
+      }
+    }
+    for (const double at : {2.0, 1022.0}) {
+      splits.push_back(at);
+      splits.push_back(std::nextafter(at, -INFINITY));
+      splits.push_back(std::nextafter(at, INFINITY));
+    }
+    while (splits.size() < n) splits.push_back(rng.uniform(0, 1024));
+    expect_merge_matches(splits, 0, 1024, 2, "splits" + size);
+    expect_merge_matches(splits, 0, 1024, 0, "splits, gap 0" + size);
+
+    // The same split values where the collecting blocks meet: at and next
+    // to every eighth of the items, so that equal and adjacent
+    // coordinates come from different blocks.
+    std::vector<double> edges;
+    while (edges.size() < n) edges.push_back(rng.uniform(0, 1024));
+    for (std::size_t k = 1; k < 8; ++k) {
+      const std::size_t at = n * k / 8;
+      const double v = 1024.0 * static_cast<double>(k % kCutLineRanges) /
+                       kCutLineRanges;
+      for (std::size_t i = at - 1; i <= at + 1 && i < n; ++i) {
+        edges[i] = i == at ? v : std::nextafter(v, i < at ? 0.0 : 1024.0);
+      }
+      edges[n - 1 - at] = v;
+    }
+    expect_merge_matches(edges, 0, 1024, 0, "block edges, gap 0" + size);
+    expect_merge_matches(edges, 0, 1024, 3, "block edges, gap 3" + size);
+
+    // Signed zeros on an axis that straddles 0, where 0 is a split.
+    std::vector<double> zeros;
+    while (zeros.size() < n) {
+      zeros.push_back(zeros.size() % 3 == 0   ? -0.0
+                      : zeros.size() % 3 == 1 ? 0.0
+                                              : rng.uniform(-1024, 1024));
+    }
+    expect_merge_matches(zeros, -1024, 1024, 0, "signed zeros" + size);
+    expect_merge_matches(zeros, -1024, 1024, 0.5,
+                         "signed zeros, gap 0.5" + size);
+
+    // Distinct full-mantissa values, merging off, on a negative axis.
+    std::vector<double> negative;
+    while (negative.size() < n) negative.push_back(rng.uniform(-6000, -50));
+    expect_merge_matches(negative, -5000, -100, 0, "negative axis" + size);
+
+    // Coordinates bunched far tighter than the buckets: long runs.
+    std::vector<double> bunched;
+    while (bunched.size() < n) {
+      bunched.push_back(bunched.size() % 4 == 0
+                            ? rng.uniform(0, 1e6)
+                            : 5e5 + rng.uniform(0, 1e-3));
+    }
+    expect_merge_matches(bunched, 0, 1e6, 0, "bunched" + size);
+    expect_merge_matches(bunched, 0, 1e6, 1e-4, "bunched, gap 1e-4" + size);
+
+    // Axes whose bucket scale is not finite: an extent that overflows,
+    // and a subnormal one whose scale does. Every coordinate shares one
+    // bucket.
+    std::vector<double> wide;
+    while (wide.size() < n) {
+      wide.push_back(std::ldexp(rng.uniform(-1, 1), rng.uniform_int(0, 1023)));
+    }
+    expect_merge_matches(wide, -DBL_MAX, DBL_MAX, 0, "infinite extent" + size);
+    std::vector<double> tiny;
+    while (tiny.size() < n) {
+      tiny.push_back(5e-324 * static_cast<double>(rng.uniform_int(0, 20000)));
+    }
+    expect_merge_matches(tiny, 0, 5e-324 * 20001, 0, "subnormal extent" + size);
+  }
+}
+
+/// `n` random nets on `chip`: a quarter degenerate, some reaching out of
+/// the chip, and some ending on `on`.
+std::vector<TwoPinNet> random_nets(Rng& rng, std::size_t n, const Rect& chip,
+                                   const std::vector<double>& on) {
+  std::vector<TwoPinNet> nets;
+  const auto coord = [&](double lo, double hi) {
+    const int pick = rng.uniform_int(0, 19);
+    if (pick == 0 && !on.empty()) {
+      return on[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<int>(on.size()) - 1))];
+    }
+    const double extent = hi - lo;
+    if (pick == 1) return lo - 0.01 * extent;  // outside the chip
+    return lo + extent * rng.uniform(0, 1);
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    const Point a{coord(chip.xlo, chip.xhi), coord(chip.ylo, chip.yhi)};
+    Point b{coord(chip.xlo, chip.xhi), coord(chip.ylo, chip.yhi)};
+    if (i % 8 == 0) b.x = a.x;
+    if (i % 8 == 1) b.y = a.y;
+    nets.push_back(TwoPinNet{a, b, static_cast<int>(i)});
+  }
+  return nets;
+}
+
+TEST(BuildCutlines, MatchesTheReferenceAtEveryThreadCount) {
+  Rng rng(98);
+  // Each net gives two candidates per axis, so the sizes give 2 * (n / 2)
+  // candidates: half the threshold, two below it, at it and three times it.
+  for (const std::size_t n : sizes_around_the_split()) {
+    const std::size_t net_count = n / 2;
+    const std::string size = " nets=" + std::to_string(net_count);
+    // On a 1024-wide chip the splits and the boundary gaps are exact.
+    const Rect chip{0, 0, 1024, 1024};
+    const std::vector<double> on{256, 512, 768, std::nextafter(512.0, 0.0),
+                                 3, 1021};
+    const std::vector<TwoPinNet> nets = random_nets(rng, net_count, chip, on);
+    expect_cutlines_match(nets, chip, 3, 3, "1024 chip" + size);
+    expect_cutlines_match(nets, chip, 0, 7, "gap 0 in x" + size);
+
+    const Rect centered{-1024, -1024, 1024, 1024};
+    expect_cutlines_match(random_nets(rng, net_count, centered, {-0.0, 0.0}),
+                          centered, 1, 1, "straddling 0" + size);
+
+    const Rect huge{-DBL_MAX, -DBL_MAX, DBL_MAX, DBL_MAX};
+    expect_cutlines_match(random_nets(rng, net_count, kChip, {}), huge, 1, 1,
+                          "infinite extent" + size);
+  }
+}
+
 TEST(CutLines, NearestLookup) {
   const CutLines lines({0, 100, 250, 1000}, {0, 400, 1000});
   EXPECT_EQ(lines.nearest_x(-50), 0);
@@ -383,6 +653,18 @@ TEST(BuildCutlines, AxisBlockErrorsReachTheCaller) {
   const std::vector<TwoPinNet> nets{{Point{100, 100}, Point{300, 400}, 0}};
   EXPECT_THROW(build_cutlines(nets, kChip, -1, 20), std::invalid_argument);
   EXPECT_THROW(build_cutlines(nets, kChip, 20, -1), std::invalid_argument);
+}
+
+TEST(BuildCutlines, SplitBlockErrorsReachTheCaller) {
+  // The same above the split threshold, where the collecting blocks
+  // check the axes, at every pool size.
+  Rng rng(99);
+  const std::vector<TwoPinNet> nets =
+      random_nets(rng, kCutLineSplitCoordinates, kChip, {});
+  AtEveryThreadCount().run([&] {
+    EXPECT_THROW(build_cutlines(nets, kChip, -1, 20), std::invalid_argument);
+    EXPECT_THROW(build_cutlines(nets, kChip, 20, -1), std::invalid_argument);
+  });
 }
 
 }  // namespace

@@ -185,8 +185,10 @@ TEST(ScaleTierPipeline, TierResultsArePinnedBitForBit) {
   // max(30 um, chip extent / 200) that holds ami49's relative resolution;
   // the hash of its cut lines at merge factor 2, built on a 1-, 2-, 4-
   // and 8-thread pool; and the summed wirelength of 50 random Polish moves
-  // through pack_cached_ref and the caching decomposer. ami49x21 sorts
-  // 23,066 coordinates per axis.
+  // through pack_cached_ref and the caching decomposer, on a 1- and an
+  // 8-thread pool. ami49x21 sorts 23,066 coordinates per axis, above
+  // kCutLineSplitCoordinates, and has more nets than
+  // TwoPinDecomposer::kSplitNets.
   const TierPin pins[] = {
       {"n100", "n100", 7848313446471626199ULL, 100, 885, 1873, 988, 30.0, 32,
        4972141620354504023ULL, 35875913.630642481},
@@ -225,18 +227,25 @@ TEST(ScaleTierPipeline, TierResultsArePinnedBitForBit) {
     }
     ThreadPool::set_global_threads(pool_threads);
 
-    SlicingPacker packer(netlist);
-    PolishExpression expr =
-        PolishExpression::initial(static_cast<int>(netlist.module_count()));
-    Rng rng(7);
-    double wirelength = 0.0;
-    for (int i = 0; i < 50; ++i) {
-      expr.random_move(rng);
-      const SlicingResult& packed = packer.pack_cached_ref(expr);
-      wirelength +=
-          total_length(decomposer.decompose(netlist, packed.placement));
+    // The walk at 1 and 8 threads: ami49x21 decomposes in pool blocks.
+    for (const int threads : {1, 8}) {
+      ThreadPool::set_global_threads(threads);
+      TwoPinDecomposer walk;
+      walk.decompose(netlist, shelf);
+      SlicingPacker packer(netlist);
+      PolishExpression expr =
+          PolishExpression::initial(static_cast<int>(netlist.module_count()));
+      Rng rng(7);
+      double wirelength = 0.0;
+      for (int i = 0; i < 50; ++i) {
+        expr.random_move(rng);
+        const SlicingResult& packed = packer.pack_cached_ref(expr);
+        wirelength += total_length(walk.decompose(netlist, packed.placement));
+      }
+      EXPECT_EQ(wirelength, pin.stream_wirelength_um)
+          << "threads=" << threads;
     }
-    EXPECT_EQ(wirelength, pin.stream_wirelength_um);
+    ThreadPool::set_global_threads(pool_threads);
   }
 }
 

@@ -409,9 +409,10 @@ TEST(IrregularGrid, BandedFlowsArePinnedBitForBit) {
   // were recorded from a build that ran every band alone, beside a copy
   // of itself; the paired scorer gives the same hashes, so these pins
   // guard lane pairing as well as the flows' last bits. Each case also
-  // pins ir_band_steps: the recurrence steps a band runs (its length
-  // minus its start index), once per band and never for a spare lane.
-  // The point nets that cut the window are degenerate and run none.
+  // pins ir_band_steps: the recurrence steps a band runs, from its start
+  // index (0 here) to the end of the last but one span across it, the
+  // last index the finish reads, once per band and never for a spare
+  // lane. The point nets that cut the window are degenerate and run none.
   struct Case {
     int ncx, ncy;
     bool type2;
@@ -420,22 +421,23 @@ TEST(IrregularGrid, BandedFlowsArePinnedBitForBit) {
   };
   // Lattice g1 x g2 and bands per net: see windowed_net().
   const Case cases[] = {
-      // 36 x 40: 2 row bands of 36, one pair.
-      {3, 3, false, 72, 0xf35368ef6a58e992ull},
-      // 53 x 55: 3 row bands of 53, a pair and one + spare lane.
-      {4, 4, false, 159, 0x52046c8c1770b8e8ull},
-      // 64 x 28: 1 row band of 64 + spare lane.
-      {5, 2, false, 64, 0x1c35377176933043ull},
-      // 36 x 64: 2 column bands of 64, one pair.
-      {3, 5, false, 128, 0xe57482d567bf191eull},
-      // Type II, 24 x 64: 1 column band of 64.
-      {2, 5, true, 64, 0x01df70f548fdf762ull},
-      // Type II, 53 x 64: 3 column bands of 64.
-      {4, 5, true, 192, 0xd8cf57821e686a6dull},
-      // Type II, 53 x 40: 2 row bands of 53.
-      {4, 3, true, 106, 0x524bc866435dbf95ull},
-      // Type II, 36 x 55: 3 row bands of 36.
-      {3, 4, true, 108, 0x9e252f58dad28d29ull},
+      // 36 x 40: 2 row bands of 36 that stop at 24, one pair.
+      {3, 3, false, 48, 0xf35368ef6a58e992ull},
+      // 53 x 55: 3 row bands of 53 that stop at 36, a pair and one +
+      // spare lane.
+      {4, 4, false, 108, 0x52046c8c1770b8e8ull},
+      // 64 x 28: 1 row band of 64 that stops at 53 + spare lane.
+      {5, 2, false, 53, 0x1c35377176933043ull},
+      // 36 x 64: 2 column bands of 64 that stop at 55, one pair.
+      {3, 5, false, 110, 0xe57482d567bf191eull},
+      // Type II, 24 x 64: 1 column band of 64 that stops at 53.
+      {2, 5, true, 53, 0x01df70f548fdf762ull},
+      // Type II, 53 x 64: 3 column bands of 64 that stop at 53.
+      {4, 5, true, 159, 0xd8cf57821e686a6dull},
+      // Type II, 53 x 40: 2 row bands of 53 that stop at 36.
+      {4, 3, true, 72, 0x524bc866435dbf95ull},
+      // Type II, 36 x 55: 3 row bands of 36 that stop at 24.
+      {3, 4, true, 72, 0x9e252f58dad28d29ull},
       // ncx == 1: one column, no band.
       {1, 4, false, 0, 0xda57a9d36b867fc1ull},
       {1, 5, true, 0, 0x84386c2a69cbe91dull},

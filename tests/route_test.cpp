@@ -1,12 +1,18 @@
 // MST net decomposition and wirelength tests.
 #include <algorithm>
+#include <limits>
 #include <numeric>
 
 #include <gtest/gtest.h>
 
 #include "circuit/mcnc.hpp"
+#include "floorplan/polish.hpp"
+#include "floorplan/slicing.hpp"
+#include "gen/scale.hpp"
+#include "obs/trace.hpp"
 #include "route/two_pin.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ficon {
 namespace {
@@ -165,6 +171,107 @@ TEST(Decompose, ReusableDecomposerMatchesOneShotApi) {
     EXPECT_EQ(total_length(decomposer.decompose(netlist, placement)),
               mst_wirelength(netlist, placement));
   }
+}
+
+/// Expects `got` to be `want`, edge for edge and bit for bit.
+void expect_same_edges(std::span<const TwoPinNet> got,
+                       const std::vector<TwoPinNet>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got[i].a, want[i].a) << "edge " << i;
+    ASSERT_EQ(got[i].b, want[i].b) << "edge " << i;
+    ASSERT_EQ(got[i].source_net, want[i].source_net) << "edge " << i;
+  }
+}
+
+/// Prim per net on Placement::pin_position, one net after another: the
+/// decomposition with no pin cache and no pool blocks.
+std::vector<TwoPinNet> serial_decomposition(const Netlist& netlist,
+                                            const Placement& placement) {
+  std::vector<TwoPinNet> out;
+  for (std::size_t n = 0; n < netlist.net_count(); ++n) {
+    std::vector<Point> pins;
+    for (const Pin& pin : netlist.nets()[n].pins) {
+      pins.push_back(placement.pin_position(pin));
+    }
+    const std::vector<TwoPinNet> edges = mst_edges(pins, static_cast<int>(n));
+    out.insert(out.end(), edges.begin(), edges.end());
+  }
+  return out;
+}
+
+TEST(Decompose, SplitDecomposerMatchesOneShotApiAtEveryThreadCount) {
+  // ami49x21 has more nets than TwoPinDecomposer::kSplitNets, so its
+  // per-net pass runs in pool blocks. Along 50 Polish moves, and a chip
+  // that grows under unmoved modules (only nets with terminal pins
+  // change), the caching decomposer and decompose_to_two_pin must both
+  // equal a serial Prim per net at every pool size, and the traced work
+  // must not depend on it.
+  const Netlist netlist =
+      make_scale_netlist(parse_scale_tier("ami49x21"), 7);
+  ASSERT_GE(netlist.net_count(), TwoPinDecomposer::kSplitNets);
+  ASSERT_FALSE(netlist.terminals().empty());
+  std::vector<long long> recomputed;
+  for (const int threads : {1, 2, 4, 8}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    ThreadPool::set_global_threads(threads);
+    obs::set_trace_enabled(true);
+    obs::reset();
+    TwoPinDecomposer decomposer;
+    SlicingPacker packer(netlist);
+    PolishExpression expr =
+        PolishExpression::initial(static_cast<int>(netlist.module_count()));
+    Rng rng(21);
+    for (int move = 0; move < 50; ++move) {
+      expr.random_move(rng);
+      Placement placement = packer.pack(expr).placement;
+      const std::vector<TwoPinNet> want =
+          serial_decomposition(netlist, placement);
+      expect_same_edges(decompose_to_two_pin(netlist, placement), want);
+      expect_same_edges(decomposer.decompose(netlist, placement), want);
+      if (move % 10 == 5) {
+        placement.chip.xhi += 100.0;
+        placement.chip.yhi += 50.0;
+        expect_same_edges(decomposer.decompose(netlist, placement),
+                          serial_decomposition(netlist, placement));
+      }
+    }
+    recomputed.push_back(
+        obs::capture().counter(obs::Counter::kDecomposeNetsRecomputed));
+    obs::set_trace_enabled(false);
+  }
+  ThreadPool::set_global_threads(ThreadPool::env_threads());
+  for (const long long r : recomputed) EXPECT_EQ(r, recomputed.front());
+}
+
+TEST(Decompose, BlockErrorsReachTheCaller) {
+  // A module placed at NaN leaves Prim no next vertex in the nets it
+  // touches. The check throws inside whichever pool block owns such a
+  // net, and the error must reach the caller at every pool size, on the
+  // first call and on a cached one.
+  const Netlist netlist =
+      make_scale_netlist(parse_scale_tier("ami49x21"), 7);
+  ASSERT_GE(netlist.net_count(), TwoPinDecomposer::kSplitNets);
+  const SlicingPacker packer(netlist);
+  const Placement good =
+      packer
+          .pack(PolishExpression::initial(
+              static_cast<int>(netlist.module_count())))
+          .placement;
+  Placement bad = good;
+  const std::size_t last = netlist.module_count() - 1;
+  bad.module_rects[last].xlo = std::numeric_limits<double>::quiet_NaN();
+  bad.module_rects[last].xhi = std::numeric_limits<double>::quiet_NaN();
+  for (const int threads : {1, 2, 4, 8}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    ThreadPool::set_global_threads(threads);
+    TwoPinDecomposer fresh;
+    EXPECT_THROW(fresh.decompose(netlist, bad), std::logic_error);
+    TwoPinDecomposer cached;
+    cached.decompose(netlist, good);
+    EXPECT_THROW(cached.decompose(netlist, bad), std::logic_error);
+  }
+  ThreadPool::set_global_threads(ThreadPool::env_threads());
 }
 
 TEST(Decompose, RejectsMismatchedPlacement) {

@@ -2,9 +2,13 @@
 // fork-join thread pool.
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -241,6 +245,68 @@ TEST(ThreadPool, GlobalPoolResizable) {
   EXPECT_EQ(sum.load(), 45);
   ThreadPool::set_global_threads(1);
   EXPECT_EQ(ThreadPool::global().threads(), 1);
+}
+
+/// Partials of 1 MiB, the smallest whose count fold_blocks() bounds.
+constexpr std::size_t kBoundedCells = kFoldBoundBytes / sizeof(double);
+
+/// Block b's share in a fold_blocks() test: a value per cell that differs
+/// by block and cell, so the sum's bits depend on the order of the adds.
+double share(int b, std::size_t i) {
+  return 1.0 / (3.0 + b) + 1e-7 * static_cast<double>(i % 97);
+}
+
+TEST(FoldBlocks, LargePartialsAreBoundedByThePoolThreads) {
+  // Block 0 finishes last, so without the bound every other block would
+  // park its partial until block 0 is folded. With it a block waits while
+  // it is the pool's thread count past the next fold, so no more
+  // partials than threads ever exist, and the sum is the in-order sum.
+  std::vector<std::uint64_t> want;
+  {
+    std::vector<double> sum(kBoundedCells, 0.0);
+    for (int b = 0; b < 16; ++b) {
+      for (std::size_t i = 0; i < sum.size(); ++i) sum[i] += share(b, i);
+    }
+    for (const double v : sum) want.push_back(std::bit_cast<std::uint64_t>(v));
+  }
+  for (const int threads : {1, 2, 4, 8}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    ThreadPool::set_global_threads(threads);
+    std::vector<double> result(kBoundedCells, 0.0);
+    std::vector<std::vector<double>> spare;
+    fold_blocks(16, result, spare, [](int b, std::vector<double>& partial) {
+      if (b == 0) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      for (std::size_t i = 0; i < partial.size(); ++i) {
+        partial[i] += share(b, i);
+      }
+    });
+    EXPECT_LE(spare.size(), static_cast<std::size_t>(threads));
+    std::vector<std::uint64_t> got;
+    for (const double v : result) got.push_back(std::bit_cast<std::uint64_t>(v));
+    EXPECT_TRUE(got == want);
+  }
+  ThreadPool::set_global_threads(ThreadPool::env_threads());
+}
+
+TEST(FoldBlocks, AThrowingBlockReleasesTheWaitingBlocks) {
+  // Block 0 throws after the blocks past the bound have started waiting
+  // for it; they must stop waiting and the error reach the caller.
+  for (const int threads : {2, 4, 8}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    ThreadPool::set_global_threads(threads);
+    std::vector<double> result(kBoundedCells, 0.0);
+    std::vector<std::vector<double>> spare;
+    EXPECT_THROW(
+        fold_blocks(16, result, spare,
+                    [](int b, std::vector<double>&) {
+                      if (b != 0) return;
+                      std::this_thread::sleep_for(
+                          std::chrono::milliseconds(20));
+                      throw std::runtime_error("block failed");
+                    }),
+        std::runtime_error);
+  }
+  ThreadPool::set_global_threads(ThreadPool::env_threads());
 }
 
 }  // namespace
