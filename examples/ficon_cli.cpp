@@ -418,10 +418,8 @@ int main(int argc, char** argv) {
     source.set_nets(nets);
     if (!cli.heatmap.empty()) {
       std::ofstream svg(cli.heatmap);
-      ficon::HeatMapOptions heat_options;
-      heat_options.title = netlist.name() + " " +
-                           std::string(cmodel->name()) + " congestion";
-      source.write_svg(svg, heat_options);
+      source.write_svg(svg, netlist.name() + " " +
+                                std::string(cmodel->name()) + " congestion");
       std::cout << "wrote " << cli.heatmap << '\n';
     }
     if (!cli.heatmap_features.empty()) {

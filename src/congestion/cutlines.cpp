@@ -24,6 +24,18 @@ CutLines::CutLines(std::vector<double> xs, std::vector<double> ys)
   y_index_ = build_index(ys_);
 }
 
+UniformBuckets::UniformBuckets(double lo, double hi, int count)
+    : origin(lo) {
+  // (v - origin) * scale stays finite for every v on the axis only when
+  // the extent and the scale are finite.
+  const double extent = hi - lo;
+  const double per_um = static_cast<double>(count) / extent;
+  if (extent > 0.0 && std::isfinite(extent) && std::isfinite(per_um)) {
+    scale = per_um;
+    last = count - 1;
+  }
+}
+
 CutLines::Index CutLines::build_index(const std::vector<double>& lines) {
   // Eight buckets per line: the scan from a bucket's first line then
   // almost never moves, so its branch predicts (measured against two and
@@ -33,24 +45,14 @@ CutLines::Index CutLines::build_index(const std::vector<double>& lines) {
                                     std::numeric_limits<int>::max() /
                                     kBucketsPerLine),
                 "too many cut lines");
-  Index index;
-  index.origin = lines.front();
   const int n = static_cast<int>(lines.size());
-  // (v - origin) * scale stays finite for every v on the axis only when
-  // the extent and the scale are finite; otherwise one bucket holds all
-  // lines and the scan runs from the first.
-  const double extent = lines.back() - lines.front();
-  const double scale = static_cast<double>(kBucketsPerLine) * n / extent;
-  if (extent > 0.0 && std::isfinite(extent) && std::isfinite(scale)) {
-    index.scale = scale;
-    index.last = kBucketsPerLine * n - 1;
-  }
-  index.first.resize(static_cast<std::size_t>(index.last) + 1);
+  Index index{UniformBuckets(lines.front(), lines.back(), kBucketsPerLine * n),
+              {}};
+  const UniformBuckets& b = index.buckets;
+  index.first.resize(static_cast<std::size_t>(b.last) + 1);
   int i = 0;
-  for (int k = 0; k <= index.last; ++k) {
-    while (i < n - 1 && index.bucket(lines[static_cast<std::size_t>(i)]) < k) {
-      ++i;
-    }
+  for (int k = 0; k <= b.last; ++k) {
+    while (i < n - 1 && b.bucket(lines[static_cast<std::size_t>(i)]) < k) ++i;
     index.first[static_cast<std::size_t>(k)] = i;
   }
   return index;
@@ -70,72 +72,38 @@ struct Cluster {
 /// block each.
 constexpr int kCollectParts = 4;
 
-/// One axis's sort buckets, a monotone map of the coordinate like
-/// CutLines::Index's: bucket (c - origin) * scale, truncated and capped at
-/// `last`. A larger coordinate never lands in an earlier bucket, so
-/// sorting each bucket and reading them in order sorts the axis. The
-/// buckets form equal runs of 2^shift, one per value range, so
-/// bucket >> shift is a coordinate's range.
-struct Buckets {
-  double origin = 0.0;
-  double scale = 0.0;  ///< buckets per um; 0 puts every coordinate in bucket 0
-  int last = 0;        ///< the last bucket
-  int shift = 0;       ///< log2 of the buckets per range
-
-  /// Callers pass interior coordinates only: c > origin, so the product
-  /// is >= 0 or NaN, and the cast sees only values below `last`.
-  int bucket(double c) const {
-    const double t = (c - origin) * scale;
-    return t < last ? static_cast<int>(t) : last;
-  }
-  int range(double c) const { return bucket(c) >> shift; }
-  int per_range() const { return 1 << shift; }
-};
-
-/// Buckets over [lo, hi] in `ranges` runs of a power of two, one to two
-/// per candidate coordinate. When the extent or the scale is not finite
-/// every coordinate shares bucket 0, as in CutLines::build_index().
-Buckets make_buckets(double lo, double hi, std::size_t candidates,
-                     int ranges) {
-  // Fewer buckets leave more to the insertion pass: half as many took the
-  // stream tier's cut lines 1.15-1.18 ms against 1.07-1.09 on a 4-thread
-  // pool (4 Xeon vCPUs, gcc 12 Release).
-  constexpr int kMaxShift = 20;  // at most 2^20 buckets per range
-  const std::size_t wanted = std::max<std::size_t>(
-      2 * candidates / static_cast<std::size_t>(ranges), 1);
-  Buckets b;
-  b.origin = lo;
-  b.shift = std::min(static_cast<int>(std::bit_width(wanted)) - 1, kMaxShift);
-  const int buckets = b.per_range() * ranges;
-  const double extent = hi - lo;
-  const double scale = static_cast<double>(buckets) / extent;
-  if (extent > 0.0 && std::isfinite(extent) && std::isfinite(scale)) {
-    b.scale = scale;
-    b.last = buckets - 1;
-  }
-  return b;
-}
-
-/// One axis to merge: its bounds, gap and buckets, and its scratch: the
-/// collected coordinates, where each collecting part's stretch of them
-/// starts, how many each part put in each value range, and the cluster
-/// buffer. Part q's coordinates sit in its own stretch, grouped by value
-/// range; each range's block then writes the range back into the same
-/// places in sorted order, so reading range by range and part by part
-/// reads the axis sorted.
+/// One axis to merge: its bounds and gap, its sort buckets, and its
+/// scratch: the collected coordinates, where each collecting part's
+/// stretch of them starts, how many each part put in each value range,
+/// and the cluster buffer. The buckets are uniform over [lo, hi] and form
+/// equal runs of 2^shift, one per value range, so bucket >> shift is a
+/// coordinate's range; sorting each bucket and reading them in order
+/// sorts the axis. Part q's coordinates sit in its own stretch, grouped by
+/// value range; each range's block then writes the range back into the
+/// same places in sorted order, so reading range by range and part by
+/// part reads the axis sorted.
 struct Axis {
   double lo = 0.0;
   double hi = 0.0;
   double min_gap = 0.0;
-  Buckets buckets;
+  UniformBuckets buckets;
+  int shift = 0;  ///< log2 of the buckets per value range
   std::vector<double> coords;
   std::array<std::size_t, kCollectParts> stretch{};
   std::array<std::array<std::uint32_t, kCutLineRanges>, kCollectParts> runs{};
   std::vector<Cluster> kept;
 
-  void check() const {
-    FICON_REQUIRE(lo < hi, "degenerate axis");
-    FICON_REQUIRE(min_gap >= 0.0, "negative merge gap");
+  /// Sizes the buckets for `candidates` coordinates in `ranges` value
+  /// ranges, one to two buckets per candidate. Fewer buckets leave more
+  /// to the insertion pass: half as many took the stream tier's cut lines
+  /// 1.15-1.18 ms against 1.07-1.09 on a 4-thread pool (4 Xeon vCPUs,
+  /// gcc 12 Release).
+  void size_buckets(std::size_t candidates, int ranges) {
+    constexpr int kMaxShift = 20;  // at most 2^20 buckets per range
+    const std::size_t wanted = std::max<std::size_t>(
+        2 * candidates / static_cast<std::size_t>(ranges), 1);
+    shift = std::min(static_cast<int>(std::bit_width(wanted)) - 1, kMaxShift);
+    buckets = UniformBuckets(lo, hi, (1 << shift) * ranges);
   }
   /// Part q's run of value range r.
   std::span<double> run(std::size_t q, std::size_t r) {
@@ -151,63 +119,84 @@ struct Axis {
 struct Interior {
   double above;  ///< lo + min_gap
   double below;  ///< hi - min_gap
-  Buckets buckets;
+  UniformBuckets buckets;
+  int shift;
 
+  explicit Interior(const Axis& a)
+      : above(a.lo + a.min_gap),
+        below(a.hi - a.min_gap),
+        buckets(a.buckets),
+        shift(a.shift) {}
   /// A coordinate at or within min_gap of a boundary, or outside the
   /// chip, is swallowed by the boundary, so it is never sorted.
   bool contains(double c) const { return c > above && c < below; }
+  int range(double c) const { return buckets.bucket(c) >> shift; }
 };
 
-/// Collecting part q over items [begin, end): writes the interior
-/// coordinates of every axis into the part's stretch of the axis's
-/// coords, grouped by value range. With one range it collects in one read
-/// of the items; with more it counts each range in a first read and
-/// places every coordinate in its range's run in a second, so that no
-/// second buffer is needed.
-template <class Source, std::size_t N>
-void collect_part(const Source& source, const std::array<Axis*, N>& axes,
+/// Calls fn(axis, c) for both ends of the routing range of nets
+/// [begin, end), on axis 0 (x) and axis 1 (y).
+template <class Fn>
+void for_each_end(std::span<const TwoPinNet> nets, std::size_t begin,
+                  std::size_t end, Fn&& fn) {
+  const std::integral_constant<std::size_t, 0> x;
+  const std::integral_constant<std::size_t, 1> y;
+  for (std::size_t i = begin; i < end; ++i) {
+    const Rect r = nets[i].routing_range();
+    fn(x, r.xlo);
+    fn(x, r.xhi);
+    fn(y, r.ylo);
+    fn(y, r.yhi);
+  }
+}
+
+/// Collecting part q over nets [begin, end): writes the interior
+/// coordinates of both axes into the part's stretch of the axis's coords,
+/// grouped by value range. With more than one range it counts each range
+/// in a first read of the nets and places every coordinate in its range's
+/// run in a second, so that no second buffer is needed. With one range,
+/// as every inline pool runs it, it collects in one read: the two-read
+/// form took bench_micro_models' cutlines/ami49x80 3.06-3.18 ms against
+/// 2.27-2.62 ms at one pool thread (4 Xeon vCPUs, gcc 12 Release, one
+/// CPU, medians of 5, two runs each).
+void collect_part(std::span<const TwoPinNet> nets, std::array<Axis, 2>& axes,
                   int ranges, std::size_t q, std::size_t begin,
                   std::size_t end) {
-  std::array<Interior, N> interior;
-  for (std::size_t i = 0; i < N; ++i) {
-    const Axis& a = *axes[i];
-    a.check();
-    interior[i] = Interior{a.lo + a.min_gap, a.hi - a.min_gap, a.buckets};
-  }
+  const std::array<Interior, 2> interior{Interior(axes[0]),
+                                         Interior(axes[1])};
   if (ranges == 1) {
-    std::array<double*, N> out;
-    for (std::size_t i = 0; i < N; ++i) {
-      out[i] = axes[i]->coords.data() + axes[i]->stretch[q];
+    std::array<double*, 2> out;
+    for (std::size_t i = 0; i < 2; ++i) {
+      out[i] = axes[i].coords.data() + axes[i].stretch[q];
     }
-    source.visit(begin, end, [&](auto i, double c) {
+    for_each_end(nets, begin, end, [&](auto i, double c) {
       if (interior[i].contains(c)) *out[i]++ = c;
     });
-    for (std::size_t i = 0; i < N; ++i) {
-      Axis& a = *axes[i];
+    for (std::size_t i = 0; i < 2; ++i) {
+      Axis& a = axes[i];
       a.runs[q] = {};
       a.runs[q][0] = static_cast<std::uint32_t>(
           out[i] - (a.coords.data() + a.stretch[q]));
     }
     return;
   }
-  std::array<std::array<std::uint32_t, kCutLineRanges>, N> count{};
-  source.visit(begin, end, [&](auto i, double c) {
+  std::array<std::array<std::uint32_t, kCutLineRanges>, 2> count{};
+  for_each_end(nets, begin, end, [&](auto i, double c) {
     if (interior[i].contains(c)) {
-      ++count[i][static_cast<std::size_t>(interior[i].buckets.range(c))];
+      ++count[i][static_cast<std::size_t>(interior[i].range(c))];
     }
   });
-  std::array<std::array<double*, kCutLineRanges>, N> next;
-  for (std::size_t i = 0; i < N; ++i) {
-    axes[i]->runs[q] = count[i];
-    double* at = axes[i]->coords.data() + axes[i]->stretch[q];
+  std::array<std::array<double*, kCutLineRanges>, 2> next;
+  for (std::size_t i = 0; i < 2; ++i) {
+    axes[i].runs[q] = count[i];
+    double* at = axes[i].coords.data() + axes[i].stretch[q];
     for (std::size_t r = 0; r < kCutLineRanges; ++r) {
       next[i][r] = at;
       at += count[i][r];
     }
   }
-  source.visit(begin, end, [&](auto i, double c) {
+  for_each_end(nets, begin, end, [&](auto i, double c) {
     if (interior[i].contains(c)) {
-      *next[i][static_cast<std::size_t>(interior[i].buckets.range(c))]++ = c;
+      *next[i][static_cast<std::size_t>(interior[i].range(c))]++ = c;
     }
   });
 }
@@ -230,9 +219,9 @@ void sort_range(Axis& a, int parts, std::size_t r) {
     std::vector<std::uint32_t> counts;
   };
   thread_local Scratch s;
-  const Buckets& b = a.buckets;
-  const int first = static_cast<int>(r) * b.per_range();
-  const auto buckets = static_cast<std::size_t>(b.per_range());
+  const UniformBuckets& b = a.buckets;
+  const int first = static_cast<int>(r) << a.shift;
+  const auto buckets = std::size_t{1} << a.shift;
   s.counts.assign(buckets, 0u);
   std::uint32_t* const count = s.counts.data();
   const auto q_end = static_cast<std::size_t>(parts);
@@ -349,129 +338,69 @@ void cluster(Axis& a, int parts, int ranges, std::vector<double>& merged) {
   merged.push_back(a.hi);
 }
 
-/// build_cutlines()'s candidate coordinates: both ends of every net's
-/// routing range, on axis 0 (x) and axis 1 (y).
-struct NetEnds {
-  static constexpr std::size_t kPerItem = 2;  ///< candidates per axis
-  std::span<const TwoPinNet> nets;
+}  // namespace
 
-  std::size_t items() const { return nets.size(); }
-  template <class Fn>
-  void visit(std::size_t begin, std::size_t end, Fn&& fn) const {
-    const std::integral_constant<std::size_t, 0> x;
-    const std::integral_constant<std::size_t, 1> y;
-    for (std::size_t i = begin; i < end; ++i) {
-      const Rect r = nets[i].routing_range();
-      fn(x, r.xlo);
-      fn(x, r.xhi);
-      fn(y, r.ylo);
-      fn(y, r.yhi);
-    }
-  }
-};
-
-/// merge_lines()'s coordinates: one axis, one candidate each.
-struct Coordinates {
-  static constexpr std::size_t kPerItem = 1;
-  std::span<const double> coords;
-
-  std::size_t items() const { return coords.size(); }
-  template <class Fn>
-  void visit(std::size_t begin, std::size_t end, Fn&& fn) const {
-    const std::integral_constant<std::size_t, 0> axis;
-    for (std::size_t i = begin; i < end; ++i) fn(axis, coords[i]);
-  }
-};
-
-/// Merges every axis of `axes` from `source`'s candidates on the global
-/// pool: collecting parts of the items, then one block per axis and value
-/// range that sorts the range, where the last range of an axis to finish
-/// clusters the axis. With at least kCutLineSplitCoordinates candidates
-/// per axis on a pool that runs in parallel there are kCollectParts parts,
-/// each a pool block, and kCutLineRanges ranges; otherwise one of each, so
-/// every item is read once and each axis is one block. The split reads the
-/// items twice and sorts in more blocks, which pays off only in parallel.
-/// The sorted order is unique, so the lines do not depend on the split or
-/// on which thread ran which block.
-template <class Source, std::size_t N>
-void merge_axes(const Source& source, const std::array<Axis*, N>& axes,
-                const std::array<std::vector<double>*, N>& merged) {
-  const std::size_t items = source.items();
-  FICON_REQUIRE(items <= std::numeric_limits<std::uint32_t>::max() /
-                             Source::kPerItem,
+CutLines build_cutlines(std::span<const TwoPinNet> nets, const Rect& chip,
+                        double min_dx, double min_dy) {
+  FICON_REQUIRE(chip.is_proper(), "chip must have positive area");
+  FICON_REQUIRE(min_dx >= 0.0 && min_dy >= 0.0, "negative merge gap");
+  const std::size_t items = nets.size();
+  FICON_REQUIRE(items <= std::numeric_limits<std::uint32_t>::max() / 2,
                 "too many cut-line coordinates");
-  const std::size_t candidates = items * Source::kPerItem;
+  // Both axes merge on the global pool: collecting parts of the nets, then
+  // one block per axis and value range that sorts the range, where the
+  // last range of an axis to finish clusters the axis. With at least
+  // kCutLineSplitCoordinates candidates per axis on a pool that runs in
+  // parallel there are kCollectParts parts and kCutLineRanges ranges;
+  // otherwise one of each, so every net is read once and each axis is one
+  // block. The split reads the nets twice and sorts in more blocks, which
+  // pays off only in parallel. The sorted order is unique, so the lines
+  // do not depend on the split or on which thread ran which block.
+  const std::size_t candidates = 2 * items;
   ThreadPool& pool = ThreadPool::global();
   const bool split =
       candidates >= kCutLineSplitCoordinates && !pool.runs_inline();
   const int parts = split ? kCollectParts : 1;
   const int ranges = split ? kCutLineRanges : 1;
-  for (Axis* a : axes) {
-    a->buckets = make_buckets(a->lo, a->hi, candidates, ranges);
-    a->coords.resize(candidates);
-    for (int q = 0; q < parts; ++q) {
-      a->stretch[static_cast<std::size_t>(q)] =
-          block_range(items, parts, q).begin * Source::kPerItem;
-    }
-  }
-  // One part is collected here, without the pool: the pool's work counts
-  // then see the one block per axis of the sort alone.
-  if (parts == 1) {
-    collect_part(source, axes, ranges, 0, 0, items);
-  } else {
-    pool.run(parts, [&](int q) {
-      const BlockRange part = block_range(items, parts, q);
-      collect_part(source, axes, ranges, static_cast<std::size_t>(q),
-                   part.begin, part.end);
-    });
-  }
-  std::array<std::atomic<int>, N> sorted_ranges{};
-  pool.run(static_cast<int>(N) * ranges, [&](int block) {
-    const auto i = static_cast<std::size_t>(block / ranges);
-    Axis& a = *axes[i];
-    sort_range(a, parts, static_cast<std::size_t>(block % ranges));
-    // The last range in sees every other range's writes (acq_rel).
-    if (sorted_ranges[i].fetch_add(1, std::memory_order_acq_rel) ==
-        ranges - 1) {
-      cluster(a, parts, ranges, *merged[i]);
-    }
-  });
-}
-
-}  // namespace
-
-std::vector<double> merge_lines(std::vector<double> coords, double lo,
-                                double hi, double min_gap) {
-  Axis axis;
-  axis.lo = lo;
-  axis.hi = hi;
-  axis.min_gap = min_gap;
-  std::vector<double> merged;
-  merge_axes(Coordinates{coords}, std::array<Axis*, 1>{&axis},
-             std::array<std::vector<double>*, 1>{&merged});
-  return merged;
-}
-
-CutLines build_cutlines(std::span<const TwoPinNet> nets, const Rect& chip,
-                        double min_dx, double min_dy) {
-  FICON_REQUIRE(chip.is_proper(), "chip must have positive area");
   // Coordinate and cluster buffers are scratch of the calling thread, one
   // set per axis: this runs once per proposed annealing move, and the raw
   // line count (2 per net per axis) dwarfs the merged output that the
   // CutLines object owns. The blocks reach them through the local
   // reference: a thread_local named inside a block would be the worker's
   // instance, not the caller's.
-  thread_local std::array<Axis, 2> scratch_tls;
-  std::array<Axis, 2>& scratch = scratch_tls;
-  scratch[0].lo = chip.xlo;
-  scratch[0].hi = chip.xhi;
-  scratch[0].min_gap = min_dx;
-  scratch[1].lo = chip.ylo;
-  scratch[1].hi = chip.yhi;
-  scratch[1].min_gap = min_dy;
+  thread_local std::array<Axis, 2> scratch;
+  std::array<Axis, 2>& axes = scratch;
+  axes[0].lo = chip.xlo;
+  axes[0].hi = chip.xhi;
+  axes[0].min_gap = min_dx;
+  axes[1].lo = chip.ylo;
+  axes[1].hi = chip.yhi;
+  axes[1].min_gap = min_dy;
+  for (Axis& a : axes) {
+    a.size_buckets(candidates, ranges);
+    a.coords.resize(candidates);
+    for (int q = 0; q < parts; ++q) {
+      a.stretch[static_cast<std::size_t>(q)] =
+          2 * block_range(items, parts, q).begin;
+    }
+  }
+  pool.run(parts, [&](int q) {
+    const BlockRange part = block_range(items, parts, q);
+    collect_part(nets, axes, ranges, static_cast<std::size_t>(q), part.begin,
+                 part.end);
+  });
   std::array<std::vector<double>, 2> merged;
-  merge_axes(NetEnds{nets}, std::array<Axis*, 2>{&scratch[0], &scratch[1]},
-             std::array<std::vector<double>*, 2>{&merged[0], &merged[1]});
+  std::array<std::atomic<int>, 2> sorted_ranges{};
+  pool.run(2 * ranges, [&](int block) {
+    const auto i = static_cast<std::size_t>(block / ranges);
+    Axis& a = axes[i];
+    sort_range(a, parts, static_cast<std::size_t>(block % ranges));
+    // The last range in sees every other range's writes (acq_rel).
+    if (sorted_ranges[i].fetch_add(1, std::memory_order_acq_rel) ==
+        ranges - 1) {
+      cluster(a, parts, ranges, merged[i]);
+    }
+  });
   return CutLines(std::move(merged[0]), std::move(merged[1]));
 }
 

@@ -8,7 +8,8 @@
 // math can resolve, and the associated routing ranges are snapped to the
 // merged representatives. Every net snaps each of its four range edges,
 // so the snap goes through a bucket index built once with the lines and
-// costs O(1) per edge instead of a binary search.
+// costs O(1) per edge instead of a binary search. The merge sorts the
+// candidate lines through the same kind of buckets (UniformBuckets).
 #pragma once
 
 #include <cstddef>
@@ -20,6 +21,27 @@
 #include "util/check.hpp"
 
 namespace ficon {
+
+/// Uniform buckets over one axis [lo, hi]: coordinate v falls in bucket
+/// (v - origin) * scale, truncated and capped at `last`. The map is
+/// monotone, so a larger coordinate never lands in an earlier bucket. When
+/// the extent is not positive or it or the scale is not finite, every
+/// coordinate shares bucket 0. Callers pass v >= origin only (or NaN), so
+/// the cast sees only values below `last`.
+struct UniformBuckets {
+  double origin = 0.0;
+  double scale = 0.0;  ///< buckets per um; 0 puts every coordinate in bucket 0
+  int last = 0;        ///< the last bucket
+
+  UniformBuckets() = default;
+  /// `count` >= 1 buckets over [lo, hi].
+  UniformBuckets(double lo, double hi, int count);
+
+  int bucket(double v) const {
+    const double t = (v - origin) * scale;
+    return t < last ? static_cast<int>(t) : last;
+  }
+};
 
 /// @brief The sorted cut-line coordinates of an Irregular-Grid.
 ///
@@ -67,22 +89,14 @@ class CutLines {
   }
 
  private:
-  /// Uniform buckets over one axis's [first line, last line]. A
-  /// coordinate's bucket is (v - origin) * scale, truncated and capped at
-  /// `last`: a monotone map, so every line before `first[k]`, the first
-  /// line whose bucket is >= k, lies below any v in bucket k, and a
-  /// forward scan from there finds std::lower_bound's position. Eight
-  /// buckets per line keep that scan to a step, if any.
+  /// One axis's snap index: uniform buckets over [first line, last line]
+  /// and, for each bucket k, `first[k]`, the first line whose bucket is
+  /// >= k. The map is monotone, so every line before it lies below any v
+  /// in bucket k, and a forward scan from there finds std::lower_bound's
+  /// position. Eight buckets per line keep that scan to a step, if any.
   struct Index {
-    double origin = 0.0;
-    double scale = 0.0;  ///< buckets per um; 0 puts every line in bucket 0
-    int last = 0;        ///< the last bucket
+    UniformBuckets buckets;
     std::vector<int> first;
-
-    int bucket(double v) const {
-      const double t = (v - origin) * scale;
-      return t < last ? static_cast<int>(t) : last;
-    }
   };
 
   static Index build_index(const std::vector<double>& lines);
@@ -97,7 +111,7 @@ class CutLines {
     if (v > line[n - 1]) return n - 1;
     // line[0] < v <= line[n - 1], so the scan stops at a line >= v, and
     // i >= 1.
-    int i = index.first[static_cast<std::size_t>(index.bucket(v))];
+    int i = index.first[static_cast<std::size_t>(index.buckets.bucket(v))];
     while (line[i] < v) ++i;
     return (v - line[i - 1]) <= (line[i] - v) ? i - 1 : i;
   }
@@ -108,12 +122,12 @@ class CutLines {
   Index y_index_;
 };
 
-/// An axis with at least this many candidate coordinates (two per net in
-/// build_cutlines()) is collected in four pool blocks and sorted in
-/// kCutLineRanges value ranges, one pool block each, when the pool runs in
-/// parallel; a smaller axis, or any axis when the pool runs its blocks
-/// inline (ThreadPool::runs_inline()), is collected in one block and
-/// sorted in one. Both give the same lines. On a 4-thread pool (4 Xeon
+/// An axis with at least this many candidate coordinates (two per net) is
+/// collected in four pool blocks and sorted in kCutLineRanges value
+/// ranges, one pool block each, when the pool runs in parallel; a smaller
+/// axis, or any axis when the pool runs its blocks inline
+/// (ThreadPool::runs_inline()), is collected in one block and sorted in
+/// one. Both give the same lines. On a 4-thread pool (4 Xeon
 /// vCPUs, gcc 12 Release) with random nets, best of 400 calls in two
 /// runs, the split lost at 8,192 and 12,000 candidates per axis (110
 /// against 99 us, 161 against 152 us per call) and won from 16,384 up
@@ -130,30 +144,22 @@ inline constexpr int kCutLineRanges = 8;
 /// the decomposed nets (algorithm steps 1-2).
 ///
 /// Every net's routing range contributes its two vertical and two
-/// horizontal boundary extensions; lines closer than min_dx (min_dy) are
-/// merged into their cluster mean. The chip boundary lines are pinned and
-/// never move.
+/// horizontal boundary extensions. Per axis, a candidate at or within the
+/// merge gap of a chip boundary (or outside the chip) collapses into the
+/// boundary; the others are clustered greedily, everything within the gap
+/// of a cluster's first line, into their mean, and chained clusters whose
+/// means still land closer than the gap are pooled until none do. The
+/// chip boundary lines are pinned and never move.
 ///
 /// @param nets   decomposed 2-pin nets whose ranges seed the lines.
 /// @param chip   chip rectangle providing the outer, pinned boundaries.
-/// @param min_dx merge threshold in x (um) — the paper uses 2x the pitch.
-/// @param min_dy merge threshold in y (um).
-/// @return merged, sorted cut lines covering the chip.
+/// @param min_dx merge threshold in x (um), >= 0 — the paper uses 2x the
+///               pitch.
+/// @param min_dy merge threshold in y (um), >= 0.
+/// @return merged, sorted cut lines covering the chip; every consecutive
+///         pair is at least the merge gap apart, so no IR-cell is narrower
+///         than it.
 CutLines build_cutlines(std::span<const TwoPinNet> nets, const Rect& chip,
                         double min_dx, double min_dy);
-
-/// @brief Merge one sorted axis worth of coordinates (exposed for tests).
-///
-/// @param coords candidate interior line coordinates (any order).
-/// @param lo,hi  pinned chip boundaries; interior lines within min_gap of
-///               a boundary collapse into the boundary.
-/// @param min_gap interior clusters within this gap collapse to their
-///               (weighted) mean; chained clusters whose means still land
-///               closer than min_gap are pooled until the invariant holds.
-/// @return sorted merged coordinates, lo and hi included; every
-///         consecutive pair is at least min_gap apart, so no IR-cell is
-///         narrower than the merge gap.
-std::vector<double> merge_lines(std::vector<double> coords, double lo,
-                                double hi, double min_gap);
 
 }  // namespace ficon

@@ -62,19 +62,15 @@ CongestionMap FixedGridModel::evaluate(std::span<const TwoPinNet> nets,
   // Parallel per-net accumulation: blocks of nets (boundaries depend only
   // on the net count) fill partial grids that fold_blocks() adds into the
   // map in block order — bit-identical for every FICON_THREADS setting.
-  // The partials are freed on return: at the 10 um judging pitch each is a
-  // whole map, and the map plus one partial is what one pool thread holds.
   const int blocks = deterministic_block_count(nets.size());
-  std::vector<std::vector<double>> partials;
-  fold_blocks(blocks, flow, partials,
-              [&](int b, std::vector<double>& partial) {
-                thread_local LogFactorialTable table;  // race-free cache
-                ProbKernel kernel(PathProbability(table), {});
-                const BlockRange range = block_range(nets.size(), blocks, b);
-                for (std::size_t i = range.begin; i < range.end; ++i) {
-                  accumulate_net(nets[i], grid, kernel, partial);
-                }
-              });
+  fold_blocks(blocks, flow, [&](int b, std::vector<double>& partial) {
+    thread_local LogFactorialTable table;  // race-free cache
+    ProbKernel kernel(PathProbability(table), {});
+    const BlockRange range = block_range(nets.size(), blocks, b);
+    for (std::size_t i = range.begin; i < range.end; ++i) {
+      accumulate_net(nets[i], grid, kernel, partial);
+    }
+  });
   return CongestionMap(grid, std::move(flow));
 }
 

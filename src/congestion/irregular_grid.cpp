@@ -86,28 +86,30 @@ std::uint64_t scoring_fingerprint(const IrregularGridParams& p) {
 /// the window is degenerate, maps each covered cut line onto the net's
 /// fine lattice once, by integer truncation, in the same pass that
 /// decides whether the spans cover the lattice and chain and which axis a
-/// band pass runs on; type II rows are written in canonical order there
-/// too. The set-up's buffers, and band_pass()'s band list and span table,
+/// band pass runs on. It writes the spans in the canonical type I frame
+/// only (source cell (0,0), sink (g1-1,g2-1); a type II net's rows are
+/// y-mirrored and run top-down), and every strategy scores that frame.
+/// The set-up's buffers, and band_pass()'s band list and span table,
 /// are sized once per block, so a net writes them in place. An evaluation
 /// scores every net and most are degenerate or small (on perfbench's
 /// stream tier 56% are degenerate and the rest average about 80 IR-cells
 /// and 200 band steps), so this bookkeeping weighs as much as a small
 /// net's band steps. The scorer then computes the net's ncx x ncy
 /// crossing-probability matrix and accumulates it into the block's partial
-/// flow grid. The matrix is a pure function of the signature
-/// (g1, g2, type2, ncx, ncy, spans), so the region strategies memoize it
-/// in a thread_local ScoreMemo: during annealing, nets whose modules did
-/// not move re-present identical signatures and skip straight to
-/// accumulation. Hit and miss produce bit-identical matrices, so
-/// memoization cannot perturb results. The banded strategy recomputes
-/// every net and adds its cells into the flow grid without building the
-/// matrix (see score()).
+/// flow grid, canonical row r into IR row r (type I) or ncy - 1 - r (type
+/// II). The canonical matrix is a pure function of the signature
+/// (g1, g2, ncx, ncy, spans), so the region strategies memoize it in a
+/// thread_local ScoreMemo: during annealing, nets whose modules did not
+/// move re-present identical signatures and skip straight to
+/// accumulation, and a net and its y-mirror image share an entry. Hit and
+/// miss produce bit-identical matrices, so memoization cannot perturb
+/// results. The banded strategy recomputes every net and adds its cells
+/// into the flow grid without building the matrix (see score()).
 ///
-/// Banded exact evaluation (IrEvalStrategy::kBandedExact) works in the
-/// canonical type I frame (source cell (0,0), sink (g1-1,g2-1); type II
-/// nets are y-mirrored, so their rows run top-down). A monotone route
-/// crosses every column line once; let R(x, y) be the probability that it
-/// leaves column x rightward at row y and PR(x, Y) = sum_{y<=Y} R(x, y).
+/// Banded exact evaluation (IrEvalStrategy::kBandedExact) runs in the
+/// same canonical frame. A monotone route crosses every column line once;
+/// let R(x, y) be the probability that it leaves column x rightward at
+/// row y and PR(x, Y) = sum_{y<=Y} R(x, y).
 /// The route visits the IR-cell [lx1..lx2] x [cy1..cy2] exactly when it
 /// reaches column lx1 at a row <= cy2 and does not leave column lx2 below
 /// row cy1, so Formula 3 for the cell is
@@ -202,9 +204,9 @@ class NetScorer {
       return;
     }
 
-    // Fine lattice of the snapped routing range and the unmirrored local
+    // Fine lattice of the snapped routing range and the canonical local
     // fine spans of every covered IR column/row: both the evaluation input
-    // and (with the shape) the memo signature.
+    // and (with the lattice size) the memo signature.
     setup_.lay_out(net, params_->grid_w, params_->grid_h);
     const NetOnGrid& on_grid = setup_.net();
     const int ncx = on_grid.ncx();
@@ -236,15 +238,29 @@ class NetScorer {
 
     double* window =
         out.window(on_grid.ix1, on_grid.ix2, on_grid.iy1, on_grid.iy2);
-    for (int cy = 0; cy < ncy; ++cy) {
-      double* row = window + static_cast<std::ptrdiff_t>(cy) * out.nx;
+    const RowMap rows = canonical_rows(on_grid, out.nx);
+    for (int r = 0; r < ncy; ++r) {
+      double* row = window + rows.base + r * rows.stride;
       for (int cx = 0; cx < ncx; ++cx) {
-        row[cx] += (*probs)[index(cx, cy, ncx)];
+        row[cx] += (*probs)[index(cx, r, ncx)];
       }
     }
   }
 
  private:
+  /// Where a net's canonical row r sits in the flow grid: base + r *
+  /// stride from its window's first cell, IR row r of a type I net and
+  /// IR row ncy - 1 - r of a type II net.
+  struct RowMap {
+    std::ptrdiff_t base;
+    std::ptrdiff_t stride;
+  };
+
+  static RowMap canonical_rows(const NetOnGrid& net, std::ptrdiff_t nx) {
+    if (!net.shape.type2) return RowMap{0, nx};
+    return RowMap{static_cast<std::ptrdiff_t>(net.ncy() - 1) * nx, -nx};
+  }
+
   static std::size_t index(int cx, int cy, int ncx) {
     return static_cast<std::size_t>(cy) * static_cast<std::size_t>(ncx) +
            static_cast<std::size_t>(cx);
@@ -254,10 +270,9 @@ class NetScorer {
     const int ncx = net.ncx();
     const int ncy = net.ncy();
     key_.clear();
-    key_.reserve(5 + 2 * static_cast<std::size_t>(ncx + ncy));
+    key_.reserve(4 + 2 * static_cast<std::size_t>(ncx + ncy));
     key_.push_back(net.shape.g1);
     key_.push_back(net.shape.g2);
-    key_.push_back(net.shape.type2 ? 1 : 0);
     key_.push_back(ncx);
     key_.push_back(ncy);
     key_.insert(key_.end(), setup_.lx1(), setup_.lx1() + ncx);
@@ -277,14 +292,11 @@ class NetScorer {
     const int ncy = net.ncy();
     obs::count(obs::Counter::kIrRegionsBanded,
                static_cast<long long>(net.ncx()) * ncy);
-    const std::ptrdiff_t nx = out.nx;
-    const bool t2 = net.shape.type2;
+    const RowMap at = canonical_rows(net, out.nx);
     const Axis columns{setup_.lx1(), setup_.lx2(), net.ncx(), net.shape.g1, 0,
                        1};
-    const Axis rows{setup_.canonical_ly1(), setup_.canonical_ly2(), ncy,
-                    net.shape.g2,
-                    t2 ? static_cast<std::ptrdiff_t>(ncy - 1) * nx : 0,
-                    t2 ? -nx : nx};
+    const Axis rows{setup_.ly1(), setup_.ly2(), ncy, net.shape.g2, at.base,
+                    at.stride};
     const double log_total =
         table_->log_choose(net.shape.g1 + net.shape.g2 - 2, net.shape.g2 - 1);
     const long long steps = setup_.band_axis() == BandAxis::kRows
@@ -493,7 +505,9 @@ class NetScorer {
   /// Per-region probabilities (kTheorem1 / kExactPerRegion, and the
   /// fallback of kBandedExact for degenerate shapes and nets no band pass
   /// fits): steps 3.1-3.3, one kernel call per IR-cell of the net's
-  /// ncx x ncy region matrix.
+  /// ncx x ncy region matrix in the canonical frame. Both kernels mirror
+  /// a type II rect into exactly this type I rect themselves, so every
+  /// value keeps its bits.
   void fill_regions(const NetOnGrid& net) {
     const int ncx = net.ncx();
     const int ncy = net.ncy();
@@ -507,17 +521,18 @@ class NetScorer {
     probs_.resize(static_cast<std::size_t>(ncx) *
                   static_cast<std::size_t>(ncy));
     const PathProbability& exact = kernel_.exact();
-    for (int cy = 0; cy < ncy; ++cy) {
+    const NetGridShape shape{net.shape.g1, net.shape.g2, false};
+    for (int r = 0; r < ncy; ++r) {
       for (int cx = 0; cx < ncx; ++cx) {
-        const GridRect r{setup_.lx1()[cx], setup_.ly1()[cy],
-                         setup_.lx2()[cx], setup_.ly2()[cy]};
-        double& p = probs_[index(cx, cy, ncx)];
+        const GridRect rect{setup_.lx1()[cx], setup_.ly1()[r],
+                            setup_.lx2()[cx], setup_.ly2()[r]};
+        double& p = probs_[index(cx, r, ncx)];
         if (theorem1) {
-          p = kernel_.region_probability(net.shape, r);
+          p = kernel_.region_probability(shape, rect);
         } else {
-          p = exact.region_covers_pin(net.shape, r)
+          p = exact.region_covers_pin(shape, rect)
                   ? 1.0
-                  : exact.region_probability_exact(net.shape, r);
+                  : exact.region_probability_exact(shape, rect);
         }
       }
     }
@@ -572,26 +587,21 @@ IrregularCongestionMap IrregularGridModel::evaluate(
   // into the flow in block order. Fixed blocking + ordered folding make
   // the result bit-identical for every FICON_THREADS setting.
   const int blocks = deterministic_block_count(nets.size());
-  // The calling thread's zeroed partials, reused across evaluate() calls
-  // (the annealing loop calls this once per proposed move): one at one
-  // pool thread, a few more when blocks finish out of order.
-  thread_local std::vector<std::vector<double>> spare_partials;
   const CutLines& cl = lines;
   const IrregularGridParams& params = params_;
   const std::uint64_t fingerprint = scoring_fingerprint(params_);
   std::vector<double> flow(cells, 0.0);
-  fold_blocks(blocks, flow, spare_partials,
-              [&](int b, std::vector<double>& partial) {
-                LogFactorialTable& table = scoring_table();
-                ScoreMemo& memo = scoring_memo();
-                memo.configure(params.score_cache_capacity, fingerprint);
-                NetScorer scorer(table, params, memo, cl);
-                const FlowGrid out{&partial, cl.nx(), cl.ny()};
-                const BlockRange range = block_range(nets.size(), blocks, b);
-                for (std::size_t i = range.begin; i < range.end; ++i) {
-                  scorer.score(nets[i], chip, out);
-                }
-              });
+  fold_blocks(blocks, flow, [&](int b, std::vector<double>& partial) {
+    LogFactorialTable& table = scoring_table();
+    ScoreMemo& memo = scoring_memo();
+    memo.configure(params.score_cache_capacity, fingerprint);
+    NetScorer scorer(table, params, memo, cl);
+    const FlowGrid out{&partial, cl.nx(), cl.ny()};
+    const BlockRange range = block_range(nets.size(), blocks, b);
+    for (std::size_t i = range.begin; i < range.end; ++i) {
+      scorer.score(nets[i], chip, out);
+    }
+  });
   return IrregularCongestionMap(std::move(lines), std::move(flow));
 }
 

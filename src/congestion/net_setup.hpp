@@ -10,7 +10,9 @@
 // in the same pass that decides whether the spans cover the lattice and
 // chain for a band pass. An evaluation scores every net, most of them
 // small, so this bookkeeping costs as much as the band steps of a small
-// net.
+// net. The spans are written in the canonical type I frame only (a type
+// II net's rows mirrored), the one frame the band pass, both region
+// strategies and the score memo read.
 #pragma once
 
 #include <algorithm>
@@ -51,9 +53,7 @@ class NetSetup {
         lx1_(lines.xs().size()),
         lx2_(lines.xs().size()),
         ly1_(lines.ys().size()),
-        ly2_(lines.ys().size()),
-        cy1_(lines.ys().size()),
-        cy2_(lines.ys().size()) {}
+        ly2_(lines.ys().size()) {}
 
   /// Algorithm step 2 ("modify the corresponding routing ranges"): snaps
   /// each edge of `net`'s routing range, clipped to `chip`, to its nearest
@@ -93,16 +93,16 @@ class NetSetup {
     net_.shape = NetGridShape{g1, g2, false};
     net_.shape.type2 = !net_.shape.degenerate() && left.y > right.y;
 
-    const AxisPlan columns = map_axis<false>(
-        x_lines, ncx, pitch_x, g1, lx1_.data(), lx2_.data(), nullptr, nullptr);
+    const AxisPlan columns =
+        map_axis<false>(x_lines, ncx, pitch_x, g1, lx1_.data(), lx2_.data());
     // Canonical frame: type II rows are mirrored and run top-down, so
-    // canonical row r is IR row ncy - 1 - r, written once here.
+    // canonical row r is IR row ncy - 1 - r.
     const AxisPlan rows =
         net_.shape.type2
             ? map_axis<true>(y_lines, ncy, pitch_y, g2, ly1_.data(),
-                             ly2_.data(), cy1_.data(), cy2_.data())
+                             ly2_.data())
             : map_axis<false>(y_lines, ncy, pitch_y, g2, ly1_.data(),
-                              ly2_.data(), nullptr, nullptr);
+                              ly2_.data());
     // Columns or rows, whichever takes fewer band steps among those that
     // chain (a pass runs one band per span but the last); none when an
     // IR-cell covers no fine cell or neither axis chains, and none for a
@@ -125,19 +125,11 @@ class NetSetup {
   /// Local fine spans [lx1[c], lx2[c]] of covered IR column c (ncx used).
   const int* lx1() const { return lx1_.data(); }
   const int* lx2() const { return lx2_.data(); }
-  /// Local fine spans [ly1[c], ly2[c]] of covered IR row c (ncy used),
-  /// unmirrored: the region strategies' input and memo signature.
+  /// Local fine spans [ly1[r], ly2[r]] of canonical row r (ncy used): IR
+  /// row r of a type I net, and IR row ncy - 1 - r of a type II net,
+  /// mirrored (fine row y is g2 - 1 - y).
   const int* ly1() const { return ly1_.data(); }
   const int* ly2() const { return ly2_.data(); }
-  /// The row spans in canonical order: ly1/ly2 for a type I net, and for
-  /// a type II net canonical row r = [g2 - 1 - ly2[c], g2 - 1 - ly1[c]]
-  /// with c = ncy - 1 - r.
-  const int* canonical_ly1() const {
-    return net_.shape.type2 ? cy1_.data() : ly1_.data();
-  }
-  const int* canonical_ly2() const {
-    return net_.shape.type2 ? cy2_.data() : ly2_.data();
-  }
 
  private:
   /// Whether an axis's spans each cover a fine cell, and whether one band
@@ -166,12 +158,15 @@ class NetSetup {
   ///
   /// In lattice order the spans chain when every next span starts on, or
   /// right after, the previous span's last fine cell, which is not the
-  /// axis's last. Mirrored (type II rows) the steps are the same and the
-  /// condition moves to the low edge: no span but the first starts at 0.
-  /// With Mirror, the canonical spans are also written to clo/chi.
+  /// axis's last. With Mirror (type II rows) the spans are written
+  /// mirrored and in reverse, as canonical span n - 1 - c = [g - 1 - hi,
+  /// g - 1 - lo] of cell c; the steps are the same and the condition moves
+  /// to the low edge: no span but the first starts at 0. Both end points
+  /// stay where they are: the first span starts at 0, the last ends at
+  /// g - 1.
   template <bool Mirror>
   static AxisPlan map_axis(const double* line, int n, double pitch, int g,
-                           int* lo, int* hi, int* clo, int* chi) {
+                           int* lo, int* hi) {
     const double origin = line[0];
     bool covers = true;
     bool chains = true;
@@ -183,11 +178,12 @@ class NetSetup {
       const int t = static_cast<int>(x);
       const int h = std::clamp(t + (t < x ? 1 : 0) - 1, 0, g - 1);
       const int l = std::min(static_cast<int>(raw + 1e-9), g - 1);
-      hi[j - 1] = h;
-      lo[j] = l;
       if constexpr (Mirror) {
-        clo[n - j] = g - 1 - h;
-        chi[n - 1 - j] = g - 1 - l;
+        lo[n - j] = g - 1 - h;
+        hi[n - 1 - j] = g - 1 - l;
+      } else {
+        hi[j - 1] = h;
+        lo[j] = l;
       }
       const int step = l - h;
       covers = covers && prev_lo <= h;
@@ -196,10 +192,6 @@ class NetSetup {
       prev_lo = l;
     }
     hi[n - 1] = g - 1;
-    if constexpr (Mirror) {
-      clo[0] = 0;
-      chi[n - 1] = g - 1;
-    }
     return AxisPlan{covers, chains};
   }
 
@@ -207,7 +199,6 @@ class NetSetup {
   NetOnGrid net_{};
   BandAxis axis_ = BandAxis::kNone;
   std::vector<int> lx1_, lx2_, ly1_, ly2_;
-  std::vector<int> cy1_, cy2_;  ///< type II row spans in canonical order
 };
 
 }  // namespace ficon

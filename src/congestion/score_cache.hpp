@@ -3,14 +3,17 @@
 // During annealing most modules do not move between consecutive
 // evaluations, so most nets re-present the exact same snapped routing
 // range to the Irregular-Grid model: same fine lattice (g1, g2), same
-// type, same covered-cell spans. The per-cell crossing probabilities are
-// a pure function of that signature (plus the fixed evaluation options),
-// so they can be memoized: the cache maps
+// covered-cell spans. The per-cell crossing probabilities in the
+// canonical type I frame (a type II net's rows y-mirrored) are a pure
+// function of that signature (plus the fixed evaluation options), so they
+// can be memoized: the cache maps
 //
-//   [g1, g2, type2, ncx, ncy, col spans..., row spans...]  (fine-lattice
-//   integers, unmirrored)
+//   [g1, g2, ncx, ncy, col spans..., row spans...]  (fine-lattice
+//   integers, rows in the canonical frame)
 //
-// to the net's full ncx x ncy probability matrix. The region strategies
+// to the net's full ncx x ncy canonical probability matrix, which the
+// scorer adds into the IR rows the net covers. A net and its y-mirror
+// image have one key and share the entry. The region strategies
 // use it; the banded-exact scorer recomputes every net without building
 // a matrix and never looks one up (only its fallback for degenerate
 // shapes and nets no band pass fits, which scores per region, goes

@@ -57,10 +57,7 @@ FloorplanMetrics EvalContext::evaluate(const Placement& placement,
 
 Floorplanner::Floorplanner(const Netlist& netlist, FloorplanOptions options)
     : options_(options), context_(netlist) {
-  FICON_REQUIRE(options_.objective.alpha >= 0.0 &&
-                    options_.objective.beta >= 0.0 &&
-                    options_.objective.gamma >= 0.0,
-                "objective weights must be non-negative");
+  options_.objective.validate();
   FICON_REQUIRE(options_.effort > 0.0, "effort must be positive");
   // Moves per temperature: 10 * effort * modules by default, else effort
   // times the caller's count. Range-checked in double, because casting an

@@ -12,6 +12,7 @@
 // paper's tables.
 #pragma once
 
+#include <cmath>
 #include <functional>
 #include <memory>
 
@@ -24,6 +25,7 @@
 #include "floorplan/sequence_pair.hpp"
 #include "floorplan/slicing.hpp"
 #include "route/two_pin.hpp"
+#include "util/check.hpp"
 
 namespace ficon {
 
@@ -45,6 +47,16 @@ struct FloorplanObjective {
   CongestionModelKind model = CongestionModelKind::kNone;
   IrregularGridParams irregular{};  ///< params when model == kIrregularGrid
   FixedGridParams fixed{};          ///< params when model == kFixedGrid
+
+  /// Every weight must be finite and >= 0: a negative weight rewards what
+  /// the objective penalizes. The Floorplanner constructor and the
+  /// service's evaluate call this and surface a std::invalid_argument.
+  void validate() const {
+    for (const double w : {alpha, beta, gamma}) {
+      FICON_REQUIRE(std::isfinite(w) && w >= 0.0,
+                    "objective weights must be non-negative");
+    }
+  }
 };
 
 /// @brief Everything a Floorplanner run depends on; two runs with equal

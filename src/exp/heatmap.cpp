@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <ostream>
 
+#include "exp/heat_color.hpp"
 #include "obs/json.hpp"
 #include "util/check.hpp"
 
@@ -20,26 +21,6 @@ std::string fmt_px(double v) {
   char buffer[40];
   std::snprintf(buffer, sizeof(buffer), "%.2f", v);
   return buffer;
-}
-
-/// White -> yellow -> red ramp, same palette as `exp/svg.cpp` overlays
-/// so the standalone view and the placement overlay read alike.
-std::string ramp_color(double t) {
-  t = std::clamp(t, 0.0, 1.0);
-  int r, g, b;
-  if (t < 0.5) {
-    const double u = t / 0.5;
-    r = 255;
-    g = static_cast<int>(255 - u * 31);
-    b = static_cast<int>(255 - u * 191);
-  } else {
-    const double u = (t - 0.5) / 0.5;
-    r = static_cast<int>(255 - u * 41);
-    g = static_cast<int>(224 - u * 184);
-    b = static_cast<int>(64 - u * 24);
-  }
-  return "rgb(" + std::to_string(r) + ',' + std::to_string(g) + ',' +
-         std::to_string(b) + ')';
 }
 
 /// Column/row boundaries of a grid-like field, reconstructed from the
@@ -97,11 +78,6 @@ HeatMapSource::HeatMapSource(const FlowField& field, std::string name)
   capacity_density_ = total_area > 0.0 ? total_value / total_area : 0.0;
 }
 
-void HeatMapSource::set_capacity_density(double per_um2) {
-  FICON_REQUIRE(per_um2 >= 0.0, "capacity density must be non-negative");
-  capacity_density_ = per_um2;
-}
-
 void HeatMapSource::set_nets(std::span<const TwoPinNet> nets) {
   crossing_.assign(static_cast<std::size_t>(field_.cell_count()), 0);
   const std::vector<double> xs = axis_boundaries(field_, true);
@@ -136,17 +112,17 @@ long long HeatMapSource::crossing_nets(int cx, int cy) const {
 }
 
 void HeatMapSource::write_svg(std::ostream& os,
-                              const HeatMapOptions& options) const {
+                              const std::string& title) const {
+  constexpr double kCanvasPx = 900.0;  ///< longer grid edge in pixels
   const Rect lo_cell = field_.cell_rect(0, 0);
   const Rect hi_cell = field_.cell_rect(field_.nx() - 1, field_.ny() - 1);
   const Rect bounds{lo_cell.xlo, lo_cell.ylo, hi_cell.xhi, hi_cell.yhi};
   FICON_REQUIRE(bounds.is_proper(), "cannot render an empty field");
-  const double scale =
-      options.canvas_px / std::max(bounds.width(), bounds.height());
+  const double scale = kCanvasPx / std::max(bounds.width(), bounds.height());
   const double map_w = bounds.width() * scale;
   const double map_h = bounds.height() * scale;
   const double title_h = 24.0;
-  const double legend_h = options.draw_legend ? 44.0 : 8.0;
+  const double legend_h = 44.0;
   const double canvas_w = map_w;
   const double canvas_h = title_h + map_h + legend_h;
   // Chip -> pixel, y flipped (SVG grows downwards, chips upwards).
@@ -170,12 +146,10 @@ void HeatMapSource::write_svg(std::ostream& os,
      << "\" viewBox=\"0 0 " << fmt_px(canvas_w) << ' ' << fmt_px(canvas_h)
      << "\">\n";
   os << "  <rect width=\"100%\" height=\"100%\" fill=\"#ffffff\"/>\n";
-  const std::string title =
-      options.title.empty() ? name_ + " congestion" : options.title;
   os << "  <text x=\"" << fmt_px(canvas_w / 2.0)
      << "\" y=\"16\" font-size=\"13\" font-family=\"sans-serif\" "
         "text-anchor=\"middle\" fill=\"#222222\">"
-     << title << "</text>\n";
+     << (title.empty() ? name_ + " congestion" : title) << "</text>\n";
 
   for (int cy = 0; cy < field_.ny(); ++cy) {
     for (int cx = 0; cx < field_.nx(); ++cx) {
@@ -184,46 +158,41 @@ void HeatMapSource::write_svg(std::ostream& os,
          << fmt_px(py(cell.yhi)) << "\" width=\""
          << fmt_px(cell.width() * scale) << "\" height=\""
          << fmt_px(cell.height() * scale) << "\" fill=\""
-         << ramp_color(density(cx, cy) / norm)
+         << heat_color(density(cx, cy) / norm)
          << "\" stroke=\"#888888\" stroke-width=\"0.3\">";
-      if (options.draw_tooltips) {
-        os << "<title>cell (" << cx << ',' << cy << ") capacity="
-           << json_number(capacity(cx, cy)) << " usage="
-           << json_number(usage(cx, cy)) << " overflow="
-           << json_number(overflow(cx, cy)) << " density="
-           << json_number(density(cx, cy)) << " crossing_nets="
-           << crossing_nets(cx, cy) << "</title>";
-      }
+      os << "<title>cell (" << cx << ',' << cy << ") capacity="
+         << json_number(capacity(cx, cy)) << " usage="
+         << json_number(usage(cx, cy)) << " overflow="
+         << json_number(overflow(cx, cy)) << " density="
+         << json_number(density(cx, cy)) << " crossing_nets="
+         << crossing_nets(cx, cy) << "</title>";
       os << "</rect>\n";
     }
   }
 
-  if (options.draw_legend) {
-    const double bar_y = title_h + map_h + 14.0;
-    const double bar_w = canvas_w * 0.6;
-    const double bar_x = (canvas_w - bar_w) / 2.0;
-    os << "  <defs><linearGradient id=\"heat\" x1=\"0\" y1=\"0\" x2=\"1\" "
-          "y2=\"0\">";
-    for (int stop = 0; stop <= 4; ++stop) {
-      const double t = static_cast<double>(stop) / 4.0;
-      os << "<stop offset=\"" << fmt_px(t * 100.0) << "%\" stop-color=\""
-         << ramp_color(t) << "\"/>";
-    }
-    os << "</linearGradient></defs>\n";
-    os << "  <rect x=\"" << fmt_px(bar_x) << "\" y=\"" << fmt_px(bar_y)
-       << "\" width=\"" << fmt_px(bar_w)
-       << "\" height=\"10\" fill=\"url(#heat)\" stroke=\"#555555\" "
-          "stroke-width=\"0.5\"/>\n";
-    os << "  <text x=\"" << fmt_px(bar_x) << "\" y=\""
-       << fmt_px(bar_y + 22.0)
-       << "\" font-size=\"10\" font-family=\"sans-serif\" "
-          "text-anchor=\"start\" fill=\"#222222\">density 0</text>\n";
-    os << "  <text x=\"" << fmt_px(bar_x + bar_w) << "\" y=\""
-       << fmt_px(bar_y + 22.0)
-       << "\" font-size=\"10\" font-family=\"sans-serif\" "
-          "text-anchor=\"end\" fill=\"#222222\">"
-       << json_number(peak_density) << "</text>\n";
+  const double bar_y = title_h + map_h + 14.0;
+  const double bar_w = canvas_w * 0.6;
+  const double bar_x = (canvas_w - bar_w) / 2.0;
+  os << "  <defs><linearGradient id=\"heat\" x1=\"0\" y1=\"0\" x2=\"1\" "
+        "y2=\"0\">";
+  for (int stop = 0; stop <= 4; ++stop) {
+    const double t = static_cast<double>(stop) / 4.0;
+    os << "<stop offset=\"" << fmt_px(t * 100.0) << "%\" stop-color=\""
+       << heat_color(t) << "\"/>";
   }
+  os << "</linearGradient></defs>\n";
+  os << "  <rect x=\"" << fmt_px(bar_x) << "\" y=\"" << fmt_px(bar_y)
+     << "\" width=\"" << fmt_px(bar_w)
+     << "\" height=\"10\" fill=\"url(#heat)\" stroke=\"#555555\" "
+        "stroke-width=\"0.5\"/>\n";
+  os << "  <text x=\"" << fmt_px(bar_x) << "\" y=\"" << fmt_px(bar_y + 22.0)
+     << "\" font-size=\"10\" font-family=\"sans-serif\" "
+        "text-anchor=\"start\" fill=\"#222222\">density 0</text>\n";
+  os << "  <text x=\"" << fmt_px(bar_x + bar_w) << "\" y=\""
+     << fmt_px(bar_y + 22.0)
+     << "\" font-size=\"10\" font-family=\"sans-serif\" "
+        "text-anchor=\"end\" fill=\"#222222\">"
+     << json_number(peak_density) << "</text>\n";
   os << "</svg>\n";
 }
 

@@ -31,13 +31,6 @@
 
 namespace ficon {
 
-struct HeatMapOptions {
-  double canvas_px = 900.0;  ///< longer grid edge in pixels
-  bool draw_legend = true;   ///< gradient bar + min/max labels
-  bool draw_tooltips = true; ///< per-cell <title> elements
-  std::string title;         ///< heading; empty = "<name> congestion"
-};
-
 /// Read-only heat-map view of a `FlowField`. The source keeps a
 /// reference to the field — it must outlive the view.
 class HeatMapSource {
@@ -46,11 +39,10 @@ class HeatMapSource {
   /// "routed", ...) in titles and feature dumps.
   HeatMapSource(const FlowField& field, std::string name);
 
-  /// Per-area capacity (flow per um^2). A cell's capacity is this
-  /// density times its area; overflow is usage above that. Defaults to
-  /// the field's area-weighted mean density, so overflow reads as
-  /// "usage above a uniform spread of the total flow".
-  void set_capacity_density(double per_um2);
+  /// Per-area capacity (flow per um^2): the field's area-weighted mean
+  /// density. A cell's capacity is this density times its area, and
+  /// overflow is usage above that, so it reads as "usage above a uniform
+  /// spread of the total flow".
   double capacity_density() const { return capacity_density_; }
 
   /// Attach the decomposed 2-pin nets so the feature dump and tooltips
@@ -74,8 +66,10 @@ class HeatMapSource {
   /// Number of attached nets whose routing range intersects the cell.
   long long crossing_nets(int cx, int cy) const;
 
-  /// Standalone SVG heat view (ramp + legend + tooltips).
-  void write_svg(std::ostream& os, const HeatMapOptions& options = {}) const;
+  /// Standalone SVG heat view, 900 px along the longer grid edge: a color
+  /// ramp over the cells' densities, a per-cell <title> tooltip and a
+  /// legend. `title` heads it; empty gives "<name> congestion".
+  void write_svg(std::ostream& os, const std::string& title = {}) const;
 
   /// Per-cell feature table, one row per cell in row-major order:
   /// "cx,cy,xlo,ylo,xhi,yhi,capacity,usage,density,crossing_nets,overflow"

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <ostream>
 
+#include "exp/heat_color.hpp"
 #include "util/check.hpp"
 
 namespace ficon {
@@ -43,26 +44,6 @@ void open_svg(std::ostream& os, const Mapper& m) {
 }
 
 void close_svg(std::ostream& os) { os << "</svg>\n"; }
-
-/// Map a normalized congestion value (0..1) to a white->yellow->red ramp.
-std::string heat_color(double t) {
-  t = std::clamp(t, 0.0, 1.0);
-  // 0 -> white (255,255,255), 0.5 -> yellow (255,224,64), 1 -> red (214,40,40)
-  int r, g, b;
-  if (t < 0.5) {
-    const double u = t / 0.5;
-    r = 255;
-    g = static_cast<int>(255 - u * 31);
-    b = static_cast<int>(255 - u * 191);
-  } else {
-    const double u = (t - 0.5) / 0.5;
-    r = static_cast<int>(255 - u * 41);
-    g = static_cast<int>(224 - u * 184);
-    b = static_cast<int>(64 - u * 24);
-  }
-  return "rgb(" + std::to_string(r) + ',' + std::to_string(g) + ',' +
-         std::to_string(b) + ')';
-}
 
 void draw_modules(std::ostream& os, const Mapper& m, const Netlist& netlist,
                   const Placement& placement) {

@@ -56,7 +56,7 @@ std::vector<TwoPinNet> mst_edges(const std::vector<Point>& pins,
 
 void TwoPinDecomposer::update_nets(std::size_t begin, std::size_t end,
                                    const Placement& placement,
-                                   bool chip_same, Block& block) {
+                                   bool chip_same, Prim& prim) {
   const NetlistSoA& soa = *soa_;
   long long reused = 0;
   long long recomputed = 0;
@@ -85,11 +85,11 @@ void TwoPinDecomposer::update_nets(std::size_t begin, std::size_t end,
       continue;
     }
     ++recomputed;
-    block.prim.edges(std::span<const Point>(cached, k), static_cast<int>(n),
-                     nets_.data() + edge_offset_[n]);
+    prim.edges(std::span<const Point>(cached, k), static_cast<int>(n),
+               nets_.data() + edge_offset_[n]);
   }
-  block.reused = reused;
-  block.recomputed = recomputed;
+  obs::count(obs::Counter::kDecomposeNetsReused, reused);
+  obs::count(obs::Counter::kDecomposeNetsRecomputed, recomputed);
 }
 
 std::span<const TwoPinNet> TwoPinDecomposer::decompose(
@@ -151,9 +151,9 @@ std::span<const TwoPinNet> TwoPinDecomposer::decompose(
   }
 
   // The per-net pass: each net reads the shared diff and writes only its
-  // own pin-cache and edge slices, so blocks of nets run independently.
-  // A small netlist, or any on a pool that would run the blocks inline,
-  // is one block, run here without the pool.
+  // own pin-cache and edge slices, so blocks of nets run independently. A
+  // small netlist, or any on a pool that would run the blocks inline, is
+  // one block.
   ThreadPool& pool = ThreadPool::global();
   const int blocks = net_count >= kSplitNets && !pool.runs_inline()
                          ? deterministic_block_count(net_count)
@@ -161,27 +161,13 @@ std::span<const TwoPinNet> TwoPinDecomposer::decompose(
   if (blocks_.size() < static_cast<std::size_t>(blocks)) {
     blocks_.resize(static_cast<std::size_t>(blocks));
   }
-  if (blocks == 1) {
-    update_nets(0, net_count, placement, chip_same, blocks_[0]);
-  } else {
-    pool.run(blocks, [&](int b) {
-      const BlockRange range = block_range(net_count, blocks, b);
-      update_nets(range.begin, range.end, placement, chip_same,
-                  blocks_[static_cast<std::size_t>(b)]);
-    });
-  }
-  long long reused = 0;
-  long long recomputed = 0;
-  for (std::size_t b = 0; b < static_cast<std::size_t>(blocks); ++b) {
-    reused += blocks_[b].reused;
-    recomputed += blocks_[b].recomputed;
-  }
+  pool.run(blocks, [&](int b) {
+    const BlockRange range = block_range(net_count, blocks, b);
+    update_nets(range.begin, range.end, placement, chip_same,
+                blocks_[static_cast<std::size_t>(b)].prim);
+  });
   pins_valid_ = true;
-  if (obs::trace_enabled()) {
-    obs::count(obs::Counter::kDecomposeCalls);
-    obs::count(obs::Counter::kDecomposeNetsReused, reused);
-    obs::count(obs::Counter::kDecomposeNetsRecomputed, recomputed);
-  }
+  obs::count(obs::Counter::kDecomposeCalls);
   return nets_;
 }
 

@@ -69,12 +69,13 @@ double total_length(std::span<const TwoPinNet> nets);
 /// its degree, so each net owns a stable slice of the output buffer and
 /// reuse never perturbs edge order.
 ///
-/// From kSplitNets nets up, on a pool that runs in parallel, the per-net
-/// pass (pin diff and Prim rebuild) runs in deterministic_block_count()
-/// pool blocks over the net order, each with its own Prim scratch. A net
-/// writes only its own slices of the pin cache and the output buffer, so
-/// the edges do not depend on the blocking or on which thread ran which
-/// block.
+/// The per-net pass (pin diff and Prim rebuild) is one ThreadPool::run()
+/// over the net order: from kSplitNets nets up, on a pool that runs in
+/// parallel, in deterministic_block_count() blocks, otherwise in one. Each
+/// block has its own Prim scratch and counts the nets it kept and rebuilt.
+/// A net writes only its own slices of the pin cache and the output
+/// buffer, so the edges do not depend on the blocking or on which thread
+/// ran which block.
 ///
 /// Not internally synchronized: one instance per thread (an EvalContext
 /// owns one, mirroring its own threading contract). The pin cache is
@@ -112,14 +113,11 @@ class TwoPinDecomposer {
     /// Writes the k - 1 MST edges of the k >= 2 pins to out[0 .. k-1).
     void edges(std::span<const Point> pins, int source_net, TwoPinNet* out);
   };
-  /// One block's share of the per-net pass: its Prim scratch and how many
-  /// of its nets kept or rebuilt their edges. Each on its own cache line:
-  /// Prim resizes its vectors per net, and neighbouring blocks run on
-  /// other threads.
+  /// One block's Prim scratch for the per-net pass, on its own cache
+  /// line: Prim resizes its vectors per net, and neighbouring blocks run
+  /// on other threads.
   struct alignas(64) Block {
     Prim prim;
-    long long reused = 0;
-    long long recomputed = 0;
   };
 
   std::vector<TwoPinNet> nets_;  ///< net n owns [edge_offset_[n], edge_offset_[n+1])
@@ -147,9 +145,9 @@ class TwoPinDecomposer {
   friend std::vector<TwoPinNet> mst_edges(const std::vector<Point>&, int);
   /// The per-net pass over nets [begin, end): keeps a clean net's pins
   /// and edges, re-gathers a dirty net's pins and rebuilds its edges if
-  /// they moved.
+  /// they moved, and counts both kinds of net.
   void update_nets(std::size_t begin, std::size_t end,
-                   const Placement& placement, bool chip_same, Block& block);
+                   const Placement& placement, bool chip_same, Prim& prim);
 };
 
 }  // namespace ficon

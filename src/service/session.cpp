@@ -124,6 +124,7 @@ SeedResult evaluate_once(EvalContext& context, const Request& request,
   FICON_REQUIRE(expr.module_count() == modules,
                 "expression module count does not match the session circuit");
   const FloorplanObjective& o = request.objective;
+  o.validate();
   const std::unique_ptr<CongestionModel> model =
       make_congestion_model(o.model, o.irregular, o.fixed);
 

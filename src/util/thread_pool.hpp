@@ -12,7 +12,8 @@
 //     scheduling noise; the reduced result is identical from
 //     `FICON_THREADS=1` to `FICON_THREADS=64`. A computation whose result
 //     does not depend on its blocking at all (the cut-line sort, the net
-//     decomposition) may choose its blocks from runs_inline() as well.
+//     decomposition) may choose its block count from runs_inline() as
+//     well; it still runs every count, one block included, through run().
 //  2. **Cheap dispatch.** Congestion evaluation runs inside the annealing
 //     inner loop, so a fork-join must not spawn threads. Workers are
 //     long-lived `std::jthread`s parked on a condition variable; a
@@ -38,6 +39,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/trace.hpp"
@@ -293,10 +295,9 @@ class ThreadPool {
 /// reductions reproducible across thread counts (see the file comment).
 /// 16 blocks saturate an 8-way pool under dynamic scheduling while keeping
 /// the partial buffers of a deterministic reduction (fold_blocks()) few.
-inline int deterministic_block_count(std::size_t items, int max_blocks = 16) {
-  if (items == 0) return 0;
-  const std::size_t cap = static_cast<std::size_t>(max_blocks < 1 ? 1 : max_blocks);
-  return static_cast<int>(items < cap ? items : cap);
+inline int deterministic_block_count(std::size_t items) {
+  constexpr std::size_t kMaxBlocks = 16;
+  return static_cast<int>(items < kMaxBlocks ? items : kMaxBlocks);
 }
 
 /// Half-open index range of block `b` out of `blocks` over `items` units.
@@ -339,12 +340,14 @@ inline constexpr std::size_t kFoldBoundBytes = std::size_t{1} << 20;
 /// than the memory it saves. A block that throws releases every waiting
 /// block, and blocks that have not taken a partial yet skip their work.
 ///
-/// `spare` keeps the zeroed partials between calls: a caller that keeps it
-/// reuses them, one that drops it frees them. A partial whose block threw
-/// is dropped, so `spare` never holds a dirty one.
+/// The zeroed partials belong to the calling thread. Below kFoldBoundBytes
+/// they are kept for its next call (the annealing loop folds once per
+/// proposed move); at or above it they are freed on return, so a fixed-grid
+/// map at a judging pitch holds a partial per pool thread only while it is
+/// built. A call whose block throws frees them all, so no partial is ever
+/// reused dirty.
 inline void fold_blocks(
     int blocks, std::vector<double>& result,
-    std::vector<std::vector<double>>& spare,
     const std::function<void(int, std::vector<double>&)>& fn) {
   struct Fold {
     Mutex mu;
@@ -356,6 +359,11 @@ inline void fold_blocks(
     bool failed FICON_GUARDED_BY(mu) = false;   ///< a block threw
   };
   if (blocks <= 0) return;
+  // The calling thread's partials are taken for the call, so a fold nested
+  // in one of its blocks starts without them, and go with the call unless
+  // it hands them back at its end.
+  thread_local std::vector<std::vector<double>> kept;
+  std::vector<std::vector<double>> spare = std::exchange(kept, {});
   Fold fold;
   {
     const MutexLock lock(fold.mu);
@@ -420,6 +428,7 @@ inline void fold_blocks(
     }
     fold.folding = false;
   });
+  if (!bounded) kept = std::move(spare);
 }
 
 }  // namespace ficon

@@ -21,7 +21,7 @@ const Rect kChip{0, 0, 1000, 1000};
 
 namespace reference {
 
-/// merge_lines() as it was before the bucket sort: std::sort over the
+/// One axis merged as it was before the bucket sort: std::sort over the
 /// interior coordinates, then greedy clusters with backward pooling. The
 /// reference for the sorted order and every cluster sum.
 std::vector<double> merge_lines(const std::vector<double>& coords, double lo,
@@ -88,6 +88,23 @@ std::vector<std::uint64_t> bits(const std::vector<double>& lines) {
   std::vector<std::uint64_t> out;
   for (const double v : lines) out.push_back(std::bit_cast<std::uint64_t>(v));
   return out;
+}
+
+/// One axis merged by build_cutlines(): each coordinate gets its own net,
+/// whose other pin sits on `lo`, on the chip [lo, hi] x [lo, hi]. The
+/// boundary swallows `lo`, so both axes merge exactly `coords`; returns
+/// the x lines after expecting the y lines to equal them bit for bit.
+std::vector<double> merge_lines(const std::vector<double>& coords, double lo,
+                                double hi, double min_gap) {
+  std::vector<TwoPinNet> nets;
+  for (const double c : coords) {
+    nets.push_back(TwoPinNet{Point{c, c}, Point{lo, lo},
+                             static_cast<int>(nets.size())});
+  }
+  const CutLines lines =
+      build_cutlines(nets, Rect{lo, lo, hi, hi}, min_gap, min_gap);
+  EXPECT_EQ(bits(lines.ys()), bits(lines.xs()));
+  return lines.xs();
 }
 
 /// The pool thread counts every comparison runs at, then an 8-thread pool
@@ -349,14 +366,16 @@ TEST(MergeLines, SignedZerosGiveOnePositiveZeroLine) {
   EXPECT_EQ(merged[3], 0.5);
 }
 
-/// Candidate counts on both sides of the split threshold, and one well
-/// above it.
+/// Net counts whose candidates, two per net and axis, lie on both sides
+/// of the split threshold: half of it, two below it, at it, two above it
+/// and three times it.
 std::vector<std::size_t> sizes_around_the_split() {
-  const std::size_t split = kCutLineSplitCoordinates;
+  const std::size_t split = kCutLineSplitCoordinates / 2;
   return {split / 2, split - 1, split, split + 1, 3 * split};
 }
 
 TEST(MergeLines, MatchesTheReferenceAtEveryThreadCount) {
+  // One net per coordinate, so n coordinates are 2n candidates per axis.
   Rng rng(97);
   for (const std::size_t n : sizes_around_the_split()) {
     const std::string size = " n=" + std::to_string(n);
@@ -477,10 +496,7 @@ std::vector<TwoPinNet> random_nets(Rng& rng, std::size_t n, const Rect& chip,
 
 TEST(BuildCutlines, MatchesTheReferenceAtEveryThreadCount) {
   Rng rng(98);
-  // Each net gives two candidates per axis, so the sizes give 2 * (n / 2)
-  // candidates: half the threshold, two below it, at it and three times it.
-  for (const std::size_t n : sizes_around_the_split()) {
-    const std::size_t net_count = n / 2;
+  for (const std::size_t net_count : sizes_around_the_split()) {
     const std::string size = " nets=" + std::to_string(net_count);
     // On a 1024-wide chip the splits and the boundary gaps are exact.
     const Rect chip{0, 0, 1024, 1024};
@@ -647,23 +663,22 @@ TEST(BuildCutlines, EmptyNetListGivesSingleCell) {
   EXPECT_EQ(lines.cell_count(), 1);
 }
 
-TEST(BuildCutlines, AxisBlockErrorsReachTheCaller) {
-  // Each axis merges in its own pool block; a block's failed requirement
-  // is rethrown on the calling thread, whichever thread ran the block.
-  const std::vector<TwoPinNet> nets{{Point{100, 100}, Point{300, 400}, 0}};
-  EXPECT_THROW(build_cutlines(nets, kChip, -1, 20), std::invalid_argument);
-  EXPECT_THROW(build_cutlines(nets, kChip, 20, -1), std::invalid_argument);
-}
-
-TEST(BuildCutlines, SplitBlockErrorsReachTheCaller) {
-  // The same above the split threshold, where the collecting blocks
-  // check the axes, at every pool size.
+TEST(BuildCutlines, RejectsANegativeGapAtEveryThreadCount) {
+  // A negative or NaN merge gap is an error on either side of the split
+  // threshold, at every pool size, and for an empty net list too.
   Rng rng(99);
-  const std::vector<TwoPinNet> nets =
-      random_nets(rng, kCutLineSplitCoordinates, kChip, {});
+  const std::vector<std::vector<TwoPinNet>> net_lists{
+      {},
+      {{Point{100, 100}, Point{300, 400}, 0}},
+      random_nets(rng, kCutLineSplitCoordinates, kChip, {})};
   AtEveryThreadCount().run([&] {
-    EXPECT_THROW(build_cutlines(nets, kChip, -1, 20), std::invalid_argument);
-    EXPECT_THROW(build_cutlines(nets, kChip, 20, -1), std::invalid_argument);
+    for (const std::vector<TwoPinNet>& nets : net_lists) {
+      SCOPED_TRACE(::testing::Message() << "nets=" << nets.size());
+      EXPECT_THROW(build_cutlines(nets, kChip, -1, 20), std::invalid_argument);
+      EXPECT_THROW(build_cutlines(nets, kChip, 20, -1), std::invalid_argument);
+      EXPECT_THROW(build_cutlines(nets, kChip, NAN, 20),
+                   std::invalid_argument);
+    }
   });
 }
 

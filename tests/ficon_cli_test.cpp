@@ -165,6 +165,24 @@ TEST(FiconCliTest, PitchTooFineForItsLatticeIsAnError) {
   }
 }
 
+TEST(FiconCliTest, NegativeObjectiveWeightsAreAnError) {
+  // --op evaluate used to print "ok" with a negative weight (cost
+  // -27,084,104.4 at --alpha -5 --beta -2); it must refuse the objective
+  // as --op anneal does.
+  for (const char* args :
+       {"--circuit ami33 --json --op evaluate --gamma -1",
+        "--circuit ami33 --json --op evaluate --alpha -5 --beta -2",
+        "--circuit ami33 --json --op anneal --gamma -1 --effort 0.01"}) {
+    const CliRun run = run_cli(args);
+    EXPECT_EQ(run.exit_code, 1) << args << "\n" << run.output;
+    EXPECT_NE(run.output.find("\"status\":\"error\""), std::string::npos)
+        << run.output;
+    EXPECT_NE(run.output.find("objective weights must be non-negative"),
+              std::string::npos)
+        << run.output;
+  }
+}
+
 TEST(FiconCliTest, ServiceKnobsRequireJsonMode) {
   const CliRun run = run_cli("--circuit apte --op evaluate");
   EXPECT_EQ(run.exit_code, 2);

@@ -188,23 +188,19 @@ TEST(HeatMapFeatures, DegenerateNetOnCutLineCrossesBothNeighbours) {
   EXPECT_EQ(source.crossing_nets(1, 0), 1);
 }
 
-TEST(HeatMapOptionsTest, LegendAndTooltipsAreOptional) {
+TEST(HeatMapSvgTest, TitleLegendAndTooltips) {
   CongestionMap map(GridSpec::from_counts(Rect{0.0, 0.0, 20.0, 20.0}, 2, 2));
   map.add(0, 0, 1.0);
   HeatMapSource source(map, "fixed_grid");
 
-  HeatMapOptions bare;
-  bare.draw_legend = false;
-  bare.draw_tooltips = false;
-  bare.title = "bare";
-  std::ostringstream svg;
-  source.write_svg(svg, bare);
-  EXPECT_EQ(svg.str().find("linearGradient"), std::string::npos);
-  EXPECT_EQ(svg.str().find("<title>cell"), std::string::npos);
-  EXPECT_NE(svg.str().find("bare"), std::string::npos);
+  std::ostringstream titled;
+  source.write_svg(titled, "heading");
+  EXPECT_NE(titled.str().find(">heading</text>"), std::string::npos);
 
   std::ostringstream full;
   source.write_svg(full);
+  EXPECT_NE(full.str().find(">fixed_grid congestion</text>"),
+            std::string::npos);
   EXPECT_NE(full.str().find("linearGradient"), std::string::npos);
   EXPECT_NE(full.str().find("<title>cell"), std::string::npos);
 }

@@ -580,9 +580,7 @@ struct Setup {
     const int ncy = iy2 - iy1;
     local_spans(cl.xs(), ix1, ncx, sx1, pitch_x, shape.g1, lx1, lx2);
     local_spans(cl.ys(), iy1, ncy, sy1, pitch_y, shape.g2, ly1, ly2);
-    axis = BandAxis::kNone;
-    if (shape.degenerate()) return Outcome::kLaidOut;
-    // The band plan: canonical rows, covers, chains, fewer band steps.
+    // The canonical rows: a type II net's rows mirrored, top-down.
     const bool t2 = shape.type2;
     cy1.resize(static_cast<std::size_t>(ncy));
     cy2.resize(static_cast<std::size_t>(ncy));
@@ -591,6 +589,9 @@ struct Setup {
       cy1[static_cast<std::size_t>(r)] = t2 ? shape.g2 - 1 - ly2[cy] : ly1[cy];
       cy2[static_cast<std::size_t>(r)] = t2 ? shape.g2 - 1 - ly1[cy] : ly2[cy];
     }
+    axis = BandAxis::kNone;
+    if (shape.degenerate()) return Outcome::kLaidOut;
+    // The band plan: covers, chains, fewer band steps.
     if (!covers(lx1, lx2) || !covers(cy1, cy2)) return Outcome::kLaidOut;
     const bool by_columns = chains(lx1, lx2, shape.g1);
     const bool by_rows = chains(cy1, cy2, shape.g2);
@@ -614,7 +615,8 @@ struct SetupTally {
 };
 
 /// Runs NetSetup and the reference set-up on every net and expects equal
-/// windows, lattice sizes, spans (canonical rows too) and band axes.
+/// windows, lattice sizes, spans (the rows in the canonical frame) and
+/// band axes.
 SetupTally compare_setups(const std::vector<TwoPinNet>& nets,
                           const CutLines& cl, const Rect& chip,
                           double pitch_x, double pitch_y) {
@@ -657,16 +659,13 @@ SetupTally compare_setups(const std::vector<TwoPinNet>& nets,
     };
     EXPECT_TRUE(same(want.lx1, setup.lx1()) && same(want.lx2, setup.lx2()))
         << where(net);
-    EXPECT_TRUE(same(want.ly1, setup.ly1()) && same(want.ly2, setup.ly2()))
+    EXPECT_TRUE(same(want.cy1, setup.ly1()) && same(want.cy2, setup.ly2()))
         << where(net);
     EXPECT_EQ(setup.band_axis(), want.axis) << where(net);
     if (want.axis == BandAxis::kNone) {
       ++tally.per_region;
       continue;
     }
-    EXPECT_TRUE(same(want.cy1, setup.canonical_ly1()) &&
-                same(want.cy2, setup.canonical_ly2()))
-        << where(net);
     ++(want.axis == BandAxis::kRows ? tally.rows : tally.columns);
     if (want.shape.type2) ++tally.type2_banded;
     const int g1 = want.shape.g1;
@@ -958,6 +957,68 @@ TEST(IrregularGrid, ScoreMemoNeverChangesResults) {
       }
     }
   }
+}
+
+TEST(IrregularGrid, MirrorImageNetsShareOneMemoEntryAndMirrorTheirFlows) {
+  // Net a (type I) and its y-mirror image b (type II) on a 1000 um chip;
+  // p, a point net on the mirror axis, puts a cut line inside both
+  // columns. Together they cut the chip along mirror-symmetric lines, where
+  // a and b cover three rows each whose canonical spans agree, so in paper
+  // mode on a one-thread pool b hits the memo entry a left. Evaluated
+  // apart, beside p, each net's flows are the other's with the rows
+  // reversed, bit for bit, under every strategy.
+  const TwoPinNet a{Point{100, 200}, Point{400, 700}, 0};
+  const TwoPinNet b{Point{100, 800}, Point{400, 300}, 1};
+  const TwoPinNet p{Point{250, 500}, Point{250, 500}, 2};
+  ThreadPool::set_global_threads(1);
+  IrregularGridParams paper = fine_params();
+  paper.strategy = IrEvalStrategy::kTheorem1;
+  paper.approx.narrow_range_threshold = 5;
+  paper.approx.small_region_threshold = 4;
+  IrregularGridParams plain = paper;
+  plain.score_cache_capacity = 0;  // also empties this thread's memo
+  const std::vector<TwoPinNet> both{a, b, p};
+  const IrregularCongestionMap unmemoized =
+      IrregularGridModel(plain).evaluate(both, kChip);
+  obs::set_trace_enabled(true);
+  obs::reset();
+  const IrregularCongestionMap memoized =
+      IrregularGridModel(paper).evaluate(both, kChip);
+  const obs::TraceReport work = obs::capture();
+  obs::set_trace_enabled(false);
+  EXPECT_EQ(work.counter(obs::Counter::kScoreMemoMisses), 1);
+  EXPECT_EQ(work.counter(obs::Counter::kScoreMemoHits), 1);
+  const std::vector<double> symmetric{0, 200, 300, 500, 700, 800, 1000};
+  EXPECT_EQ(memoized.lines().ys(), symmetric);
+  EXPECT_EQ(memoized.values(), unmemoized.values());
+
+  for (const IrEvalStrategy strategy :
+       {IrEvalStrategy::kTheorem1, IrEvalStrategy::kExactPerRegion,
+        IrEvalStrategy::kBandedExact}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "strategy " << static_cast<int>(strategy));
+    IrregularGridParams params = paper;
+    params.strategy = strategy;
+    const IrregularGridModel model(params);
+    const IrregularCongestionMap fa =
+        model.evaluate(std::vector<TwoPinNet>{a, p}, kChip);
+    const IrregularCongestionMap fb =
+        model.evaluate(std::vector<TwoPinNet>{b, p}, kChip);
+    ASSERT_EQ(fa.nx(), fb.nx());
+    ASSERT_EQ(fa.ny(), fb.ny());
+    bool asymmetric = false;
+    for (int iy = 0; iy < fa.ny(); ++iy) {
+      const int mirror = fa.ny() - 1 - iy;
+      for (int ix = 0; ix < fa.nx(); ++ix) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(fb.flow(ix, iy)),
+                  std::bit_cast<std::uint64_t>(fa.flow(ix, mirror)))
+            << "cell " << ix << ',' << iy;
+        asymmetric = asymmetric || fa.flow(ix, iy) != fa.flow(ix, mirror);
+      }
+    }
+    EXPECT_TRUE(asymmetric);  // a's own flows are not their mirror
+  }
+  ThreadPool::set_global_threads(ThreadPool::env_threads());
 }
 
 TEST(IrregularGrid, CostWeightsDensityByArea) {

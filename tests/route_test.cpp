@@ -206,7 +206,8 @@ TEST(Decompose, SplitDecomposerMatchesOneShotApiAtEveryThreadCount) {
   // that grows under unmoved modules (only nets with terminal pins
   // change), the caching decomposer and decompose_to_two_pin must both
   // equal a serial Prim per net at every pool size, and the traced work
-  // must not depend on it.
+  // must not depend on it: every block counts each of its nets as kept
+  // or rebuilt.
   const Netlist netlist =
       make_scale_netlist(parse_scale_tier("ami49x21"), 7);
   ASSERT_GE(netlist.net_count(), TwoPinDecomposer::kSplitNets);
@@ -236,8 +237,12 @@ TEST(Decompose, SplitDecomposerMatchesOneShotApiAtEveryThreadCount) {
                           serial_decomposition(netlist, placement));
       }
     }
-    recomputed.push_back(
-        obs::capture().counter(obs::Counter::kDecomposeNetsRecomputed));
+    const obs::TraceReport work = obs::capture();
+    recomputed.push_back(work.counter(obs::Counter::kDecomposeNetsRecomputed));
+    EXPECT_EQ(work.counter(obs::Counter::kDecomposeNetsReused) +
+                  recomputed.back(),
+              work.counter(obs::Counter::kDecomposeCalls) *
+                  static_cast<long long>(netlist.net_count()));
     obs::set_trace_enabled(false);
   }
   ThreadPool::set_global_threads(ThreadPool::env_threads());

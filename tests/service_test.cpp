@@ -627,6 +627,34 @@ TEST(ServiceSession, PitchTooFineForItsLatticeIsAnErrorReply) {
   }
 }
 
+TEST(ServiceSession, NegativeObjectiveWeightsAreAnErrorReply) {
+  // Evaluate used to score with a negative weight and reply ok (ami33 at
+  // gamma -1: cost 5,656,177.2); it must refuse the objective as anneal
+  // does, on both service paths.
+  SessionOptions options;
+  options.workers = 1;
+  EngineSession session(make_mcnc("ami33"), options);
+  for (const char* payload : {
+           R"({"id":1,"op":"evaluate","gamma":-1})",
+           R"({"id":2,"op":"evaluate","alpha":-5,"beta":-2})",
+           R"({"id":3,"op":"anneal","gamma":-1,"effort":0.01})",
+       }) {
+    service::ProtocolRequest decoded;
+    std::string error;
+    ASSERT_TRUE(service::decode_request(payload, &decoded, &error)) << error;
+    const Reply oneshot =
+        service::run_oneshot(make_mcnc("ami33"), decoded.request);
+    EXPECT_EQ(oneshot.status, ReplyStatus::kError) << payload;
+    EXPECT_NE(oneshot.error.find("objective weights must be non-negative"),
+              std::string::npos)
+        << oneshot.error;
+    EXPECT_TRUE(oneshot.seeds.empty());
+    const Reply reply = session.run(decoded.request);
+    EXPECT_EQ(reply.status, ReplyStatus::kError) << payload;
+    expect_same_results(oneshot, reply);
+  }
+}
+
 TEST(ServiceProtocol, ReplyCodecRoundTripsBitExactDoubles) {
   Reply reply;
   reply.status = ReplyStatus::kOk;

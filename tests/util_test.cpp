@@ -6,7 +6,9 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -256,34 +258,87 @@ double share(int b, std::size_t i) {
   return 1.0 / (3.0 + b) + 1e-7 * static_cast<double>(i % 97);
 }
 
+/// The bits of the in-order sum of blocks 0 .. 15's shares over `cells`.
+std::vector<std::uint64_t> in_order_sum(std::size_t cells) {
+  std::vector<double> sum(cells, 0.0);
+  for (int b = 0; b < 16; ++b) {
+    for (std::size_t i = 0; i < sum.size(); ++i) sum[i] += share(b, i);
+  }
+  std::vector<std::uint64_t> bits;
+  for (const double v : sum) bits.push_back(std::bit_cast<std::uint64_t>(v));
+  return bits;
+}
+
+/// Folds blocks 0 .. 15's shares over `cells` and returns the bits of the
+/// result.
+std::vector<std::uint64_t> fold_shares(std::size_t cells) {
+  std::vector<double> result(cells, 0.0);
+  fold_blocks(16, result, [](int b, std::vector<double>& partial) {
+    for (std::size_t i = 0; i < partial.size(); ++i) {
+      partial[i] += share(b, i);
+    }
+  });
+  std::vector<std::uint64_t> bits;
+  for (const double v : result) bits.push_back(std::bit_cast<std::uint64_t>(v));
+  return bits;
+}
+
 TEST(FoldBlocks, LargePartialsAreBoundedByThePoolThreads) {
   // Block 0 finishes last, so without the bound every other block would
   // park its partial until block 0 is folded. With it a block waits while
-  // it is the pool's thread count past the next fold, so no more
-  // partials than threads ever exist, and the sum is the in-order sum.
-  std::vector<std::uint64_t> want;
-  {
-    std::vector<double> sum(kBoundedCells, 0.0);
-    for (int b = 0; b < 16; ++b) {
-      for (std::size_t i = 0; i < sum.size(); ++i) sum[i] += share(b, i);
-    }
-    for (const double v : sum) want.push_back(std::bit_cast<std::uint64_t>(v));
-  }
+  // it is the pool's thread count past the next fold, so the blocks see
+  // no more distinct partial buffers than threads, and the sum is the
+  // in-order sum.
+  const std::vector<std::uint64_t> want = in_order_sum(kBoundedCells);
   for (const int threads : {1, 2, 4, 8}) {
     SCOPED_TRACE(::testing::Message() << "threads=" << threads);
     ThreadPool::set_global_threads(threads);
     std::vector<double> result(kBoundedCells, 0.0);
-    std::vector<std::vector<double>> spare;
-    fold_blocks(16, result, spare, [](int b, std::vector<double>& partial) {
+    std::mutex mu;
+    std::set<const double*> buffers;
+    fold_blocks(16, result, [&](int b, std::vector<double>& partial) {
+      {
+        const std::lock_guard<std::mutex> lock(mu);
+        buffers.insert(partial.data());
+      }
       if (b == 0) std::this_thread::sleep_for(std::chrono::milliseconds(20));
       for (std::size_t i = 0; i < partial.size(); ++i) {
         partial[i] += share(b, i);
       }
     });
-    EXPECT_LE(spare.size(), static_cast<std::size_t>(threads));
+    EXPECT_LE(buffers.size(), static_cast<std::size_t>(threads));
     std::vector<std::uint64_t> got;
     for (const double v : result) got.push_back(std::bit_cast<std::uint64_t>(v));
     EXPECT_TRUE(got == want);
+  }
+  ThreadPool::set_global_threads(ThreadPool::env_threads());
+}
+
+TEST(FoldBlocks, APartialIsNeverReusedDirtyAfterABlockThrows) {
+  // Block 5 adds its share and throws, leaving its partial dirty. The
+  // next fold on the same thread, with partials kept between calls
+  // (small) or freed on return (large), must still give the in-order sum.
+  for (const std::size_t cells : {std::size_t{1024}, kBoundedCells}) {
+    const std::vector<std::uint64_t> want = in_order_sum(cells);
+    for (const int threads : {1, 2, 4, 8}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "cells=" << cells << " threads=" << threads);
+      ThreadPool::set_global_threads(threads);
+      EXPECT_TRUE(fold_shares(cells) == want);
+      std::vector<double> result(cells, 0.0);
+      EXPECT_THROW(fold_blocks(16, result,
+                               [](int b, std::vector<double>& partial) {
+                                 for (std::size_t i = 0; i < partial.size();
+                                      ++i) {
+                                   partial[i] += share(b, i);
+                                 }
+                                 if (b == 5) {
+                                   throw std::runtime_error("block failed");
+                                 }
+                               }),
+                   std::runtime_error);
+      EXPECT_TRUE(fold_shares(cells) == want);
+    }
   }
   ThreadPool::set_global_threads(ThreadPool::env_threads());
 }
@@ -295,9 +350,8 @@ TEST(FoldBlocks, AThrowingBlockReleasesTheWaitingBlocks) {
     SCOPED_TRACE(::testing::Message() << "threads=" << threads);
     ThreadPool::set_global_threads(threads);
     std::vector<double> result(kBoundedCells, 0.0);
-    std::vector<std::vector<double>> spare;
     EXPECT_THROW(
-        fold_blocks(16, result, spare,
+        fold_blocks(16, result,
                     [](int b, std::vector<double>&) {
                       if (b != 0) return;
                       std::this_thread::sleep_for(
