@@ -15,7 +15,7 @@
 // Built as a libFuzzer target under clang (-fsanitize=fuzzer); under gcc
 // the shared standalone driver (standalone_main.cpp) replays files given
 // on the command line, or runs a smoke loop over mutated write_jsonl
-// exports of a report with phases, hists, pool rows and annealer events,
+// exports of a report with phases, pool rows and annealer events,
 // so that the validator's success path is reached too.
 #include <bit>
 #include <cmath>
@@ -111,12 +111,6 @@ ficon::obs::TraceReport smoke_report() {
     h.buckets[20] = 1;
     h.count = 9;
     h.sum = 3 * 1500 + 5 * 3000 + 600000;
-  }
-  for (ficon::obs::HistSnapshot& h : report.hists) {
-    h.buckets[0] = 2;
-    h.buckets[19] = 4;
-    h.count = 6;
-    h.sum = 4 * 400000;
   }
   report.pool_threads = {{"main", 40, 0}, {"worker-0", 31, 125000}};
   for (int step = 0; step < 2; ++step) {

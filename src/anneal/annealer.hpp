@@ -95,8 +95,9 @@ class Annealer {
     const double t_stop = t * options_.stop_temperature_ratio;
 
     // Telemetry is a pure observer: when tracing is off this is one
-    // relaxed load; when on, tallies go to the calling thread's sink and
-    // nothing here touches the RNG stream or the accept decisions.
+    // relaxed load; when on, each temperature is one record on the calling
+    // thread's sink and nothing here touches the RNG stream or the accept
+    // decisions.
     const bool tracing = obs::trace_enabled();
     const int trace_run = tracing ? obs::next_anneal_run() : 0;
     if (tracing) obs::count(obs::Counter::kAnnealRuns);
@@ -168,21 +169,6 @@ class Annealer {
         event.best_cost = result.best_cost;
         event.stall = stall;
         obs::record_anneal(event);
-        obs::count(obs::Counter::kAnnealTemperatures);
-        obs::count(obs::Counter::kAnnealMovesProposed, event.proposed);
-        obs::count(obs::Counter::kAnnealMovesAccepted, event.accepted);
-        obs::count(obs::Counter::kAnnealUphillAccepted,
-                   event.uphill_accepted);
-        if (stall > 0) obs::count(obs::Counter::kAnnealStallTemperatures);
-        if (event.proposed > 0) {
-          // Accept-ratio distribution, in ppm so the log buckets resolve
-          // [0, 1] (1.0 -> 1e6, ~20 buckets of dynamic range).
-          const double accept_ratio =
-              static_cast<double>(event.accepted) /
-              static_cast<double>(event.proposed);
-          obs::record_hist(obs::Hist::kAcceptRatioPpm,
-                           std::llround(1e6 * accept_ratio));
-        }
       }
       t *= options_.cooling;
     }

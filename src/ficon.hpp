@@ -10,7 +10,6 @@
 #pragma once
 
 // Geometry primitives.
-#include "geom/interval.hpp"   // IWYU pragma: export
 #include "geom/point.hpp"      // IWYU pragma: export
 #include "geom/rect.hpp"       // IWYU pragma: export
 

@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <fstream>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <vector>
 
@@ -17,51 +18,35 @@ struct CacheLine {
   const char* name;
   Counter hits;
   Counter misses;
-  Counter evictions;
-  bool has_evictions;
+  std::optional<Counter> evictions;
 };
 
 constexpr CacheLine kCacheLines[] = {
     {"score_memo", Counter::kScoreMemoHits, Counter::kScoreMemoMisses,
-     Counter::kScoreMemoEvictions, true},
+     Counter::kScoreMemoEvictions},
     {"pack_cached", Counter::kPackCacheIncremental,
-     Counter::kPackCacheFullRebuilds, Counter::kScoreMemoEvictions, false},
+     Counter::kPackCacheFullRebuilds, std::nullopt},
     {"decomposer", Counter::kDecomposeNetsReused,
-     Counter::kDecomposeNetsRecomputed, Counter::kScoreMemoEvictions,
-     false},
+     Counter::kDecomposeNetsRecomputed, std::nullopt},
 };
 
 struct StrategyLine {
   const char* name;
   Counter regions;
-  Counter fallbacks;
-  bool has_fallbacks;
+  std::optional<Counter> fallbacks;
 };
 
 constexpr StrategyLine kStrategyLines[] = {
     {"theorem1", Counter::kIrRegionsTheorem1,
-     Counter::kIrTheorem1ExactFallbacks, true},
-    {"exact_per_region", Counter::kIrRegionsExact,
-     Counter::kIrTheorem1ExactFallbacks, false},
-    {"banded_exact", Counter::kIrRegionsBanded,
-     Counter::kIrTheorem1ExactFallbacks, false},
-    {"degenerate", Counter::kIrNetsDegenerate,
-     Counter::kIrTheorem1ExactFallbacks, false},
+     Counter::kIrTheorem1ExactFallbacks},
+    {"exact_per_region", Counter::kIrRegionsExact, std::nullopt},
+    {"banded_exact", Counter::kIrRegionsBanded, std::nullopt},
+    {"degenerate", Counter::kIrNetsDegenerate, std::nullopt},
 };
 
 double ratio(long long part, long long whole) {
   return whole > 0 ? static_cast<double>(part) / static_cast<double>(whole)
                    : 0.0;
-}
-
-/// Inclusive lower edge of histogram bucket `b` (see `hist_bucket`).
-long long bucket_lo(int b) { return b == 0 ? 0 : 1LL << (b - 1); }
-
-/// Exclusive upper edge; the top bucket is clamped to LLONG_MAX.
-long long bucket_hi(int b) {
-  if (b == 0) return 1;
-  if (b >= kHistBuckets - 1) return 9223372036854775807LL;
-  return 1LL << b;
 }
 
 /// The non-empty buckets of `h` as a JSON array; "lo" strictly
@@ -73,7 +58,7 @@ void write_buckets(std::ostream& os, const HistSnapshot& h) {
     if (h.buckets[b] == 0) continue;
     if (!first) os << ",";
     first = false;
-    os << "{\"lo\":" << bucket_lo(b) << ",\"hi\":" << bucket_hi(b)
+    os << "{\"lo\":" << hist_bucket_lo(b) << ",\"hi\":" << hist_bucket_hi(b)
        << ",\"count\":" << h.buckets[b] << "}";
   }
   os << "]";
@@ -96,14 +81,6 @@ void write_jsonl(std::ostream& os, const TraceReport& report,
        << "\",\"calls\":" << report.phase_call_count(p)
        << ",\"seconds\":" << json_number(report.phase_seconds(p));
     write_buckets(os, report.phase(p));
-    os << "}\n";
-  }
-  for (int i = 0; i < kHistCount; ++i) {
-    const HistSnapshot& h = report.hists[i];
-    os << "{\"type\":\"hist\",\"name\":\""
-       << hist_name(static_cast<Hist>(i)) << "\",\"count\":" << h.count
-       << ",\"sum\":" << h.sum;
-    write_buckets(os, h);
     os << "}\n";
   }
   for (const PoolThreadSample& t : report.pool_threads) {
@@ -143,30 +120,27 @@ void write_solution_jsonl(std::ostream& os, double area, double wirelength,
 void write_summary(std::ostream& os, const TraceReport& report) {
   os << "telemetry summary\n";
 
+  // The annealer's totals are sums over its temperature records.
+  long long proposed = 0;
+  long long accepted = 0;
+  long long uphill = 0;
+  long long stalls = 0;
+  for (const AnnealEvent& e : report.anneal) {
+    proposed += e.proposed;
+    accepted += e.accepted;
+    uphill += e.uphill_accepted;
+    if (e.stall > 0) ++stalls;
+  }
   TextTable anneal({"annealer", "value"});
   anneal.add_row({"runs", std::to_string(
                               report.counter(Counter::kAnnealRuns))});
+  anneal.add_row({"temperatures", std::to_string(report.anneal.size())});
+  anneal.add_row({"moves proposed", std::to_string(proposed)});
+  anneal.add_row({"moves accepted", std::to_string(accepted)});
   anneal.add_row(
-      {"temperatures",
-       std::to_string(report.counter(Counter::kAnnealTemperatures))});
-  anneal.add_row(
-      {"moves proposed",
-       std::to_string(report.counter(Counter::kAnnealMovesProposed))});
-  anneal.add_row(
-      {"moves accepted",
-       std::to_string(report.counter(Counter::kAnnealMovesAccepted))});
-  anneal.add_row({"accept rate %",
-                  fmt_fixed(100.0 * ratio(report.counter(
-                                              Counter::kAnnealMovesAccepted),
-                                          report.counter(
-                                              Counter::kAnnealMovesProposed)),
-                            2)});
-  anneal.add_row(
-      {"uphill accepted",
-       std::to_string(report.counter(Counter::kAnnealUphillAccepted))});
-  anneal.add_row(
-      {"stall temperatures",
-       std::to_string(report.counter(Counter::kAnnealStallTemperatures))});
+      {"accept rate %", fmt_fixed(100.0 * ratio(accepted, proposed), 2)});
+  anneal.add_row({"uphill accepted", std::to_string(uphill)});
+  anneal.add_row({"stall temperatures", std::to_string(stalls)});
   anneal.print(os);
   os << "\n";
 
@@ -176,7 +150,7 @@ void write_summary(std::ostream& os, const TraceReport& report) {
     const long long misses = report.counter(c.misses);
     caches.add_row(
         {c.name, std::to_string(hits), std::to_string(misses),
-         std::to_string(c.has_evictions ? report.counter(c.evictions) : 0),
+         std::to_string(c.evictions ? report.counter(*c.evictions) : 0),
          fmt_fixed(100.0 * ratio(hits, hits + misses), 2)});
   }
   caches.print(os);
@@ -189,7 +163,7 @@ void write_summary(std::ostream& os, const TraceReport& report) {
   for (const StrategyLine& s : kStrategyLines) {
     strategies.add_row(
         {s.name, std::to_string(report.counter(s.regions)),
-         std::to_string(s.has_fallbacks ? report.counter(s.fallbacks) : 0),
+         std::to_string(s.fallbacks ? report.counter(*s.fallbacks) : 0),
          s.regions == Counter::kIrRegionsBanded
              ? std::to_string(report.counter(Counter::kIrBandSteps))
              : "-"});
@@ -214,19 +188,6 @@ void write_summary(std::ostream& os, const TraceReport& report) {
   }
   phases.print(os);
   os << "\n";
-
-  TextTable hists({"histogram", "count", "mean", "~p50", "~p90", "~p99"});
-  for (int i = 0; i < kHistCount; ++i) {
-    const HistSnapshot& h = report.hists[i];
-    if (h.count == 0) continue;
-    hists.add_row({hist_name(static_cast<Hist>(i)),
-                   std::to_string(h.count), fmt_fixed(h.mean(), 1),
-                   quantile(h, 0.50), quantile(h, 0.90), quantile(h, 0.99)});
-  }
-  if (hists.row_count() > 0) {
-    hists.print(os);
-    os << "\n";
-  }
 
   TextTable pool({"thread", "tasks", "queue wait s"});
   for (const PoolThreadSample& t : report.pool_threads) {
@@ -281,13 +242,6 @@ const std::vector<RecordSchema>& trace_schema() {
         {"buckets", T::kArray}},
        name_table("name", schema::kPhaseNames),
        "calls"},
-      {"hist",
-       {{"name", T::kString},
-        {"count", T::kNumber},
-        {"sum", T::kNumber},
-        {"buckets", T::kArray}},
-       name_table("name", schema::kHistNames),
-       "count"},
       {"thread_pool",
        {{"thread", T::kString},
         {"tasks", T::kNumber},

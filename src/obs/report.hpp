@@ -2,23 +2,19 @@
 /// Trace export: JSON Lines for machines, a `TextTable` summary for
 /// humans, and a validator for the JSONL schema.
 ///
-/// JSONL schema v3 (one object per line, discriminated by "type"):
+/// JSONL schema v4 (one object per line, discriminated by "type"):
 ///
-///   {"type":"meta","version":3,"tool":"..."}
+///   {"type":"meta","version":4,"tool":"..."}
 ///   {"type":"counter","name":"...","value":N}
 ///   {"type":"phase","name":"pack|decompose|congestion",
 ///    "calls":N,"seconds":S,"buckets":[{"lo":L,"hi":H,"count":N},...]}
 ///     — a phase is its per-call latency histogram in nanoseconds;
-///       bucket counts sum to "calls".
-///   {"type":"hist","name":"accept_ratio_ppm","count":N,"sum":S,
-///    "buckets":[{"lo":L,"hi":H,"count":N},...]}
-///     — a distribution that is not a phase; bucket counts sum to
-///       "count".
-///   In both, only non-empty buckets are emitted and "lo" strictly
-///   increases.
+///       bucket counts sum to "calls", only non-empty buckets are
+///       emitted and "lo" strictly increases.
 ///   {"type":"thread_pool","thread":"...","tasks":N,
 ///    "queue_wait_seconds":S}
-///     — one per thread label, summed over every thread that carried it.
+///     — one per thread label, summed over every thread that carried it;
+///       "tasks" is the label's "pool_blocks", so the rows sum to it.
 ///   {"type":"anneal_temperature","run":N,"step":N,"temperature":T,
 ///    "proposed":N,"accepted":N,"uphill_accepted":N,
 ///    "proposed_m1":N,...,"accepted_m3":N,"accepted_delta":D,
@@ -26,8 +22,9 @@
 ///   {"type":"solution","area":A,"wirelength":W,"congestion":C,
 ///    "cost":K,"seconds":S}   (appended by tools, optional)
 ///
-/// Cache hit rates, the region-strategy mix and the annealer's totals
-/// are counters; `write_summary` tabulates them for humans.
+/// Cache hit rates and the region-strategy mix are counters, and the
+/// annealer's totals are sums over its "anneal_temperature" records;
+/// `write_summary` tabulates them for humans.
 ///
 /// Doubles are printed with %.17g so values round-trip bit-exactly.
 #pragma once
@@ -51,8 +48,8 @@ void write_solution_jsonl(std::ostream& os, double area, double wirelength,
                           double congestion, double cost, double seconds);
 
 /// Human summary (annealer totals, cache hit ratios, strategy mix, phase
-/// calls, times and latency quantiles, other histograms, per-thread pool
-/// activity) via `util/table`.
+/// calls, times and latency quantiles, per-thread pool activity) via
+/// `util/table`.
 void write_summary(std::ostream& os, const TraceReport& report);
 
 /// Validate one JSONL line against the schema. Returns false and fills

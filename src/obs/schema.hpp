@@ -1,20 +1,19 @@
 /// \file
-/// Schema-v3 name registry for the trace JSONL export.
+/// Schema-v4 name registry for the trace JSONL export.
 ///
 /// Every name that can appear in a trace record — record "type"
-/// discriminators, counter names, phase names, histogram names — is
-/// declared here exactly once. The writer (`obs/trace.cpp`,
-/// `obs/report.cpp`) draws display names from these tables, the
-/// validator (`validate_trace_line`) rejects records whose names are not
-/// registered, and `tools/ficon_lint` rule F002 cross-checks that every
-/// record type the writer emits or the validator declares is present in
-/// this file.
+/// discriminators, counter names, phase names — is declared here exactly
+/// once. The writer (`obs/trace.cpp`, `obs/report.cpp`) draws display
+/// names from these tables, the validator (`validate_trace_line`) rejects
+/// records whose names are not registered, and `tools/ficon_lint` rule
+/// F002 cross-checks that every record type the writer emits or the
+/// validator declares is present in this file.
 ///
 /// Extending the schema therefore always starts here: add the name to
 /// the right table (append — each table is indexed by its enum), then
-/// use it from the writer. A counter, phase or histogram added on one
-/// side only is a compile error (static_assert); an unregistered record
-/// type is a lint/validator failure.
+/// use it from the writer. A counter or phase added on one side only is
+/// a compile error (static_assert); an unregistered record type is a
+/// lint/validator failure.
 ///
 /// This header is deliberately standalone (no includes) so the registry
 /// can be consumed by constexpr contexts and parsed trivially by
@@ -29,14 +28,16 @@ namespace ficon::obs::schema {
 /// v3: a "phase" record carries its latency buckets; the phase-mirroring
 /// hists and the "cache", "strategy" and "anneal_summary" records, which
 /// restated other records, are gone.
-inline constexpr int kVersion = 3;
+/// v4: the "hist" record type and its table, the annealer counters that
+/// summed the "anneal_temperature" records, and "pool_tasks", which
+/// restated "pool_blocks", are gone.
+inline constexpr int kVersion = 4;
 
 /// Record "type" discriminators, in the order the writer emits them.
 inline constexpr const char* kRecordTypes[] = {
     "meta",
     "counter",
     "phase",
-    "hist",
     "thread_pool",
     "anneal_temperature",
     "solution",
@@ -47,11 +48,6 @@ inline constexpr const char* kRecordTypes[] = {
 inline constexpr const char* kCounterNames[] = {
     // Annealer.
     "anneal_runs",
-    "anneal_temperatures",
-    "anneal_moves_proposed",
-    "anneal_moves_accepted",
-    "anneal_uphill_accepted",
-    "anneal_stall_temperatures",
     // Incremental-pipeline caches.
     "score_memo_hits",
     "score_memo_misses",
@@ -80,7 +76,6 @@ inline constexpr const char* kCounterNames[] = {
     "pool_jobs",
     "pool_blocks",
     "pool_inline_blocks",
-    "pool_tasks",
     "pool_queue_wait_ns",
 };
 
@@ -90,14 +85,6 @@ inline constexpr const char* kPhaseNames[] = {
     "pack",
     "decompose",
     "congestion",
-};
-
-/// Histogram names, indexed by `ficon::obs::Hist`. `obs/trace.cpp`
-/// static_asserts that this table and the enum stay the same length.
-/// `accept_ratio_ppm` samples each temperature's accepted/proposed ratio
-/// in parts per million so the log buckets resolve [0, 1] usefully.
-inline constexpr const char* kHistNames[] = {
-    "accept_ratio_ppm",
 };
 
 }  // namespace ficon::obs::schema

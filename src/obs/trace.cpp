@@ -15,8 +15,8 @@ namespace ficon::obs {
 namespace {
 
 /// Per-thread histogram storage: relaxed-atomic bucket counts plus a
-/// running sum, merged into `HistSnapshot`s by `capture()`. Phases and
-/// hists share it.
+/// running sum, merged into `HistSnapshot`s by `capture()`. Each phase
+/// has one.
 struct HistSink {
   std::array<std::atomic<long long>, kHistBuckets> buckets{};
   std::atomic<long long> count{0};
@@ -49,7 +49,6 @@ struct HistSink {
 struct ThreadSink {
   std::array<std::atomic<long long>, kCounterCount> counters{};
   std::array<HistSink, kPhaseCount> phases{};
-  std::array<HistSink, kHistCount> hists{};
   Mutex mutex;
   std::vector<AnnealEvent> events FICON_GUARDED_BY(mutex);
   std::string label FICON_GUARDED_BY(mutex);
@@ -130,10 +129,6 @@ void record_phase_slow(Phase p, long long ns) {
   local_sink().phases[static_cast<int>(p)].record(ns);
 }
 
-void record_hist_slow(Hist h, long long v) {
-  local_sink().hists[static_cast<int>(h)].record(v);
-}
-
 }  // namespace detail
 
 // The schema registry is the single source of truth for export names;
@@ -143,8 +138,6 @@ static_assert(std::size(schema::kCounterNames) == kCounterCount,
               "obs/schema.hpp counter-name table out of sync with Counter");
 static_assert(std::size(schema::kPhaseNames) == kPhaseCount,
               "obs/schema.hpp phase-name table out of sync with Phase");
-static_assert(std::size(schema::kHistNames) == kHistCount,
-              "obs/schema.hpp hist-name table out of sync with Hist");
 
 const char* counter_name(Counter c) {
   const int i = static_cast<int>(c);
@@ -158,26 +151,15 @@ const char* phase_name(Phase p) {
   return schema::kPhaseNames[i];
 }
 
-const char* hist_name(Hist h) {
-  const int i = static_cast<int>(h);
-  if (i < 0 || i >= kHistCount) return "unknown";
-  return schema::kHistNames[i];
-}
-
 long long HistSnapshot::quantile_upper_bound(double fraction) const {
   if (count <= 0) return 0;
   const double target = fraction * static_cast<double>(count);
   long long cumulative = 0;
   for (int b = 0; b < kHistBuckets; ++b) {
     cumulative += buckets[b];
-    if (static_cast<double>(cumulative) >= target) {
-      // Upper edge of bucket b: 1 for the <=0 bucket, else 2^b.
-      if (b == 0) return 1;
-      if (b >= 62) return (1LL << 62);
-      return 1LL << b;
-    }
+    if (static_cast<double>(cumulative) >= target) return hist_bucket_hi(b);
   }
-  return (1LL << 62);
+  return hist_bucket_hi(kHistBuckets - 1);
 }
 
 void set_trace_enabled(bool enabled) {
@@ -212,8 +194,9 @@ void set_thread_label(const std::string& label) {
 
 TraceReport capture() {
   TraceReport report;
-  // Pool activity per thread label. Sinks outlive their threads, and a
-  // rebuilt pool labels its workers "worker-0", ... again, so every
+  // Pool blocks run and queue wait per thread label. Each dispatched block
+  // counts once, on the thread that ran it. Sinks outlive their threads,
+  // and a rebuilt pool labels its workers "worker-0", ... again, so every
   // label's sinks are summed into one row; the map keeps label order.
   std::map<std::string, PoolThreadSample> pool_threads;
   Registry& r = registry();
@@ -226,21 +209,18 @@ TraceReport capture() {
     for (int i = 0; i < kPhaseCount; ++i) {
       sink->phases[i].merge_into(report.phases[i]);
     }
-    for (int i = 0; i < kHistCount; ++i) {
-      sink->hists[i].merge_into(report.hists[i]);
-    }
-    const long long tasks =
-        sink->counters[static_cast<int>(Counter::kPoolTasks)].load(
+    const long long blocks =
+        sink->counters[static_cast<int>(Counter::kPoolBlocks)].load(
             std::memory_order_relaxed);
     const long long wait_ns =
         sink->counters[static_cast<int>(Counter::kPoolQueueWaitNs)].load(
             std::memory_order_relaxed);
     {
       const MutexLock sink_lock(sink->mutex);
-      if (tasks > 0 || wait_ns > 0) {
+      if (blocks > 0 || wait_ns > 0) {
         PoolThreadSample& row = pool_threads[sink->label];
         row.thread = sink->label;
-        row.tasks += tasks;
+        row.tasks += blocks;
         row.queue_wait_ns += wait_ns;
       }
       report.anneal.insert(report.anneal.end(), sink->events.begin(),
@@ -264,7 +244,6 @@ void reset() {
   for (const std::shared_ptr<ThreadSink>& sink : r.sinks) {
     for (auto& c : sink->counters) c.store(0, std::memory_order_relaxed);
     for (HistSink& p : sink->phases) p.clear();
-    for (HistSink& h : sink->hists) h.clear();
     const MutexLock sink_lock(sink->mutex);
     sink->events.clear();
   }

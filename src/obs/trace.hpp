@@ -31,6 +31,7 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -40,13 +41,10 @@ namespace ficon::obs {
 /// stable identifiers used in the JSONL export — extend at the end of a
 /// section rather than reordering.
 enum class Counter : int {
-  // Annealer.
+  // Annealer. Its temperatures and moves are the `AnnealEvent` records;
+  // a run cancelled before its first temperature leaves none, so the run
+  // count is not a sum of them.
   kAnnealRuns = 0,
-  kAnnealTemperatures,
-  kAnnealMovesProposed,
-  kAnnealMovesAccepted,
-  kAnnealUphillAccepted,
-  kAnnealStallTemperatures,
   // Incremental-pipeline caches.
   kScoreMemoHits,
   kScoreMemoMisses,
@@ -75,7 +73,6 @@ enum class Counter : int {
   kPoolJobs,
   kPoolBlocks,
   kPoolInlineBlocks,
-  kPoolTasks,
   kPoolQueueWaitNs,
   kCount,
 };
@@ -100,25 +97,10 @@ inline constexpr int kPhaseCount = static_cast<int>(Phase::kCount);
 
 const char* phase_name(Phase p);
 
-/// Log-bucketed distributions that are not phases. The accept-ratio
-/// histogram samples each annealing temperature's accepted/proposed
-/// ratio in parts per million. Same registry discipline as counters:
-/// names live in `obs/schema.hpp::kHistNames`, pinned by a static_assert
-/// in `obs/trace.cpp`.
-enum class Hist : int {
-  kAcceptRatioPpm = 0,  ///< Per-temperature accepted/proposed, in ppm.
-  kCount,
-};
-
-inline constexpr int kHistCount = static_cast<int>(Hist::kCount);
-
 /// Power-of-two buckets: index 0 holds values <= 0, index b >= 1 holds
 /// [2^(b-1), 2^b). 64 buckets cover the full non-negative long long
-/// range, so nanosecond latencies and ppm ratios share one shape.
+/// range.
 inline constexpr int kHistBuckets = 64;
-
-/// Stable snake_case identifier for the JSONL export.
-const char* hist_name(Hist h);
 
 /// Bucket index for a sample (pure; shared by recorder and tests).
 inline int hist_bucket(long long v) {
@@ -132,13 +114,25 @@ inline int hist_bucket(long long v) {
   return b < kHistBuckets ? b : kHistBuckets - 1;
 }
 
+/// Inclusive lower edge of bucket `b`.
+inline constexpr long long hist_bucket_lo(int b) {
+  return b == 0 ? 0 : 1LL << (b - 1);
+}
+
+/// Exclusive upper edge of bucket `b`. The top bucket holds every sample
+/// from 2^62 up, so its edge is LLONG_MAX.
+inline constexpr long long hist_bucket_hi(int b) {
+  if (b == 0) return 1;
+  if (b >= kHistBuckets - 1) return std::numeric_limits<long long>::max();
+  return 1LL << b;
+}
+
 namespace detail {
 
 extern std::atomic<bool> g_enabled;
 
 void count_slow(Counter c, long long n);
 void record_phase_slow(Phase p, long long ns);
-void record_hist_slow(Hist h, long long v);
 
 }  // namespace detail
 
@@ -158,13 +152,6 @@ std::string trace_output_path();
 /// one branch) when tracing is disabled.
 inline void count(Counter c, long long n = 1) {
   if (trace_enabled()) detail::count_slow(c, n);
-}
-
-/// Record one sample into histogram `h` on the calling thread's sink.
-/// Same cost discipline as `count()`: one relaxed load plus a branch
-/// when tracing is off.
-inline void record_hist(Hist h, long long v) {
-  if (trace_enabled()) detail::record_hist_slow(h, v);
 }
 
 /// RAII span timer for a facade phase: one sample, the span's
@@ -233,7 +220,7 @@ void set_thread_label(const std::string& label);
 /// that carried it (a rebuilt pool reuses "worker-0", ...).
 struct PoolThreadSample {
   std::string thread;
-  long long tasks = 0;
+  long long tasks = 0;  ///< The label's `pool_blocks`: blocks it ran.
   long long queue_wait_ns = 0;
 };
 
@@ -243,10 +230,6 @@ struct HistSnapshot {
   long long count = 0;  ///< Total samples (== sum of bucket counts).
   long long sum = 0;    ///< Sum of raw sample values.
 
-  double mean() const {
-    return count > 0 ? static_cast<double>(sum) / static_cast<double>(count)
-                     : 0.0;
-  }
   /// Upper edge of the bucket where the cumulative count first reaches
   /// `fraction` of the total (a conservative quantile estimate).
   long long quantile_upper_bound(double fraction) const;
@@ -256,7 +239,6 @@ struct HistSnapshot {
 struct TraceReport {
   std::array<long long, kCounterCount> counters{};
   std::array<HistSnapshot, kPhaseCount> phases{};  ///< Per-call latency, ns.
-  std::array<HistSnapshot, kHistCount> hists{};
   std::vector<PoolThreadSample> pool_threads;  ///< One per label, sorted.
   std::vector<AnnealEvent> anneal;  ///< Sorted by (run, step).
 
@@ -270,9 +252,6 @@ struct TraceReport {
     return static_cast<double>(phase(p).sum) * 1e-9;
   }
   long long phase_call_count(Phase p) const { return phase(p).count; }
-  const HistSnapshot& hist(Hist h) const {
-    return hists[static_cast<int>(h)];
-  }
 };
 
 /// Merge every registered sink into one report. Safe to call while other

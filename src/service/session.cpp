@@ -229,8 +229,20 @@ EngineSession::EngineSession(Netlist netlist, SessionOptions options)
   const int workers =
       options_.workers >= 1 ? options_.workers : ThreadPool::env_threads();
   executors_.reserve(static_cast<std::size_t>(workers));
-  for (int i = 0; i < workers; ++i) {
-    executors_.emplace_back([this, i] { worker_loop(i); });
+  try {
+    for (int i = 0; i < workers; ++i) {
+      executors_.emplace_back([this, i] { worker_loop(i); });
+    }
+  } catch (...) {
+    // A thread failed to start. The started executors wait for work or
+    // stopping_, and executors_' destructor joins them as the exception
+    // leaves, so set the flag first or that join never returns.
+    {
+      const MutexLock lock(mu_);
+      stopping_ = true;
+    }
+    queue_cv_.notify_all();
+    throw;
   }
 }
 

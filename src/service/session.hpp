@@ -169,6 +169,8 @@ class EngineSession {
   /// on completion and must not be passed to wait().
   using Callback = std::function<void(Ticket, const Reply&)>;
 
+  /// Starts the executors. When one cannot start, the started ones stop
+  /// and the constructor rethrows (std::system_error from std::jthread).
   explicit EngineSession(Netlist netlist, SessionOptions options = {});
 
   /// Cancels outstanding requests (queued shards finish as cancelled,

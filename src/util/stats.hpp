@@ -43,17 +43,6 @@ class RunningStats {
   double max_ = 0.0;
 };
 
-inline double mean_of(std::span<const double> v) {
-  if (v.empty()) return 0.0;
-  return std::accumulate(v.begin(), v.end(), 0.0) /
-         static_cast<double>(v.size());
-}
-
-inline double min_of(std::span<const double> v) {
-  FICON_REQUIRE(!v.empty(), "min_of over empty span");
-  return *std::min_element(v.begin(), v.end());
-}
-
 inline double max_of(std::span<const double> v) {
   FICON_REQUIRE(!v.empty(), "max_of over empty span");
   return *std::max_element(v.begin(), v.end());
@@ -78,8 +67,9 @@ inline double top_fraction_mean(std::vector<double> values, double fraction) {
 inline double pearson(std::span<const double> a, std::span<const double> b) {
   FICON_REQUIRE(a.size() == b.size(), "series length mismatch");
   if (a.size() < 2) return 0.0;
-  const double ma = mean_of(a);
-  const double mb = mean_of(b);
+  const double n = static_cast<double>(a.size());
+  const double ma = std::accumulate(a.begin(), a.end(), 0.0) / n;
+  const double mb = std::accumulate(b.begin(), b.end(), 0.0) / n;
   double num = 0.0, da = 0.0, db = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i) {
     num += (a[i] - ma) * (b[i] - mb);

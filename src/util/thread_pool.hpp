@@ -104,7 +104,6 @@ class ThreadPool {
     }
 
     obs::count(obs::Counter::kPoolJobs);
-    obs::count(obs::Counter::kPoolBlocks, blocks);
     Job job;
     job.fn = &fn;
     job.blocks = blocks;
@@ -220,7 +219,9 @@ class ThreadPool {
     while (true) {
       const int b = job.next.fetch_add(1, std::memory_order_relaxed);
       if (b >= job.blocks) return;
-      obs::count(obs::Counter::kPoolTasks);
+      // Each block counts once, on the thread that runs it, so the
+      // per-thread rows of a trace sum to the total.
+      obs::count(obs::Counter::kPoolBlocks);
       try {
         (*job.fn)(b);
       } catch (...) {

@@ -4,12 +4,14 @@
 // `run_oneshot` results — the whole point of the service layer.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -292,6 +294,95 @@ TEST(FicondTest, SocketAnswersBadRequestsWithErrors) {
   EXPECT_NE(replies[2].error.find("seed"), std::string::npos)
       << replies[2].error;
   EXPECT_EQ(replies[3].status, "ok");
+}
+
+/// Reaps `pid` if it exits within `seconds`; false while it still runs.
+bool wait_for_exit(pid_t pid, double seconds, int* status) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::duration<double>(seconds);
+  while (std::chrono::steady_clock::now() < deadline) {
+    if (::waitpid(pid, status, WNOHANG) == pid) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return false;
+}
+
+TEST(FicondTest, ShutdownEndsEveryConnection) {
+  // "shutdown" exits without draining: neither an idle connection nor
+  // one waiting on a long anneal keeps the daemon up, and the anneal is
+  // answered "cancelled". Past the deadline the test closes its clients,
+  // so that a daemon that waits for them fails the test instead of
+  // hanging it.
+  const std::string path = socket_path();
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    const int null = ::open("/dev/null", O_WRONLY);
+    ::dup2(null, STDOUT_FILENO);
+    ::dup2(null, STDERR_FILENO);
+    ::execl(FICOND_BINARY, FICOND_BINARY, "--circuit", "ami33", "--socket",
+            path.c_str(), "--workers", "1", static_cast<char*>(nullptr));
+    ::_exit(127);
+  }
+  // Whatever fails below, the clients close and the daemon is reaped.
+  struct Cleanup {
+    pid_t pid;
+    std::vector<int> clients;
+    bool reaped = false;
+    void close_clients() {
+      for (int& fd : clients) {
+        if (fd >= 0) ::close(fd);
+        fd = -1;
+      }
+    }
+    ~Cleanup() {
+      close_clients();
+      if (!reaped) {
+        ::kill(pid, SIGKILL);
+        ::waitpid(pid, nullptr, 0);
+      }
+    }
+  } cleanup{pid, {}};
+  for (int i = 0; i < 3; ++i) {
+    cleanup.clients.push_back(connect_with_retry(path));
+    ASSERT_GE(cleanup.clients.back(), 0) << "could not connect to " << path;
+  }
+  const int idle = cleanup.clients[0];
+  const int waiting = cleanup.clients[1];
+  const int control = cleanup.clients[2];
+
+  // A ping answered on each connection means the daemon serves it. On the
+  // waiting one the anneal goes first, so it was submitted by then.
+  ASSERT_TRUE(service::write_frame_fd(
+      idle, service::encode_control(1, ProtocolOp::kPing)));
+  EXPECT_EQ(read_reply(idle).status, "ok");
+  Request anneal = anneal_request(1, 1);
+  anneal.effort = 50.0;
+  ASSERT_TRUE(
+      service::write_frame_fd(waiting, service::encode_request(2, anneal)));
+  ASSERT_TRUE(service::write_frame_fd(
+      waiting, service::encode_control(3, ProtocolOp::kPing)));
+  const DecodedReply ping = read_reply(waiting);
+  EXPECT_EQ(ping.id, 3);
+  EXPECT_EQ(ping.status, "ok");
+  ASSERT_TRUE(service::write_frame_fd(
+      control, service::encode_control(4, ProtocolOp::kShutdown)));
+  EXPECT_EQ(read_reply(control).status, "ok");
+
+  int status = 0;
+  if (!wait_for_exit(pid, 5.0, &status)) {
+    cleanup.close_clients();
+    cleanup.reaped = wait_for_exit(pid, 5.0, &status);
+    FAIL() << "the daemon still ran 5 s after shutdown";
+  }
+  cleanup.reaped = true;
+  EXPECT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  const DecodedReply cancelled = read_reply(waiting);
+  EXPECT_EQ(cancelled.id, 2);
+  EXPECT_EQ(cancelled.status, "cancelled");
+  std::string tail;
+  EXPECT_EQ(service::read_frame_fd(idle, &tail), FrameStatus::kEof);
 }
 
 TEST(FicondTest, UsageErrorsExitWithCodeTwo) {

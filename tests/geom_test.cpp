@@ -1,7 +1,6 @@
 // Geometry primitive tests.
 #include <gtest/gtest.h>
 
-#include "geom/interval.hpp"
 #include "geom/point.hpp"
 #include "geom/rect.hpp"
 
@@ -88,18 +87,6 @@ TEST(GridRect, CountsAndContainment) {
   EXPECT_FALSE(r.contains(6, 3));
   EXPECT_FALSE(r.contains(3, 4));
   EXPECT_FALSE((GridRect{3, 0, 2, 0}).valid());
-}
-
-TEST(Interval, Basics) {
-  const Interval iv = Interval::spanning(7.0, 3.0);
-  EXPECT_EQ(iv, (Interval{3.0, 7.0}));
-  EXPECT_DOUBLE_EQ(iv.length(), 4.0);
-  EXPECT_TRUE(iv.contains(3.0));
-  EXPECT_TRUE(iv.contains(7.0));
-  EXPECT_FALSE(iv.contains(7.5));
-  EXPECT_TRUE(iv.overlaps(Interval{7.0, 9.0}));
-  EXPECT_FALSE(iv.overlaps(Interval{7.5, 9.0}));
-  EXPECT_EQ(iv.intersection(Interval{5.0, 9.0}), (Interval{5.0, 7.0}));
 }
 
 }  // namespace

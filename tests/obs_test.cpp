@@ -1,6 +1,6 @@
 // Observability layer: the telemetry must be a pure observer (enabling it
-// never changes results, at any thread count), its counters and
-// histograms must agree with each other, and the JSONL export must
+// never changes results, at any thread count), each fact must have one
+// record that agrees with the run it observed, and the JSONL export must
 // round-trip through the validator.
 #include <gtest/gtest.h>
 
@@ -10,8 +10,6 @@
 #include <sstream>
 #include <string>
 #include <thread>
-#include <utility>
-#include <vector>
 
 #include "ficon.hpp"
 
@@ -87,16 +85,12 @@ TEST_F(ObsTest, DisabledTracingRecordsNothing) {
     EXPECT_EQ(report.phases[static_cast<std::size_t>(p)].count, 0)
         << obs::phase_name(static_cast<obs::Phase>(p));
   }
-  for (int h = 0; h < obs::kHistCount; ++h) {
-    EXPECT_EQ(report.hists[static_cast<std::size_t>(h)].count, 0)
-        << obs::hist_name(static_cast<obs::Hist>(h));
-  }
 }
 
 TEST_F(ObsTest, HistBucketIndexIsLogBaseTwo) {
   // Bucket 0 holds v <= 0 plus nothing else; bucket b >= 1 holds
-  // [2^(b-1), 2^b). The JSONL bounds in report.cpp depend on exactly this
-  // placement.
+  // [2^(b-1), 2^b). The bucket edges, hist_bucket_lo and hist_bucket_hi,
+  // depend on exactly this placement.
   EXPECT_EQ(obs::hist_bucket(-5), 0);
   EXPECT_EQ(obs::hist_bucket(0), 0);
   EXPECT_EQ(obs::hist_bucket(1), 1);
@@ -109,6 +103,24 @@ TEST_F(ObsTest, HistBucketIndexIsLogBaseTwo) {
   EXPECT_EQ(obs::hist_bucket((1LL << 62) + 1), obs::kHistBuckets - 1);
 }
 
+TEST_F(ObsTest, QuantileBoundCoversTheTopBucket) {
+  // The top bucket holds every sample from 2^62 up; its quantile bound is
+  // the edge the JSONL writes for it, not 2^62, which is below them.
+  const long long sample = (1LL << 62) + 1;
+  obs::HistSnapshot h;
+  h.buckets[static_cast<std::size_t>(obs::hist_bucket(sample))] = 1;
+  h.count = 1;
+  h.sum = sample;
+  EXPECT_GE(h.quantile_upper_bound(1.0), sample);
+  EXPECT_EQ(h.quantile_upper_bound(1.0),
+            obs::hist_bucket_hi(obs::kHistBuckets - 1));
+  // Below the top, a bucket's bound is its upper edge, 2^b.
+  h.buckets = {};
+  h.buckets[static_cast<std::size_t>(obs::hist_bucket(1000))] = 1;
+  EXPECT_EQ(h.quantile_upper_bound(0.5), 1024);
+  EXPECT_EQ(obs::hist_bucket_lo(obs::hist_bucket(1000)), 512);
+}
+
 TEST_F(ObsTest, LatencyHistogramsTrackPhaseCallCounts) {
   // A phase is its latency histogram: one sample per ScopedPhase, so its
   // bucket counts sum to its calls and its sum is its total time.
@@ -117,46 +129,51 @@ TEST_F(ObsTest, LatencyHistogramsTrackPhaseCallCounts) {
   (void)Floorplanner(netlist, small_run_options()).run();
   const obs::TraceReport report = obs::capture();
 
-  // One accept-ratio sample per temperature with at least one proposal.
-  long long proposing_temps = 0;
-  for (const obs::AnnealEvent& e : report.anneal) {
-    if (e.proposed > 0) ++proposing_temps;
-  }
-  EXPECT_EQ(report.hist(obs::Hist::kAcceptRatioPpm).count, proposing_temps);
-
-  std::vector<std::pair<std::string, const obs::HistSnapshot*>> snapshots;
   for (int p = 0; p < obs::kPhaseCount; ++p) {
     const obs::Phase phase = static_cast<obs::Phase>(p);
-    snapshots.emplace_back(obs::phase_name(phase), &report.phase(phase));
-    EXPECT_EQ(report.phase_call_count(phase), report.phase(phase).count);
+    const obs::HistSnapshot& snap = report.phase(phase);
+    EXPECT_EQ(report.phase_call_count(phase), snap.count);
     EXPECT_EQ(report.phase_seconds(phase),
-              static_cast<double>(report.phase(phase).sum) * 1e-9);
-  }
-  for (int h = 0; h < obs::kHistCount; ++h) {
-    const obs::Hist hist = static_cast<obs::Hist>(h);
-    snapshots.emplace_back(obs::hist_name(hist), &report.hist(hist));
-  }
-  for (const auto& [name, snap] : snapshots) {
+              static_cast<double>(snap.sum) * 1e-9);
     long long total = 0;
-    for (const long long b : snap->buckets) total += b;
-    EXPECT_EQ(total, snap->count) << name;
-    EXPECT_GT(snap->count, 0) << name;
-    EXPECT_GE(snap->mean(), 0.0) << name;
-    EXPECT_LE(snap->quantile_upper_bound(0.5),
-              snap->quantile_upper_bound(0.99))
-        << name;
+    for (const long long b : snap.buckets) total += b;
+    EXPECT_EQ(total, snap.count) << obs::phase_name(phase);
+    EXPECT_GT(snap.count, 0) << obs::phase_name(phase);
+    EXPECT_LE(snap.quantile_upper_bound(0.5), snap.quantile_upper_bound(0.99))
+        << obs::phase_name(phase);
   }
 }
 
-TEST_F(ObsTest, AnnealEventsAreConsistentWithCounterTotals) {
+/// The value cell of the summary row whose first cell is `label`.
+std::string summary_value(const std::string& summary,
+                          const std::string& label) {
+  std::istringstream lines(summary);
+  std::string line;
+  const std::string prefix = "| " + label + " ";
+  while (std::getline(lines, line)) {
+    if (line.rfind(prefix, 0) != 0) continue;
+    const std::size_t bar = line.find(" | ", prefix.size() - 1);
+    if (bar == std::string::npos) return "";
+    std::string cell = line.substr(bar + 3);
+    cell.erase(cell.find_last_not_of(" |") + 1);
+    return cell;
+  }
+  return "";
+}
+
+TEST_F(ObsTest, AnnealRecordsAgreeWithTheRunAndTheSummary) {
+  // The temperature records are the annealer's one record: they must
+  // add up to the run's own AnnealStats, and the summary prints their
+  // totals.
   obs::set_trace_enabled(true);
   const Netlist netlist = make_mcnc("apte");
-  (void)Floorplanner(netlist, small_run_options()).run();
+  const FloorplanSolution sol =
+      Floorplanner(netlist, small_run_options()).run();
   const obs::TraceReport report = obs::capture();
 
   EXPECT_EQ(report.counter(obs::Counter::kAnnealRuns), 1);
-  EXPECT_EQ(report.counter(obs::Counter::kAnnealTemperatures),
-            static_cast<long long>(report.anneal.size()));
+  EXPECT_EQ(static_cast<long long>(report.anneal.size()),
+            sol.stats.temperature_steps);
   long long proposed = 0;
   long long accepted = 0;
   for (const obs::AnnealEvent& e : report.anneal) {
@@ -171,9 +188,23 @@ TEST_F(ObsTest, AnnealEventsAreConsistentWithCounterTotals) {
     EXPECT_LE(e.accepted, e.proposed);
     EXPECT_LE(e.uphill_accepted, e.accepted);
   }
-  EXPECT_EQ(report.counter(obs::Counter::kAnnealMovesProposed), proposed);
-  EXPECT_EQ(report.counter(obs::Counter::kAnnealMovesAccepted), accepted);
+  EXPECT_EQ(proposed, sol.stats.moves_proposed);
+  EXPECT_EQ(accepted, sol.stats.moves_accepted);
   EXPECT_GT(proposed, 0);
+
+  std::ostringstream out;
+  obs::write_summary(out, report);
+  const std::string summary = out.str();
+  EXPECT_EQ(summary_value(summary, "runs"), "1") << summary;
+  EXPECT_EQ(summary_value(summary, "temperatures"),
+            std::to_string(sol.stats.temperature_steps))
+      << summary;
+  EXPECT_EQ(summary_value(summary, "moves proposed"),
+            std::to_string(sol.stats.moves_proposed))
+      << summary;
+  EXPECT_EQ(summary_value(summary, "moves accepted"),
+            std::to_string(sol.stats.moves_accepted))
+      << summary;
 
   // The phases the facade wraps all ran.
   EXPECT_GT(report.phase_call_count(obs::Phase::kPack), 0);
@@ -185,8 +216,9 @@ TEST_F(ObsTest, AnnealEventsAreConsistentWithCounterTotals) {
 TEST_F(ObsTest, PoolRowsAreOnePerThreadLabelAcrossPoolRebuilds) {
   // Sinks outlive their threads, and every rebuilt pool labels its
   // workers "worker-0", ... again. The capture must still hold one row
-  // per label, and the rows must account for every pool task. Blocks
-  // sleep so that the workers, not only the caller, claim some.
+  // per label, and the rows must sum to pool_blocks, which counts each
+  // block once. Blocks sleep so that the workers, not only the caller,
+  // claim some.
   obs::set_trace_enabled(true);
   for (int rebuild = 0; rebuild < 3; ++rebuild) {
     ThreadPool::set_global_threads(3);
@@ -203,7 +235,7 @@ TEST_F(ObsTest, PoolRowsAreOnePerThreadLabelAcrossPoolRebuilds) {
     EXPECT_TRUE(labels.insert(t.thread).second) << "repeated row " << t.thread;
     tasks += t.tasks;
   }
-  EXPECT_EQ(tasks, report.counter(obs::Counter::kPoolTasks));
+  EXPECT_EQ(tasks, report.counter(obs::Counter::kPoolBlocks));
   EXPECT_EQ(tasks, 3 * 4 * 32);
 }
 
@@ -247,10 +279,17 @@ TEST_F(ObsTest, JsonlExportRoundTripsThroughValidator) {
   EXPECT_NE(text.find("\"type\":\"anneal_temperature\""), std::string::npos);
   EXPECT_NE(text.find("\"type\":\"thread_pool\""), std::string::npos);
   EXPECT_NE(text.find("\"type\":\"solution\""), std::string::npos);
-  EXPECT_NE(text.find("\"type\":\"hist\""), std::string::npos);
-  // Counters are the one record of cache and annealer totals.
-  EXPECT_EQ(text.find("\"type\":\"cache\""), std::string::npos);
-  EXPECT_EQ(text.find("\"type\":\"anneal_summary\""), std::string::npos);
+  // Each fact has one record: no record or counter restates another.
+  for (const char* restated :
+       {"\"type\":\"hist\"", "\"type\":\"cache\"",
+        "\"type\":\"anneal_summary\"", "\"name\":\"anneal_temperatures\"",
+        "\"name\":\"anneal_moves_proposed\"",
+        "\"name\":\"anneal_moves_accepted\"",
+        "\"name\":\"anneal_uphill_accepted\"",
+        "\"name\":\"anneal_stall_temperatures\"",
+        "\"name\":\"pool_tasks\"", "accept_ratio_ppm"}) {
+    EXPECT_EQ(text.find(restated), std::string::npos) << restated;
+  }
   // Every phase record carries its latency buckets.
   std::istringstream lines(text);
   std::string line;
@@ -268,14 +307,12 @@ TEST_F(ObsTest, JsonlExportRoundTripsThroughValidator) {
   EXPECT_NE(summary.str().find("annealer"), std::string::npos);
   EXPECT_NE(summary.str().find("cache"), std::string::npos);
   EXPECT_NE(summary.str().find("strategy"), std::string::npos);
-  EXPECT_NE(summary.str().find("histogram"), std::string::npos);
   EXPECT_NE(summary.str().find("~p99 ns"), std::string::npos);
 }
 
 TEST_F(ObsTest, ResetZeroesEverything) {
   obs::set_trace_enabled(true);
   obs::count(obs::Counter::kIrEvaluations, 5);
-  obs::record_hist(obs::Hist::kAcceptRatioPpm, 1234);
   { const obs::ScopedPhase phase(obs::Phase::kPack); }
   obs::AnnealEvent event;
   event.run = obs::next_anneal_run();
@@ -284,8 +321,6 @@ TEST_F(ObsTest, ResetZeroesEverything) {
   const obs::TraceReport report = obs::capture();
   EXPECT_EQ(report.counter(obs::Counter::kIrEvaluations), 0);
   EXPECT_TRUE(report.anneal.empty());
-  EXPECT_EQ(report.hist(obs::Hist::kAcceptRatioPpm).count, 0);
-  EXPECT_EQ(report.hist(obs::Hist::kAcceptRatioPpm).sum, 0);
   EXPECT_EQ(report.phase(obs::Phase::kPack).count, 0);
   EXPECT_EQ(report.phase(obs::Phase::kPack).sum, 0);
   for (const long long b : report.phase(obs::Phase::kPack).buckets) {

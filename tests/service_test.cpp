@@ -10,13 +10,20 @@
 //   * the protocol codec round-trips requests and replies bit-exactly.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
+#include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "circuit/mcnc.hpp"
@@ -378,6 +385,59 @@ TEST(ServiceSession, DestructorCancelsOutstandingWork) {
     // ~EngineSession drains: the queued anneal completes as cancelled.
   }
   EXPECT_EQ(callbacks.load(), 2);
+}
+
+// ASan and TSan reserve terabytes of address space, so no address-space
+// limit leaves room for them.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitizerReservesAddressSpace = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kSanitizerReservesAddressSpace = true;
+#else
+constexpr bool kSanitizerReservesAddressSpace = false;
+#endif
+#else
+constexpr bool kSanitizerReservesAddressSpace = false;
+#endif
+
+/// Bytes of address space this process maps (0 where /proc is absent).
+rlim_t mapped_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  rlim_t pages = 0;
+  statm >> pages;
+  return pages * static_cast<rlim_t>(::sysconf(_SC_PAGESIZE));
+}
+
+TEST(ServiceSessionDeathTest, ExecutorsThatCannotStartThrowInsteadOfHanging) {
+  // Under an address-space limit 40 MiB above the child's own use, only a
+  // few 8 MiB thread stacks fit, so a 64-worker session starts a handful
+  // of executors and then fails to start one. The constructor must stop
+  // the started ones before its exception joins them, and throw. The
+  // alarm turns a hang into a failure.
+  if (kSanitizerReservesAddressSpace) {
+    GTEST_SKIP() << "the sanitizer's shadow memory exceeds any limit";
+  }
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        ::alarm(10);
+        Netlist netlist = make_mcnc("apte");
+        rlimit limit{};
+        const rlim_t mapped = mapped_bytes();
+        if (mapped == 0 || ::getrlimit(RLIMIT_AS, &limit) != 0) std::_Exit(4);
+        limit.rlim_cur = mapped + (rlim_t{40} << 20);
+        if (::setrlimit(RLIMIT_AS, &limit) != 0) std::_Exit(4);
+        try {
+          SessionOptions options;
+          options.workers = 64;
+          const EngineSession session(std::move(netlist), options);
+        } catch (const std::system_error&) {
+          std::_Exit(3);
+        }
+        std::_Exit(5);
+      },
+      ::testing::ExitedWithCode(3), "");
 }
 
 TEST(ServiceProtocol, RequestCodecRoundTrips) {

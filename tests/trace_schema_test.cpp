@@ -74,14 +74,12 @@ TEST(JsonParser, RejectsMalformedInput) {
 
 TEST(TraceSchema, AcceptsEveryDocumentedRecordType) {
   const char* lines[] = {
-      R"({"type":"meta","version":3,"tool":"t"})",
+      R"({"type":"meta","version":4,"tool":"t"})",
       R"({"type":"counter","name":"anneal_runs","value":1})",
       R"({"type":"phase","name":"pack","calls":3,"seconds":0.5,"buckets":[{"lo":1,"hi":2,"count":1},{"lo":2,"hi":4,"count":2}]})",
       R"({"type":"phase","name":"congestion","calls":0,"seconds":0,"buckets":[]})",
       R"({"type":"thread_pool","thread":"worker-0","tasks":4,"queue_wait_seconds":0.001})",
       R"({"type":"solution","area":1.0,"wirelength":2.0,"congestion":0.5,"cost":3.5,"seconds":0.1})",
-      R"({"type":"hist","name":"accept_ratio_ppm","count":3,"sum":9,"buckets":[{"lo":1,"hi":2,"count":1},{"lo":2,"hi":4,"count":2}]})",
-      R"({"type":"hist","name":"accept_ratio_ppm","count":0,"sum":0,"buckets":[]})",
   };
   for (const char* line : lines) {
     std::string error;
@@ -90,47 +88,33 @@ TEST(TraceSchema, AcceptsEveryDocumentedRecordType) {
   }
 }
 
-TEST(TraceSchema, HistAndPhaseRecordsAreCheckedForBucketConsistency) {
+TEST(TraceSchema, PhaseRecordsAreCheckedForBucketConsistency) {
   // Bucket lists must be well-formed: numeric lo/hi/count per bucket,
   // lo < hi, strictly increasing lo, non-negative counts summing to the
-  // declared "count" (a hist) or "calls" (a phase). A sparse export is
-  // how a corrupted merge would slip by — lint it hard.
+  // declared "calls". A sparse export is how a corrupted merge would
+  // slip by — lint it hard.
   const char* bad[] = {
-      // Unregistered histogram name, and a retired phase mirror.
-      R"({"type":"hist","name":"vibes_ns","count":0,"sum":0,"buckets":[]})",
-      R"({"type":"hist","name":"repack_latency_ns","count":0,"sum":0,"buckets":[]})",
-      // Bucket is not an object.
-      R"({"type":"hist","name":"accept_ratio_ppm","count":1,"sum":1,"buckets":[7]})",
-      // Bucket missing "count".
-      R"({"type":"hist","name":"accept_ratio_ppm","count":1,"sum":1,"buckets":[{"lo":1,"hi":2}]})",
-      // lo >= hi.
-      R"({"type":"hist","name":"accept_ratio_ppm","count":1,"sum":1,"buckets":[{"lo":4,"hi":2,"count":1}]})",
-      // Non-monotone lo sequence.
-      R"({"type":"hist","name":"accept_ratio_ppm","count":2,"sum":6,"buckets":[{"lo":4,"hi":8,"count":1},{"lo":2,"hi":4,"count":1}]})",
-      // Negative bucket count.
-      R"({"type":"hist","name":"accept_ratio_ppm","count":1,"sum":1,"buckets":[{"lo":1,"hi":2,"count":-1}]})",
-      // Bucket counts do not sum to the declared total.
-      R"({"type":"hist","name":"accept_ratio_ppm","count":5,"sum":9,"buckets":[{"lo":1,"hi":2,"count":1},{"lo":2,"hi":4,"count":2}]})",
-      // A phase without buckets, or whose buckets do not sum to "calls".
+      // A phase without buckets.
       R"({"type":"phase","name":"pack","calls":3,"seconds":0.5})",
-      R"({"type":"phase","name":"pack","calls":4,"seconds":0.5,"buckets":[{"lo":1,"hi":2,"count":1},{"lo":2,"hi":4,"count":2}]})",
+      // Bucket is not an object.
+      R"({"type":"phase","name":"pack","calls":1,"seconds":0.5,"buckets":[7]})",
+      // Bucket missing "count".
+      R"({"type":"phase","name":"pack","calls":1,"seconds":0.5,"buckets":[{"lo":1,"hi":2}]})",
+      // lo >= hi.
+      R"({"type":"phase","name":"pack","calls":1,"seconds":0.5,"buckets":[{"lo":4,"hi":2,"count":1}]})",
       R"({"type":"phase","name":"pack","calls":1,"seconds":0.5,"buckets":[{"lo":2,"hi":1,"count":1}]})",
+      // Non-monotone lo sequence.
+      R"({"type":"phase","name":"pack","calls":2,"seconds":0.5,"buckets":[{"lo":4,"hi":8,"count":1},{"lo":2,"hi":4,"count":1}]})",
+      // Negative bucket count.
+      R"({"type":"phase","name":"pack","calls":1,"seconds":0.5,"buckets":[{"lo":1,"hi":2,"count":-1}]})",
+      // Bucket counts do not sum to "calls".
+      R"({"type":"phase","name":"pack","calls":4,"seconds":0.5,"buckets":[{"lo":1,"hi":2,"count":1},{"lo":2,"hi":4,"count":2}]})",
+      R"({"type":"phase","name":"pack","calls":5,"seconds":0.5,"buckets":[{"lo":1,"hi":2,"count":1},{"lo":2,"hi":4,"count":2}]})",
   };
   for (const char* line : bad) {
     std::string error;
     EXPECT_FALSE(obs::validate_trace_line(line, &error)) << line;
     EXPECT_FALSE(error.empty()) << line;
-  }
-}
-
-TEST(TraceSchema, EveryHistNameIsRegistered) {
-  for (int i = 0; i < obs::kHistCount; ++i) {
-    const std::string line =
-        std::string(R"({"type":"hist","name":")") +
-        obs::hist_name(static_cast<obs::Hist>(i)) +
-        R"(","count":0,"sum":0,"buckets":[]})";
-    std::string error;
-    EXPECT_TRUE(obs::validate_trace_line(line, &error)) << error;
   }
 }
 
@@ -153,15 +137,28 @@ TEST(TraceSchema, RejectsBadRecords) {
     EXPECT_FALSE(obs::validate_trace_line(line, &error)) << line;
     EXPECT_FALSE(error.empty()) << line;
   }
+  // Schema v4 has no "hist" record: the accept-ratio histogram restated
+  // the temperature records.
+  std::string error;
+  EXPECT_FALSE(obs::validate_trace_line(
+      R"({"type":"hist","name":"accept_ratio_ppm","count":0,"sum":0,"buckets":[]})",
+      &error));
+  EXPECT_NE(error.find("unknown record type"), std::string::npos) << error;
 }
 
 TEST(TraceSchema, RejectsNamesMissingFromRegistry) {
-  // Free-form names defeat the point of a schema: every counter, phase
-  // and histogram name must come from obs/schema.hpp.
+  // Free-form names defeat the point of a schema: every counter and phase
+  // name must come from obs/schema.hpp. The schema-v3 counters that
+  // restated other records are gone from it.
   const char* lines[] = {
       R"({"type":"counter","name":"made_up_counter","value":1})",
       R"({"type":"phase","name":"warp","calls":0,"seconds":0.5,"buckets":[]})",
-      R"({"type":"hist","name":"vibes_ns","count":0,"sum":0,"buckets":[]})",
+      R"({"type":"counter","name":"anneal_temperatures","value":1})",
+      R"({"type":"counter","name":"anneal_moves_proposed","value":1})",
+      R"({"type":"counter","name":"anneal_moves_accepted","value":1})",
+      R"({"type":"counter","name":"anneal_uphill_accepted","value":1})",
+      R"({"type":"counter","name":"anneal_stall_temperatures","value":1})",
+      R"({"type":"counter","name":"pool_tasks","value":1})",
   };
   for (const char* line : lines) {
     std::string error;
@@ -195,7 +192,7 @@ TEST(TraceSchema, StreamValidatorRequiresLeadingMeta) {
   std::string error;
 
   std::istringstream good(
-      "{\"type\":\"meta\",\"version\":3,\"tool\":\"t\"}\n"
+      "{\"type\":\"meta\",\"version\":4,\"tool\":\"t\"}\n"
       "{\"type\":\"counter\",\"name\":\"anneal_runs\",\"value\":0}\n"
       "\n");  // blank lines are fine
   EXPECT_TRUE(obs::validate_trace(good, &error)) << error;
@@ -208,14 +205,18 @@ TEST(TraceSchema, StreamValidatorRequiresLeadingMeta) {
       "{\"type\":\"meta\",\"version\":999,\"tool\":\"t\"}\n");
   EXPECT_FALSE(obs::validate_trace(wrong_version, &error));
 
-  // A version-2 trace is not read as a version-3 one.
-  std::istringstream version_two(
-      "{\"type\":\"meta\",\"version\":2,\"tool\":\"t\"}\n");
-  EXPECT_FALSE(obs::validate_trace(version_two, &error));
-  EXPECT_NE(error.find("version"), std::string::npos) << error;
+  // A version-3 trace is not read as a version-4 one, nor is a
+  // version-2 one.
+  for (const int old_version : {2, 3}) {
+    std::istringstream old(R"({"type":"meta","version":)" +
+                           std::to_string(old_version) +
+                           R"(,"tool":"t"})" + "\n");
+    EXPECT_FALSE(obs::validate_trace(old, &error)) << old_version;
+    EXPECT_NE(error.find("version"), std::string::npos) << error;
+  }
 
   std::istringstream bad_tail(
-      "{\"type\":\"meta\",\"version\":3,\"tool\":\"t\"}\n"
+      "{\"type\":\"meta\",\"version\":4,\"tool\":\"t\"}\n"
       "{\"type\":\"counter\"}\n");
   EXPECT_FALSE(obs::validate_trace(bad_tail, &error));
   EXPECT_NE(error.find("line"), std::string::npos);  // position-tagged
@@ -231,12 +232,12 @@ TEST(TraceLint, DistinguishesSchemaViolationFromParseError) {
 
   std::string error;
   std::istringstream ok(
-      "{\"type\":\"meta\",\"version\":3,\"tool\":\"t\"}\n");
+      "{\"type\":\"meta\",\"version\":4,\"tool\":\"t\"}\n");
   EXPECT_EQ(obs::lint_trace(ok, &error), obs::TraceLintResult::kOk);
 
   // Well-formed JSON, but the record violates the schema -> 1.
   std::istringstream bad_record(
-      "{\"type\":\"meta\",\"version\":3,\"tool\":\"t\"}\n"
+      "{\"type\":\"meta\",\"version\":4,\"tool\":\"t\"}\n"
       "{\"type\":\"counter\",\"name\":\"anneal_runs\"}\n");
   EXPECT_EQ(obs::lint_trace(bad_record, &error),
             obs::TraceLintResult::kSchemaViolation);

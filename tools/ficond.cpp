@@ -19,11 +19,13 @@
 //                          submits are rejected with status "rejected"
 //
 // Ops beyond evaluate/anneal: "cancel" (by request id), "ping", "stats",
-// and "shutdown" (acknowledges, then stops the daemon; outstanding
-// requests complete as cancelled). A malformed frame is unrecoverable on
-// that connection: one error reply, then the connection closes.
+// and "shutdown" (acknowledges, then stops the daemon: every connection
+// stops reading, and outstanding requests complete as cancelled). A
+// malformed frame is unrecoverable on that connection: one error reply,
+// then the connection closes.
 //
-// Exit codes: 0 clean shutdown, 2 usage error, 3 socket/circuit failure.
+// Exit codes: 0 clean shutdown, 2 usage error, 3 socket/circuit failure
+// or executor threads that cannot start.
 #include <atomic>
 #include <cerrno>
 #include <csignal>
@@ -109,6 +111,8 @@ class FdTransport : public Transport {
     const std::lock_guard<std::mutex> lock(mu_);
     return ficon::service::write_frame_fd(fd_, payload);
   }
+  /// Ends a blocked or later read with EOF; writes still go through.
+  void shutdown_reads() { ::shutdown(fd_, SHUT_RD); }
 
  private:
   int fd_;
@@ -226,6 +230,9 @@ int serve_socket(EngineSession& session, const std::string& path) {
 
   std::atomic<bool> stopping{false};
   std::vector<std::jthread> connections;
+  // The connections whose transport is alive. A transport closes its fd
+  // only when it is destroyed, so a locked one's fd is still its own.
+  std::vector<std::weak_ptr<FdTransport>> open;
   while (true) {
     const int fd = ::accept(listener, nullptr, nullptr);
     if (fd < 0) {
@@ -236,8 +243,12 @@ int serve_socket(EngineSession& session, const std::string& path) {
       ::close(fd);
       continue;
     }
-    connections.emplace_back([&session, &stopping, listener, fd] {
-      const auto transport = std::make_shared<FdTransport>(fd);
+    const auto transport = std::make_shared<FdTransport>(fd);
+    std::erase_if(open, [](const std::weak_ptr<FdTransport>& t) {
+      return t.expired();
+    });
+    open.push_back(transport);
+    connections.emplace_back([&session, &stopping, listener, transport] {
       if (serve_connection(session, transport) &&
           !stopping.exchange(true)) {
         // First shutdown request wins: closing the listener pops the
@@ -249,6 +260,14 @@ int serve_socket(EngineSession& session, const std::string& path) {
     });
   }
   stopping.store(true);
+  // Each connection thread reads until its client hangs up. End those
+  // reads so that the threads return; the "cancelled" replies that
+  // ~EngineSession sends can still be written.
+  for (const std::weak_ptr<FdTransport>& t : open) {
+    if (const std::shared_ptr<FdTransport> alive = t.lock()) {
+      alive->shutdown_reads();
+    }
+  }
   connections.clear();  // join every connection thread
   ::unlink(path.c_str());
   std::cout << "ficond: shut down\n";

@@ -5,9 +5,9 @@
 //
 // For each file: parses every line as JSON, checks the per-record schema
 // (known "type", required fields, correct field kinds, registered
-// counter/phase/hist names, phase and hist buckets that sum to their
-// "calls" or "count") and that the first record is a meta record
-// carrying the current schema version (3).
+// counter and phase names, phase buckets that sum to their "calls") and
+// that the first record is a meta record carrying the current schema
+// version (4).
 //
 // Exit codes (see obs::TraceLintResult) let CI tell a malformed trace
 // from an unreadable one:
