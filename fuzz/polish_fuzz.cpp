@@ -1,21 +1,26 @@
-// Fuzz harness for the Polish-expression layer: decodes arbitrary bytes
-// into a token vector plus a move script and checks the invariants the
-// annealer relies on:
+// Fuzz harness for the Polish-expression layer: feeds the raw bytes to the
+// text parser, then decodes them into a token vector plus a move script
+// and checks the invariants the annealer and the daemon rely on:
 //
+//   * PolishExpression::parse, which reads the daemon protocol's untrusted
+//     "expression" field, throws nothing but std::invalid_argument;
 //   * is_valid / is_normalized never crash or allocate absurdly, whatever
 //     the token values (including operands near INT_MAX);
 //   * an expression accepted by the validating constructor survives any
 //     sequence of M1/M2/M3 moves with validity and normalization intact,
-//     and module_count() never drifts.
+//     and module_count() never drifts;
+//   * parse(e.to_string()) == e for every valid expression e built here.
 //
-// Input layout: byte 0 = module count seed, byte 1..8 = RNG seed, the
-// rest alternates between raw token bytes (first half) and move selectors
-// (second half). Built as a libFuzzer target under clang
+// Input layout after the parser: byte 0 = module count seed, byte 1..8 =
+// RNG seed, the rest alternates between raw token bytes (first half) and
+// move selectors (second half). Built as a libFuzzer target under clang
 // (-fsanitize=fuzzer); under gcc the shared standalone driver
 // (standalone_main.cpp) replays files given on the command line, or runs
 // a smoke loop over random bytes when run without arguments.
 #include <cstdint>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "harness.hpp"
@@ -41,7 +46,18 @@ PolishToken decode_token(std::uint8_t b, int module_count) {
   }
 }
 
+void check_round_trip(const PolishExpression& e) {
+  fuzz_check(PolishExpression::parse(e.to_string()) == e,
+             "parse(to_string()) changed the expression");
+}
+
 void run_one(const std::uint8_t* data, std::size_t size) {
+  // Phase 0: the bytes as text through the parser.
+  try {
+    check_round_trip(PolishExpression::parse(
+        std::string(reinterpret_cast<const char*>(data), size)));
+  } catch (const std::invalid_argument&) {
+  }
   if (size < 10) return;
   const int module_count = data[0] % 24 + 1;
   std::uint64_t seed = 0;
@@ -61,6 +77,7 @@ void run_one(const std::uint8_t* data, std::size_t size) {
   if (valid && normalized) {
     const PolishExpression parsed(tokens);  // must not throw
     fuzz_check(parsed.tokens() == tokens, "constructor altered tokens");
+    check_round_trip(parsed);
   }
 
   // Phase 2: a known-good expression through a fuzz-chosen move script.
@@ -88,6 +105,7 @@ void run_one(const std::uint8_t* data, std::size_t size) {
                "move produced a non-normalized expression");
     fuzz_check(expr.module_count() == module_count,
                "move changed the module count");
+    check_round_trip(expr);
   }
 }
 
@@ -101,7 +119,12 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
 
 void fuzz_smoke_input(ficon::SplitMix64& gen, std::vector<std::uint8_t>& data) {
   data.resize(10 + gen.next() % 120);
+  // Every other input is text over the parser's alphabet, so that the
+  // smoke loop reaches its token rules and not only its first rejection.
+  static constexpr char kText[] = "0123456789 HV+-\t";
+  const bool text = gen.next() % 2 == 0;
   for (std::uint8_t& b : data) {
-    b = static_cast<std::uint8_t>(gen.next());
+    const auto r = static_cast<std::uint8_t>(gen.next());
+    b = text ? static_cast<std::uint8_t>(kText[r % (sizeof kText - 1)]) : r;
   }
 }

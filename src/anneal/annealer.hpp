@@ -34,12 +34,12 @@
 namespace ficon {
 
 struct AnnealOptions {
-  double initial_accept = 0.90;       ///< target P(accept) at T0
+  static constexpr double initial_accept = 0.90;  ///< target P(accept) at T0
   double cooling = 0.90;              ///< geometric temperature factor
   int moves_per_temperature = 100;
   double stop_temperature_ratio = 1e-4;
   int max_stall_temperatures = 8;
-  int warmup_samples = 60;            ///< random walk length for T0
+  static constexpr int warmup_samples = 60;  ///< random walk length for T0
   /// Cooperative cancellation hook (empty = never cancel). Polled at
   /// every temperature step and every 64 proposed moves; when it returns
   /// true the run stops early and returns the best state found so far
@@ -79,9 +79,6 @@ class Annealer {
         options_(options) {
     FICON_REQUIRE(options.cooling > 0.0 && options.cooling < 1.0,
                   "cooling factor must be in (0,1)");
-    FICON_REQUIRE(options.initial_accept > 0.0 &&
-                      options.initial_accept < 1.0,
-                  "initial acceptance must be in (0,1)");
     FICON_REQUIRE(options.moves_per_temperature > 0, "no moves per level");
   }
 

@@ -31,11 +31,11 @@ struct ApproxOptions {
   /// more accurate (see bench_fig8_precision); on by default.
   bool continuity_correction = true;
   /// Simpson panels per integral; even, >= 2. Fixed => O(1) per region.
-  int simpson_panels = 16;
+  static constexpr int simpson_panels = 16;
   /// Ranges with g1+g2 below this use exact Formula 3 outright — the
   /// normal approximation needs a few cells of headroom and the exact sum
   /// is trivially cheap there anyway.
-  int small_range_threshold = 8;
+  static constexpr int small_range_threshold = 8;
   /// Regions whose exit-edge length (x-span + y-span in cells) is at most
   /// this also use exact Formula 3: its cost is O(edge length), so for
   /// small regions exact is as fast as the fixed-panel Simpson evaluation
@@ -51,13 +51,8 @@ struct ApproxOptions {
   /// Explicit construction-time validation: every evaluator that consumes
   /// these options (ApproxRegionProbability, ProbKernel,
   /// IrregularGridModel) calls this and surfaces a std::invalid_argument
-  /// instead of silently misbehaving on odd Simpson panel counts or
-  /// negative thresholds.
+  /// instead of silently misbehaving on negative thresholds.
   void validate() const {
-    FICON_REQUIRE(simpson_panels >= 2 && simpson_panels % 2 == 0,
-                  "ApproxOptions: simpson_panels must be even and >= 2");
-    FICON_REQUIRE(small_range_threshold >= 0,
-                  "ApproxOptions: small_range_threshold must be >= 0");
     FICON_REQUIRE(small_region_threshold >= 0,
                   "ApproxOptions: small_region_threshold must be >= 0");
     FICON_REQUIRE(narrow_range_threshold >= 0,

@@ -72,8 +72,6 @@ std::uint64_t scoring_fingerprint(const IrregularGridParams& p) {
   h = mix(h, std::bit_cast<std::uint64_t>(p.grid_w));
   h = mix(h, std::bit_cast<std::uint64_t>(p.grid_h));
   h = mix(h, static_cast<std::uint64_t>(p.approx.continuity_correction));
-  h = mix(h, static_cast<std::uint64_t>(p.approx.simpson_panels));
-  h = mix(h, static_cast<std::uint64_t>(p.approx.small_range_threshold));
   h = mix(h, static_cast<std::uint64_t>(p.approx.small_region_threshold));
   h = mix(h, static_cast<std::uint64_t>(p.approx.narrow_range_threshold));
   return h;

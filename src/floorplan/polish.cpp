@@ -1,6 +1,8 @@
 #include "floorplan/polish.hpp"
 
 #include <algorithm>
+#include <exception>
+#include <sstream>
 
 #include "util/check.hpp"
 
@@ -179,6 +181,32 @@ std::string PolishExpression::to_string() const {
     }
   }
   return out;
+}
+
+PolishExpression PolishExpression::parse(const std::string& text) {
+  std::istringstream in(text);
+  std::vector<PolishToken> tokens;
+  std::string token;
+  while (in >> token) {
+    if (token == "H") {
+      tokens.push_back(PolishToken{PolishToken::kH});
+    } else if (token == "V") {
+      tokens.push_back(PolishToken{PolishToken::kV});
+    } else {
+      std::size_t used = 0;
+      int value = -1;
+      try {
+        value = std::stoi(token, &used);
+      } catch (const std::exception&) {
+        used = 0;
+      }
+      FICON_REQUIRE(used == token.size() && value >= 0,
+                    "bad Polish token '" + token + "'");
+      tokens.push_back(PolishToken{value});
+    }
+  }
+  // The constructor rejects invalid and non-normalized token streams.
+  return PolishExpression(std::move(tokens));
 }
 
 }  // namespace ficon

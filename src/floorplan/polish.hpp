@@ -75,7 +75,14 @@ class PolishExpression {
   /// Number of maximal operator chains (M2 candidates).
   std::size_t chain_count() const;
 
+  /// Module indices and H/V operators separated by single spaces.
   std::string to_string() const;
+
+  /// The inverse of to_string(): whitespace-separated tokens, each "H",
+  /// "V" or a decimal module index (an optional sign, then digits whose
+  /// value is in [0, INT_MAX]). Throws std::invalid_argument on any other
+  /// token and on an invalid or non-normalized expression.
+  static PolishExpression parse(const std::string& text);
 
   friend bool operator==(const PolishExpression&,
                          const PolishExpression&) = default;

@@ -121,93 +121,82 @@ const char* to_string(ProtocolOp op) {
 }
 
 // --- Framing ------------------------------------------------------------
+//
+// One frame rule for both byte sources. `read(dst, n)` copies up to n
+// bytes into dst and returns how many it copied: fewer than n only when
+// the source ends or fails.
 
-FrameStatus read_frame(std::istream& in, std::string* payload) {
+namespace {
+
+template <class Read>
+FrameStatus read_frame_from(Read read, std::string* payload) {
   std::string header;
   char c = 0;
-  while (in.get(c)) {
+  while (true) {
+    if (read(&c, 1) != 1) {
+      return header.empty() ? FrameStatus::kEof : FrameStatus::kMalformed;
+    }
     if (c == '\n') break;
     header += c;
     if (header.size() > 20) return FrameStatus::kMalformed;
-  }
-  if (!in) {
-    return header.empty() ? FrameStatus::kEof : FrameStatus::kMalformed;
   }
   std::uint64_t length = 0;
   if (!parse_integer(header, &length) || length > kMaxFrameBytes) {
     return FrameStatus::kMalformed;
   }
   payload->resize(static_cast<std::size_t>(length));
-  if (length > 0 &&
-      !in.read(payload->data(), static_cast<std::streamsize>(length))) {
+  if (length > 0 && read(payload->data(), payload->size()) != length) {
     return FrameStatus::kMalformed;
   }
-  if (!in.get(c) || c != '\n') return FrameStatus::kMalformed;
+  if (read(&c, 1) != 1 || c != '\n') return FrameStatus::kMalformed;
   return FrameStatus::kOk;
 }
 
+/// The bytes of one frame: the decimal length, '\n', the payload, '\n'.
+std::string frame_bytes(std::string_view payload) {
+  std::string frame = std::to_string(payload.size());
+  frame += '\n';
+  frame.append(payload.data(), payload.size());
+  frame += '\n';
+  return frame;
+}
+
+}  // namespace
+
+FrameStatus read_frame(std::istream& in, std::string* payload) {
+  return read_frame_from(
+      [&in](char* dst, std::size_t n) {
+        in.read(dst, static_cast<std::streamsize>(n));
+        return static_cast<std::size_t>(in.gcount());
+      },
+      payload);
+}
+
 void write_frame(std::ostream& out, std::string_view payload) {
-  out << payload.size() << '\n';
-  out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  out << '\n';
+  const std::string frame = frame_bytes(payload);
+  out.write(frame.data(), static_cast<std::streamsize>(frame.size()));
   out.flush();
 }
 
 #if defined(FICON_HAVE_POSIX_FD)
 
-namespace {
-
-/// read() exactly n bytes; 1 = ok, 0 = clean EOF at offset 0, -1 = short.
-int read_exact_fd(int fd, char* dst, std::size_t n) {
-  std::size_t got = 0;
-  while (got < n) {
-    const ssize_t r = ::read(fd, dst + got, n - got);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      return got == 0 ? 0 : -1;
-    }
-    if (r == 0) return got == 0 ? 0 : -1;
-    got += static_cast<std::size_t>(r);
-  }
-  return 1;
-}
-
-}  // namespace
-
 FrameStatus read_frame_fd(int fd, std::string* payload) {
-  std::string header;
-  while (true) {
-    char c = 0;
-    const int r = read_exact_fd(fd, &c, 1);
-    if (r == 0) {
-      return header.empty() ? FrameStatus::kEof : FrameStatus::kMalformed;
-    }
-    if (r < 0) return FrameStatus::kMalformed;
-    if (c == '\n') break;
-    header += c;
-    if (header.size() > 20) return FrameStatus::kMalformed;
-  }
-  std::uint64_t length = 0;
-  if (!parse_integer(header, &length) || length > kMaxFrameBytes) {
-    return FrameStatus::kMalformed;
-  }
-  payload->resize(static_cast<std::size_t>(length));
-  if (length > 0 && read_exact_fd(fd, payload->data(),
-                                  payload->size()) != 1) {
-    return FrameStatus::kMalformed;
-  }
-  char trailer = 0;
-  if (read_exact_fd(fd, &trailer, 1) != 1 || trailer != '\n') {
-    return FrameStatus::kMalformed;
-  }
-  return FrameStatus::kOk;
+  return read_frame_from(
+      [fd](char* dst, std::size_t n) {
+        std::size_t got = 0;
+        while (got < n) {
+          const ssize_t r = ::read(fd, dst + got, n - got);
+          if (r < 0 && errno == EINTR) continue;
+          if (r <= 0) break;
+          got += static_cast<std::size_t>(r);
+        }
+        return got;
+      },
+      payload);
 }
 
 bool write_frame_fd(int fd, std::string_view payload) {
-  std::string frame = std::to_string(payload.size());
-  frame += '\n';
-  frame.append(payload.data(), payload.size());
-  frame += '\n';
+  const std::string frame = frame_bytes(payload);
   std::size_t sent = 0;
   while (sent < frame.size()) {
     const ssize_t w = ::write(fd, frame.data() + sent, frame.size() - sent);

@@ -1,10 +1,8 @@
 #include "service/session.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <exception>
-#include <sstream>
 #include <utility>
 
 #include "circuit/mcnc.hpp"
@@ -64,33 +62,6 @@ std::vector<std::uint64_t> shard_seeds(const Request& request) {
   return seeds;
 }
 
-PolishExpression parse_polish_expression(const std::string& text) {
-  std::istringstream in(text);
-  std::vector<PolishToken> tokens;
-  std::string token;
-  while (in >> token) {
-    if (token == "H") {
-      tokens.push_back(PolishToken{PolishToken::kH});
-    } else if (token == "V") {
-      tokens.push_back(PolishToken{PolishToken::kV});
-    } else {
-      std::size_t used = 0;
-      int value = -1;
-      try {
-        value = std::stoi(token, &used);
-      } catch (const std::exception&) {
-        used = 0;
-      }
-      FICON_REQUIRE(used == token.size() && value >= 0,
-                    "bad Polish token '" + token + "'");
-      tokens.push_back(PolishToken{value});
-    }
-  }
-  // The PolishExpression constructor rejects invalid / non-normalized
-  // token streams with std::invalid_argument.
-  return PolishExpression(std::move(tokens));
-}
-
 Netlist load_circuit(const std::string& name_or_path) {
   for (const McncSpec& spec : mcnc_specs()) {
     if (spec.name == name_or_path) return make_mcnc(name_or_path);
@@ -120,7 +91,7 @@ SeedResult evaluate_once(EvalContext& context, const Request& request,
   const PolishExpression expr =
       request.expression.empty()
           ? PolishExpression::initial(modules)
-          : parse_polish_expression(request.expression);
+          : PolishExpression::parse(request.expression);
   FICON_REQUIRE(expr.module_count() == modules,
                 "expression module count does not match the session circuit");
   const FloorplanObjective& o = request.objective;

@@ -121,11 +121,6 @@ FloorplanOptions to_floorplan_options(const Request& request,
 /// the same stream `run_seed_sweep` uses (exp/experiment.cpp).
 std::vector<std::uint64_t> shard_seeds(const Request& request);
 
-/// @brief Parse a Polish expression from to_string() format: whitespace-
-/// separated module indices and H/V operators. Throws std::invalid_argument
-/// on unknown tokens or invalid/non-normalized expressions.
-PolishExpression parse_polish_expression(const std::string& text);
-
 /// @brief Load a circuit by built-in MCNC name ("ami33"), GSRC .blocks
 /// path, or native .ficon path — the lookup ficon_cli, ficond and the
 /// benches share.

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <sys/wait.h>
@@ -12,6 +13,7 @@
 
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -383,6 +385,137 @@ TEST(FicondTest, ShutdownEndsEveryConnection) {
   EXPECT_EQ(cancelled.status, "cancelled");
   std::string tail;
   EXPECT_EQ(service::read_frame_fd(idle, &tail), FrameStatus::kEof);
+}
+
+// ASan and TSan reserve terabytes of address space, so neither the
+// daemon's VmSize nor an address-space limit says anything under them.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitizerReservesAddressSpace = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kSanitizerReservesAddressSpace = true;
+#else
+constexpr bool kSanitizerReservesAddressSpace = false;
+#endif
+#else
+constexpr bool kSanitizerReservesAddressSpace = false;
+#endif
+
+/// VmSize of process `pid` in bytes (0 where /proc is absent).
+std::uint64_t vm_size(pid_t pid) {
+  std::ifstream status("/proc/" + std::to_string(pid) + "/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) {
+      return std::stoull(line.substr(7)) << 10;  // the value is in kB
+    }
+  }
+  return 0;
+}
+
+/// ficond on `path` (apte, one worker, output to /dev/null). Whatever
+/// fails, the destructor closes the clients and reaps the daemon.
+struct Daemon {
+  explicit Daemon(const std::string& path) : pid(::fork()) {
+    if (pid == 0) {
+      const int null = ::open("/dev/null", O_WRONLY);
+      ::dup2(null, STDOUT_FILENO);
+      ::dup2(null, STDERR_FILENO);
+      ::execl(FICOND_BINARY, FICOND_BINARY, "--circuit", "apte", "--socket",
+              path.c_str(), "--workers", "1", static_cast<char*>(nullptr));
+      ::_exit(127);
+    }
+  }
+  ~Daemon() {
+    close_clients();
+    if (!reaped && pid > 0) {
+      ::kill(pid, SIGKILL);
+      ::waitpid(pid, nullptr, 0);
+    }
+  }
+  void close_clients() {
+    for (int& fd : clients) {
+      if (fd >= 0) ::close(fd);
+      fd = -1;
+    }
+  }
+  const pid_t pid;
+  std::vector<int> clients;
+  bool reaped = false;
+};
+
+TEST(FicondTest, ConnectionThreadsAreJoinedWhenTheirClientsHangUp) {
+  // Each connection's thread maps an 8 MiB stack. Once joined, the next
+  // thread reuses it; a finished thread that is never joined keeps it
+  // mapped, so a daemon that joins only at shutdown grows by about
+  // 8 MiB per connection.
+  if (kSanitizerReservesAddressSpace) {
+    GTEST_SKIP() << "the sanitizer's shadow memory dwarfs the stacks";
+  }
+  const std::string path = socket_path();
+  Daemon daemon(path);
+  ASSERT_GT(daemon.pid, 0);
+  const auto ping_and_hang_up = [&](std::int64_t id) {
+    const int fd = connect_with_retry(path);
+    ASSERT_GE(fd, 0) << "could not connect to " << path;
+    ASSERT_TRUE(service::write_frame_fd(
+        fd, service::encode_control(id, ProtocolOp::kPing)));
+    EXPECT_EQ(read_reply(fd).status, "ok");
+    ::close(fd);
+  };
+  for (int i = 0; i < 10; ++i) ping_and_hang_up(i);
+  const std::uint64_t before = vm_size(daemon.pid);
+  ASSERT_GT(before, 0u) << "no /proc/" << daemon.pid << "/status";
+  for (int i = 0; i < 100; ++i) ping_and_hang_up(100 + i);
+  const std::uint64_t after = vm_size(daemon.pid);
+  EXPECT_LT(after, before + (std::uint64_t{128} << 20))
+      << "VmSize grew from " << (before >> 10) << " kB to " << (after >> 10)
+      << " kB over 100 connections";
+}
+
+TEST(FicondTest, ConnectionThreadThatCannotStartEndsTheDaemon) {
+  // Under an address-space limit 1 MiB above the daemon's own use, the
+  // next connection's thread cannot map its stack. The daemon must end
+  // the reads of its idle connections and exit 3, not wait for their
+  // clients to hang up. Past the deadline the test closes its clients,
+  // so that a daemon that waits for them fails the test instead of
+  // hanging it.
+  if (kSanitizerReservesAddressSpace) {
+    GTEST_SKIP() << "the sanitizer's shadow memory exceeds any limit";
+  }
+  const std::string path = socket_path();
+  Daemon daemon(path);
+  ASSERT_GT(daemon.pid, 0);
+  for (int i = 0; i < 3; ++i) {
+    daemon.clients.push_back(connect_with_retry(path));
+    const int fd = daemon.clients.back();
+    ASSERT_GE(fd, 0) << "could not connect to " << path;
+    ASSERT_TRUE(service::write_frame_fd(
+        fd, service::encode_control(i, ProtocolOp::kPing)));
+    EXPECT_EQ(read_reply(fd).status, "ok");
+  }
+  const std::uint64_t mapped = vm_size(daemon.pid);
+  ASSERT_GT(mapped, 0u) << "no /proc/" << daemon.pid << "/status";
+  rlimit limit{};
+  ASSERT_EQ(::prlimit(daemon.pid, RLIMIT_AS, nullptr, &limit), 0);
+  limit.rlim_cur = mapped + (rlim_t{1} << 20);
+  ASSERT_EQ(::prlimit(daemon.pid, RLIMIT_AS, &limit, nullptr), 0);
+  daemon.clients.push_back(connect_with_retry(path));
+  ASSERT_GE(daemon.clients.back(), 0);
+
+  int status = 0;
+  if (!wait_for_exit(daemon.pid, 5.0, &status)) {
+    daemon.close_clients();
+    daemon.reaped = wait_for_exit(daemon.pid, 5.0, &status);
+    FAIL() << "the daemon still ran 5 s after its connection thread failed";
+  }
+  daemon.reaped = true;
+  EXPECT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 3);
+  for (const int fd : daemon.clients) {
+    std::string tail;
+    EXPECT_EQ(service::read_frame_fd(fd, &tail), FrameStatus::kEof);
+  }
 }
 
 TEST(FicondTest, UsageErrorsExitWithCodeTwo) {

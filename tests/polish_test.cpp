@@ -1,5 +1,6 @@
 // Normalized Polish expression invariants and moves (Wong-Liu).
 #include <set>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
@@ -52,6 +53,22 @@ TEST(Polish, ConstructorRejectsBadExpressions) {
 TEST(Polish, ToStringReadable) {
   const PolishExpression e(toks({0, 1, V, 2, H}));
   EXPECT_EQ(e.to_string(), "0 1 V 2 H");
+}
+
+TEST(Polish, ParsePolishExpressionRoundTrips) {
+  const PolishExpression expr = PolishExpression::parse("0 1 V 2 H");
+  EXPECT_EQ(expr.to_string(), "0 1 V 2 H");
+  EXPECT_EQ(expr.module_count(), 3);
+  EXPECT_THROW(PolishExpression::parse("0 1 X"), std::invalid_argument);
+  EXPECT_THROW(PolishExpression::parse("0 1"),
+               std::invalid_argument);  // missing operator
+  EXPECT_THROW(PolishExpression::parse(""), std::invalid_argument);
+  // Any whitespace separates tokens, and an index may carry a sign.
+  EXPECT_EQ(PolishExpression::parse(" 0\t+1 V\n+0002 H "), expr);
+  EXPECT_EQ(PolishExpression::parse("-0"), PolishExpression::initial(1));
+  for (const char* bad : {"0 -1 V", "0 1x V", "0 2147483648 V", "0 1 v"}) {
+    EXPECT_THROW(PolishExpression::parse(bad), std::invalid_argument) << bad;
+  }
 }
 
 TEST(Polish, M1SwapsAdjacentOperands) {

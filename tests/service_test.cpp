@@ -89,17 +89,6 @@ void expect_same_results(const Reply& expected, const Reply& actual) {
   }
 }
 
-TEST(ServiceHelpers, ParsePolishExpressionRoundTrips) {
-  const PolishExpression expr = service::parse_polish_expression("0 1 V 2 H");
-  EXPECT_EQ(expr.to_string(), "0 1 V 2 H");
-  EXPECT_EQ(expr.module_count(), 3);
-  EXPECT_THROW(service::parse_polish_expression("0 1 X"),
-               std::invalid_argument);
-  EXPECT_THROW(service::parse_polish_expression("0 1"),
-               std::invalid_argument);  // missing operator
-  EXPECT_THROW(service::parse_polish_expression(""), std::invalid_argument);
-}
-
 TEST(ServiceHelpers, ShardSeedsMatchTheSeedSweepDerivation) {
   Request request = anneal_request(9, 3, 1.0);
   const std::vector<std::uint64_t> seeds = service::shard_seeds(request);
@@ -767,6 +756,87 @@ TEST(ServiceProtocol, FramingRoundTripsAndRejectsGarbage) {
   std::stringstream oversized("999999999999\n");
   EXPECT_EQ(service::read_frame(oversized, &payload),
             service::FrameStatus::kMalformed);
+}
+
+using Frames = std::vector<std::pair<service::FrameStatus, std::string>>;
+
+/// Every (status, payload) that `read` returns, up to and including the
+/// first status that is not kOk.
+template <class Read>
+Frames read_all(Read read) {
+  Frames frames;
+  while (frames.empty() || frames.back().first == service::FrameStatus::kOk) {
+    std::string payload;
+    const service::FrameStatus status = read(&payload);
+    frames.emplace_back(
+        status, status == service::FrameStatus::kOk ? payload : "");
+  }
+  return frames;
+}
+
+Frames frames_from_stream(const std::string& bytes) {
+  std::istringstream in(bytes);
+  return read_all(
+      [&](std::string* payload) { return service::read_frame(in, payload); });
+}
+
+/// The frames read_frame_fd reads from a pipe that holds `bytes`.
+Frames frames_from_pipe(const std::string& bytes) {
+  int fds[2];
+  if (::pipe(fds) != 0) return {};
+  const bool written = ::write(fds[1], bytes.data(), bytes.size()) ==
+                       static_cast<ssize_t>(bytes.size());
+  ::close(fds[1]);
+  Frames frames;
+  if (written) {
+    frames = read_all([&](std::string* payload) {
+      return service::read_frame_fd(fds[0], payload);
+    });
+  }
+  ::close(fds[0]);
+  return frames;
+}
+
+TEST(ServiceProtocol, StreamAndFdFramingFollowOneRule) {
+  // read_frame and read_frame_fd share one frame rule: the round trip and
+  // the garbage, truncated and oversized cases read the same from a
+  // stream and from a pipe, and both writers write the same bytes.
+  using service::FrameStatus;
+  const std::string text = "hello \"frames\"\nwith newlines";
+  std::ostringstream stream;
+  service::write_frame(stream, text);
+  service::write_frame(stream, "");
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  EXPECT_TRUE(service::write_frame_fd(fds[1], text));
+  EXPECT_TRUE(service::write_frame_fd(fds[1], ""));
+  ::close(fds[1]);
+  std::string piped(64, '\0');
+  const ssize_t n = ::read(fds[0], piped.data(), piped.size());
+  ::close(fds[0]);
+  ASSERT_GT(n, 0);
+  piped.resize(static_cast<std::size_t>(n));
+  EXPECT_EQ(piped, stream.str());
+
+  const Frames malformed = {{FrameStatus::kMalformed, ""}};
+  const std::vector<std::pair<std::string, Frames>> cases = {
+      {stream.str(),
+       {{FrameStatus::kOk, text},
+        {FrameStatus::kOk, ""},
+        {FrameStatus::kEof, ""}}},
+      {"", {{FrameStatus::kEof, ""}}},
+      {"xyz\n{}\n", malformed},                  // garbage
+      {"10\n{}", malformed},                      // truncated payload
+      {"2\n{}x", malformed},                      // bad trailer
+      {"12", malformed},                          // truncated header
+      {"999999999999\n", malformed},              // oversized
+      {std::string(21, '1') + "\n", malformed},   // header too long
+  };
+  for (const auto& [bytes, expected] : cases) {
+    SCOPED_TRACE("bytes: " + bytes);
+    EXPECT_EQ(frames_from_stream(bytes), expected);
+    EXPECT_EQ(frames_from_pipe(bytes), expected);
+  }
 }
 
 }  // namespace

@@ -2,10 +2,10 @@
 //
 // Loads a circuit once, then serves evaluate/anneal requests through the
 // length-prefixed JSON frame protocol (src/service/protocol.hpp) on
-// either a Unix-domain socket (one thread per connection, replies may
-// interleave out of submission order) or stdin/stdout (single
-// connection). The session amortizes netlist parsing and the evaluator
-// caches across every request; see docs/SERVICE.md for the numbers.
+// either a Unix-domain socket (one thread per connection, joined once its
+// client hangs up; replies may interleave out of submission order) or
+// stdin/stdout (single connection). The session amortizes netlist parsing
+// and the evaluator caches across every request; see docs/SERVICE.md.
 //
 // Usage:
 //   ficond --circuit NAME|PATH (--socket PATH | --stdio)
@@ -25,31 +25,28 @@
 // then the connection closes.
 //
 // Exit codes: 0 clean shutdown, 2 usage error, 3 socket/circuit failure
-// or executor threads that cannot start.
+// or an executor or connection thread that cannot start (a connection
+// thread that cannot start ends every connection first).
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <cerrno>
 #include <csignal>
 #include <cstring>
 #include <iostream>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-#define FICOND_HAVE_SOCKETS 1
-#endif
 
 #include "ficon.hpp"
 
 namespace {
 
-using ficon::service::DecodedReply;
 using ficon::service::EngineSession;
 using ficon::service::FrameStatus;
 using ficon::service::ProtocolOp;
@@ -75,135 +72,138 @@ int parse_int_arg(const std::string& flag, const std::string& text) {
   return static_cast<int>(v);
 }
 
-/// One frame transport: the stdio pair or a socket fd.
-class Transport {
+/// One client: the fd its frames are read from and the fd its replies
+/// are written to (one socket, or stdin and stdout), the lock that keeps
+/// concurrent replies whole, and the id -> session ticket map of its
+/// in-flight requests, for "cancel". Each completion callback holds it.
+/// It closes its fds only when destroyed, so shutdown_reads() never
+/// reaches a reused fd number; its client reads EOF once it stopped
+/// reading and the last reply owed is written.
+class Connection : public std::enable_shared_from_this<Connection> {
  public:
-  virtual ~Transport() = default;
-  virtual FrameStatus read(std::string* payload) = 0;
+  Connection(int in, int out) : in_(in), out_(out) {}
+  ~Connection() {
+    ::close(in_);
+    if (out_ != in_) ::close(out_);
+  }
+  Connection(const Connection&) = delete;
+  Connection& operator=(const Connection&) = delete;
+
+  FrameStatus read(std::string* payload) {
+    return ficon::service::read_frame_fd(in_, payload);
+  }
   /// Thread-safe (replies come from executor callbacks concurrently).
-  virtual bool write(const std::string& payload) = 0;
-};
-
-class StdioTransport : public Transport {
- public:
-  FrameStatus read(std::string* payload) override {
-    return ficon::service::read_frame(std::cin, payload);
-  }
-  bool write(const std::string& payload) override {
-    const std::lock_guard<std::mutex> lock(mu_);
-    ficon::service::write_frame(std::cout, payload);
-    return static_cast<bool>(std::cout);
-  }
-
- private:
-  std::mutex mu_;
-};
-
-#if defined(FICOND_HAVE_SOCKETS)
-class FdTransport : public Transport {
- public:
-  explicit FdTransport(int fd) : fd_(fd) {}
-  ~FdTransport() override { ::close(fd_); }
-  FrameStatus read(std::string* payload) override {
-    return ficon::service::read_frame_fd(fd_, payload);
-  }
-  bool write(const std::string& payload) override {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return ficon::service::write_frame_fd(fd_, payload);
+  void write(const std::string& payload) {
+    const std::lock_guard<std::mutex> lock(write_mu_);
+    ficon::service::write_frame_fd(out_, payload);
   }
   /// Ends a blocked or later read with EOF; writes still go through.
-  void shutdown_reads() { ::shutdown(fd_, SHUT_RD); }
+  void shutdown_reads() { ::shutdown(in_, SHUT_RD); }
+
+  /// Submits `request` as `id`; its reply is written here. False if the
+  /// session rejected it. The ticket is recorded under the lock that the
+  /// reply takes to forget it, so a fast reply cannot leave it behind.
+  bool submit(EngineSession& session, std::int64_t id,
+              ficon::service::Request request) {
+    const std::lock_guard<std::mutex> lock(requests_mu_);
+    const EngineSession::Ticket ticket = session.submit(
+        std::move(request),
+        [self = shared_from_this(), id](EngineSession::Ticket,
+                                        const Reply& reply) {
+          self->write(ficon::service::encode_reply(id, reply));
+          const std::lock_guard<std::mutex> guard(self->requests_mu_);
+          self->tickets_.erase(id);
+          if (--self->in_flight_ == 0 && self->done_) {
+            ::shutdown(self->out_, SHUT_RDWR);
+          }
+        });
+    if (ticket == 0) return false;
+    tickets_[id] = ticket;
+    ++in_flight_;
+    return true;
+  }
+
+  /// True if request `id` is in flight and the session will cancel it.
+  bool cancel(EngineSession& session, std::int64_t id) {
+    const std::lock_guard<std::mutex> lock(requests_mu_);
+    const auto it = tickets_.find(id);
+    return it != tickets_.end() && session.cancel(it->second);
+  }
+
+  /// Called once the read loop has returned.
+  void stop_reading() {
+    const std::lock_guard<std::mutex> lock(requests_mu_);
+    done_ = true;
+    if (in_flight_ == 0) ::shutdown(out_, SHUT_RDWR);
+  }
+  bool done() const { return done_; }
 
  private:
-  int fd_;
-  std::mutex mu_;
+  const int in_;
+  const int out_;
+  std::mutex write_mu_;
+  std::mutex requests_mu_;  // guards the three below
+  std::map<std::int64_t, EngineSession::Ticket> tickets_;
+  int in_flight_ = 0;
+  std::atomic<bool> done_{false};
 };
-#endif
 
 /// @brief Serve one connection until EOF, a malformed frame, or a
 /// shutdown op. Returns true iff the peer requested daemon shutdown.
-///
-/// `transport` is shared with the in-flight completion callbacks, which
-/// is why it rides in a shared_ptr: a callback may fire after the read
-/// loop (and this frame) are long gone.
-bool serve_connection(EngineSession& session,
-                      const std::shared_ptr<Transport>& transport) {
-  // id -> session ticket of in-flight requests, for "cancel".
-  auto inflight = std::make_shared<std::mutex>();
-  auto tickets = std::make_shared<std::map<std::int64_t, EngineSession::Ticket>>();
-
+bool serve_connection(EngineSession& session, Connection& connection) {
   std::string payload;
   while (true) {
-    const FrameStatus status = transport->read(&payload);
+    const FrameStatus status = connection.read(&payload);
     if (status == FrameStatus::kEof) return false;
     if (status == FrameStatus::kMalformed) {
       // Framing is lost; nothing after this byte can be trusted.
-      transport->write(ficon::service::encode_error_reply(
+      connection.write(ficon::service::encode_error_reply(
           0, "malformed frame; closing connection"));
       return false;
     }
     ProtocolRequest request;
     std::string error;
     if (!ficon::service::decode_request(payload, &request, &error)) {
-      transport->write(
-          ficon::service::encode_error_reply(request.id, error));
+      connection.write(ficon::service::encode_error_reply(request.id, error));
       continue;
     }
     switch (request.op) {
       case ProtocolOp::kPing:
-        transport->write(ficon::service::encode_ok_reply(request.id));
+        connection.write(ficon::service::encode_ok_reply(request.id));
         break;
       case ProtocolOp::kStats:
-        transport->write(ficon::service::encode_stats_reply(
+        connection.write(ficon::service::encode_stats_reply(
             request.id, session.stats()));
         break;
       case ProtocolOp::kShutdown:
-        transport->write(ficon::service::encode_ok_reply(request.id));
+        connection.write(ficon::service::encode_ok_reply(request.id));
         return true;
-      case ProtocolOp::kCancel: {
-        EngineSession::Ticket ticket = 0;
-        {
-          const std::lock_guard<std::mutex> lock(*inflight);
-          const auto it = tickets->find(request.target);
-          if (it != tickets->end()) ticket = it->second;
-        }
-        if (ticket != 0 && session.cancel(ticket)) {
-          transport->write(ficon::service::encode_ok_reply(request.id));
+      case ProtocolOp::kCancel:
+        if (connection.cancel(session, request.target)) {
+          connection.write(ficon::service::encode_ok_reply(request.id));
         } else {
-          transport->write(ficon::service::encode_error_reply(
-              request.id,
-              "no cancellable request with id " +
-                  std::to_string(request.target)));
+          connection.write(ficon::service::encode_error_reply(
+              request.id, "no cancellable request with id " +
+                              std::to_string(request.target)));
         }
         break;
-      }
       case ProtocolOp::kEvaluate:
-      case ProtocolOp::kAnneal: {
-        const std::int64_t id = request.id;
-        const EngineSession::Ticket ticket = session.submit(
-            std::move(request.request),
-            [transport, inflight, tickets, id](EngineSession::Ticket,
-                                               const Reply& reply) {
-              transport->write(ficon::service::encode_reply(id, reply));
-              const std::lock_guard<std::mutex> lock(*inflight);
-              tickets->erase(id);
-            });
-        if (ticket == 0) {
+      case ProtocolOp::kAnneal:
+        if (!connection.submit(session, request.id,
+                               std::move(request.request))) {
           Reply rejected;
           rejected.status = ficon::service::ReplyStatus::kRejected;
           rejected.error = "queue full";
-          transport->write(ficon::service::encode_reply(id, rejected));
-        } else {
-          const std::lock_guard<std::mutex> lock(*inflight);
-          (*tickets)[id] = ticket;
+          connection.write(ficon::service::encode_reply(request.id, rejected));
         }
         break;
-      }
     }
   }
 }
 
-#if defined(FICOND_HAVE_SOCKETS)
+/// Serves the Unix-domain socket at `path`, one thread per connection,
+/// until a client sends "shutdown" or no further connection can be
+/// served. Returns the exit code.
 int serve_socket(EngineSession& session, const std::string& path) {
   const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (listener < 0) {
@@ -228,52 +228,59 @@ int serve_socket(EngineSession& session, const std::string& path) {
   }
   std::cout << "ficond: listening on " << path << "\n" << std::flush;
 
+  struct Client {
+    std::shared_ptr<Connection> connection;
+    std::jthread thread;
+  };
   std::atomic<bool> stopping{false};
-  std::vector<std::jthread> connections;
-  // The connections whose transport is alive. A transport closes its fd
-  // only when it is destroyed, so a locked one's fd is still its own.
-  std::vector<std::weak_ptr<FdTransport>> open;
-  while (true) {
+  std::list<Client> clients;  // every connection whose thread is not joined
+  int code = 0;
+  while (code == 0) {
+    // Join the threads of the connections that stopped reading.
+    std::erase_if(clients,
+                  [](const Client& c) { return c.connection->done(); });
     const int fd = ::accept(listener, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
-      break;  // listener closed by the shutdown path (or fatal error)
+      if (!stopping) {  // else the shutdown path closed the listener
+        std::cerr << "ficond: accept: " << std::strerror(errno) << "\n";
+        code = 3;
+      }
+      break;
     }
-    if (stopping.load()) {
+    if (stopping) {
       ::close(fd);
       continue;
     }
-    const auto transport = std::make_shared<FdTransport>(fd);
-    std::erase_if(open, [](const std::weak_ptr<FdTransport>& t) {
-      return t.expired();
-    });
-    open.push_back(transport);
-    connections.emplace_back([&session, &stopping, listener, transport] {
-      if (serve_connection(session, transport) &&
-          !stopping.exchange(true)) {
-        // First shutdown request wins: closing the listener pops the
-        // accept loop; ::shutdown also wakes an accept blocked in older
-        // kernels.
-        ::shutdown(listener, SHUT_RDWR);
-        ::close(listener);
-      }
-    });
+    try {
+      Client& client = clients.emplace_back(
+          Client{std::make_shared<Connection>(fd, fd), {}});
+      client.thread = std::jthread([&session, &stopping, listener,
+                                    connection = client.connection] {
+        if (serve_connection(session, *connection) &&
+            !stopping.exchange(true)) {
+          // The first shutdown request ends the accept loop: ::shutdown
+          // wakes a blocked accept, which then fails on the closed fd.
+          ::shutdown(listener, SHUT_RDWR);
+          ::close(listener);
+        }
+        connection->stop_reading();
+      });
+    } catch (const std::exception& e) {
+      std::cerr << "ficond: cannot serve a connection: " << e.what() << "\n";
+      code = 3;
+    }
   }
-  stopping.store(true);
+  stopping = true;
   // Each connection thread reads until its client hangs up. End those
   // reads so that the threads return; the "cancelled" replies that
   // ~EngineSession sends can still be written.
-  for (const std::weak_ptr<FdTransport>& t : open) {
-    if (const std::shared_ptr<FdTransport> alive = t.lock()) {
-      alive->shutdown_reads();
-    }
-  }
-  connections.clear();  // join every connection thread
+  for (const Client& client : clients) client.connection->shutdown_reads();
+  clients.clear();  // join every connection thread
   ::unlink(path.c_str());
   std::cout << "ficond: shut down\n";
-  return 0;
+  return code;
 }
-#endif
 
 }  // namespace
 
@@ -308,10 +315,8 @@ int main(int argc, char** argv) {
     usage_error("pick exactly one of --socket PATH or --stdio");
   }
 
-#if defined(FICOND_HAVE_SOCKETS)
   // A peer that disconnects mid-reply must not kill the daemon.
   std::signal(SIGPIPE, SIG_IGN);
-#endif
 
   try {
     ficon::Netlist netlist = ficon::service::load_circuit(circuit);
@@ -319,17 +324,10 @@ int main(int argc, char** argv) {
               << netlist.module_count() << " modules, "
               << netlist.net_count() << " nets\n";
     EngineSession session(std::move(netlist), options);
-    if (stdio) {
-      const auto transport = std::make_shared<StdioTransport>();
-      serve_connection(session, transport);
-      return 0;
-    }
-#if defined(FICOND_HAVE_SOCKETS)
-    return serve_socket(session, socket_path);
-#else
-    std::cerr << "ficond: --socket needs POSIX sockets; use --stdio\n";
-    return 3;
-#endif
+    if (!stdio) return serve_socket(session, socket_path);
+    serve_connection(session, *std::make_shared<Connection>(STDIN_FILENO,
+                                                            STDOUT_FILENO));
+    return 0;
   } catch (const std::exception& e) {
     std::cerr << "ficond: " << e.what() << "\n";
     return 3;

@@ -8,7 +8,11 @@
 #   3. diff every client result line against the one-shot
 #      `ficon_cli --json` line for the same request — the two paths must
 #      be bit-identical, error replies included,
-#   4. shut the daemon down cleanly.
+#   4. send the evaluate lines again to the same daemon: their results
+#      must not change, and the daemon's VmSize must not grow by more than
+#      256 MiB (a connection thread that is never joined keeps its 8 MiB
+#      stack mapped),
+#   5. shut the daemon down cleanly.
 #
 # Exits non-zero on the first divergence or daemon crash.
 set -euo pipefail
@@ -40,8 +44,9 @@ done
 # inside an executor (an effort whose move count overflows, an expression
 # for the wrong module count), one arg-line each.
 MIX="$WORK/requests.txt"
+EVALUATES=80
 : > "$MIX"
-for i in $(seq 0 79); do
+for i in $(seq 0 $((EVALUATES - 1))); do
   case $((i % 4)) in
     0) echo "--op evaluate --model ir --gamma 0.4" ;;
     1) echo "--op evaluate --model fixed --grid 120" ;;
@@ -67,20 +72,22 @@ echo "== firing $TOTAL concurrent requests through ficon_cli --connect"
 # keeps xargs from eating its quotes) and is split shell-style by eval.
 # Exit 1 is a request that finished non-ok; 2 (usage) and 3 (transport)
 # still fail the batch.
-run_batch() { # $1 = extra args, $2 = out dir
-  mkdir -p "$2"
-  nl -ba "$MIX" | xargs -d '\n' -P 16 -I{} bash -c '
+run_batch() { # $1 = request lines, $2 = extra args, $3 = out dir
+  mkdir -p "$3"
+  nl -ba "$1" | xargs -d '\n' -P 16 -I{} bash -c '
     set -euo pipefail
     n="${1%%	*}"
     eval "args=(${1#*	})"
     # shellcheck disable=SC2086
-    '"$CLI"' --circuit apte '"$1"' "${args[@]}" \
-      > "'"$2"'/$(printf %03d "$n").json" || [ $? -eq 1 ]
+    '"$CLI"' --circuit apte '"$2"' "${args[@]}" \
+      > "'"$3"'/$(printf %03d "$n").json" || [ $? -eq 1 ]
   ' _ {}
 }
-run_batch "--connect $SOCK" "$WORK/client"
+vm_size_kb() { awk '/^VmSize:/ { print $2 }' "/proc/$DAEMON_PID/status"; }
+run_batch "$MIX" "--connect $SOCK" "$WORK/client"
+VM_FIRST=$(vm_size_kb)
 echo "== re-running the same mix one-shot (--json)"
-run_batch "--json" "$WORK/oneshot"
+run_batch "$MIX" "--json" "$WORK/oneshot"
 
 echo "== diffing client vs one-shot result lines"
 cat "$WORK"/client/*.json > "$WORK/client.jsonl"
@@ -96,6 +103,19 @@ for f in "$WORK/oneshot.jsonl" "$WORK/client.jsonl"; do
 done
 diff -u "$WORK/oneshot.jsonl" "$WORK/client.jsonl"
 echo "   $TOTAL/$TOTAL bit-identical"
+
+echo "== sending the $EVALUATES evaluate lines to the same daemon again"
+head -n "$EVALUATES" "$MIX" > "$WORK/evaluates.txt"
+run_batch "$WORK/evaluates.txt" "--connect $SOCK" "$WORK/again"
+VM_SECOND=$(vm_size_kb)
+cat "$WORK"/again/*.json |
+  diff -u <(head -n "$EVALUATES" "$WORK/oneshot.jsonl") -
+echo "   $EVALUATES/$EVALUATES bit-identical;" \
+  "daemon VmSize $VM_FIRST kB -> $VM_SECOND kB"
+if [ $((VM_SECOND - VM_FIRST)) -gt $((256 * 1024)) ]; then
+  echo "ficond's VmSize grew by more than 256 MiB over $EVALUATES connections"
+  exit 1
+fi
 
 echo "== shutting ficond down"
 kill "$DAEMON_PID"
